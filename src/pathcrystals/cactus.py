@@ -1,13 +1,19 @@
 """Partial Schutzenberger-Lusztig involutions and the cactus-group action.
 
-The involution for a connected color set J sends a vertex b, written as a
-lowering word applied to the highest vertex of its J-component, to the
-twisted raising word applied to the lowest vertex of that component.  The
-verifier checks, by exhaustive permutation arithmetic, that these involutions
-satisfy the defining relations of the cactus group of the diagram.
+For a connected color set J with diagram automorphism theta, the partial
+involution xi_J is the unique map that sends the highest vertex of each
+J-component to its lowest vertex and intertwines f_i with e_theta(i) for
+every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
+It is computed by propagating that rule along every J-colored lowering edge
+of the component, so any two lowering words to a vertex must give the same
+image or the model is rejected.  The verifier checks, by exhaustive
+permutation arithmetic, that these involutions satisfy the defining
+relations of the cactus group of the diagram.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .cartan import (
     components,
@@ -20,45 +26,47 @@ from .crystal import CrystalGraph, levi
 from .errors import DomainError, ModelIntegrityError
 
 
-def _apply_raising_word(graph, start, word, twist):
-    cur = start
-    for color in word:
-        cur = graph.e(cur, twist[color])
-        if cur is None:
-            raise ModelIntegrityError(
-                "raising word left the component; inconsistent twist data"
-            )
-    return cur
-
-
-def xi(graph: CrystalGraph, colors, b: int, descending=False) -> int:
+def xi(graph: CrystalGraph, colors, b: int) -> int:
     """Image of vertex b under the partial involution for a connected color
-    set.  The descending flag only changes which lowering word is used; the
-    result is word-independent (and the tests check that)."""
-    colors = frozenset(colors)
-    if not colors or not is_connected(graph.rtype, colors):
-        raise DomainError("xi needs a nonempty connected color set")
-    view = levi(graph, colors)
-    comp = view.component_of(b)
-    twist = theta(graph.rtype, colors)
-    word = view.f_word(comp, b, descending)
-    return _apply_raising_word(graph, view.lowest_of(comp), word, twist)
+    set."""
+    if not 0 <= b < len(graph):
+        raise DomainError(f"vertex {b} out of range")
+    return xi_perm(graph, colors)[b]
 
 
-def xi_perm(graph: CrystalGraph, colors, descending=False) -> tuple:
-    """The partial involution as a permutation of all vertex ids."""
+def xi_perm(graph: CrystalGraph, colors) -> tuple:
+    """The partial involution as a permutation of all vertex ids.
+
+    Breadth-first from the highest vertex of each Levi component, every
+    lowering edge v -f_i-> w with i in the color set yields the image of w as
+    e_theta(i) of the image of v.  The first edge into w sets it; every other
+    edge into w must agree with it."""
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
     view = levi(graph, colors)
     twist = theta(graph.rtype, colors)
+    order = sorted(colors)
     out = [None] * len(graph)
     for comp in view.components:
-        lowest = view.lowest_of(comp)
-        for b in comp:
-            word = view.f_word(comp, b, descending)
-            out[b] = _apply_raising_word(graph, lowest, word, twist)
-    if sorted(out) != list(range(len(graph))):
+        top = view.highest_of(comp)
+        out[top] = view.lowest_of(comp)
+        queue = deque([top])
+        while queue:
+            v = queue.popleft()
+            for i in order:
+                w = graph.f(v, i)
+                if w is None:
+                    continue
+                image = graph.e(out[v], twist[i])
+                if image is None or out[w] not in (None, image):
+                    raise ModelIntegrityError(
+                        f"involution image of vertex {w} is inconsistent along color {i}"
+                    )
+                if out[w] is None:
+                    out[w] = image
+                    queue.append(w)
+    if set(out) != set(range(len(graph))):
         raise ModelIntegrityError("involution image is not a permutation")
     return tuple(out)
 
@@ -111,32 +119,28 @@ def _first_difference(p, q):
     return None
 
 
-def verify_cactus_relations(graph: CrystalGraph) -> list:
-    """Check the three cactus-group relations as permutation identities over
-    all pairs of connected subdiagrams.  Returns violation records; empty
-    means the generators define a group action on this crystal."""
-    t = graph.rtype
-    subs = connected_subdiagrams(t)
-    perms = {s: xi_perm(graph, s) for s in subs}
-    ident = identity_perm(graph)
+def _relation_violations(t, perms: dict, ident: tuple) -> list:
+    """Check the three cactus-group relations of type t as permutation
+    identities, given the permutation of every connected subdiagram.  Each
+    record names the first vertex where the two sides differ."""
     violations = []
 
-    def record(relation, outer, inner, witness):
+    def record(relation, outer, inner, left, right):
         violations.append(
             {
                 "relation": relation,
                 "I": sorted(outer),
                 "J": sorted(inner),
-                "witness_vertex": witness,
+                "witness_vertex": _first_difference(left, right),
             }
         )
 
-    for s in subs:
+    for s in perms:
         square = compose(perms[s], perms[s])
         if square != ident:
-            record(1, s, s, _first_difference(square, ident))
-    for a in subs:
-        for b in subs:
+            record(1, s, s, square, ident)
+    for a in perms:
+        for b in perms:
             if node_mask(a) >= node_mask(b):
                 continue
             if len(components(t, a | b)) < 2:
@@ -144,13 +148,21 @@ def verify_cactus_relations(graph: CrystalGraph) -> list:
             left = compose(perms[a], perms[b])
             right = compose(perms[b], perms[a])
             if left != right:
-                record(2, a, b, _first_difference(left, right))
-    for outer in subs:
-        for inner in subs:
+                record(2, a, b, left, right)
+    for outer in perms:
+        for inner in perms:
             if not inner <= outer:
                 continue
             left = compose(perms[outer], perms[inner])
             right = compose(perms[theta_image(t, outer, inner)], perms[outer])
             if left != right:
-                record(3, outer, inner, _first_difference(left, right))
+                record(3, outer, inner, left, right)
     return violations
+
+
+def verify_cactus_relations(graph: CrystalGraph) -> list:
+    """Check the three cactus-group relations as permutation identities over
+    all pairs of connected subdiagrams.  Returns violation records; empty
+    means the generators define a group action on this crystal."""
+    perms = {s: xi_perm(graph, s) for s in connected_subdiagrams(graph.rtype)}
+    return _relation_violations(graph.rtype, perms, identity_perm(graph))

@@ -29,6 +29,7 @@ from .errors import (
     NotInImageError,
 )
 from .folding import (
+    DEFAULT_MAX_SIZE,
     fold_info,
     folding_pair,
     psi_weight,
@@ -38,8 +39,6 @@ from .folding import (
     verify_virtualization,
     virtualize_path,
 )
-
-DEFAULT_MAX_SIZE = 20000
 
 VERIFY_KINDS = (
     "seminormal",

@@ -25,16 +25,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cactus import act, compose, identity_perm, theta_image, xi_perm
+from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
-    all_nodes,
     cartan_matrix,
     components,
     connected_subdiagrams,
     is_connected,
     neighbors,
-    node_mask,
     theta,
 )
 from .crystal import generate
@@ -56,14 +54,13 @@ DEFAULT_MAX_SIZE = 20000
 class FoldingPair:
     """Folding data for one source/target pair, immutable after construction."""
 
-    def __init__(self, x_type, y_type, sigma, aut, gamma, branch, theta_y):
+    def __init__(self, x_type, y_type, sigma, aut, gamma, branch):
         self.x_type = x_type
         self.y_type = y_type
         self._sigma = {i: frozenset(sigma[i]) for i in x_type.nodes}
         self.aut = dict(aut)
         self._gamma = dict(gamma)
         self.branch = branch
-        self.theta_y = dict(theta_y)
         self.psi_matrix = tuple(
             tuple(
                 self._gamma[i] if l in self._sigma[i] else 0
@@ -212,8 +209,7 @@ def folding_pair(x, max_rank: int = DEFAULT_MAX_RANK) -> FoldingPair:
     gamma = _solve_gamma(x, y, sigma)
     _check_root_identity(x, y, sigma, gamma)
     _check_orbit_structure(x, y, sigma, aut)
-    theta_y = theta(y, all_nodes(y))
-    return FoldingPair(x, y, sigma, aut, gamma, branch, theta_y)
+    return FoldingPair(x, y, sigma, aut, gamma, branch)
 
 
 def psi_weight(fold: FoldingPair, mu):
@@ -261,12 +257,12 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
     return canonicalize(PLPath(fold.x_type, tuple(out)))
 
 
-def virtual_f(fold: FoldingPair, path: PLPath, i: int, descending=False):
+def virtual_f(fold: FoldingPair, path: PLPath, i: int):
     """Virtual lowering operator for source color i on a target path: the
     target operator applied gamma_i times over each node of sigma(i).
     Returns None if any step is undefined."""
     cur = path
-    for j in sorted(fold.sigma(i), reverse=descending):
+    for j in sorted(fold.sigma(i)):
         for _ in range(fold.gamma(i)):
             cur = root_f(cur, j)
             if cur is None:
@@ -274,10 +270,10 @@ def virtual_f(fold: FoldingPair, path: PLPath, i: int, descending=False):
     return cur
 
 
-def virtual_e(fold: FoldingPair, path: PLPath, i: int, descending=False):
+def virtual_e(fold: FoldingPair, path: PLPath, i: int):
     """Virtual raising operator; mirror of virtual_f."""
     cur = path
-    for j in sorted(fold.sigma(i), reverse=descending):
+    for j in sorted(fold.sigma(i)):
         for _ in range(fold.gamma(i)):
             cur = root_e(cur, j)
             if cur is None:
@@ -400,18 +396,10 @@ def verify_virtual_relations(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) 
     highest weight.  Also checks that the letters of each word commute."""
     x = fold.x_type
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
-    subs = connected_subdiagrams(x)
     cache: dict = {}
-    perms = {s: act(gy, s_tilde(fold, s), cache) for s in subs}
-    ident = identity_perm(gy)
+    perms = {s: act(gy, s_tilde(fold, s), cache) for s in connected_subdiagrams(x)}
     violations = []
-
-    def record(relation, outer, inner):
-        violations.append(
-            {"relation": relation, "I": sorted(outer), "J": sorted(inner)}
-        )
-
-    for s in subs:
+    for s in perms:
         letters = s_tilde(fold, s)
         for a in range(len(letters)):
             for b in range(a + 1, len(letters)):
@@ -424,26 +412,7 @@ def verify_virtual_relations(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) 
                             "J": sorted(letters[b]),
                         }
                     )
-        if compose(perms[s], perms[s]) != ident:
-            record(1, s, s)
-    for a in subs:
-        for b in subs:
-            if node_mask(a) >= node_mask(b):
-                continue
-            if len(components(x, a | b)) < 2:
-                continue
-            if compose(perms[a], perms[b]) != compose(perms[b], perms[a]):
-                record(2, a, b)
-    for outer in subs:
-        for inner in subs:
-            if not inner <= outer:
-                continue
-            twisted = theta_image(x, outer, inner)
-            if compose(perms[outer], perms[inner]) != compose(
-                perms[twisted], perms[outer]
-            ):
-                record(3, outer, inner)
-    return violations
+    return violations + _relation_violations(x, perms, identity_perm(gy))
 
 
 def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:

@@ -9,28 +9,6 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--extended",
-        action="store_true",
-        default=False,
-        help="run the long gated checks (F4 into E6)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "extended: long gated checks, off by default")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--extended"):
-        return
-    skip = pytest.mark.skip(reason="needs --extended")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def cli_env():
     env = dict(os.environ)

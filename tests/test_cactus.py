@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from xi_oracle import xi_perm_by_words
 
+from pathcrystals import cactus
 from pathcrystals.cactus import (
     act,
     compose,
@@ -17,14 +19,16 @@ from pathcrystals.cartan import (
     connected_subdiagrams,
     w0J_apply,
 )
-from pathcrystals.crystal import generate, levi
-from pathcrystals.errors import DomainError
+from pathcrystals.crystal import CrystalGraph, generate, levi
+from pathcrystals.errors import DomainError, ModelIntegrityError
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
 A3 = DynkinType("A", 3)
 C2 = DynkinType("C", 2)
+B3 = DynkinType("B", 3)
 C3 = DynkinType("C", 3)
+D4 = DynkinType("D", 4)
 G2 = DynkinType("G", 2)
 
 
@@ -97,11 +101,48 @@ def test_xi_involution_weight_twist_intertwining(t, lam):
                     assert perm[w] == image
 
 
-@pytest.mark.parametrize("t,lam", [(C2, (1, 1)), (A3, (0, 1, 0)), (G2, (1, 0))])
+@pytest.mark.parametrize(
+    "t,lam",
+    [
+        (C2, (1, 1)),
+        (A3, (0, 1, 0)),
+        (G2, (1, 0)),
+        (G2, (1, 1)),
+        (C3, (1, 1, 0)),
+        (B3, (1, 0, 1)),
+        (A3, (1, 1, 1)),
+        (D4, (1, 0, 1, 0)),
+    ],
+)
 def test_xi_word_independence(t, lam):
+    # the word-based oracle in both color orders
     g = generate(t, lam)
     for sub in connected_subdiagrams(t):
-        assert xi_perm(g, sub) == xi_perm(g, sub, descending=True)
+        perm = xi_perm(g, sub)
+        assert perm == xi_perm_by_words(g, sub)
+        assert perm == xi_perm_by_words(g, sub, descending=True)
+
+
+@pytest.mark.parametrize(
+    "t,lam,first,second", [(A2, (1, 1), (2, 2), (3, 2)), (C2, (1, 1), (3, 2), (8, 2))]
+)
+def test_xi_rejects_inconsistent_raising_edges(t, lam, first, second):
+    # swapping the targets of two color-2 raising edges still gives a
+    # permutation along any one lowering word, but two edges into one vertex
+    # disagree; in the C2 case only edges outside the BFS tree see it
+    g = generate(t, lam)
+    e_edges = dict(g.e_edges)
+    e_edges[first], e_edges[second] = e_edges[second], e_edges[first]
+    bad = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
+    with pytest.raises(ModelIntegrityError):
+        xi_perm(bad, {1, 2})
+
+
+def test_xi_rejects_out_of_range_vertex():
+    g = generate(A2, (1, 0))
+    for b in (-1, len(g)):
+        with pytest.raises(DomainError):
+            xi(g, {1, 2}, b)
 
 
 def test_act_empty_word_is_identity():
@@ -136,7 +177,7 @@ def test_theta_image_requires_nesting():
 
 @pytest.mark.parametrize(
     "t,lam",
-    [(A3, (0, 1, 0)), (C2, (1, 1)), (G2, (1, 0)), (DynkinType("D", 4), (1, 0, 0, 0))],
+    [(A3, (0, 1, 0)), (C2, (1, 1)), (G2, (1, 0)), (D4, (1, 0, 0, 0))],
 )
 def test_cactus_relations_pass(t, lam):
     assert verify_cactus_relations(generate(t, lam)) == []
@@ -157,3 +198,22 @@ def test_report_records_are_json_serializable():
     g = generate(C2, (1, 0))
     report = verify_cactus_relations(g)
     assert json.loads(json.dumps(report)) == report
+
+
+def test_relation_violations_carry_witness(monkeypatch):
+    # shifting the values of the {1} generator cyclically breaks all three
+    # relations: its square, its commutation with {3}, and its conjugation
+    # by the full generator
+    g = generate(A3, (0, 1, 0))
+    real_xi_perm = cactus.xi_perm
+
+    def corrupted(graph, colors):
+        perm = real_xi_perm(graph, colors)
+        if frozenset(colors) == {1}:
+            perm = tuple(perm[(v + 1) % len(perm)] for v in range(len(perm)))
+        return perm
+
+    monkeypatch.setattr(cactus, "xi_perm", corrupted)
+    report = verify_cactus_relations(g)
+    assert {r["relation"] for r in report} == {1, 2, 3}
+    assert all(0 <= r["witness_vertex"] < len(g) for r in report)

@@ -10,6 +10,7 @@ from pathcrystals.cartan import (
     theta,
     weyl_dim,
 )
+from pathcrystals import folding
 from pathcrystals.cactus import act, compose
 from pathcrystals.crystal import generate
 from pathcrystals.errors import ConfigurationError, NotInImageError
@@ -31,6 +32,7 @@ from pathcrystals.paths import (
     epsilon,
     paths_equal,
     phi,
+    root_e,
     root_f,
     straight_path,
     weight_int,
@@ -185,16 +187,16 @@ def test_virtual_operator_order_independent_on_image():
     for p in g.vertices:
         q = virtualize_path(fold, p)
         for i in fold.x_type.nodes:
-            fwd_f = virtual_f(fold, q, i)
-            rev_f = virtual_f(fold, q, i, descending=True)
-            assert (fwd_f is None) == (rev_f is None)
-            if fwd_f is not None:
-                assert paths_equal(fwd_f, rev_f)
-            fwd_e = virtual_e(fold, q, i)
-            rev_e = virtual_e(fold, q, i, descending=True)
-            assert (fwd_e is None) == (rev_e is None)
-            if fwd_e is not None:
-                assert paths_equal(fwd_e, rev_e)
+            for op, virtual in ((root_f, virtual_f), (root_e, virtual_e)):
+                rev = q
+                for j in sorted(fold.sigma(i), reverse=True):
+                    for _ in range(fold.gamma(i)):
+                        if rev is not None:
+                            rev = op(rev, j)
+                fwd = virtual(fold, q, i)
+                assert (fwd is None) == (rev is None)
+                if fwd is not None:
+                    assert paths_equal(fwd, rev)
 
 
 def test_string_statistics_scale_by_gamma():
@@ -271,6 +273,27 @@ def test_virtualization_of_zero_weight():
 @pytest.mark.parametrize("name,lam", [("C2", (1, 0)), ("G2", (1, 0))])
 def test_virtual_relations_pass(name, lam):
     assert verify_virtual_relations(folding_pair(name), lam) == []
+
+
+def test_virtual_relation_violations_carry_witness(monkeypatch):
+    # shifting the values of the induced permutation for {1} cyclically breaks
+    # all three source relations: its square, its commutation with {3}, and
+    # its conjugation by the full generator
+    fold = folding_pair("C3")
+    broken_word = s_tilde(fold, {1})
+
+    def corrupted(graph, word, perms=None):
+        perm = act(graph, word, perms)
+        if tuple(word) == broken_word:
+            perm = tuple(perm[(v + 1) % len(perm)] for v in range(len(perm)))
+        return perm
+
+    monkeypatch.setattr(folding, "act", corrupted)
+    lam = (1, 0, 0)
+    report = verify_virtual_relations(fold, lam)
+    size = weyl_dim(fold.y_type, psi_weight(fold, lam))
+    assert {r["relation"] for r in report} == {1, 2, 3}
+    assert all(0 <= r["witness_vertex"] < size for r in report)
 
 
 @pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES)
