@@ -30,6 +30,7 @@ from .errors import (
 )
 from .folding import (
     DEFAULT_MAX_SIZE,
+    _image_table,
     fold_info,
     folding_pair,
     psi_weight,
@@ -37,7 +38,6 @@ from .folding import (
     verify_component_identity,
     verify_virtual_relations,
     verify_virtualization,
-    virtualize_path,
 )
 
 VERIFY_KINDS = (
@@ -80,8 +80,11 @@ def _parse_nodes(t: DynkinType, text: str) -> frozenset:
 
 def _emit(text: str, out=None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -175,12 +178,9 @@ def cmd_virtualize(args) -> int:
     gx = generate(fold.x_type, lam, max_size=args.max_size)
     embedded = psi_weight(fold, lam)
     gy = generate(fold.y_type, embedded, max_size=args.max_size)
-    mapping = []
-    for b in range(len(gx)):
-        target = gy.find(virtualize_path(fold, gx.path(b)))
-        if target is None:
-            raise ModelIntegrityError(f"image of vertex {b} is not a model vertex")
-        mapping.append({"x_id": b, "y_id": target})
+    images, problems = _image_table(fold, gx, gy)
+    if problems:
+        raise ModelIntegrityError(f"not an embedding: {json.dumps(problems[0])}")
     data = {
         "X": str(fold.x_type),
         "Y": str(fold.y_type),
@@ -188,7 +188,7 @@ def cmd_virtualize(args) -> int:
         "embedded_weight": list(embedded),
         "x_size": len(gx),
         "y_size": len(gy),
-        "image": mapping,
+        "image": [{"x_id": b, "y_id": images[b]} for b in range(len(gx))],
     }
     _emit(json.dumps(data, indent=2))
     return 0

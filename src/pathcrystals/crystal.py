@@ -1,12 +1,18 @@
 """Crystal graphs of path models: generation by operator closure, Levi
 restriction, highest/lowest elements, axiom checking, and exports.
 
-Generation starts from the straight dominant path and closes under all
-lowering and raising operators by breadth-first search, deduplicating by
-canonical breakpoint sequence.  Vertex ids are BFS discovery order (colors
-ascending, lowering before raising), so regenerating a crystal reproduces it
-bit for bit.  The vertex count must match the Weyl dimension formula exactly;
-a mismatch aborts, since it is the strongest single guard on the operators.
+A highest-weight path crystal is the closure of its straight dominant path
+under the lowering operators alone, so generation is a breadth-first search
+along f-edges, deduplicating by canonical breakpoint sequence; each e-edge is
+recorded as the inverse of an f-edge.  Vertex ids are BFS discovery order
+(colors ascending), so regenerating a crystal reproduces it bit for bit.
+Every f-edge adds one to the depth (the height of lambda - wt), so the BFS
+layer of a vertex is its depth and ids come in depth order; a raising step
+only reaches the previous layer, so closing under the raising operators too
+would find nothing new.  verify_seminormal checks the raising operators
+against the e-edges.  The vertex count must match the Weyl dimension formula
+exactly; a mismatch aborts, since it is the strongest single guard on the
+operators.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ def _record_edge(edges, key, value):
 
 
 def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
-    """Generate the path model of highest weight lam by operator closure."""
+    """Generate the path model of highest weight lam by closure under the
+    lowering operators, checking that each f_i is injective."""
     lam = tuple(lam)
     dim = weyl_dim(t, lam)
     if max_size is not None and dim > max_size:
@@ -104,14 +111,8 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             lowered = root_f(pv, i)
             if lowered is not None:
                 w = visit(lowered)
-                _record_edge(f_edges, (v, i), w)
+                f_edges[(v, i)] = w
                 _record_edge(e_edges, (w, i), v)
-        for i in t.nodes:
-            raised = root_e(pv, i)
-            if raised is not None:
-                u = visit(raised)
-                _record_edge(e_edges, (v, i), u)
-                _record_edge(f_edges, (u, i), v)
     if len(vertices) != dim:
         raise ModelIntegrityError(
             f"generated {len(vertices)} vertices but the Weyl dimension is {dim}"
@@ -139,8 +140,10 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     Returns a list of violation records; an empty list means the graph is a
     semi-normal crystal.  Checked: the lowering and raising edge maps are
     mutually inverse, edges shift the weight by the corresponding simple
-    root, and the string law phi - epsilon = <wt, alpha_i^vee> holds with
-    phi and epsilon counted by walking edges.
+    root, the string law phi - epsilon = <wt, alpha_i^vee> holds with phi
+    and epsilon counted by walking edges, and the raising operator agrees
+    with the e-edges: root_e of the vertex's path is the path of its e-edge
+    target, and None exactly where there is no e-edge ("raising-operator").
     """
     t = graph.rtype
     violations = []
@@ -175,11 +178,16 @@ def verify_seminormal(graph: CrystalGraph) -> list:
                 violations.append({"axiom": "unbounded-string", "vertex": v, "color": i})
             elif ph - eps != graph.weight(v)[i - 1]:
                 violations.append({"axiom": "string-law", "vertex": v, "color": i})
+            raised = root_e(graph.path(v), i)
+            if raised != (None if u is None else graph.path(u)):
+                violations.append({"axiom": "raising-operator", "vertex": v, "color": i})
     return violations
 
 
 class LeviView:
-    """A crystal graph with edges restricted to a subset of colors."""
+    """A crystal graph with edges restricted to a subset of colors.  Raises
+    ModelIntegrityError unless each component, walked down the lowering
+    edges from its highest vertex, has one highest and one lowest vertex."""
 
     def __init__(self, graph: CrystalGraph, colors):
         colors = frozenset(colors)
@@ -187,49 +195,52 @@ class LeviView:
             raise DomainError(f"colors {sorted(colors)} not in {graph.rtype}")
         self.graph = graph
         self.colors = colors
-        seen = [False] * len(graph)
-        comps = []
-        for start in range(len(graph)):
-            if seen[start]:
+        top_of = [None] * len(graph)
+        parts = {}
+        for top in range(len(graph)):
+            if any(graph.e(top, i) is not None for i in colors):
                 continue
-            comp = [start]
-            seen[start] = True
-            todo = [start]
-            while todo:
-                v = todo.pop()
-                for i in colors:
-                    for nxt in (graph.f(v, i), graph.e(v, i)):
-                        if nxt is not None and not seen[nxt]:
-                            seen[nxt] = True
-                            comp.append(nxt)
-                            todo.append(nxt)
-            comps.append(tuple(sorted(comp)))
-        self.components = tuple(comps)
-        self._comp_of = {}
-        for comp in self.components:
-            for v in comp:
-                self._comp_of[v] = comp
+            comp, lows, queue = [], [], [top]
+            for v in queue:
+                if top_of[v] == top:
+                    continue
+                if top_of[v] is not None:
+                    raise ModelIntegrityError(
+                        f"normality violation: vertex {v} is below highest "
+                        f"vertices {top_of[v]} and {top}"
+                    )
+                top_of[v] = top
+                comp.append(v)
+                below = [w for w in (graph.f(v, i) for i in colors) if w is not None]
+                if not below:
+                    lows.append(v)
+                queue.extend(below)
+            if len(lows) != 1:
+                raise ModelIntegrityError(
+                    f"normality violation: {len(lows)} lowest vertices below {top}"
+                )
+            parts[top] = (tuple(sorted(comp)), lows[0])
+        if None in top_of:
+            raise ModelIntegrityError(
+                f"normality violation: vertex {top_of.index(None)} is below no "
+                "highest vertex"
+            )
+        self.components = tuple(sorted(comp for comp, _ in parts.values()))
+        self._top_of = top_of
+        self._parts = parts
 
     def component_of(self, v: int) -> tuple:
-        return self._comp_of[v]
-
-    def _extremal(self, comp, step, kind):
-        found = [
-            v for v in comp if all(step(v, i) is None for i in self.colors)
-        ]
-        if len(found) != 1:
-            raise ModelIntegrityError(
-                f"normality violation: {len(found)} {kind} vertices in a component"
-            )
-        return found[0]
+        if not 0 <= v < len(self.graph):
+            raise DomainError(f"vertex {v} out of range")
+        return self._parts[self._top_of[v]][0]
 
     def highest_of(self, comp) -> int:
         """The unique vertex of the component with no raising edges."""
-        return self._extremal(comp, self.graph.e, "highest")
+        return self._top_of[comp[0]]
 
     def lowest_of(self, comp) -> int:
         """The unique vertex of the component with no lowering edges."""
-        return self._extremal(comp, self.graph.f, "lowest")
+        return self._parts[self._top_of[comp[0]]][1]
 
     def f_word(self, comp, b: int, descending=False) -> tuple:
         """A color word w with b obtained from the component's highest vertex

@@ -257,28 +257,26 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
     return canonicalize(PLPath(fold.x_type, tuple(out)))
 
 
+def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):
+    cur = path
+    for j in sorted(fold.sigma(i)):
+        for _ in range(fold.gamma(i)):
+            cur = op(cur, j)
+            if cur is None:
+                return None
+    return cur
+
+
 def virtual_f(fold: FoldingPair, path: PLPath, i: int):
     """Virtual lowering operator for source color i on a target path: the
     target operator applied gamma_i times over each node of sigma(i).
     Returns None if any step is undefined."""
-    cur = path
-    for j in sorted(fold.sigma(i)):
-        for _ in range(fold.gamma(i)):
-            cur = root_f(cur, j)
-            if cur is None:
-                return None
-    return cur
+    return _virtual_op(root_f, fold, path, i)
 
 
 def virtual_e(fold: FoldingPair, path: PLPath, i: int):
     """Virtual raising operator; mirror of virtual_f."""
-    cur = path
-    for j in sorted(fold.sigma(i)):
-        for _ in range(fold.gamma(i)):
-            cur = root_e(cur, j)
-            if cur is None:
-                return None
-    return cur
+    return _virtual_op(root_e, fold, path, i)
 
 
 def s_tilde(fold: FoldingPair, nodes) -> tuple:
@@ -347,34 +345,24 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
     gx = generate(fold.x_type, lam, max_size=max_size)
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
     images, violations = _image_table(fold, gx, gy)
+    operators = (("f", root_f, virtual_f), ("e", root_e, virtual_e))
     for b, target in images.items():
         pb = gx.path(b)
         qb = gy.path(target)
         for i in fold.x_type.nodes:
-            lowered = root_f(pb, i)
-            virtual_lowered = virtual_f(fold, qb, i)
-            if (lowered is None) != (virtual_lowered is None):
-                violations.append(
-                    {"check": "f-definedness", "vertex": b, "color": i}
-                )
-            elif lowered is not None and not paths_equal(
-                virtualize_path(fold, lowered), virtual_lowered
-            ):
-                violations.append(
-                    {"check": "f-intertwine", "vertex": b, "color": i}
-                )
-            raised = root_e(pb, i)
-            virtual_raised = virtual_e(fold, qb, i)
-            if (raised is None) != (virtual_raised is None):
-                violations.append(
-                    {"check": "e-definedness", "vertex": b, "color": i}
-                )
-            elif raised is not None and not paths_equal(
-                virtualize_path(fold, raised), virtual_raised
-            ):
-                violations.append(
-                    {"check": "e-intertwine", "vertex": b, "color": i}
-                )
+            for name, op, virtual_op in operators:
+                moved = op(pb, i)
+                virtual_moved = virtual_op(fold, qb, i)
+                if (moved is None) != (virtual_moved is None):
+                    violations.append(
+                        {"check": f"{name}-definedness", "vertex": b, "color": i}
+                    )
+                elif moved is not None and not paths_equal(
+                    virtualize_path(fold, moved), virtual_moved
+                ):
+                    violations.append(
+                        {"check": f"{name}-intertwine", "vertex": b, "color": i}
+                    )
             for j in fold.sigma(i):
                 if epsilon(qb, j) != fold.gamma(i) * epsilon(pb, i) or phi(
                     qb, j

@@ -1,0 +1,80 @@
+"""Closure under lowering and raising operators, and Levi components by
+undirected search, kept as test oracles for generate and LeviView.
+
+The closure applies root_f and then root_e at every vertex, colors
+ascending, and records both edge maps from both operators.  The components
+are found by undirected search over the colored edges; the highest (lowest)
+vertex of a component is the one vertex with no raising (lowering) edge,
+found by scanning the whole component.
+"""
+
+from collections import deque
+
+from pathcrystals.crystal import CrystalGraph, _record_edge
+from pathcrystals.paths import is_integral, root_e, root_f, straight_path
+
+
+def generate_by_both_operators(t, lam) -> CrystalGraph:
+    start = straight_path(t, lam)
+    vertices = [start]
+    index = {start: 0}
+    f_edges: dict = {}
+    e_edges: dict = {}
+    queue = deque([0])
+
+    def visit(path):
+        vid = index.get(path)
+        if vid is None:
+            assert is_integral(path), "generated path with non-integral minima"
+            vid = len(vertices)
+            vertices.append(path)
+            index[path] = vid
+            queue.append(vid)
+        return vid
+
+    while queue:
+        v = queue.popleft()
+        pv = vertices[v]
+        for i in t.nodes:
+            lowered = root_f(pv, i)
+            if lowered is not None:
+                w = visit(lowered)
+                _record_edge(f_edges, (v, i), w)
+                _record_edge(e_edges, (w, i), v)
+        for i in t.nodes:
+            raised = root_e(pv, i)
+            if raised is not None:
+                u = visit(raised)
+                _record_edge(e_edges, (v, i), u)
+                _record_edge(f_edges, (u, i), v)
+    return CrystalGraph(t, tuple(lam), vertices, f_edges, e_edges)
+
+
+def _extremal(graph, colors, comp, step):
+    found = [v for v in comp if all(step(v, i) is None for i in colors)]
+    assert len(found) == 1, f"{len(found)} extremal vertices in a component"
+    return found[0]
+
+
+def levi_by_undirected_search(graph, colors):
+    """(components, highest, lowest), the last two keyed by component."""
+    seen = [False] * len(graph)
+    comps = []
+    for start in range(len(graph)):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            for i in colors:
+                for nxt in (graph.f(v, i), graph.e(v, i)):
+                    if nxt is not None and not seen[nxt]:
+                        seen[nxt] = True
+                        comp.append(nxt)
+                        todo.append(nxt)
+        comps.append(tuple(sorted(comp)))
+    highest = {c: _extremal(graph, colors, c, graph.e) for c in comps}
+    lowest = {c: _extremal(graph, colors, c, graph.f) for c in comps}
+    return tuple(comps), highest, lowest

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from closure_oracle import levi_by_undirected_search
 from xi_oracle import xi_perm_by_words
 
 from pathcrystals import cactus
@@ -101,19 +102,19 @@ def test_xi_involution_weight_twist_intertwining(t, lam):
                     assert perm[w] == image
 
 
-@pytest.mark.parametrize(
-    "t,lam",
-    [
-        (C2, (1, 1)),
-        (A3, (0, 1, 0)),
-        (G2, (1, 0)),
-        (G2, (1, 1)),
-        (C3, (1, 1, 0)),
-        (B3, (1, 0, 1)),
-        (A3, (1, 1, 1)),
-        (D4, (1, 0, 1, 0)),
-    ],
-)
+WORD_CASES = [
+    (C2, (1, 1)),
+    (A3, (0, 1, 0)),
+    (G2, (1, 0)),
+    (G2, (1, 1)),
+    (C3, (1, 1, 0)),
+    (B3, (1, 0, 1)),
+    (A3, (1, 1, 1)),
+    (D4, (1, 0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("t,lam", WORD_CASES)
 def test_xi_word_independence(t, lam):
     # the word-based oracle in both color orders
     g = generate(t, lam)
@@ -121,6 +122,19 @@ def test_xi_word_independence(t, lam):
         perm = xi_perm(g, sub)
         assert perm == xi_perm_by_words(g, sub)
         assert perm == xi_perm_by_words(g, sub, descending=True)
+
+
+@pytest.mark.parametrize("t,lam", WORD_CASES)
+def test_levi_matches_undirected_search(t, lam):
+    g = generate(t, lam)
+    for sub in connected_subdiagrams(t):
+        view = levi(g, sub)
+        comps, highest, lowest = levi_by_undirected_search(g, sub)
+        assert view.components == comps
+        for comp in comps:
+            assert view.highest_of(comp) == highest[comp]
+            assert view.lowest_of(comp) == lowest[comp]
+            assert all(view.component_of(v) == comp for v in comp)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
+from pathcrystals import folding
+from pathcrystals.cartan import DynkinType
 from pathcrystals.cli import main
+from pathcrystals.paths import straight_path
+
+C2 = DynkinType("C", 2)
 
 
 def run_cli(args, env):
@@ -74,6 +79,15 @@ def test_crystal_out_file(cli_env, tmp_path):
     assert json.loads(target.read_text())["type"] == "C2"
 
 
+@pytest.mark.parametrize("out", ["dir", "missing/c.json"])
+def test_crystal_unwritable_out_exits_two(cli_env, tmp_path, out):
+    target = tmp_path if out == "dir" else tmp_path / out
+    res = run_cli(["crystal", "A1", "1", "--out", str(target)], cli_env)
+    assert res.returncode == 2
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+
+
 def test_xi_permutation(cli_env):
     res = run_cli(["xi", "A2", "1,0", "1,2"], cli_env)
     data = json.loads(res.stdout)
@@ -109,6 +123,16 @@ def test_virtualize_mapping(cli_env):
     data = json.loads(res.stdout)
     assert data["x_size"] == 4 and data["y_size"] == 15
     assert len(data["image"]) == 4
+
+
+def test_virtualize_rejects_non_injective_image(monkeypatch, capsys):
+    # every source path lands on the image of the highest vertex
+    top = folding.virtualize_path(folding.folding_pair("C2"), straight_path(C2, (1, 0)))
+    monkeypatch.setattr(folding, "virtualize_path", lambda fold, path: top)
+    assert main(["virtualize", "C2", "1,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not an embedding") and "injectivity" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,10 @@ import json
 from collections import Counter
 
 import pytest
+from closure_oracle import generate_by_both_operators
+from test_acceptance import SIZE_CASES
 
+from pathcrystals import crystal
 from pathcrystals.cartan import DynkinType, reflect, weyl_dim
 from pathcrystals.crystal import (
     CrystalGraph,
@@ -12,14 +15,17 @@ from pathcrystals.crystal import (
     levi,
     verify_seminormal,
 )
-from pathcrystals.errors import DomainError
+from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.paths import path_from_json
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
 A3 = DynkinType("A", 3)
 B2 = DynkinType("B", 2)
+B3 = DynkinType("B", 3)
 C2 = DynkinType("C", 2)
+C3 = DynkinType("C", 3)
+F4 = DynkinType("F", 4)
 G2 = DynkinType("G", 2)
 
 SMALL_MODELS = [
@@ -192,3 +198,78 @@ def test_seminormal_detects_doctored_e_edge():
     bad_e[(1, 1)] = 1
     broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, bad_e)
     assert verify_seminormal(broken) != []
+
+
+@pytest.mark.parametrize(
+    "t,lam",
+    [(t, lam) for t, lam, _ in SIZE_CASES]
+    + [(G2, (2, 2)), (C3, (1, 1, 1)), (B3, (1, 1, 0)), (F4, (0, 0, 0, 1))],
+)
+def test_lowering_closure_matches_both_operator_closure(t, lam):
+    g = generate(t, lam)
+    oracle = generate_by_both_operators(t, lam)
+    assert g.vertices == oracle.vertices
+    assert g.f_edges == oracle.f_edges and g.e_edges == oracle.e_edges
+    assert export_json(g) == export_json(oracle)
+
+
+def test_generate_never_raises(monkeypatch):
+    def forbidden(path, i):
+        raise AssertionError("generate called root_e")
+
+    monkeypatch.setattr(crystal, "root_e", forbidden)
+    assert len(generate(C2, (1, 1))) == 16
+
+
+def test_seminormal_checks_raising_operator(monkeypatch):
+    g = generate(C2, (1, 1))
+    real = crystal.root_e
+    monkeypatch.setattr(
+        crystal, "root_e", lambda path, i: None if i == 1 else real(path, i)
+    )
+    records = [v for v in verify_seminormal(g) if v["axiom"] == "raising-operator"]
+    expected = [v for v in range(len(g)) if g.e(v, 1) is not None]
+    assert expected and [(r["vertex"], r["color"]) for r in records] == [
+        (v, 1) for v in expected
+    ]
+
+
+def test_seminormal_checks_raising_operator_target():
+    # an e-edge that points at the wrong vertex of the right weight
+    g = generate(C2, (1, 1))
+    raisable = [u for u in range(len(g)) if g.e(u, 1) is not None]
+    v, w = next(
+        (a, b) for a in raisable for b in raisable if a < b and g.weight(a) == g.weight(b)
+    )
+    e_edges = dict(g.e_edges)
+    e_edges[(v, 1)], e_edges[(w, 1)] = e_edges[(w, 1)], e_edges[(v, 1)]
+    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
+    records = [r for r in verify_seminormal(broken) if r["axiom"] == "raising-operator"]
+    assert [(r["vertex"], r["color"]) for r in records] == [(v, 1), (w, 1)]
+
+
+@pytest.mark.parametrize(
+    "t,lam,f_edges,e_edges",
+    [
+        # e-edge (1, 1) dropped: vertex 2 is below highest vertices 0 and 1
+        (A1, (2,), {(0, 1): 1, (1, 1): 2}, {(2, 1): 1}),
+        # vertex 0 lowered along both colors: two lowest vertices below it
+        (A2, (1, 0), {(0, 1): 1, (0, 2): 2}, {(1, 1): 0, (2, 2): 0}),
+        # a cycle 1 <-> 2 away from vertex 0: both are below no highest vertex
+        (A1, (2,), {(1, 1): 2, (2, 1): 1}, {(1, 1): 2, (2, 1): 1}),
+    ],
+)
+def test_levi_rejects_broken_components(t, lam, f_edges, e_edges):
+    g = generate(t, lam)
+    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    with pytest.raises(ModelIntegrityError):
+        levi(broken, t.nodes)
+
+
+def test_component_of_out_of_range():
+    g = generate(A2, (1, 0))
+    view = levi(g, {1})
+    with pytest.raises(DomainError):
+        view.component_of(len(g))
+    with pytest.raises(DomainError):
+        view.component_of(-1)
