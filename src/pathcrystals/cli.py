@@ -30,10 +30,9 @@ from .errors import (
 )
 from .folding import (
     DEFAULT_MAX_SIZE,
-    _image_table,
+    _embedding,
     fold_info,
     folding_pair,
-    psi_weight,
     verify_commutative_diagram,
     verify_component_identity,
     verify_virtual_relations,
@@ -175,17 +174,14 @@ def cmd_fold_info(args) -> int:
 def cmd_virtualize(args) -> int:
     fold = folding_pair(args.type)
     lam = _parse_weight(fold.x_type, args.weight)
-    gx = generate(fold.x_type, lam, max_size=args.max_size)
-    embedded = psi_weight(fold, lam)
-    gy = generate(fold.y_type, embedded, max_size=args.max_size)
-    images, problems = _image_table(fold, gx, gy)
+    gx, gy, images, problems = _embedding(fold, lam, args.max_size)
     if problems:
         raise ModelIntegrityError(f"not an embedding: {json.dumps(problems[0])}")
     data = {
         "X": str(fold.x_type),
         "Y": str(fold.y_type),
         "highest_weight": list(lam),
-        "embedded_weight": list(embedded),
+        "embedded_weight": list(gy.highest_weight),
         "x_size": len(gx),
         "y_size": len(gy),
         "image": [{"x_id": b, "y_id": images[b]} for b in range(len(gx))],

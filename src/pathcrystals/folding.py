@@ -7,23 +7,23 @@ automorphism of the target, scaling exponents gamma, and the induced
 weight-lattice embedding psi with psi(Lambda_i) = gamma_i * sum of the
 fundamental weights over sigma(i).
 
-The gamma values are not hard-coded: they are solved at construction time as
-the unique positive integers making psi(alpha_i) = gamma_i * sum of the
-target simple roots over sigma(i), and that identity is then re-checked in
-full, so the orientation conventions cannot drift.
+The gamma values are not hard-coded: they are the minimal symmetrizer of the
+source Cartan matrix, and the identity psi(alpha_i) = gamma_i * sum of the
+target simple roots over sigma(i) that defines them is re-checked in full at
+construction time, so the orientation conventions cannot drift.
 
 Path virtualization applies psi breakpoint-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
 sigma(i); verifiers check, exhaustively on generated models, that
 virtualization intertwines the operators, that the induced generators
 satisfy the cactus relations, and that the partial involutions commute with
-virtualization.
+virtualization.  On a finite model virtualization is an injective map on
+vertex ids, so that last check is a permutation identity on its table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
@@ -33,6 +33,7 @@ from .cartan import (
     connected_subdiagrams,
     is_connected,
     neighbors,
+    symmetrizer,
     theta,
 )
 from .crystal import generate
@@ -115,31 +116,6 @@ def _fold_table(x: DynkinType):
     return y, sigma, aut, branch
 
 
-def _solve_gamma(x, y, sigma):
-    """Unique positive integers solving psi(alpha_i) = gamma_i * sum of
-    target simple roots over sigma(i), propagated along the source diagram."""
-    ax = cartan_matrix(x)
-    ay = cartan_matrix(y)
-    g: dict = {1: Fraction(1)}
-    todo = [1]
-    while todo:
-        i = todo.pop(0)
-        for k in sorted(neighbors(x)[i]):
-            if k in g:
-                continue
-            l = min(sigma[k])
-            coupling = sum(ay[l - 1][j - 1] for j in sigma[i])
-            g[k] = g[i] * Fraction(coupling, ax[k - 1][i - 1])
-            todo.append(k)
-    scale = lcm(*(g[i].denominator for i in x.nodes))
-    ints = {i: int(g[i] * scale) for i in x.nodes}
-    common = gcd(*ints.values())
-    ints = {i: v // common for i, v in ints.items()}
-    if any(v <= 0 for v in ints.values()):
-        raise ModelIntegrityError(f"non-positive scaling exponents for {x}")
-    return ints
-
-
 def _check_root_identity(x, y, sigma, gamma):
     ax = cartan_matrix(x)
     ay = cartan_matrix(y)
@@ -196,8 +172,9 @@ def folding_pair(x, max_rank: int = DEFAULT_MAX_RANK) -> FoldingPair:
     """Folding data for a source type among C_n, B_n, G_2, F_4.
 
     The rank is capped (configurable) to keep generated target models at
-    desk scale.  Construction validates the orbit structure, solves the
-    scaling exponents, and re-checks the defining root identity exactly.
+    desk scale.  Construction validates the orbit structure, takes the
+    scaling exponents from the source symmetrizer, and checks the defining
+    root identity exactly.
     """
     if isinstance(x, str):
         x = DynkinType.parse(x)
@@ -206,7 +183,7 @@ def folding_pair(x, max_rank: int = DEFAULT_MAX_RANK) -> FoldingPair:
             f"rank {x.rank} above the configured cap {max_rank}"
         )
     y, sigma, aut, branch = _fold_table(x)
-    gamma = _solve_gamma(x, y, sigma)
+    gamma = dict(zip(x.nodes, symmetrizer(x)))
     _check_root_identity(x, y, sigma, gamma)
     _check_orbit_structure(x, y, sigma, aut)
     return FoldingPair(x, y, sigma, aut, gamma, branch)
@@ -323,7 +300,12 @@ def verify_component_identity(fold: FoldingPair) -> list:
     return violations
 
 
-def _image_table(fold, gx, gy):
+def _embedding(fold: FoldingPair, lam, max_size):
+    """Source model of lam, target model of psi(lam), the virtualization map
+    as a table of vertex ids, and the image-membership and injectivity
+    records of that table."""
+    gx = generate(fold.x_type, lam, max_size=max_size)
+    gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
     images = {}
     problems = []
     for b in range(len(gx)):
@@ -334,7 +316,7 @@ def _image_table(fold, gx, gy):
             images[b] = target
     if len(set(images.values())) != len(images):
         problems.append({"check": "injectivity"})
-    return images, problems
+    return gx, gy, images, problems
 
 
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:
@@ -342,9 +324,7 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
     the target model: images are vertices, the map is injective, operators
     intertwine with the virtual operators including definedness, and the
     string statistics scale by gamma."""
-    gx = generate(fold.x_type, lam, max_size=max_size)
-    gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
-    images, violations = _image_table(fold, gx, gy)
+    gx, gy, images, violations = _embedding(fold, lam, max_size)
     operators = (("f", root_f, virtual_f), ("e", root_e, virtual_e))
     for b, target in images.items():
         pb = gx.path(b)
@@ -407,11 +387,13 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
     """Check, for every connected source subdiagram and every vertex, that
     virtualization intertwines the source partial involution with the induced
     word of target involutions; that devirtualization inverts virtualization;
-    and that each induced word maps the image of the model onto itself."""
+    and that each induced word maps the image of the model onto itself.
+
+    Virtualization is read off the vertex-id table of the embedding, so the
+    diagram v o xi_J = s~_J o v is checked as an identity of permutations of
+    vertex ids; a vertex whose xi_J-image is missing from the table fails."""
     x = fold.x_type
-    gx = generate(x, lam, max_size=max_size)
-    gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
-    images, violations = _image_table(fold, gx, gy)
+    gx, gy, images, violations = _embedding(fold, lam, max_size)
     for b in range(len(gx)):
         try:
             back = devirtualize(fold, virtualize_path(fold, gx.path(b)))
@@ -426,9 +408,7 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
         source_perm = xi_perm(gx, sub)
         target_perm = act(gy, s_tilde(fold, sub), cache)
         for b, target in images.items():
-            lhs = virtualize_path(fold, gx.path(source_perm[b]))
-            rhs = gy.path(target_perm[target])
-            if not paths_equal(lhs, rhs):
+            if images.get(source_perm[b]) != target_perm[target]:
                 violations.append(
                     {"check": "diagram", "I": sorted(sub), "vertex": b}
                 )

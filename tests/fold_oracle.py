@@ -1,0 +1,85 @@
+"""Scaling exponents by propagation along the source diagram, and the
+commutative diagram checked path by path, kept as test oracles for
+folding_pair and verify_commutative_diagram.
+
+The exponents are solved from psi(alpha_k) = gamma_k * sum of the target
+simple roots over sigma(k), one neighbor at a time from node 1, then scaled
+to coprime integers.  The diagram check virtualizes the source path of
+xi_J(b) and compares it, as a path, with the target path of the induced word
+applied to the image of b.  It calls xi_perm and act through the folding
+module, so a test that patches them there patches both verifiers.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from pathcrystals import folding
+from pathcrystals.cartan import cartan_matrix, connected_subdiagrams, neighbors
+from pathcrystals.crystal import generate
+from pathcrystals.errors import NotInImageError
+from pathcrystals.paths import paths_equal
+
+
+def solve_gamma(x, y, sigma) -> dict:
+    ax = cartan_matrix(x)
+    ay = cartan_matrix(y)
+    g: dict = {1: Fraction(1)}
+    todo = [1]
+    while todo:
+        i = todo.pop(0)
+        for k in sorted(neighbors(x)[i]):
+            if k in g:
+                continue
+            l = min(sigma[k])
+            coupling = sum(ay[l - 1][j - 1] for j in sigma[i])
+            g[k] = g[i] * Fraction(coupling, ax[k - 1][i - 1])
+            todo.append(k)
+    scale = lcm(*(g[i].denominator for i in x.nodes))
+    ints = {i: int(g[i] * scale) for i in x.nodes}
+    common = gcd(*ints.values())
+    ints = {i: v // common for i, v in ints.items()}
+    assert all(v > 0 for v in ints.values()), f"non-positive exponents for {x}"
+    return ints
+
+
+def _image_table(fold, gx, gy):
+    images = {}
+    problems = []
+    for b in range(len(gx)):
+        target = gy.find(folding.virtualize_path(fold, gx.path(b)))
+        if target is None:
+            problems.append({"check": "image-membership", "vertex": b})
+        else:
+            images[b] = target
+    if len(set(images.values())) != len(images):
+        problems.append({"check": "injectivity"})
+    return images, problems
+
+
+def verify_commutative_diagram_by_paths(fold, lam, max_size=folding.DEFAULT_MAX_SIZE):
+    virtualize = folding.virtualize_path
+    x = fold.x_type
+    gx = generate(x, lam, max_size=max_size)
+    gy = generate(fold.y_type, folding.psi_weight(fold, lam), max_size=max_size)
+    images, violations = _image_table(fold, gx, gy)
+    for b in range(len(gx)):
+        try:
+            back = folding.devirtualize(fold, virtualize(fold, gx.path(b)))
+        except NotInImageError:
+            violations.append({"check": "left-inverse", "vertex": b})
+            continue
+        if not paths_equal(back, gx.path(b)):
+            violations.append({"check": "left-inverse", "vertex": b})
+    image_set = set(images.values())
+    cache: dict = {}
+    for sub in connected_subdiagrams(x):
+        source_perm = folding.xi_perm(gx, sub)
+        target_perm = folding.act(gy, folding.s_tilde(fold, sub), cache)
+        for b, target in images.items():
+            lhs = virtualize(fold, gx.path(source_perm[b]))
+            rhs = gy.path(target_perm[target])
+            if not paths_equal(lhs, rhs):
+                violations.append({"check": "diagram", "I": sorted(sub), "vertex": b})
+        if {target_perm[v] for v in image_set} != image_set:
+            violations.append({"check": "image-stability", "I": sorted(sub)})
+    return violations

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,22 @@ def test_virtualize_mapping(cli_env):
     data = json.loads(res.stdout)
     assert data["x_size"] == 4 and data["y_size"] == 15
     assert len(data["image"]) == 4
+
+
+VIRTUALIZE_DIGESTS = {
+    ("C2", "1,0"): "92227832d81b102dae32c1f8572a6821bc769d8dfcda2b3eb53adc3e0cdc6219",
+    ("C3", "1,0,1"): "879ea2178699af1ad2424cba2070c27c153b122ad83871f098b91ef7c0de4936",
+    ("B3", "0,1,0"): "0d67880838bbf79215aa93654e491b6f78016317f64227b32f5cbce5602054fa",
+    ("G2", "1,0"): "4ee355d36a61053d0be71a5adfb6996342c0311a012de858af81483d1f152b39",
+}
+
+
+@pytest.mark.parametrize("type_text,weight_text", sorted(VIRTUALIZE_DIGESTS))
+def test_virtualize_output_pinned(capsys, type_text, weight_text):
+    # sha256 of the whole stdout: the image table's order and labels are fixed
+    assert main(["virtualize", type_text, weight_text]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VIRTUALIZE_DIGESTS[(type_text, weight_text)]
 
 
 def test_virtualize_rejects_non_injective_image(monkeypatch, capsys):

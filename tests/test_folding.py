@@ -1,12 +1,12 @@
 import random
 
 import pytest
+from fold_oracle import solve_gamma, verify_commutative_diagram_by_paths
 
 from pathcrystals.cartan import (
     DynkinType,
     all_nodes,
     cartan_matrix,
-    symmetrizer,
     theta,
     weyl_dim,
 )
@@ -81,12 +81,18 @@ def test_root_identity(name):
         assert list(lhs) == rhs
 
 
-@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+FOLDABLE_MAX_RANK = 11
+FOLDABLE = [f"{family}{n}" for family in "CB" for n in range(2, FOLDABLE_MAX_RANK + 1)]
+
+
+@pytest.mark.parametrize("name", FOLDABLE + ["G2", "F4"])
 def test_gamma_equals_symmetrizer(name):
-    # independent route: the scaling exponents coincide with the minimal
-    # symmetrizer of the source Cartan matrix
-    fold = folding_pair(name)
-    assert tuple(fold.gamma(i) for i in fold.x_type.nodes) == symmetrizer(fold.x_type)
+    # folding_pair takes the exponents from the source symmetrizer; the
+    # oracle solves them independently from the root identity
+    fold = folding_pair(name, max_rank=FOLDABLE_MAX_RANK)
+    y, sigma, _, _ = folding._fold_table(fold.x_type)
+    gamma = {i: fold.gamma(i) for i in fold.x_type.nodes}
+    assert gamma == solve_gamma(fold.x_type, y, sigma)
 
 
 def test_aut_matches_target_theta_except_known_cases():
@@ -299,6 +305,44 @@ def test_virtual_relation_violations_carry_witness(monkeypatch):
 @pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES)
 def test_commutative_diagram_passes(name, lam):
     assert verify_commutative_diagram(folding_pair(name), lam) == []
+
+
+DIAGRAM_ORACLE_CASES = VIRTUALIZATION_CASES + [
+    ("C2", (1, 1)),
+    ("B3", (0, 1, 0)),
+    ("F4", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,lam", DIAGRAM_ORACLE_CASES)
+def test_commutative_diagram_matches_path_oracle(name, lam):
+    fold = folding_pair(name)
+    assert verify_commutative_diagram(fold, lam) == verify_commutative_diagram_by_paths(
+        fold, lam
+    )
+
+
+@pytest.mark.parametrize(
+    "name,lam", [("C2", (1, 0)), ("C3", (1, 0, 0)), ("B3", (0, 1, 0)), ("G2", (1, 0))]
+)
+def test_commutative_diagram_matches_path_oracle_on_broken_involution(
+    monkeypatch, name, lam
+):
+    # swapping the images of two vertices under xi_{1} breaks the diagram at
+    # both vertices; each verifier must report the same violations
+    real_xi_perm = folding.xi_perm
+
+    def corrupted(graph, colors):
+        perm = list(real_xi_perm(graph, colors))
+        if frozenset(colors) == {1}:
+            perm[0], perm[-1] = perm[-1], perm[0]
+        return tuple(perm)
+
+    fold = folding_pair(name)
+    monkeypatch.setattr(folding, "xi_perm", corrupted)
+    report = verify_commutative_diagram(fold, lam)
+    assert {"check": "diagram", "I": [1], "vertex": 0} in report
+    assert report == verify_commutative_diagram_by_paths(fold, lam)
 
 
 def test_dropping_a_letter_falsifies_action():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_acceptance import SIZE_CASES
 
 from pathcrystals.cartan import DynkinType
 from pathcrystals.crystal import generate
@@ -115,6 +116,28 @@ def test_mutual_inverse_on_generated_model(t, lam):
             r = root_e(p, i)
             if r is not None:
                 assert paths_equal(root_f(r, i), p)
+
+
+def _dual(p):
+    """Littelmann's dual path, t -> p(1 - t) - p(1)."""
+    end = p.breakpoints[-1][1]
+    bps = tuple(
+        (1 - t, tuple(a - b for a, b in zip(q, end))) for t, q in reversed(p.breakpoints)
+    )
+    return canonicalize(PLPath(p.rtype, bps))
+
+
+@pytest.mark.parametrize("t,lam", [(t, lam) for t, lam, _ in SIZE_CASES])
+def test_root_e_is_dual_of_root_f(t, lam):
+    # Littelmann's duality e_i = dual o f_i o dual: an oracle for root_e that
+    # runs only root_f and path reversal; undefined results must agree too
+    for p in generate(t, lam).vertices:
+        for i in t.nodes:
+            raised = root_e(p, i)
+            lowered = root_f(_dual(p), i)
+            assert (raised is None) == (lowered is None)
+            if raised is not None:
+                assert paths_equal(raised, _dual(lowered))
 
 
 def _iterated_count(path, i, step):
