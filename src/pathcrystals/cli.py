@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -49,15 +50,15 @@ VERIFY_KINDS = (
 )
 
 
-def _parse_type(text: str) -> DynkinType:
-    return DynkinType.parse(text)
+def _parse_ints(text: str, what: str) -> list:
+    # ASCII digits only: int() also takes "1_0", "+1", " 1" and non-ASCII digits
+    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        raise ConfigurationError(f"cannot parse {what} {text!r}")
+    return [int(x) for x in text.split(",")]
 
 
 def _parse_weight(t: DynkinType, text: str) -> tuple:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse weight {text!r}") from exc
+    parts = _parse_ints(text, "weight")
     if len(parts) != t.rank:
         raise ConfigurationError(
             f"weight {text!r} must have {t.rank} comma-separated entries"
@@ -68,10 +69,7 @@ def _parse_weight(t: DynkinType, text: str) -> tuple:
 
 
 def _parse_nodes(t: DynkinType, text: str) -> frozenset:
-    try:
-        nodes = frozenset(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse node set {text!r}") from exc
+    nodes = frozenset(_parse_ints(text, "node set"))
     if not nodes <= all_nodes(t):
         raise ConfigurationError(f"node set {text!r} not contained in {t}")
     return nodes
@@ -89,7 +87,7 @@ def _emit(text: str, out=None) -> None:
 
 
 def cmd_info(args) -> int:
-    t = _parse_type(args.type)
+    t = DynkinType.parse(args.type)
     full = all_nodes(t)
     data = {
         "type": str(t),
@@ -115,7 +113,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    t = _parse_type(args.type)
+    t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
     graph = generate(t, lam, max_size=args.max_size)
     if args.levi is not None:
@@ -145,7 +143,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    t = _parse_type(args.type)
+    t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
     colors = _parse_nodes(t, args.nodes)
     graph = generate(t, lam, max_size=args.max_size)
@@ -197,7 +195,7 @@ def _verify_violations(kind, type_text, weight_text, max_size):
     if not needs_weight and weight_text is not None:
         raise ConfigurationError(f"verify {kind} takes no weight")
     if kind in ("seminormal", "cactus"):
-        t = _parse_type(type_text)
+        t = DynkinType.parse(type_text)
         lam = _parse_weight(t, weight_text)
         graph = generate(t, lam, max_size=max_size)
         if kind == "seminormal":

@@ -42,7 +42,6 @@ from .paths import (
     PLPath,
     canonicalize,
     epsilon,
-    paths_equal,
     phi,
     root_e,
     root_f,
@@ -337,9 +336,7 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
                     violations.append(
                         {"check": f"{name}-definedness", "vertex": b, "color": i}
                     )
-                elif moved is not None and not paths_equal(
-                    virtualize_path(fold, moved), virtual_moved
-                ):
+                elif moved is not None and virtualize_path(fold, moved) != virtual_moved:
                     violations.append(
                         {"check": f"{name}-intertwine", "vertex": b, "color": i}
                     )
@@ -391,16 +388,18 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
 
     Virtualization is read off the vertex-id table of the embedding, so the
     diagram v o xi_J = s~_J o v is checked as an identity of permutations of
-    vertex ids; a vertex whose xi_J-image is missing from the table fails."""
+    vertex ids; a vertex whose xi_J-image is missing from the table fails.
+    The left inverse is applied to the table's target path, or to a fresh
+    virtualization for a vertex without an image."""
     x = fold.x_type
     gx, gy, images, violations = _embedding(fold, lam, max_size)
     for b in range(len(gx)):
+        image = gy.path(images[b]) if b in images else virtualize_path(fold, gx.path(b))
         try:
-            back = devirtualize(fold, virtualize_path(fold, gx.path(b)))
+            back = devirtualize(fold, image)
         except NotInImageError:
-            violations.append({"check": "left-inverse", "vertex": b})
-            continue
-        if not paths_equal(back, gx.path(b)):
+            back = None
+        if back != gx.path(b):
             violations.append({"check": "left-inverse", "vertex": b})
     image_set = set(images.values())
     cache: dict = {}

@@ -5,9 +5,11 @@ at the origin.  Coordinates are fundamental-weight coordinates, so the i-th
 coordinate function of a path is the pairing of the moving point against
 alpha_i^vee.  Everything is computed with Fraction; no floating point enters
 anywhere.  The lowering and raising operators use the non-recursive
-three-piece formulas, which agree with the classical path operators on
-models whose coordinate functions have integral local minima; generation
-asserts that property for every path it accepts.
+three-piece formulas: each finds its window of the coordinate function, and
+one reflection rewrite keeps the path before the window, reflects it on the
+window and translates the tail.  They agree with the classical path
+operators on models whose coordinate functions have integral local minima;
+generation asserts that property for every path it accepts.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ from .cartan import DynkinType, simple_root
 from .errors import DomainError, ModelIntegrityError
 
 RatVec = tuple  # of Fraction
-Breakpoint = tuple  # (Fraction time, RatVec point)
 
 
 def _vec(xs) -> RatVec:
     return tuple(Fraction(x) for x in xs)
-
-
-def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def _sub(u, v):
@@ -176,22 +173,44 @@ def is_integral(path: PLPath) -> bool:
     return True
 
 
-def _with_time(path: PLPath, tnew):
-    """Breakpoint list with an extra breakpoint at tnew (interpolated)."""
+def _with_time(path: PLPath, tnew) -> PLPath:
+    """The same path with a breakpoint at tnew, interpolated if it has none."""
     bps = path.breakpoints
-    out = []
-    inserted = False
     for k, (t, p) in enumerate(bps):
         if t == tnew:
-            return bps
-        if t > tnew and not inserted:
+            return path
+        if t > tnew:
             t0, p0 = bps[k - 1]
             frac = (tnew - t0) / (t - t0)
             point = tuple(a + frac * (b - a) for a, b in zip(p0, p))
-            out.append((tnew, point))
-            inserted = True
+            return PLPath(path.rtype, bps[:k] + ((tnew, point),) + bps[k:])
+
+
+def _crossing(times, h, k, level):
+    """Time in [times[k], times[k + 1]] at which h, linear there, equals level."""
+    if h[k] == level:
+        return times[k]
+    if h[k + 1] == level:
+        return times[k + 1]
+    return times[k] + (level - h[k]) * (times[k + 1] - times[k]) / (h[k + 1] - h[k])
+
+
+def _reflect(path: PLPath, i: int, t_a, t_b) -> PLPath:
+    """Keep the path up to t_a, map p to p - (H(p) - H(t_a)) * alpha_i on
+    (t_a, t_b], and translate the tail by the shift reached at t_b.  The path
+    must have breakpoints at t_a and t_b."""
+    alpha = _vec(simple_root(path.rtype, i))
+    out = []
+    for t, p in path.breakpoints:
+        if t <= t_a:
+            h_a = p[i - 1]
+        elif t <= t_b:
+            shift = _scale(p[i - 1] - h_a, alpha)
+            p = _sub(p, shift)
+        else:
+            p = _sub(p, shift)
         out.append((t, p))
-    return tuple(out)
+    return canonicalize(PLPath(path.rtype, tuple(out)))
 
 
 def root_f(path: PLPath, i: int) -> PLPath | None:
@@ -209,28 +228,11 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
         return None
     times = [t for t, _ in path.breakpoints]
     ka = max(k for k, v in enumerate(h) if v == m)
-    t_a = times[ka]
-    t_b = None
-    for k in range(ka, len(h) - 1):
-        if h[k + 1] >= m + 1:
-            if h[k + 1] == m + 1:
-                t_b = times[k + 1]
-            else:
-                t_b = times[k] + (m + 1 - h[k]) * (times[k + 1] - times[k]) / (h[k + 1] - h[k])
-            break
-    if t_b is None:
-        raise ModelIntegrityError("level m+1 not reached despite H(1) - m >= 1")
-    alpha = _vec(simple_root(path.rtype, i))
-    out = []
-    for t, p in _with_time(path, t_b):
-        if t <= t_a:
-            q = p
-        elif t <= t_b:
-            q = _sub(p, _scale(p[i - 1] - m, alpha))
-        else:
-            q = _sub(p, alpha)
-        out.append((t, q))
-    return canonicalize(PLPath(path.rtype, tuple(out)))
+    level, k = m + 1, ka
+    while h[k + 1] < level:  # stops by the end, as H(1) >= m + 1
+        k += 1
+    t_b = _crossing(times, h, k, level)
+    return _reflect(_with_time(path, t_b), i, times[ka], t_b)
 
 
 def root_e(path: PLPath, i: int) -> PLPath | None:
@@ -247,28 +249,14 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
         return None
     times = [t for t, _ in path.breakpoints]
     kb = min(k for k, v in enumerate(h) if v == m)
-    t_b = times[kb]
-    t_a = None
+    level = m + 1
     for k in range(kb - 1, -1, -1):
-        if h[k] == m + 1:
-            t_a = times[k]
+        if h[k] >= level:
+            t_a = _crossing(times, h, k, level)
             break
-        if h[k] > m + 1:
-            t_a = times[k] + (h[k] - (m + 1)) * (times[k + 1] - times[k]) / (h[k] - h[k + 1])
-            break
-    if t_a is None:
+    else:
         raise ModelIntegrityError("level m+1 not found before the minimum")
-    alpha = _vec(simple_root(path.rtype, i))
-    out = []
-    for t, p in _with_time(path, t_a):
-        if t <= t_a:
-            q = p
-        elif t <= t_b:
-            q = _sub(p, _scale(p[i - 1] - (m + 1), alpha))
-        else:
-            q = _add(p, alpha)
-        out.append((t, q))
-    return canonicalize(PLPath(path.rtype, tuple(out)))
+    return _reflect(_with_time(path, t_a), i, t_a, times[kb])
 
 
 def path_to_json(path: PLPath) -> dict:

@@ -197,3 +197,42 @@ def test_main_inprocess_exit_codes(capsys):
     capsys.readouterr()
     assert main(["info", "B1"]) == 2
     capsys.readouterr()
+
+
+MALFORMED_INTEGERS = ["1_0", "+1", " 1", "1 ", "\u0661", "\u00b2", "", "1.0", "0x1"]
+
+
+@pytest.mark.parametrize("entry", MALFORMED_INTEGERS)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["crystal", "A2", "{},0"],
+        ["virtualize", "C2", "0,{}"],
+        ["crystal", "A2", "1,0", "--levi", "{}"],
+        ["xi", "A2", "1,0", "1,{}"],
+    ],
+    ids=["crystal", "virtualize", "levi", "xi-nodes"],
+)
+def test_malformed_integers_exit_two(capsys, args, entry):
+    # int() alone accepts underscores, signs, spaces and non-ASCII digits
+    argv = [a.format(entry) for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), lines
+
+
+def test_malformed_weight_exits_two_from_the_shell(cli_env):
+    res = run_cli(["crystal", "A2", "1_0,0"], cli_env)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.decode().splitlines() == ["error: cannot parse weight '1_0,0'"]
+
+
+@pytest.mark.parametrize("weight", ["1,-1", "-1,0", "-0,-2"])
+def test_negative_weight_keeps_its_message(capsys, weight):
+    assert main(["crystal", "A2", "--", weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight entries must be nonnegative\n"

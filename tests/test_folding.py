@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fold_oracle import solve_gamma, verify_commutative_diagram_by_paths
+from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals.cartan import (
     DynkinType,
@@ -29,6 +30,8 @@ from pathcrystals.folding import (
     virtualize_path,
 )
 from pathcrystals.paths import (
+    PLPath,
+    canonicalize,
     epsilon,
     paths_equal,
     phi,
@@ -345,6 +348,39 @@ def test_commutative_diagram_matches_path_oracle_on_broken_involution(
     assert report == verify_commutative_diagram_by_paths(fold, lam)
 
 
+def _off_lattice(fold, path):
+    # bent paths land off the target lattice, so their vertices have no image
+    q = virtualize_path(fold, path)
+    if len(path.breakpoints) == 2:
+        return q
+    return PLPath(q.rtype, tuple((t, tuple(2 * c for c in p)) for t, p in q.breakpoints))
+
+
+def _endpoint_shifted(fold, path):
+    # a left inverse that moves the endpoint of every bent path
+    out = devirtualize(fold, path)
+    if len(out.breakpoints) == 2:
+        return out
+    t, p = out.breakpoints[-1]
+    return PLPath(out.rtype, out.breakpoints[:-1] + ((t, tuple(c + 1 for c in p)),))
+
+
+@pytest.mark.parametrize(
+    "attr,broken", [("virtualize_path", _off_lattice), ("devirtualize", _endpoint_shifted)]
+)
+@pytest.mark.parametrize("name,lam", [("C2", (1, 1)), ("G2", (1, 0))])
+def test_commutative_diagram_matches_path_oracle_on_broken_virtualization(
+    monkeypatch, attr, broken, name, lam
+):
+    # the left inverse is applied to the table's target path, and to a fresh
+    # virtualization for a vertex without one; both give the oracle's records
+    fold = folding_pair(name)
+    monkeypatch.setattr(folding, attr, broken)
+    report = verify_commutative_diagram(fold, lam)
+    assert any(r["check"] == "left-inverse" for r in report)
+    assert report == verify_commutative_diagram_by_paths(fold, lam)
+
+
 def test_dropping_a_letter_falsifies_action():
     # the induced word for I = {1} in the C2 folding is (xi_1, xi_3); with a
     # letter dropped the image of the embedded model is no longer preserved
@@ -371,3 +407,31 @@ def test_fold_info_schema():
         "branch": 2,
         "psi_matrix": [[1, 0], [0, 3], [1, 0], [1, 0]],
     }
+
+
+def _results_are_canonical(results):
+    bad = [q for q in results if q is not None and canonicalize(q) != q]
+    assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize("t,lam", [(t, lam) for t, lam, _ in SIZE_CASES])
+def test_root_operator_results_are_canonical(t, lam):
+    # the verifiers compare the package's own paths with ==, which is
+    # pointwise equality only on canonical paths
+    _results_are_canonical(
+        op(p, i) for p in generate(t, lam).vertices for i in t.nodes for op in (root_f, root_e)
+    )
+
+
+@pytest.mark.parametrize("name,lam", VIRT_CASES)
+def test_virtualization_results_are_canonical(name, lam):
+    fold = folding_pair(name)
+    source = generate(fold.x_type, lam).vertices
+    target = generate(fold.y_type, psi_weight(fold, lam)).vertices
+    images = [virtualize_path(fold, p) for p in source]
+    _results_are_canonical(images)
+    _results_are_canonical(devirtualize(fold, q) for q in images)
+    for t, model in ((fold.x_type, source), (fold.y_type, target)):
+        _results_are_canonical(
+            op(p, i) for p in model for i in t.nodes for op in (root_f, root_e)
+        )

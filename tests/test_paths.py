@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import paths_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import SIZE_CASES
 
+from pathcrystals import paths
 from pathcrystals.cartan import DynkinType
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
@@ -271,3 +275,76 @@ def test_json_rejects_garbage():
         path_from_json(A1, {"breakpoints": [[0, 1, [[0, 0]]], [1, 1, [[1, 1]]]]})
     with pytest.raises(DomainError):
         path_from_json(A1, {})
+
+
+ORACLE_CASES = [(t, lam) for t, lam, _ in SIZE_CASES] + [
+    (G2, (1, 1)),
+    (DynkinType("C", 3), (1, 0, 1)),
+    (DynkinType("B", 3), (1, 1, 0)),
+    (C2, (2, 1)),
+]
+
+
+def test_root_operators_match_oracle(monkeypatch):
+    # the oracle has its own window search and rewrite loop per operator; the
+    # cases also cross a level between two breakpoints, counted here, so the
+    # interpolating branch of the shared crossing formula is compared too
+    interpolated = {"root_f": 0, "root_e": 0}
+    crossing = paths._crossing
+
+    def counting(times, h, k, level):
+        t = crossing(times, h, k, level)
+        interpolated[current] += t not in times
+        return t
+
+    models = [generate(t, lam) for t, lam in ORACLE_CASES]
+    monkeypatch.setattr(paths, "_crossing", counting)
+    for (t, lam), g in zip(ORACLE_CASES, models):
+        for p in g.vertices:
+            for i in t.nodes:
+                for current, op, oracle in (
+                    ("root_f", root_f, paths_oracle.root_f),
+                    ("root_e", root_e, paths_oracle.root_e),
+                ):
+                    assert op(p, i) == oracle(p, i), (str(t), lam, p, i, current)
+    assert interpolated == {"root_f": 195, "root_e": 195}
+
+
+def _fractions(denominators):
+    return st.builds(Fraction, st.integers(-4, 4), st.sampled_from(denominators))
+
+
+@st.composite
+def rational_paths(draw):
+    """Paths with strictly increasing times from 0 to 1 and small rational
+    points, mostly integral.  A drawn split adds a collinear breakpoint, so
+    the path need not be canonical; one in eight does not start at the
+    origin, which the operators must reject alike."""
+    t = draw(st.sampled_from([A1, A2, C2, G2, DynkinType("B", 3)]))
+    inner = draw(st.lists(_fractions([2, 3, 4, 5, 6]), max_size=4, unique=True))
+    times = [F(0)] + sorted(x for x in inner if 0 < x < 1) + [F(1)]
+    coords = st.tuples(*[_fractions([1, 1, 1, 2, 3])] * t.rank)
+    start = draw(coords) if draw(st.integers(0, 7)) == 0 else (F(0),) * t.rank
+    bps = [(F(0), start)]
+    for time in times[1:]:
+        point = draw(coords)
+        if draw(st.booleans()):
+            t0, p0 = bps[-1]
+            bps.append(((t0 + time) / 2, tuple((a + b) / 2 for a, b in zip(p0, point))))
+        bps.append((time, point))
+    return PLPath(t, tuple(bps))
+
+
+def _outcome(op, p, i):
+    try:
+        return op(p, i)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(rational_paths())
+def test_root_operators_match_oracle_on_random_paths(p):
+    for i in p.rtype.nodes:
+        assert _outcome(root_f, p, i) == _outcome(paths_oracle.root_f, p, i)
+        assert _outcome(root_e, p, i) == _outcome(paths_oracle.root_e, p, i)
