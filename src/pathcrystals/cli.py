@@ -57,6 +57,13 @@ def _parse_ints(text: str, what: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def _parse_int(text: str, what: str) -> int:
+    parts = _parse_ints(text, what)
+    if len(parts) != 1:
+        raise ConfigurationError(f"cannot parse {what} {text!r}")
+    return parts[0]
+
+
 def _parse_weight(t: DynkinType, text: str) -> tuple:
     parts = _parse_ints(text, "weight")
     if len(parts) != t.rank:
@@ -115,7 +122,7 @@ def cmd_info(args) -> int:
 def cmd_crystal(args) -> int:
     t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
-    graph = generate(t, lam, max_size=args.max_size)
+    graph = generate(t, lam, max_size=_parse_int(args.max_size, "max size"))
     if args.levi is not None:
         colors = _parse_nodes(t, args.levi)
         view = levi(graph, colors)
@@ -146,7 +153,8 @@ def cmd_xi(args) -> int:
     t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
     colors = _parse_nodes(t, args.nodes)
-    graph = generate(t, lam, max_size=args.max_size)
+    vertex = None if args.vertex is None else _parse_int(args.vertex, "vertex")
+    graph = generate(t, lam, max_size=_parse_int(args.max_size, "max size"))
     perm = xi_perm(graph, colors)
     data = {
         "type": str(t),
@@ -154,11 +162,11 @@ def cmd_xi(args) -> int:
         "nodes": sorted(colors),
         "involution": list(perm),
     }
-    if args.vertex is not None:
-        if not 0 <= args.vertex < len(graph):
-            raise ConfigurationError(f"vertex {args.vertex} out of range")
-        data["vertex"] = args.vertex
-        data["image"] = perm[args.vertex]
+    if vertex is not None:
+        if not 0 <= vertex < len(graph):
+            raise ConfigurationError(f"vertex {vertex} out of range")
+        data["vertex"] = vertex
+        data["image"] = perm[vertex]
     _emit(json.dumps(data, indent=2))
     return 0
 
@@ -172,7 +180,8 @@ def cmd_fold_info(args) -> int:
 def cmd_virtualize(args) -> int:
     fold = folding_pair(args.type)
     lam = _parse_weight(fold.x_type, args.weight)
-    gx, gy, images, problems = _embedding(fold, lam, args.max_size)
+    max_size = _parse_int(args.max_size, "max size")
+    gx, gy, images, problems = _embedding(fold, lam, max_size)
     if problems:
         raise ModelIntegrityError(f"not an embedding: {json.dumps(problems[0])}")
     data = {
@@ -214,7 +223,8 @@ def _verify_violations(kind, type_text, weight_text, max_size):
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    violations = _verify_violations(args.kind, args.type, args.weight, args.max_size)
+    max_size = _parse_int(args.max_size, "max size")
+    violations = _verify_violations(args.kind, args.type, args.weight, max_size)
     elapsed = time.perf_counter() - start
     report = {
         "status": "pass" if not violations else "fail",
@@ -251,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", choices=("json", "dot"), default="json")
     p.add_argument("--levi", metavar="NODES")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p.add_argument("--max-size", default=str(DEFAULT_MAX_SIZE))
     p.set_defaults(func=cmd_crystal)
 
     p = sub.add_parser("xi", help="partial involution as a vertex permutation")
     p.add_argument("type")
     p.add_argument("weight")
     p.add_argument("nodes")
-    p.add_argument("--vertex", type=int)
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p.add_argument("--vertex")
+    p.add_argument("--max-size", default=str(DEFAULT_MAX_SIZE))
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("fold-info", help="folding data for a foldable type")
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("virtualize", help="embed a model into its folding target")
     p.add_argument("type")
     p.add_argument("weight")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p.add_argument("--max-size", default=str(DEFAULT_MAX_SIZE))
     p.set_defaults(func=cmd_virtualize)
 
     p = sub.add_parser("verify", help="run a verifier and report violations")
@@ -277,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("weight", nargs="?")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p.add_argument("--max-size", default=str(DEFAULT_MAX_SIZE))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cactus-verify", help="alias for: verify cactus")
     p.add_argument("type")
     p.add_argument("weight")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p.add_argument("--max-size", default=str(DEFAULT_MAX_SIZE))
     p.set_defaults(func=cmd_verify, kind="cactus")
 
     return parser

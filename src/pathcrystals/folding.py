@@ -24,6 +24,7 @@ vertex ids, so that last check is a permutation identity on its table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
@@ -202,11 +203,8 @@ def virtualize_path(fold: FoldingPair, path: PLPath) -> PLPath:
     """Push a source path to the target lattice, breakpoint by breakpoint."""
     if path.rtype != fold.x_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.x_type}")
-    bps = tuple(
-        (t, tuple(Fraction(c) for c in psi_weight(fold, p)))
-        for t, p in path.breakpoints
-    )
-    return canonicalize(PLPath(fold.y_type, bps))
+    points = tuple(psi_weight(fold, p) for p in path.points)
+    return canonicalize(PLPath(fold.y_type, path.den, path.times, points))
 
 
 def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
@@ -214,23 +212,23 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
 
     Each source coordinate is read off one representative target coordinate
     divided by the scaling exponent; the remaining coordinates must agree or
-    the path is not in the image.
+    the path is not in the image.  The denominator is multiplied by the lcm
+    of the scaling exponents, so the division stays integral.
     """
     if path.rtype != fold.y_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.y_type}")
+    nodes = fold.x_type.nodes
+    scale = lcm(*(fold.gamma(i) for i in nodes))
     out = []
-    for t, p in path.breakpoints:
-        x = tuple(
-            p[min(fold.sigma(i)) - 1] / fold.gamma(i) for i in fold.x_type.nodes
+    for t, p in zip(path.times, path.points):
+        if any(len({p[j - 1] for j in fold.sigma(i)}) > 1 for i in nodes):
+            time = Fraction(t, path.den)
+            raise NotInImageError(f"breakpoint at t={time} is outside the embedded lattice")
+        out.append(
+            tuple(p[min(fold.sigma(i)) - 1] * (scale // fold.gamma(i)) for i in nodes)
         )
-        for i in fold.x_type.nodes:
-            for j in fold.sigma(i):
-                if p[j - 1] != fold.gamma(i) * x[i - 1]:
-                    raise NotInImageError(
-                        f"breakpoint at t={t} is outside the embedded lattice"
-                    )
-        out.append((t, x))
-    return canonicalize(PLPath(fold.x_type, tuple(out)))
+    times = tuple(t * scale for t in path.times)
+    return canonicalize(PLPath(fold.x_type, path.den * scale, times, tuple(out)))
 
 
 def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):

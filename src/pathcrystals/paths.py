@@ -1,100 +1,122 @@
-"""Piecewise-linear paths with exact rational breakpoints and root operators.
+"""Piecewise-linear paths with integer breakpoints over one common
+denominator, and root operators.
 
 A path is a map [0,1] -> weight space, linear between breakpoints, starting
 at the origin.  Coordinates are fundamental-weight coordinates, so the i-th
 coordinate function of a path is the pairing of the moving point against
-alpha_i^vee.  Everything is computed with Fraction; no floating point enters
-anywhere.  The lowering and raising operators use the non-recursive
-three-piece formulas: each finds its window of the coordinate function, and
-one reflection rewrite keeps the path before the window, reflects it on the
-window and translates the tail.  They agree with the classical path
-operators on models whose coordinate functions have integral local minima;
-generation asserts that property for every path it accepts.
+alpha_i^vee.  A path stores integer times and points over one positive
+denominator den.  The package only produces reduced paths (den and all
+entries have gcd 1, no breakpoint is redundant), so dataclass equality is
+pointwise equality.  All arithmetic is exact and on integers.  The lowering
+and raising operators use the non-recursive three-piece formulas: each finds
+its window of the coordinate function, and one reflection rewrite keeps the
+path before the window, reflects it on the window and translates the tail.
+They agree with the classical path operators on models whose coordinate
+functions have integral local minima; generation asserts that property for
+every path it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-from .cartan import DynkinType, simple_root
+from .cartan import DynkinType, cartan_matrix
 from .errors import DomainError, ModelIntegrityError
 
-RatVec = tuple  # of Fraction
 
-
-def _vec(xs) -> RatVec:
-    return tuple(Fraction(x) for x in xs)
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(c, v):
-    return tuple(c * a for a in v)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLPath:
-    """Piecewise-linear path given by its breakpoint sequence."""
+    """Piecewise-linear path: breakpoint k is (times[k] / den, points[k] / den)
+    with integer times and integer point tuples."""
 
     rtype: DynkinType
-    breakpoints: tuple
+    den: int
+    times: tuple
+    points: tuple
 
-    def value(self, time) -> RatVec:
+    @classmethod
+    def from_breakpoints(cls, rtype: DynkinType, breakpoints) -> PLPath:
+        """Path from rational (time, point) pairs, keeping every breakpoint.
+        Raises DomainError on times not rising strictly from 0 to 1 or a wrong rank."""
+        bps = [(Fraction(t), tuple(Fraction(c) for c in p)) for t, p in breakpoints]
+        den = lcm(*(x.denominator for x in chain.from_iterable((t, *p) for t, p in bps)))
+        times = tuple(int(t * den) for t, _ in bps)
+        path = cls(rtype, den, times, tuple(tuple(int(c * den) for c in p) for _, p in bps))
+        _validate(path)
+        return path
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Read-only rational view: ((time, point), ...) as Fractions."""
+        return tuple(
+            (Fraction(t, self.den), tuple(Fraction(c, self.den) for c in p))
+            for t, p in zip(self.times, self.points)
+        )
+
+    def value(self, time) -> tuple:
         """Exact evaluation at a rational time in [0, 1]."""
         time = Fraction(time)
         if not 0 <= time <= 1:
             raise DomainError(f"time {time} outside [0, 1]")
         bps = self.breakpoints
-        for k in range(len(bps) - 1):
-            t0, p0 = bps[k]
-            t1, p1 = bps[k + 1]
-            if t0 <= time <= t1:
-                if time == t0:
-                    return p0
-                if time == t1:
-                    return p1
+        for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
+            if time <= t1:
                 frac = (time - t0) / (t1 - t0)
                 return tuple(a + frac * (b - a) for a, b in zip(p0, p1))
-        raise ModelIntegrityError("breakpoint times do not cover [0, 1]")
 
 
-def canonicalize(path: PLPath) -> PLPath:
-    """Minimal breakpoint representation: drops interior breakpoints where the
-    velocity does not change.  Two paths are pointwise equal iff their
-    canonical breakpoint sequences coincide."""
-    bps = path.breakpoints
-    if len(bps) < 2:
+def _validate(path: PLPath) -> None:
+    times = path.times
+    if len(times) < 2:
         raise DomainError("a path needs at least two breakpoints")
-    times = [t for t, _ in bps]
-    if times[0] != 0 or times[-1] != 1:
+    if times[0] != 0 or times[-1] != path.den:
         raise DomainError("path must be parametrized over [0, 1]")
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise DomainError("breakpoint times must be strictly increasing")
-    rank = path.rtype.rank
-    if any(len(p) != rank for _, p in bps):
+    if any(len(p) != path.rtype.rank for p in path.points):
         raise DomainError("breakpoint coordinates must have length rank")
-    if any(x != 0 for x in bps[0][1]):
+
+
+def _check_origin(path: PLPath) -> None:
+    if any(path.points[0]):
         raise DomainError("path must start at the origin")
-    velocities = []
-    for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
-        dt = t1 - t0
-        velocities.append(tuple((b - a) / dt for a, b in zip(p0, p1)))
-    kept = [bps[0]]
-    for k in range(1, len(bps) - 1):
-        if velocities[k] != velocities[k - 1]:
-            kept.append(bps[k])
-    kept.append(bps[-1])
-    return PLPath(path.rtype, tuple(kept))
+
+
+def _reduced(rtype, den, times, points) -> PLPath:
+    """Drop breakpoints where the velocity does not change (compared by
+    cross-multiplication), then divide den and all entries by their gcd."""
+    kept = [0]
+    for k in range(1, len(times) - 1):
+        dt0, dt1 = times[k] - times[k - 1], times[k + 1] - times[k]
+        p0, p1, p2 = points[k - 1], points[k], points[k + 1]
+        if any((b - a) * dt1 != (c - b) * dt0 for a, b, c in zip(p0, p1, p2)):
+            kept.append(k)
+    kept.append(len(times) - 1)
+    times = tuple(times[k] for k in kept)
+    points = tuple(points[k] for k in kept)
+    g = gcd(den, *times, *chain.from_iterable(points))
+    if g > 1:
+        den //= g
+        times = tuple(t // g for t in times)
+        points = tuple(tuple(c // g for c in p) for p in points)
+    return PLPath(rtype, den, times, points)
+
+
+def canonicalize(path: PLPath) -> PLPath:
+    """Reduced representation: drops interior breakpoints where the velocity
+    does not change and divides out the gcd of den and all entries.  Two
+    paths are pointwise equal iff their canonical forms coincide."""
+    _validate(path)
+    _check_origin(path)
+    return _reduced(path.rtype, path.den, path.times, path.points)
 
 
 def paths_equal(a: PLPath, b: PLPath) -> bool:
     """Pointwise equality, decided on canonical forms."""
-    if a.rtype != b.rtype:
-        return False
-    return canonicalize(a).breakpoints == canonicalize(b).breakpoints
+    return a.rtype == b.rtype and canonicalize(a) == canonicalize(b)
 
 
 def straight_path(t: DynkinType, lam) -> PLPath:
@@ -104,21 +126,20 @@ def straight_path(t: DynkinType, lam) -> PLPath:
         raise DomainError(f"weight must have length {t.rank}")
     if any(x < 0 for x in lam):
         raise DomainError("straight_path needs a dominant weight")
-    zero = _vec([0] * t.rank)
-    return PLPath(t, ((Fraction(0), zero), (Fraction(1), _vec(lam))))
+    return PLPath.from_breakpoints(t, ((0, (0,) * t.rank), (1, lam)))
 
 
-def weight(path: PLPath) -> RatVec:
-    """Endpoint of the path (its weight)."""
-    return path.breakpoints[-1][1]
+def weight(path: PLPath) -> tuple:
+    """Endpoint of the path (its weight), as Fractions."""
+    return tuple(Fraction(c, path.den) for c in path.points[-1])
 
 
 def weight_int(path: PLPath) -> tuple:
     """Endpoint as an integer vector; raises if it is not integral."""
-    w = weight(path)
-    if any(c.denominator != 1 for c in w):
+    den, end = path.den, path.points[-1]
+    if any(c % den for c in end):
         raise ModelIntegrityError("non-integral path weight")
-    return tuple(int(c) for c in w)
+    return tuple(c // den for c in end)
 
 
 def h_function(path: PLPath, i: int) -> tuple:
@@ -128,89 +149,88 @@ def h_function(path: PLPath, i: int) -> tuple:
     return tuple((t, p[i - 1]) for t, p in path.breakpoints)
 
 
-def _h_values(path, i):
-    return [p[i - 1] for _, p in path.breakpoints]
-
-
-def _guard_integer(x, what):
-    if x.denominator != 1:
-        raise ModelIntegrityError(f"{what} is not an integer: {x}")
-    return int(x)
+def _guard_integer(x: int, den: int, what: str) -> int:
+    if x % den:
+        raise ModelIntegrityError(f"{what} is not an integer: {Fraction(x, den)}")
+    return x // den
 
 
 def epsilon(path: PLPath, i: int) -> int:
     """Number of defined raising steps in color i (closed form: minus the
     minimum of the coordinate function)."""
-    m = min(_h_values(path, i))
-    return -_guard_integer(m, f"minimum of H_{i}")
+    m = min(p[i - 1] for p in path.points)
+    return -_guard_integer(m, path.den, f"minimum of H_{i}")
 
 
 def phi(path: PLPath, i: int) -> int:
     """Number of defined lowering steps in color i (closed form: endpoint
     value minus the minimum)."""
-    h = _h_values(path, i)
-    m = min(h)
-    _guard_integer(m, f"minimum of H_{i}")
-    return _guard_integer(h[-1] - m, f"endpoint of H_{i} minus its minimum")
+    m = min(p[i - 1] for p in path.points)
+    _guard_integer(m, path.den, f"minimum of H_{i}")
+    return _guard_integer(
+        path.points[-1][i - 1] - m, path.den, f"endpoint of H_{i} minus its minimum"
+    )
 
 
 def is_integral(path: PLPath) -> bool:
     """Whether every local minimum of every coordinate function is an integer
     and the endpoint is an integral weight.  Generated models must satisfy
     this; the operators are only the classical ones on such paths."""
+    den = path.den
     for i in path.rtype.nodes:
-        h = _h_values(path, i)
-        compressed = [h[0]]
-        for v in h[1:]:
-            if v != compressed[-1]:
-                compressed.append(v)
-        if compressed[-1].denominator != 1:
+        compressed = [path.points[0][i - 1]]
+        for p in path.points[1:]:
+            if p[i - 1] != compressed[-1]:
+                compressed.append(p[i - 1])
+        if compressed[-1] % den:
             return False
-        for k in range(1, len(compressed) - 1):
-            if compressed[k] < compressed[k - 1] and compressed[k] < compressed[k + 1]:
-                if compressed[k].denominator != 1:
-                    return False
+        for low, mid, high in zip(compressed, compressed[1:], compressed[2:]):
+            if low > mid < high and mid % den:
+                return False
     return True
 
 
-def _with_time(path: PLPath, tnew) -> PLPath:
-    """The same path with a breakpoint at tnew, interpolated if it has none."""
-    bps = path.breakpoints
-    for k, (t, p) in enumerate(bps):
-        if t == tnew:
-            return path
-        if t > tnew:
-            t0, p0 = bps[k - 1]
-            frac = (tnew - t0) / (t - t0)
-            point = tuple(a + frac * (b - a) for a, b in zip(p0, p))
-            return PLPath(path.rtype, bps[:k] + ((tnew, point),) + bps[k:])
+def _heights(path: PLPath, i: int):
+    """H_i at every breakpoint and its minimum, after the operators' input checks."""
+    if i not in path.rtype.nodes:
+        raise DomainError(f"node {i} not in {path.rtype}")
+    _check_origin(path)
+    h = [p[i - 1] for p in path.points]
+    m = min(h)
+    _guard_integer(m, path.den, f"minimum of H_{i}")
+    return h, m
 
 
-def _crossing(times, h, k, level):
-    """Time in [times[k], times[k + 1]] at which h, linear there, equals level."""
-    if h[k] == level:
-        return times[k]
-    if h[k + 1] == level:
-        return times[k + 1]
-    return times[k] + (level - h[k]) * (times[k + 1] - times[k]) / (h[k + 1] - h[k])
+def _crossing(path: PLPath, h, k, level):
+    """(den, times, points, index): the path with a breakpoint where H,
+    linear on segment k, equals level, and that breakpoint's index.  Inside
+    the segment, the path is rescaled by the rise so the crossing is integral."""
+    for j in (k, k + 1):
+        if h[j] == level:
+            return path.den, path.times, path.points, j
+    rise, step = h[k + 1] - h[k], level - h[k]
+    if rise < 0:
+        rise, step = -rise, -step
+    (t0, t1), (p0, p1) = path.times[k : k + 2], path.points[k : k + 2]
+    times = [t * rise for t in path.times]
+    points = [tuple(c * rise for c in p) for p in path.points]
+    times.insert(k + 1, t0 * rise + step * (t1 - t0))
+    points.insert(k + 1, tuple(a * rise + step * (b - a) for a, b in zip(p0, p1)))
+    return path.den * rise, times, points, k + 1
 
 
-def _reflect(path: PLPath, i: int, t_a, t_b) -> PLPath:
-    """Keep the path up to t_a, map p to p - (H(p) - H(t_a)) * alpha_i on
-    (t_a, t_b], and translate the tail by the shift reached at t_b.  The path
-    must have breakpoints at t_a and t_b."""
-    alpha = _vec(simple_root(path.rtype, i))
-    out = []
-    for t, p in path.breakpoints:
-        if t <= t_a:
-            h_a = p[i - 1]
-        elif t <= t_b:
-            shift = _scale(p[i - 1] - h_a, alpha)
-            p = _sub(p, shift)
-        else:
-            p = _sub(p, shift)
-        out.append((t, p))
-    return canonicalize(PLPath(path.rtype, tuple(out)))
+def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PLPath:
+    """Keep breakpoints 0..a, map p to p - (H(p) - H(a)) * alpha_i on a+1..b,
+    and translate the tail by the shift reached at b (+-den * alpha_i)."""
+    alpha = [row[i - 1] for row in cartan_matrix(rtype)]
+    h_a = points[a][i - 1]
+    out = list(points[: a + 1])
+    for p in points[a + 1 : b + 1]:
+        c = p[i - 1] - h_a
+        out.append(tuple(x - c * y for x, y in zip(p, alpha)))
+    shift = [c * y for y in alpha]
+    out.extend(tuple(x - s for x, s in zip(p, shift)) for p in points[b + 1 :])
+    return _reduced(rtype, den, times, out)
 
 
 def root_f(path: PLPath, i: int) -> PLPath | None:
@@ -221,18 +241,16 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
     attains m, reflects the stretch up to the first later time H reaches
     m + 1, and translates the tail by -alpha_i.
     """
-    h = _h_values(path, i)
-    m = min(h)
-    _guard_integer(m, f"minimum of H_{i}")
-    if h[-1] - m < 1:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if h[-1] < level:
         return None
-    times = [t for t, _ in path.breakpoints]
-    ka = max(k for k, v in enumerate(h) if v == m)
-    level, k = m + 1, ka
+    ka = len(h) - 1 - h[::-1].index(m)
+    k = ka
     while h[k + 1] < level:  # stops by the end, as H(1) >= m + 1
         k += 1
-    t_b = _crossing(times, h, k, level)
-    return _reflect(_with_time(path, t_b), i, times[ka], t_b)
+    den, times, points, kb = _crossing(path, h, k, level)
+    return _reflect(path.rtype, den, times, points, i, ka, kb)
 
 
 def root_e(path: PLPath, i: int) -> PLPath | None:
@@ -242,29 +260,32 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
     at most -1; reflects between the last time H equals m + 1 before its
     first minimum and that minimum, then translates the tail by +alpha_i.
     """
-    h = _h_values(path, i)
-    m = min(h)
-    _guard_integer(m, f"minimum of H_{i}")
-    if m > -1:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if level > 0:
         return None
-    times = [t for t, _ in path.breakpoints]
-    kb = min(k for k, v in enumerate(h) if v == m)
-    level = m + 1
-    for k in range(kb - 1, -1, -1):
-        if h[k] >= level:
-            t_a = _crossing(times, h, k, level)
-            break
-    else:
-        raise ModelIntegrityError("level m+1 not found before the minimum")
-    return _reflect(_with_time(path, t_a), i, t_a, times[kb])
+    kb = h.index(m)
+    k = kb - 1
+    while h[k] < level:  # stops by the start, as H(0) = 0 >= m + 1
+        k -= 1
+    den, times, points, ka = _crossing(path, h, k, level)
+    kb += len(times) - len(path.times)
+    return _reflect(path.rtype, den, times, points, i, ka, kb)
+
+
+def _ratio(x: int, den: int) -> list:
+    g = gcd(x, den)
+    return [x // g, den // g]
 
 
 def path_to_json(path: PLPath) -> dict:
-    """JSON form: {"breakpoints": [[t_num, t_den, [[c_num, c_den], ...]], ...]}."""
+    """JSON form: {"breakpoints": [[t_num, t_den, [[c_num, c_den], ...]], ...]},
+    every fraction in lowest terms."""
+    den = path.den
     return {
         "breakpoints": [
-            [t.numerator, t.denominator, [[c.numerator, c.denominator] for c in p]]
-            for t, p in path.breakpoints
+            [*_ratio(t, den), [_ratio(c, den) for c in p]]
+            for t, p in zip(path.times, path.points)
         ]
     }
 
@@ -278,4 +299,4 @@ def path_from_json(t: DynkinType, data) -> PLPath:
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed path JSON: {exc}") from exc
-    return canonicalize(PLPath(t, bps))
+    return canonicalize(PLPath.from_breakpoints(t, bps))

@@ -1,31 +1,127 @@
-"""Root operators with a rewrite loop each, kept as a test oracle for
-root_f and root_e.
+"""The Fraction path kernel, kept as a test oracle for pathcrystals.paths.
 
-Each operator has its own window search, its own level-crossing formula and
-its own rewrite loop: root_f subtracts (H - m) * alpha_i on the window and
-alpha_i on the tail, root_e subtracts (H - (m + 1)) * alpha_i on the window
-and adds alpha_i on the tail.  _with_time returns a breakpoint tuple and keeps
-scanning after it has inserted the new time.
+Paths here are FPath values: a type and a tuple of (time, point) pairs of
+Fractions, compared breakpoint by breakpoint.  The oracle functions read any
+path through its rtype and breakpoints attributes, so they also take the
+package's integer paths through their rational view.
+
+Each root operator has its own window search, its own level-crossing formula
+and its own rewrite loop: root_f subtracts (H - m) * alpha_i on the window
+and alpha_i on the tail, root_e subtracts (H - (m + 1)) * alpha_i on the
+window and adds alpha_i on the tail.  _with_time returns a breakpoint tuple
+and keeps scanning after it has inserted the new time.  closure builds a
+crystal's vertices and edge maps by the same breadth-first search as
+generate, with these operators.
 """
 
-from pathcrystals.cartan import simple_root
-from pathcrystals.errors import ModelIntegrityError
-from pathcrystals.paths import (
-    PLPath,
-    _guard_integer,
-    _h_values,
-    _scale,
-    _sub,
-    _vec,
-    canonicalize,
-)
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+
+from pathcrystals.cartan import DynkinType, simple_root
+from pathcrystals.errors import DomainError, ModelIntegrityError
+
+
+@dataclass(frozen=True)
+class FPath:
+    """Piecewise-linear path given by its Fraction breakpoint sequence."""
+
+    rtype: DynkinType
+    breakpoints: tuple
+
+
+def _vec(xs):
+    return tuple(Fraction(x) for x in xs)
 
 
 def _add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _with_time(path: PLPath, tnew):
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def _h_values(path, i):
+    return [p[i - 1] for _, p in path.breakpoints]
+
+
+def _guard_integer(x, what):
+    if x.denominator != 1:
+        raise ModelIntegrityError(f"{what} is not an integer: {x}")
+    return int(x)
+
+
+def canonicalize(path) -> FPath:
+    """Minimal breakpoint representation: drops interior breakpoints where the
+    velocity does not change."""
+    bps = path.breakpoints
+    if len(bps) < 2:
+        raise DomainError("a path needs at least two breakpoints")
+    times = [t for t, _ in bps]
+    if times[0] != 0 or times[-1] != 1:
+        raise DomainError("path must be parametrized over [0, 1]")
+    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        raise DomainError("breakpoint times must be strictly increasing")
+    rank = path.rtype.rank
+    if any(len(p) != rank for _, p in bps):
+        raise DomainError("breakpoint coordinates must have length rank")
+    if any(x != 0 for x in bps[0][1]):
+        raise DomainError("path must start at the origin")
+    velocities = []
+    for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
+        dt = t1 - t0
+        velocities.append(tuple((b - a) / dt for a, b in zip(p0, p1)))
+    kept = [bps[0]]
+    for k in range(1, len(bps) - 1):
+        if velocities[k] != velocities[k - 1]:
+            kept.append(bps[k])
+    kept.append(bps[-1])
+    return FPath(path.rtype, tuple(kept))
+
+
+def straight_path(t, lam) -> FPath:
+    zero = _vec([0] * t.rank)
+    return FPath(t, ((Fraction(0), zero), (Fraction(1), _vec(lam))))
+
+
+def weight_int(path) -> tuple:
+    w = path.breakpoints[-1][1]
+    if any(c.denominator != 1 for c in w):
+        raise ModelIntegrityError("non-integral path weight")
+    return tuple(int(c) for c in w)
+
+
+def is_integral(path) -> bool:
+    for i in path.rtype.nodes:
+        h = _h_values(path, i)
+        compressed = [h[0]]
+        for v in h[1:]:
+            if v != compressed[-1]:
+                compressed.append(v)
+        if compressed[-1].denominator != 1:
+            return False
+        for k in range(1, len(compressed) - 1):
+            if compressed[k] < compressed[k - 1] and compressed[k] < compressed[k + 1]:
+                if compressed[k].denominator != 1:
+                    return False
+    return True
+
+
+def path_to_json(path) -> dict:
+    return {
+        "breakpoints": [
+            [t.numerator, t.denominator, [[c.numerator, c.denominator] for c in p]]
+            for t, p in path.breakpoints
+        ]
+    }
+
+
+def _with_time(path, tnew):
     """Breakpoint list with an extra breakpoint at tnew (interpolated)."""
     bps = path.breakpoints
     out = []
@@ -43,7 +139,7 @@ def _with_time(path: PLPath, tnew):
     return tuple(out)
 
 
-def root_f(path: PLPath, i: int) -> PLPath | None:
+def root_f(path, i: int) -> FPath | None:
     """Lowering operator for color i; returns None when undefined.
 
     With m the minimum of the coordinate function H of color i, the operator
@@ -79,10 +175,10 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
         else:
             q = _sub(p, alpha)
         out.append((t, q))
-    return canonicalize(PLPath(path.rtype, tuple(out)))
+    return canonicalize(FPath(path.rtype, tuple(out)))
 
 
-def root_e(path: PLPath, i: int) -> PLPath | None:
+def root_e(path, i: int) -> FPath | None:
     """Raising operator for color i; returns None when undefined.
 
     Mirror of root_f: defined iff the minimum m of the coordinate function is
@@ -117,4 +213,32 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
         else:
             q = _add(p, alpha)
         out.append((t, q))
-    return canonicalize(PLPath(path.rtype, tuple(out)))
+    return canonicalize(FPath(path.rtype, tuple(out)))
+
+
+def closure(t, lam):
+    """(vertices, f_edges, e_edges) of the crystal of lam: breadth-first along
+    the lowering operators, colors ascending, each e-edge the inverse of an
+    f-edge; every vertex must pass is_integral."""
+    start = straight_path(t, lam)
+    vertices = [start]
+    index = {start: 0}
+    f_edges: dict = {}
+    e_edges: dict = {}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for i in t.nodes:
+            lowered = root_f(vertices[v], i)
+            if lowered is None:
+                continue
+            w = index.get(lowered)
+            if w is None:
+                assert is_integral(lowered), "generated path with non-integral minima"
+                w = index[lowered] = len(vertices)
+                vertices.append(lowered)
+                queue.append(w)
+            assert (w, i) not in e_edges, "f_i is not injective"
+            f_edges[(v, i)] = w
+            e_edges[(w, i)] = v
+    return vertices, f_edges, e_edges

@@ -223,6 +223,36 @@ def test_malformed_integers_exit_two(capsys, args, entry):
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), lines
 
 
+@pytest.mark.parametrize("entry", MALFORMED_INTEGERS)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["crystal", "A1", "2", "--max-size", "{}"],
+        ["xi", "A1", "2", "1", "--max-size", "{}"],
+        ["virtualize", "C2", "1,0", "--max-size", "{}"],
+        ["verify", "seminormal", "A1", "2", "--max-size", "{}"],
+        ["cactus-verify", "A1", "2", "--max-size", "{}"],
+        ["xi", "A1", "2", "1", "--vertex", "{}"],
+    ],
+    ids=["crystal", "xi", "virtualize", "verify", "cactus-verify", "xi-vertex"],
+)
+def test_malformed_integer_options_exit_two(capsys, args, entry):
+    # argparse's type=int took " 1", "+1" and "1_0" for --vertex and --max-size
+    argv = [a.format(entry) for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), lines
+
+
+def test_integer_options_keep_their_meaning(capsys):
+    assert main(["xi", "A1", "2", "1", "--vertex", "0", "--max-size", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["image"] == 2
+    assert main(["crystal", "A1", "2", "--max-size", "2"]) == 2
+    assert capsys.readouterr().err == "error: crystal of size 3 exceeds the cap 2\n"
+
+
 def test_malformed_weight_exits_two_from_the_shell(cli_env):
     res = run_cli(["crystal", "A2", "1_0,0"], cli_env)
     assert res.returncode == 2

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from collections import Counter
 
+import paths_oracle
 import pytest
 from closure_oracle import generate_by_both_operators
-from test_acceptance import SIZE_CASES
+from freudenthal_oracle import weight_multiset
+from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal
 from pathcrystals.cartan import DynkinType, reflect, weyl_dim
@@ -16,6 +19,7 @@ from pathcrystals.crystal import (
     verify_seminormal,
 )
 from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.folding import folding_pair, psi_weight
 from pathcrystals.paths import path_from_json
 
 A1 = DynkinType("A", 1)
@@ -200,17 +204,41 @@ def test_seminormal_detects_doctored_e_edge():
     assert verify_seminormal(broken) != []
 
 
-@pytest.mark.parametrize(
-    "t,lam",
-    [(t, lam) for t, lam, _ in SIZE_CASES]
-    + [(G2, (2, 2)), (C3, (1, 1, 1)), (B3, (1, 1, 0)), (F4, (0, 0, 0, 1))],
-)
+CLOSURE_CASES = [(t, lam) for t, lam, _ in SIZE_CASES] + [
+    (G2, (2, 2)),
+    (C3, (1, 1, 1)),
+    (B3, (1, 1, 0)),
+    (F4, (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("t,lam", CLOSURE_CASES)
 def test_lowering_closure_matches_both_operator_closure(t, lam):
     g = generate(t, lam)
     oracle = generate_by_both_operators(t, lam)
     assert g.vertices == oracle.vertices
     assert g.f_edges == oracle.f_edges and g.e_edges == oracle.e_edges
     assert export_json(g) == export_json(oracle)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("t,lam", CLOSURE_CASES)
+def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
+    # the same search driven by the Fraction operators of tests/paths_oracle.py
+    # gives the same vertices in the same order, the same edge maps, and the
+    # same JSON export when that export reads paths through the oracle too
+    g = generate(t, lam)
+    vertices, f_edges, e_edges = paths_oracle.closure(t, lam)
+    assert [p.breakpoints for p in g.vertices] == [q.breakpoints for q in vertices]
+    assert g.f_edges == f_edges and g.e_edges == e_edges
+    digest = _sha256(export_json(g))
+    monkeypatch.setattr(crystal, "path_to_json", paths_oracle.path_to_json)
+    monkeypatch.setattr(crystal, "weight_int", paths_oracle.weight_int)
+    oracle = CrystalGraph(t, lam, vertices, f_edges, e_edges)
+    assert _sha256(export_json(oracle)) == digest
 
 
 def test_generate_never_raises(monkeypatch):
@@ -273,3 +301,35 @@ def test_component_of_out_of_range():
         view.component_of(len(g))
     with pytest.raises(DomainError):
         view.component_of(-1)
+
+
+def _source_and_target(name, lam):
+    fold = folding_pair(name)
+    return [(fold.x_type, lam), (fold.y_type, psi_weight(fold, lam))]
+
+
+# SIZE_CASES and every other crystal the acceptance criteria build: the
+# cactus cases, and the source and target models of the folding cases
+SHAPE_CASES = (
+    [(t, lam) for t, lam, _ in SIZE_CASES]
+    + [(A3, (0, 1, 0)), (C2, (1, 1)), (G2, (1, 0)), (DynkinType("D", 4), (1, 0, 0, 0))]
+    + [case for name, lam in VIRT_CASES for case in _source_and_target(name, lam)]
+    + _source_and_target("F4", (0, 0, 0, 1))
+)
+
+
+@pytest.mark.parametrize("t,lam", SHAPE_CASES)
+def test_weights_match_freudenthal(t, lam):
+    assert Counter(generate(t, lam).weights) == weight_multiset(t, lam)
+
+
+def test_freudenthal_rejects_a_moved_weight():
+    # a vertex of a repeated weight moved to the highest weight: the size is
+    # still the Weyl dimension and the same weights occur, with the wrong
+    # multiplicities
+    g = generate(C2, (1, 1))
+    weights = list(g.weights)
+    v = next(v for v, w in enumerate(weights) if weights.count(w) > 1)
+    weights[v] = weights[0]
+    assert len(weights) == weyl_dim(C2, (1, 1)) and set(weights) == set(g.weights)
+    assert Counter(weights) != weight_multiset(C2, (1, 1))

@@ -353,7 +353,8 @@ def _off_lattice(fold, path):
     q = virtualize_path(fold, path)
     if len(path.breakpoints) == 2:
         return q
-    return PLPath(q.rtype, tuple((t, tuple(2 * c for c in p)) for t, p in q.breakpoints))
+    doubled = tuple((t, tuple(2 * c for c in p)) for t, p in q.breakpoints)
+    return PLPath.from_breakpoints(q.rtype, doubled)
 
 
 def _endpoint_shifted(fold, path):
@@ -362,7 +363,8 @@ def _endpoint_shifted(fold, path):
     if len(out.breakpoints) == 2:
         return out
     t, p = out.breakpoints[-1]
-    return PLPath(out.rtype, out.breakpoints[:-1] + ((t, tuple(c + 1 for c in p)),))
+    shifted = out.breakpoints[:-1] + ((t, tuple(c + 1 for c in p)),)
+    return PLPath.from_breakpoints(out.rtype, shifted)
 
 
 @pytest.mark.parametrize(
