@@ -310,7 +310,8 @@ def test_root_operators_match_oracle(monkeypatch):
                     ("root_f", root_f, paths_oracle.root_f),
                     ("root_e", root_e, paths_oracle.root_e),
                 ):
-                    assert _view(op(p, i)) == _view(oracle(p, i)), (str(t), lam, p, i, current)
+                    expected = _view(oracle(p, i))
+                    assert _view(op(p, i)) == expected, (str(t), lam, p, i, current)
     assert interpolated == {"root_f": 195, "root_e": 195}
 
 
@@ -359,8 +360,8 @@ def test_root_operators_match_oracle_on_random_paths(p):
 
 
 def test_operators_reject_paths_off_the_origin():
-    # the A1 path from -1 to 1: root_e used to fail its window search with
-    # ModelIntegrityError, where root_f and canonicalize raise DomainError
+    # the A1 path from -1 to 1: root_e's window search would run off its
+    # start, so both operators check the origin first, as canonicalize does
     p = PLPath.from_breakpoints(A1, ((0, (-1,)), (1, (1,))))
     with pytest.raises(DomainError, match="origin"):
         canonicalize(p)
