@@ -5,15 +5,16 @@ involution xi_J is the unique map that sends the highest vertex of each
 J-component to its lowest vertex and intertwines f_i with e_theta(i) for
 every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
 It is computed by propagating that rule along every J-colored lowering edge
-of the component, so any two lowering words to a vertex must give the same
-image or the model is rejected.  The verifier checks, by exhaustive
-permutation arithmetic, that these involutions satisfy the defining
-relations of the cactus group of the diagram.
+of the component, in the order of the Levi view's walk from its highest
+vertex, so any two lowering words to a vertex must give the same image or
+the model is rejected.  The verifier checks, by exhaustive permutation
+arithmetic, that these involutions satisfy the defining relations of the
+cactus group of the diagram, over pairs of subdiagrams planned once per type.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cache
 
 from .cartan import (
     components,
@@ -37,35 +38,31 @@ def xi(graph: CrystalGraph, colors, b: int) -> int:
 def xi_perm(graph: CrystalGraph, colors) -> tuple:
     """The partial involution as a permutation of all vertex ids.
 
-    Breadth-first from the highest vertex of each Levi component, every
-    lowering edge v -f_i-> w with i in the color set yields the image of w as
-    e_theta(i) of the image of v.  The first edge into w sets it; every other
-    edge into w must agree with it."""
+    Along the walk of each Levi component, every lowering edge v -f_i-> w
+    with i in the color set yields the image of w as e_theta(i) of the image
+    of v.  The first edge into w sets it; every other edge into w must agree
+    with it."""
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
     view = levi(graph, colors)
     twist = theta(graph.rtype, colors)
-    order = sorted(colors)
+    edges = [(i, graph.f_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
     out = [None] * len(graph)
-    for comp in view.components:
-        top = view.highest_of(comp)
-        out[top] = view.lowest_of(comp)
-        queue = deque([top])
-        while queue:
-            v = queue.popleft()
-            for i in order:
-                w = graph.f(v, i)
+    for walk, lowest in view.walks:
+        out[walk[0]] = lowest
+        for v in walk:
+            mirrored = out[v]
+            for i, lowering, raising in edges:
+                w = lowering[v]
                 if w is None:
                     continue
-                image = graph.e(out[v], twist[i])
+                image = raising[mirrored]
                 if image is None or out[w] not in (None, image):
                     raise ModelIntegrityError(
                         f"involution image of vertex {w} is inconsistent along color {i}"
                     )
-                if out[w] is None:
-                    out[w] = image
-                    queue.append(w)
+                out[w] = image
     if set(out) != set(range(len(graph))):
         raise ModelIntegrityError("involution image is not a permutation")
     return tuple(out)
@@ -73,7 +70,7 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
 
 def compose(p: tuple, q: tuple) -> tuple:
     """Permutation composition (p after q)."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def identity_perm(graph: CrystalGraph) -> tuple:
@@ -119,6 +116,18 @@ def _first_difference(p, q):
     return None
 
 
+@cache
+def _relation_plan(t) -> tuple:
+    """The disconnected pairs (a, b), a before b in bitmask order, and the
+    nested triples (outer, inner, twisted inner) that the relations compare."""
+    subs = connected_subdiagrams(t)
+    pairs = [(a, b) for a in subs for b in subs]
+    disjoint = tuple(
+        (a, b) for a, b in pairs if node_mask(a) < node_mask(b) and len(components(t, a | b)) > 1
+    )
+    return disjoint, tuple((a, b, theta_image(t, a, b)) for a, b in pairs if b <= a)
+
+
 def _relation_violations(t, perms: dict, ident: tuple) -> list:
     """Check the three cactus-group relations of type t as permutation
     identities, given the permutation of every connected subdiagram.  Each
@@ -135,28 +144,21 @@ def _relation_violations(t, perms: dict, ident: tuple) -> list:
             }
         )
 
+    disjoint, nested = _relation_plan(t)
     for s in perms:
         square = compose(perms[s], perms[s])
         if square != ident:
             record(1, s, s, square, ident)
-    for a in perms:
-        for b in perms:
-            if node_mask(a) >= node_mask(b):
-                continue
-            if len(components(t, a | b)) < 2:
-                continue
-            left = compose(perms[a], perms[b])
-            right = compose(perms[b], perms[a])
-            if left != right:
-                record(2, a, b, left, right)
-    for outer in perms:
-        for inner in perms:
-            if not inner <= outer:
-                continue
-            left = compose(perms[outer], perms[inner])
-            right = compose(perms[theta_image(t, outer, inner)], perms[outer])
-            if left != right:
-                record(3, outer, inner, left, right)
+    for a, b in disjoint:
+        left = compose(perms[a], perms[b])
+        right = compose(perms[b], perms[a])
+        if left != right:
+            record(2, a, b, left, right)
+    for outer, inner, image in nested:
+        left = compose(perms[outer], perms[inner])
+        right = compose(perms[image], perms[outer])
+        if left != right:
+            record(3, outer, inner, left, right)
     return violations
 
 

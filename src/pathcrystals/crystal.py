@@ -9,10 +9,12 @@ recorded as the inverse of an f-edge.  Vertex ids are BFS discovery order
 Every f-edge adds one to the depth (the height of lambda - wt), so the BFS
 layer of a vertex is its depth and ids come in depth order; a raising step
 only reaches the previous layer, so closing under the raising operators too
-would find nothing new.  verify_seminormal checks the raising operators
-against the e-edges.  The vertex count must match the Weyl dimension formula
-exactly; a mismatch aborts, since it is the strongest single guard on the
-operators.
+would find nothing new.  Edges are stored once, in one list per color and
+direction indexed by vertex id.  verify_seminormal checks the raising
+operators against the e-edges.  The vertex count must match the Weyl
+dimension formula exactly; a mismatch aborts, since it is the strongest
+single guard on the operators.  A Levi view walks each component once, down
+the lowering edges from its highest vertex, and keeps the walk.
 """
 
 from __future__ import annotations
@@ -39,27 +41,39 @@ from .paths import (
 
 
 class CrystalGraph:
-    """Finite crystal with indexed path vertices and colored edge maps."""
+    """Finite crystal with indexed path vertices and per-color edge lists:
+    f_to[i][v] and e_to[i][v] are the targets of the color-i lowering and
+    raising edges at vertex v, or None where there is no edge."""
 
-    def __init__(self, rtype, highest_weight, vertices, f_edges, e_edges):
+    def __init__(self, rtype, highest_weight, vertices, f_to, e_to):
         self.rtype = rtype
         self.highest_weight = tuple(highest_weight)
         self.vertices = tuple(vertices)
-        self.f_edges = dict(f_edges)
-        self.e_edges = dict(e_edges)
+        self.f_to = f_to
+        self.e_to = e_to
         self._index = {p: k for k, p in enumerate(self.vertices)}
         self.weights = tuple(weight_int(p) for p in self.vertices)
 
     def __len__(self):
         return len(self.vertices)
 
+    @property
+    def f_edges(self) -> dict:
+        """The lowering edges as a {(v, i): w} map, sorted by (v, i)."""
+        return _edge_map(self.f_to, len(self))
+
+    @property
+    def e_edges(self) -> dict:
+        """The raising edges as a {(v, i): w} map, sorted by (v, i)."""
+        return _edge_map(self.e_to, len(self))
+
     def f(self, v: int, i: int):
         """Target of the color-i lowering edge at vertex v, or None."""
-        return self.f_edges.get((v, i))
+        return self.f_to[i][v]
 
     def e(self, v: int, i: int):
         """Target of the color-i raising edge at vertex v, or None."""
-        return self.e_edges.get((v, i))
+        return self.e_to[i][v]
 
     def weight(self, v: int):
         return self.weights[v]
@@ -72,11 +86,16 @@ class CrystalGraph:
         return self._index.get(path)
 
 
-def _record_edge(edges, key, value):
-    prev = edges.get(key)
-    if prev is not None and prev != value:
-        raise ModelIntegrityError(f"conflicting edge at {key}: {prev} vs {value}")
-    edges[key] = value
+def _edge_map(lists, n) -> dict:
+    colors = sorted(lists.items())
+    return {(v, i): t[v] for v in range(n) for i, t in colors if t[v] is not None}
+
+
+def _record_edge(targets, v, i, w):
+    prev = targets[v]
+    if prev is not None and prev != w:
+        raise ModelIntegrityError(f"conflicting edge at {(v, i)}: {prev} vs {w}")
+    targets[v] = w
 
 
 def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
@@ -89,8 +108,9 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     start = straight_path(t, lam)
     vertices = [start]
     index = {start: 0}
-    f_edges: dict = {}
-    e_edges: dict = {}
+    f_to = {i: [None] for i in t.nodes}
+    e_to = {i: [None] for i in t.nodes}
+    columns = tuple(f_to.values()) + tuple(e_to.values())
     queue = deque([0])
 
     def visit(path):
@@ -102,6 +122,8 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             vertices.append(path)
             index[path] = vid
             queue.append(vid)
+            for targets in columns:
+                targets.append(None)
         return vid
 
     while queue:
@@ -111,27 +133,24 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             lowered = root_f(pv, i)
             if lowered is not None:
                 w = visit(lowered)
-                f_edges[(v, i)] = w
-                _record_edge(e_edges, (w, i), v)
+                f_to[i][v] = w
+                _record_edge(e_to[i], w, i, v)
     if len(vertices) != dim:
         raise ModelIntegrityError(
             f"generated {len(vertices)} vertices but the Weyl dimension is {dim}"
         )
-    return CrystalGraph(t, lam, vertices, f_edges, e_edges)
+    return CrystalGraph(t, lam, vertices, f_to, e_to)
 
 
-def _string_length(graph, v, i, step):
+def _string_length(targets, v, limit):
     count = 0
-    cur = v
-    limit = len(graph) + 1
-    while True:
-        nxt = step(cur, i)
-        if nxt is None:
-            return count
-        cur = nxt
+    cur = targets[v]
+    while cur is not None:
         count += 1
         if count > limit:
             return None  # cycle; flagged by the caller
+        cur = targets[cur]
+    return count
 
 
 def verify_seminormal(graph: CrystalGraph) -> list:
@@ -146,48 +165,45 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     target, and None exactly where there is no e-edge ("raising-operator").
     """
     t = graph.rtype
+    weights, paths = graph.weights, graph.vertices
+    limit = len(graph) + 1
+    columns = [(i, simple_root(t, i), graph.f_to[i], graph.e_to[i]) for i in t.nodes]
     violations = []
+
+    def flag(axiom, v, i):
+        violations.append({"axiom": axiom, "vertex": v, "color": i})
+
     for v in range(len(graph)):
-        for i in t.nodes:
-            alpha = simple_root(t, i)
-            w = graph.f(v, i)
+        wt = weights[v]
+        for i, alpha, f_i, e_i in columns:
+            w = f_i[v]
             if w is not None:
-                if graph.e(w, i) != v:
-                    violations.append(
-                        {"axiom": "mutual-inverse", "vertex": v, "color": i}
-                    )
-                expected = tuple(x - a for x, a in zip(graph.weight(v), alpha))
-                if graph.weight(w) != expected:
-                    violations.append(
-                        {"axiom": "weight-ladder-f", "vertex": v, "color": i}
-                    )
-            u = graph.e(v, i)
+                if e_i[w] != v:
+                    flag("mutual-inverse", v, i)
+                if weights[w] != tuple(x - a for x, a in zip(wt, alpha)):
+                    flag("weight-ladder-f", v, i)
+            u = e_i[v]
             if u is not None:
-                if graph.f(u, i) != v:
-                    violations.append(
-                        {"axiom": "mutual-inverse", "vertex": v, "color": i}
-                    )
-                expected = tuple(x + a for x, a in zip(graph.weight(v), alpha))
-                if graph.weight(u) != expected:
-                    violations.append(
-                        {"axiom": "weight-ladder-e", "vertex": v, "color": i}
-                    )
-            eps = _string_length(graph, v, i, graph.e)
-            ph = _string_length(graph, v, i, graph.f)
+                if f_i[u] != v:
+                    flag("mutual-inverse", v, i)
+                if weights[u] != tuple(x + a for x, a in zip(wt, alpha)):
+                    flag("weight-ladder-e", v, i)
+            eps = _string_length(e_i, v, limit)
+            ph = _string_length(f_i, v, limit)
             if eps is None or ph is None:
-                violations.append({"axiom": "unbounded-string", "vertex": v, "color": i})
-            elif ph - eps != graph.weight(v)[i - 1]:
-                violations.append({"axiom": "string-law", "vertex": v, "color": i})
-            raised = root_e(graph.path(v), i)
-            if raised != (None if u is None else graph.path(u)):
-                violations.append({"axiom": "raising-operator", "vertex": v, "color": i})
+                flag("unbounded-string", v, i)
+            elif ph - eps != wt[i - 1]:
+                flag("string-law", v, i)
+            if root_e(paths[v], i) != (None if u is None else paths[u]):
+                flag("raising-operator", v, i)
     return violations
 
 
 class LeviView:
     """A crystal graph with edges restricted to a subset of colors.  Raises
     ModelIntegrityError unless each component, walked down the lowering
-    edges from its highest vertex, has one highest and one lowest vertex."""
+    edges from its highest vertex, has one highest and one lowest vertex.
+    walks[k] is (that breadth-first walk, the lowest vertex) of components[k]."""
 
     def __init__(self, graph: CrystalGraph, colors):
         colors = frozenset(colors)
@@ -195,39 +211,46 @@ class LeviView:
             raise DomainError(f"colors {sorted(colors)} not in {graph.rtype}")
         self.graph = graph
         self.colors = colors
+        lowering = [graph.f_to[i] for i in sorted(colors)]
+        raisable = {v for i in colors for v, u in enumerate(graph.e_to[i]) if u is not None}
         top_of = [None] * len(graph)
-        parts = {}
+        parts = []
         for top in range(len(graph)):
-            if any(graph.e(top, i) is not None for i in colors):
+            if top in raisable:
                 continue
-            comp, lows, queue = [], [], [top]
+            walk, lows, queue = [], [], [top]
             for v in queue:
-                if top_of[v] == top:
+                seen = top_of[v]
+                if seen == top:
                     continue
-                if top_of[v] is not None:
+                if seen is not None:
                     raise ModelIntegrityError(
                         f"normality violation: vertex {v} is below highest "
-                        f"vertices {top_of[v]} and {top}"
+                        f"vertices {seen} and {top}"
                     )
                 top_of[v] = top
-                comp.append(v)
-                below = [w for w in (graph.f(v, i) for i in colors) if w is not None]
-                if not below:
+                walk.append(v)
+                size = len(queue)
+                for targets in lowering:
+                    if targets[v] is not None:
+                        queue.append(targets[v])
+                if len(queue) == size:
                     lows.append(v)
-                queue.extend(below)
             if len(lows) != 1:
                 raise ModelIntegrityError(
                     f"normality violation: {len(lows)} lowest vertices below {top}"
                 )
-            parts[top] = (tuple(sorted(comp)), lows[0])
+            parts.append((tuple(sorted(walk)), lows[0], tuple(walk)))
         if None in top_of:
             raise ModelIntegrityError(
                 f"normality violation: vertex {top_of.index(None)} is below no "
                 "highest vertex"
             )
-        self.components = tuple(sorted(comp for comp, _ in parts.values()))
+        parts.sort()
+        self.components = tuple(comp for comp, _, _ in parts)
+        self.walks = tuple((walk, low) for _, low, walk in parts)
         self._top_of = top_of
-        self._parts = parts
+        self._parts = {walk[0]: (comp, low) for comp, low, walk in parts}
 
     def component_of(self, v: int) -> tuple:
         if not 0 <= v < len(self.graph):

@@ -1,5 +1,6 @@
 """Closure under lowering and raising operators, and Levi components by
-undirected search, kept as test oracles for generate and LeviView.
+undirected search, kept as test oracles for generate and LeviView, and
+crystal graphs built from {(v, i): w} edge maps.
 
 The closure applies root_f and then root_e at every vertex, colors
 ascending, and records both edge maps from both operators.  The components
@@ -10,8 +11,26 @@ found by scanning the whole component.
 
 from collections import deque
 
-from pathcrystals.crystal import CrystalGraph, _record_edge
+from pathcrystals.crystal import CrystalGraph
+from pathcrystals.errors import ModelIntegrityError
 from pathcrystals.paths import is_integral, root_e, root_f, straight_path
+
+
+def graph_from_edges(t, lam, vertices, f_edges, e_edges) -> CrystalGraph:
+    """A graph from {(v, i): w} maps of its lowering and raising edges."""
+    f_to = {i: [None] * len(vertices) for i in t.nodes}
+    e_to = {i: [None] * len(vertices) for i in t.nodes}
+    for edges, lists in ((f_edges, f_to), (e_edges, e_to)):
+        for (v, i), w in edges.items():
+            lists[i][v] = w
+    return CrystalGraph(t, lam, vertices, f_to, e_to)
+
+
+def _record_edge(edges, key, value):
+    prev = edges.get(key)
+    if prev is not None and prev != value:
+        raise ModelIntegrityError(f"conflicting edge at {key}: {prev} vs {value}")
+    edges[key] = value
 
 
 def generate_by_both_operators(t, lam) -> CrystalGraph:
@@ -47,7 +66,7 @@ def generate_by_both_operators(t, lam) -> CrystalGraph:
                 u = visit(raised)
                 _record_edge(e_edges, (v, i), u)
                 _record_edge(f_edges, (u, i), v)
-    return CrystalGraph(t, tuple(lam), vertices, f_edges, e_edges)
+    return graph_from_edges(t, tuple(lam), vertices, f_edges, e_edges)
 
 
 def _extremal(graph, colors, comp, step):

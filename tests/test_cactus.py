@@ -1,8 +1,19 @@
 import json
+from itertools import product
 
 import pytest
-from closure_oracle import levi_by_undirected_search
-from xi_oracle import xi_perm_by_words
+from closure_oracle import graph_from_edges, levi_by_undirected_search
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import SIZE_CASES
+from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
+from xi_oracle import (
+    levi_by_vertex_scan,
+    relation_violations_by_loops,
+    schutzenberger,
+    xi_perm_by_bfs,
+    xi_perm_by_words,
+)
 
 from pathcrystals import cactus
 from pathcrystals.cactus import (
@@ -19,8 +30,9 @@ from pathcrystals.cartan import (
     all_nodes,
     connected_subdiagrams,
     w0J_apply,
+    weyl_dim,
 )
-from pathcrystals.crystal import CrystalGraph, generate, levi
+from pathcrystals.crystal import generate, levi
 from pathcrystals.errors import DomainError, ModelIntegrityError
 
 A1 = DynkinType("A", 1)
@@ -137,17 +149,22 @@ def test_levi_matches_undirected_search(t, lam):
             assert all(view.component_of(v) == comp for v in comp)
 
 
-@pytest.mark.parametrize(
-    "t,lam,first,second", [(A2, (1, 1), (2, 2), (3, 2)), (C2, (1, 1), (3, 2), (8, 2))]
-)
+INCONSISTENT_RAISING = [(A2, (1, 1), (2, 2), (3, 2)), (C2, (1, 1), (3, 2), (8, 2))]
+
+
+def _swap_raising_edges(t, lam, first, second):
+    g = generate(t, lam)
+    e_edges = dict(g.e_edges)
+    e_edges[first], e_edges[second] = e_edges[second], e_edges[first]
+    return graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
+
+
+@pytest.mark.parametrize("t,lam,first,second", INCONSISTENT_RAISING)
 def test_xi_rejects_inconsistent_raising_edges(t, lam, first, second):
     # swapping the targets of two color-2 raising edges still gives a
     # permutation along any one lowering word, but two edges into one vertex
     # disagree; in the C2 case only edges outside the BFS tree see it
-    g = generate(t, lam)
-    e_edges = dict(g.e_edges)
-    e_edges[first], e_edges[second] = e_edges[second], e_edges[first]
-    bad = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
+    bad = _swap_raising_edges(t, lam, first, second)
     with pytest.raises(ModelIntegrityError):
         xi_perm(bad, {1, 2})
 
@@ -214,11 +231,8 @@ def test_report_records_are_json_serializable():
     assert json.loads(json.dumps(report)) == report
 
 
-def test_relation_violations_carry_witness(monkeypatch):
-    # shifting the values of the {1} generator cyclically breaks all three
-    # relations: its square, its commutation with {3}, and its conjugation
-    # by the full generator
-    g = generate(A3, (0, 1, 0))
+def _shift_generator_one(monkeypatch):
+    """Make xi_perm shift the values of the {1} generator cyclically."""
     real_xi_perm = cactus.xi_perm
 
     def corrupted(graph, colors):
@@ -228,6 +242,103 @@ def test_relation_violations_carry_witness(monkeypatch):
         return perm
 
     monkeypatch.setattr(cactus, "xi_perm", corrupted)
+
+
+def test_relation_violations_carry_witness(monkeypatch):
+    # shifting the values of the {1} generator cyclically breaks all three
+    # relations: its square, its commutation with {3}, and its conjugation
+    # by the full generator
+    g = generate(A3, (0, 1, 0))
+    _shift_generator_one(monkeypatch)
     report = verify_cactus_relations(g)
     assert {r["relation"] for r in report} == {1, 2, 3}
     assert all(0 <= r["witness_vertex"] < len(g) for r in report)
+
+
+# the crystals of WORD_CASES and every crystal the acceptance criteria build
+XI_CASES = WORD_CASES + SHAPE_CASES
+
+
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_xi_perm_matches_bfs_oracle(t, lam):
+    g = generate(t, lam)
+    for sub in connected_subdiagrams(t):
+        assert xi_perm(g, sub) == xi_perm_by_bfs(g, sub)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("t,lam,first,second", INCONSISTENT_RAISING)
+def test_xi_errors_match_bfs_oracle_on_inconsistent_raising_edges(t, lam, first, second):
+    bad = _swap_raising_edges(t, lam, first, second)
+    expected = _outcome(xi_perm_by_bfs, bad, {1, 2})
+    assert expected[0] is ModelIntegrityError
+    assert _outcome(xi_perm, bad, {1, 2}) == expected
+
+
+@pytest.mark.parametrize("t,lam,f_edges,e_edges", BROKEN_COMPONENTS)
+def test_levi_errors_match_vertex_scan_oracle_on_broken_components(t, lam, f_edges, e_edges):
+    g = generate(t, lam)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    expected = _outcome(levi_by_vertex_scan, broken, all_nodes(t))
+    assert expected[0] is ModelIntegrityError
+    assert _outcome(lambda: levi(broken, t.nodes).components) == expected
+    assert _outcome(xi_perm, broken, t.nodes) == expected
+    assert _outcome(xi_perm_by_bfs, broken, t.nodes) == expected
+
+
+@pytest.mark.parametrize("t,lam", [(A3, (0, 1, 0))] + WORD_CASES)
+def test_relation_violations_match_loop_oracle(monkeypatch, t, lam):
+    # the same records in the same order as the checker that looped over
+    # all pairs of subdiagrams, on a broken {1} generator
+    g = generate(t, lam)
+    _shift_generator_one(monkeypatch)
+    perms = {s: cactus.xi_perm(g, s) for s in connected_subdiagrams(t)}
+    expected = relation_violations_by_loops(t, perms, identity_perm(g))
+    assert expected and verify_cactus_relations(g) == expected
+
+
+@pytest.mark.parametrize("t,lam", [(t, lam) for t, lam, _ in SIZE_CASES] + SHAPE_CASES)
+def test_xi_full_diagram_matches_schutzenberger_closed_form(t, lam):
+    g = generate(t, lam)
+    images = [g.find(schutzenberger(g.path(b))) for b in range(len(g))]
+    assert images == list(xi_perm(g, all_nodes(t)))
+
+
+def test_schutzenberger_closed_form_rejects_swapped_images():
+    g = generate(C2, (1, 1))
+    perm = list(xi_perm(g, all_nodes(C2)))
+    perm[0], perm[1] = perm[1], perm[0]
+    images = [g.find(schutzenberger(g.path(b))) for b in range(len(g))]
+    assert [b for b in range(len(g)) if images[b] != perm[b]] == [0, 1]
+
+
+HYPOTHESIS_TYPES = [DynkinType(*name) for name in (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6),
+)]
+# every (type, dominant weight with entries 0-2) whose crystal has at most
+# 150 vertices
+SMALL_CRYSTALS = [
+    (t, lam)
+    for t in HYPOTHESIS_TYPES
+    for lam in product(range(3), repeat=t.rank)
+    if weyl_dim(t, lam) <= 150
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(SMALL_CRYSTALS))
+def test_xi_perm_is_an_involution_matching_bfs_oracle(case):
+    t, lam = case
+    g = generate(t, lam)
+    ident = identity_perm(g)
+    for sub in connected_subdiagrams(t):
+        perm = xi_perm(g, sub)
+        assert compose(perm, perm) == ident
+        assert perm == xi_perm_by_bfs(g, sub)

@@ -4,14 +4,13 @@ from collections import Counter
 
 import paths_oracle
 import pytest
-from closure_oracle import generate_by_both_operators
+from closure_oracle import generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal
 from pathcrystals.cartan import DynkinType, reflect, weyl_dim
 from pathcrystals.crystal import (
-    CrystalGraph,
     export_dot,
     export_json,
     generate,
@@ -81,7 +80,7 @@ def test_seminormal_detects_deleted_edge():
     g = generate(A1, (2,))
     broken_f = dict(g.f_edges)
     del broken_f[(0, 1)]
-    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, broken_f, g.e_edges)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, broken_f, g.e_edges)
     violations = verify_seminormal(broken)
     assert any(v["axiom"] == "mutual-inverse" for v in violations)
 
@@ -200,7 +199,7 @@ def test_seminormal_detects_doctored_e_edge():
     g = generate(A1, (2,))
     bad_e = dict(g.e_edges)
     bad_e[(1, 1)] = 1
-    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, bad_e)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, bad_e)
     assert verify_seminormal(broken) != []
 
 
@@ -237,7 +236,7 @@ def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     digest = _sha256(export_json(g))
     monkeypatch.setattr(crystal, "path_to_json", paths_oracle.path_to_json)
     monkeypatch.setattr(crystal, "weight_int", paths_oracle.weight_int)
-    oracle = CrystalGraph(t, lam, vertices, f_edges, e_edges)
+    oracle = graph_from_edges(t, lam, vertices, f_edges, e_edges)
     assert _sha256(export_json(oracle)) == digest
 
 
@@ -271,25 +270,25 @@ def test_seminormal_checks_raising_operator_target():
     )
     e_edges = dict(g.e_edges)
     e_edges[(v, 1)], e_edges[(w, 1)] = e_edges[(w, 1)], e_edges[(v, 1)]
-    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
     records = [r for r in verify_seminormal(broken) if r["axiom"] == "raising-operator"]
     assert [(r["vertex"], r["color"]) for r in records] == [(v, 1), (w, 1)]
 
 
-@pytest.mark.parametrize(
-    "t,lam,f_edges,e_edges",
-    [
-        # e-edge (1, 1) dropped: vertex 2 is below highest vertices 0 and 1
-        (A1, (2,), {(0, 1): 1, (1, 1): 2}, {(2, 1): 1}),
-        # vertex 0 lowered along both colors: two lowest vertices below it
-        (A2, (1, 0), {(0, 1): 1, (0, 2): 2}, {(1, 1): 0, (2, 2): 0}),
-        # a cycle 1 <-> 2 away from vertex 0: both are below no highest vertex
-        (A1, (2,), {(1, 1): 2, (2, 1): 1}, {(1, 1): 2, (2, 1): 1}),
-    ],
-)
+BROKEN_COMPONENTS = [
+    # e-edge (1, 1) dropped: vertex 2 is below highest vertices 0 and 1
+    (A1, (2,), {(0, 1): 1, (1, 1): 2}, {(2, 1): 1}),
+    # vertex 0 lowered along both colors: two lowest vertices below it
+    (A2, (1, 0), {(0, 1): 1, (0, 2): 2}, {(1, 1): 0, (2, 2): 0}),
+    # a cycle 1 <-> 2 away from vertex 0: both are below no highest vertex
+    (A1, (2,), {(1, 1): 2, (2, 1): 1}, {(1, 1): 2, (2, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("t,lam,f_edges,e_edges", BROKEN_COMPONENTS)
 def test_levi_rejects_broken_components(t, lam, f_edges, e_edges):
     g = generate(t, lam)
-    broken = CrystalGraph(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
     with pytest.raises(ModelIntegrityError):
         levi(broken, t.nodes)
 

@@ -1,13 +1,32 @@
-"""Word-based partial involution, kept as a test oracle for xi_perm.
+"""Partial involutions and cactus relations computed by earlier algorithms,
+kept as test oracles for xi_perm and the relation checker.
 
-A vertex b is written as a lowering word applied to the highest vertex of its
-Levi component (LeviView.f_word, with BFS parent chains in ascending or
-descending color order); its image is the twisted raising word applied to the
-lowest vertex of that component.  This is quadratic in the component size.
+xi_perm_by_words writes a vertex b as a lowering word applied to the highest
+vertex of its Levi component (LeviView.f_word, with BFS parent chains in
+ascending or descending color order); its image is the twisted raising word
+applied to the lowest vertex of that component.  This is quadratic in the
+component size.
+
+xi_perm_by_bfs is the edge propagation of xi_perm as it stood before the
+graph kept per-color edge lists: the Levi components come from a scan of
+every vertex for raising edges and one walk down from each highest vertex
+(levi_by_vertex_scan), and each component is then walked a second time,
+breadth-first over graph.f and graph.e.  It raises the same errors with the
+same messages.  relation_violations_by_loops is the relation checker that
+looped over all pairs of subdiagrams on every call.
+
+schutzenberger is the closed form of the involution for the whole diagram on
+the path model, S(pi)(t) = theta(pi(1 - t) - pi(1)): Littelmann's dual path
+swaps f_i and e_i, and -w0 relabels the colors by the diagram automorphism
+theta of the whole diagram, which permutes fundamental-weight coordinates.
 """
 
-from pathcrystals.cartan import theta
+from collections import deque
+
+from pathcrystals.cartan import all_nodes, components, is_connected, node_mask, theta
 from pathcrystals.crystal import levi
+from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.paths import PLPath, canonicalize
 
 
 def _apply_raising_word(graph, start, word, twist):
@@ -29,3 +48,138 @@ def xi_perm_by_words(graph, colors, descending=False) -> tuple:
             word = view.f_word(comp, b, descending)
             out[b] = _apply_raising_word(graph, lowest, word, twist)
     return tuple(out)
+
+
+def levi_by_vertex_scan(graph, colors):
+    """(components, highest, lowest) of the Levi restriction, the last two
+    keyed by component, raising ModelIntegrityError on a component without
+    one highest and one lowest vertex."""
+    top_of = [None] * len(graph)
+    parts = {}
+    for top in range(len(graph)):
+        if any(graph.e(top, i) is not None for i in colors):
+            continue
+        comp, lows, queue = [], [], [top]
+        for v in queue:
+            if top_of[v] == top:
+                continue
+            if top_of[v] is not None:
+                raise ModelIntegrityError(
+                    f"normality violation: vertex {v} is below highest "
+                    f"vertices {top_of[v]} and {top}"
+                )
+            top_of[v] = top
+            comp.append(v)
+            below = [w for w in (graph.f(v, i) for i in colors) if w is not None]
+            if not below:
+                lows.append(v)
+            queue.extend(below)
+        if len(lows) != 1:
+            raise ModelIntegrityError(
+                f"normality violation: {len(lows)} lowest vertices below {top}"
+            )
+        parts[top] = (tuple(sorted(comp)), lows[0])
+    if None in top_of:
+        raise ModelIntegrityError(
+            f"normality violation: vertex {top_of.index(None)} is below no "
+            "highest vertex"
+        )
+    comps = tuple(sorted(comp for comp, _ in parts.values()))
+    highest = {comp: top for top, (comp, _) in parts.items()}
+    lowest = {comp: low for comp, low in parts.values()}
+    return comps, highest, lowest
+
+
+def xi_perm_by_bfs(graph, colors) -> tuple:
+    colors = frozenset(colors)
+    if not colors or not is_connected(graph.rtype, colors):
+        raise DomainError("xi_perm needs a nonempty connected color set")
+    comps, highest, lowest = levi_by_vertex_scan(graph, colors)
+    twist = theta(graph.rtype, colors)
+    order = sorted(colors)
+    out = [None] * len(graph)
+    for comp in comps:
+        top = highest[comp]
+        out[top] = lowest[comp]
+        queue = deque([top])
+        while queue:
+            v = queue.popleft()
+            for i in order:
+                w = graph.f(v, i)
+                if w is None:
+                    continue
+                image = graph.e(out[v], twist[i])
+                if image is None or out[w] not in (None, image):
+                    raise ModelIntegrityError(
+                        f"involution image of vertex {w} is inconsistent along color {i}"
+                    )
+                if out[w] is None:
+                    out[w] = image
+                    queue.append(w)
+    if set(out) != set(range(len(graph))):
+        raise ModelIntegrityError("involution image is not a permutation")
+    return tuple(out)
+
+
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def _first_difference(p, q):
+    for v, (a, b) in enumerate(zip(p, q)):
+        if a != b:
+            return v
+    return None
+
+
+def _theta_image(t, outer, inner):
+    twist = theta(t, outer)
+    return frozenset(twist[j] for j in inner)
+
+
+def relation_violations_by_loops(t, perms: dict, ident: tuple) -> list:
+    violations = []
+
+    def record(relation, outer, inner, left, right):
+        violations.append(
+            {
+                "relation": relation,
+                "I": sorted(outer),
+                "J": sorted(inner),
+                "witness_vertex": _first_difference(left, right),
+            }
+        )
+
+    for s in perms:
+        square = _compose(perms[s], perms[s])
+        if square != ident:
+            record(1, s, s, square, ident)
+    for a in perms:
+        for b in perms:
+            if node_mask(a) >= node_mask(b):
+                continue
+            if len(components(t, a | b)) < 2:
+                continue
+            left = _compose(perms[a], perms[b])
+            right = _compose(perms[b], perms[a])
+            if left != right:
+                record(2, a, b, left, right)
+    for outer in perms:
+        for inner in perms:
+            if not inner <= outer:
+                continue
+            left = _compose(perms[outer], perms[inner])
+            right = _compose(perms[_theta_image(t, outer, inner)], perms[outer])
+            if left != right:
+                record(3, outer, inner, left, right)
+    return violations
+
+
+def schutzenberger(path: PLPath) -> PLPath:
+    """The canonical path t -> theta(path(1 - t) - path(1))."""
+    t = path.rtype
+    source = [theta(t, all_nodes(t))[k] - 1 for k in t.nodes]
+    end = path.points[-1]
+    times = tuple(path.den - x for x in reversed(path.times))
+    points = tuple(tuple(q[j] - end[j] for j in source) for q in reversed(path.points))
+    return canonicalize(PLPath(t, path.den, times, points))
