@@ -1,0 +1,54 @@
+"""The semi-normal axiom checker as it stood before the graph kept per-color
+edge lists, kept as a test oracle for verify_seminormal: it reads every edge
+through graph.f and graph.e and looks up the simple root at every vertex and
+color.
+"""
+
+from pathcrystals.cartan import simple_root
+from pathcrystals.paths import root_e
+
+
+def _string_length(graph, v, i, step):
+    count = 0
+    cur = v
+    limit = len(graph) + 1
+    while True:
+        nxt = step(cur, i)
+        if nxt is None:
+            return count
+        cur = nxt
+        count += 1
+        if count > limit:
+            return None
+
+
+def seminormal_by_lookups(graph) -> list:
+    t = graph.rtype
+    violations = []
+    for v in range(len(graph)):
+        for i in t.nodes:
+            alpha = simple_root(t, i)
+            w = graph.f(v, i)
+            if w is not None:
+                if graph.e(w, i) != v:
+                    violations.append({"axiom": "mutual-inverse", "vertex": v, "color": i})
+                expected = tuple(x - a for x, a in zip(graph.weight(v), alpha))
+                if graph.weight(w) != expected:
+                    violations.append({"axiom": "weight-ladder-f", "vertex": v, "color": i})
+            u = graph.e(v, i)
+            if u is not None:
+                if graph.f(u, i) != v:
+                    violations.append({"axiom": "mutual-inverse", "vertex": v, "color": i})
+                expected = tuple(x + a for x, a in zip(graph.weight(v), alpha))
+                if graph.weight(u) != expected:
+                    violations.append({"axiom": "weight-ladder-e", "vertex": v, "color": i})
+            eps = _string_length(graph, v, i, graph.e)
+            ph = _string_length(graph, v, i, graph.f)
+            if eps is None or ph is None:
+                violations.append({"axiom": "unbounded-string", "vertex": v, "color": i})
+            elif ph - eps != graph.weight(v)[i - 1]:
+                violations.append({"axiom": "string-law", "vertex": v, "color": i})
+            raised = root_e(graph.path(v), i)
+            if raised != (None if u is None else graph.path(u)):
+                violations.append({"axiom": "raising-operator", "vertex": v, "color": i})
+    return violations

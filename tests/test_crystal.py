@@ -6,6 +6,7 @@ import paths_oracle
 import pytest
 from closure_oracle import generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
+from seminormal_oracle import seminormal_by_lookups
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal
@@ -332,3 +333,31 @@ def test_freudenthal_rejects_a_moved_weight():
     weights[v] = weights[0]
     assert len(weights) == weyl_dim(C2, (1, 1)) and set(weights) == set(g.weights)
     assert Counter(weights) != weight_multiset(C2, (1, 1))
+
+
+def _broken_graphs():
+    """Generated graphs with edited edge maps: an edge deleted, a raising
+    edge pointing back at its source, two raising edges swapped, and the
+    broken Levi components (a vertex with two highest vertices above it, a
+    vertex with two lowest below it, a cycle)."""
+    a1 = generate(A1, (2,))
+    c2 = generate(C2, (1, 1))
+    deleted = dict(a1.f_edges)
+    del deleted[(0, 1)]
+    looped = dict(a1.e_edges)
+    looped[(1, 1)] = 1
+    swapped = dict(c2.e_edges)
+    swapped[(3, 2)], swapped[(8, 2)] = swapped[(8, 2)], swapped[(3, 2)]
+    edits = [(a1, deleted, a1.e_edges), (a1, a1.f_edges, looped), (c2, c2.f_edges, swapped)]
+    edits += [(generate(t, lam), f, e) for t, lam, f, e in BROKEN_COMPONENTS]
+    return [graph_from_edges(g.rtype, g.highest_weight, g.vertices, f, e) for g, f, e in edits]
+
+
+def test_seminormal_matches_lookup_oracle():
+    graphs = [generate(t, lam) for t, lam in CLOSURE_CASES] + _broken_graphs()
+    broken = 0
+    for g in graphs:
+        expected = seminormal_by_lookups(g)
+        broken += bool(expected)
+        assert verify_seminormal(g) == expected
+    assert broken == 6
