@@ -63,7 +63,6 @@ from .paths import (
     PLPath,
     canonicalize,
     epsilon,
-    h_function,
     path_from_json,
     path_to_json,
     paths_equal,
@@ -71,7 +70,6 @@ from .paths import (
     root_e,
     root_f,
     straight_path,
-    weight,
     weight_int,
 )
 

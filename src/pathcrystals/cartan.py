@@ -291,10 +291,6 @@ def is_connected(t: DynkinType, nodes) -> bool:
     return len(components(t, nodes)) == 1
 
 
-def is_dominant(mu: Weight) -> bool:
-    return all(x >= 0 for x in mu)
-
-
 def _pair_with_covector(t, d, coeffs, mu) -> Fraction:
     """<mu, alpha^vee> for alpha given by root-basis coefficients."""
     a = cartan_matrix(t)
@@ -314,7 +310,7 @@ def weyl_dim(t: DynkinType, lam: Weight) -> int:
     exactly by the Weyl dimension formula.  Used as the independent size
     oracle for generated crystals."""
     lam = tuple(lam)
-    if len(lam) != t.rank or not is_dominant(lam):
+    if len(lam) != t.rank or any(x < 0 for x in lam):
         raise DomainError(f"weyl_dim needs a dominant weight of length {t.rank}")
     d = symmetrizer(t)
     rho = (1,) * t.rank

@@ -22,7 +22,7 @@ from .cartan import (
     positive_roots,
     theta,
 )
-from .crystal import export_dot, export_json, generate, levi, verify_seminormal
+from .crystal import DEFAULT_MAX_SIZE, export_dot, export_json, generate, levi, verify_seminormal
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -30,7 +30,6 @@ from .errors import (
     NotInImageError,
 )
 from .folding import (
-    DEFAULT_MAX_SIZE,
     _embedding,
     fold_info,
     folding_pair,

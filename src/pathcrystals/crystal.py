@@ -39,6 +39,8 @@ from .paths import (
     weight_int,
 )
 
+DEFAULT_MAX_SIZE = 20000
+
 
 class CrystalGraph:
     """Finite crystal with indexed path vertices and per-color edge lists:
@@ -74,9 +76,6 @@ class CrystalGraph:
     def e(self, v: int, i: int):
         """Target of the color-i raising edge at vertex v, or None."""
         return self.e_to[i][v]
-
-    def weight(self, v: int):
-        return self.weights[v]
 
     def path(self, v: int) -> PLPath:
         return self.vertices[v]
@@ -304,7 +303,7 @@ def export_json(graph: CrystalGraph) -> str:
         "vertices": [
             {
                 "id": v,
-                "weight": list(graph.weight(v)),
+                "weight": list(graph.weights[v]),
                 "path": path_to_json(graph.path(v)),
             }
             for v in range(len(graph))
@@ -333,7 +332,7 @@ def export_dot(graph: CrystalGraph) -> str:
     """Graphviz digraph with one edge per lowering edge, colored by node."""
     lines = ["digraph crystal {"]
     for v in range(len(graph)):
-        label = f"{v}: ({','.join(str(x) for x in graph.weight(v))})"
+        label = f"{v}: ({','.join(str(x) for x in graph.weights[v])})"
         lines.append(f'  n{v} [label="{label}"];')
     for (v, i), w in sorted(graph.f_edges.items()):
         color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]

@@ -37,7 +37,7 @@ from .cartan import (
     symmetrizer,
     theta,
 )
-from .crystal import generate
+from .crystal import DEFAULT_MAX_SIZE, generate
 from .errors import ConfigurationError, ModelIntegrityError, NotInImageError
 from .paths import (
     PLPath,
@@ -49,7 +49,6 @@ from .paths import (
 )
 
 DEFAULT_MAX_RANK = 4
-DEFAULT_MAX_SIZE = 20000
 
 
 class FoldingPair:
@@ -168,19 +167,19 @@ def _check_orbit_structure(x, y, sigma, aut):
                 )
 
 
-def folding_pair(x, max_rank: int = DEFAULT_MAX_RANK) -> FoldingPair:
+def folding_pair(x) -> FoldingPair:
     """Folding data for a source type among C_n, B_n, G_2, F_4.
 
-    The rank is capped (configurable) to keep generated target models at
-    desk scale.  Construction validates the orbit structure, takes the
+    The rank is capped at DEFAULT_MAX_RANK to keep generated target models
+    at desk scale.  Construction validates the orbit structure, takes the
     scaling exponents from the source symmetrizer, and checks the defining
     root identity exactly.
     """
     if isinstance(x, str):
         x = DynkinType.parse(x)
-    if x.rank > max_rank:
+    if x.rank > DEFAULT_MAX_RANK:
         raise ConfigurationError(
-            f"rank {x.rank} above the configured cap {max_rank}"
+            f"rank {x.rank} above the configured cap {DEFAULT_MAX_RANK}"
         )
     y, sigma, aut, branch = _fold_table(x)
     gamma = dict(zip(x.nodes, symmetrizer(x)))

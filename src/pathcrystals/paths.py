@@ -56,17 +56,6 @@ class PLPath:
             for t, p in zip(self.times, self.points)
         )
 
-    def value(self, time) -> tuple:
-        """Exact evaluation at a rational time in [0, 1]."""
-        time = Fraction(time)
-        if not 0 <= time <= 1:
-            raise DomainError(f"time {time} outside [0, 1]")
-        bps = self.breakpoints
-        for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
-            if time <= t1:
-                frac = (time - t0) / (t1 - t0)
-                return tuple(a + frac * (b - a) for a, b in zip(p0, p1))
-
 
 def _validate(path: PLPath) -> None:
     times = path.times
@@ -129,24 +118,12 @@ def straight_path(t: DynkinType, lam) -> PLPath:
     return PLPath.from_breakpoints(t, ((0, (0,) * t.rank), (1, lam)))
 
 
-def weight(path: PLPath) -> tuple:
-    """Endpoint of the path (its weight), as Fractions."""
-    return tuple(Fraction(c, path.den) for c in path.points[-1])
-
-
 def weight_int(path: PLPath) -> tuple:
     """Endpoint as an integer vector; raises if it is not integral."""
     den, end = path.den, path.points[-1]
     if any(c % den for c in end):
         raise ModelIntegrityError("non-integral path weight")
     return tuple(c // den for c in end)
-
-
-def h_function(path: PLPath, i: int) -> tuple:
-    """The coordinate function of color i as (time, value) breakpoint pairs."""
-    if i not in path.rtype.nodes:
-        raise DomainError(f"node {i} not in {path.rtype}")
-    return tuple((t, p[i - 1]) for t, p in path.breakpoints)
 
 
 def _guard_integer(x: int, den: int, what: str) -> int:
@@ -158,18 +135,15 @@ def _guard_integer(x: int, den: int, what: str) -> int:
 def epsilon(path: PLPath, i: int) -> int:
     """Number of defined raising steps in color i (closed form: minus the
     minimum of the coordinate function)."""
-    m = min(p[i - 1] for p in path.points)
-    return -_guard_integer(m, path.den, f"minimum of H_{i}")
+    _, m = _heights(path, i)
+    return -m // path.den
 
 
 def phi(path: PLPath, i: int) -> int:
     """Number of defined lowering steps in color i (closed form: endpoint
     value minus the minimum)."""
-    m = min(p[i - 1] for p in path.points)
-    _guard_integer(m, path.den, f"minimum of H_{i}")
-    return _guard_integer(
-        path.points[-1][i - 1] - m, path.den, f"endpoint of H_{i} minus its minimum"
-    )
+    h, m = _heights(path, i)
+    return _guard_integer(h[-1] - m, path.den, f"endpoint of H_{i} minus its minimum")
 
 
 def is_integral(path: PLPath) -> bool:
@@ -191,7 +165,8 @@ def is_integral(path: PLPath) -> bool:
 
 
 def _heights(path: PLPath, i: int):
-    """H_i at every breakpoint and its minimum, after the operators' input checks."""
+    """H_i at every breakpoint and its minimum, after the input checks that the
+    root operators and the string statistics share."""
     if i not in path.rtype.nodes:
         raise DomainError(f"node {i} not in {path.rtype}")
     _check_origin(path)

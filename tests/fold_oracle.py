@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from pathcrystals import folding
 from pathcrystals.cartan import cartan_matrix, connected_subdiagrams, neighbors
-from pathcrystals.crystal import generate
+from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import NotInImageError
 from pathcrystals.paths import paths_equal
 
@@ -56,7 +56,7 @@ def _image_table(fold, gx, gy):
     return images, problems
 
 
-def verify_commutative_diagram_by_paths(fold, lam, max_size=folding.DEFAULT_MAX_SIZE):
+def verify_commutative_diagram_by_paths(fold, lam, max_size=DEFAULT_MAX_SIZE):
     virtualize = folding.virtualize_path
     x = fold.x_type
     gx = generate(x, lam, max_size=max_size)

@@ -11,7 +11,10 @@ and alpha_i on the tail, root_e subtracts (H - (m + 1)) * alpha_i on the
 window and adds alpha_i on the tail.  _with_time returns a breakpoint tuple
 and keeps scanning after it has inserted the new time.  closure builds a
 crystal's vertices and edge maps by the same breadth-first search as
-generate, with these operators.
+generate, with these operators.  epsilon and phi are the closed forms as the
+package had them before they shared the operators' input checks: they take
+the minimum of the coordinate function and guard its integrality, and check
+neither the color nor the origin.  value evaluates a path pointwise.
 """
 
 from collections import deque
@@ -110,6 +113,30 @@ def is_integral(path) -> bool:
                 if compressed[k].denominator != 1:
                     return False
     return True
+
+
+def value(path, time) -> tuple:
+    """Exact evaluation at a rational time in [0, 1]."""
+    time = Fraction(time)
+    if not 0 <= time <= 1:
+        raise DomainError(f"time {time} outside [0, 1]")
+    bps = path.breakpoints
+    for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
+        if time <= t1:
+            frac = (time - t0) / (t1 - t0)
+            return tuple(a + frac * (b - a) for a, b in zip(p0, p1))
+
+
+def epsilon(path, i: int) -> int:
+    """Minus the minimum of the coordinate function of color i."""
+    return -_guard_integer(min(_h_values(path, i)), f"minimum of H_{i}")
+
+
+def phi(path, i: int) -> int:
+    """Endpoint value of the coordinate function of color i minus its minimum."""
+    h = _h_values(path, i)
+    m = _guard_integer(min(h), f"minimum of H_{i}")
+    return _guard_integer(h[-1] - m, f"endpoint of H_{i} minus its minimum")
 
 
 def path_to_json(path) -> dict:

@@ -32,21 +32,21 @@ def seminormal_by_lookups(graph) -> list:
             if w is not None:
                 if graph.e(w, i) != v:
                     violations.append({"axiom": "mutual-inverse", "vertex": v, "color": i})
-                expected = tuple(x - a for x, a in zip(graph.weight(v), alpha))
-                if graph.weight(w) != expected:
+                expected = tuple(x - a for x, a in zip(graph.weights[v], alpha))
+                if graph.weights[w] != expected:
                     violations.append({"axiom": "weight-ladder-f", "vertex": v, "color": i})
             u = graph.e(v, i)
             if u is not None:
                 if graph.f(u, i) != v:
                     violations.append({"axiom": "mutual-inverse", "vertex": v, "color": i})
-                expected = tuple(x + a for x, a in zip(graph.weight(v), alpha))
-                if graph.weight(u) != expected:
+                expected = tuple(x + a for x, a in zip(graph.weights[v], alpha))
+                if graph.weights[u] != expected:
                     violations.append({"axiom": "weight-ladder-e", "vertex": v, "color": i})
             eps = _string_length(graph, v, i, graph.e)
             ph = _string_length(graph, v, i, graph.f)
             if eps is None or ph is None:
                 violations.append({"axiom": "unbounded-string", "vertex": v, "color": i})
-            elif ph - eps != graph.weight(v)[i - 1]:
+            elif ph - eps != graph.weights[v][i - 1]:
                 violations.append({"axiom": "string-law", "vertex": v, "color": i})
             raised = root_e(graph.path(v), i)
             if raised != (None if u is None else graph.path(u)):

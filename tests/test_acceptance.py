@@ -103,7 +103,7 @@ def test_criterion_03_partial_involutions():
                     failures.append((str(t), lam, sorted(sub), "word-oracle", descending))
             twist = theta(t, sub)
             for v in range(len(graph)):
-                if graph.weight(perm[v]) != w0J_apply(t, sub, graph.weight(v)):
+                if graph.weights[perm[v]] != w0J_apply(t, sub, graph.weights[v]):
                     failures.append((str(t), lam, sorted(sub), "weight-twist", v))
                 for j in sub:
                     lowered = graph.f(v, j)

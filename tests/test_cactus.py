@@ -103,7 +103,7 @@ def test_xi_involution_weight_twist_intertwining(t, lam):
         assert compose(perm, perm) == ident
         twist = diagram_theta(t, sub)
         for v in range(len(g)):
-            assert g.weight(perm[v]) == w0J_apply(t, sub, g.weight(v))
+            assert g.weights[perm[v]] == w0J_apply(t, sub, g.weights[v])
             for j in sub:
                 w = g.f(v, j)
                 image = g.e(perm[v], twist[j])

@@ -117,7 +117,7 @@ def test_highest_lowest_of_full_view():
     view = levi(g, {1, 2})
     comp = view.components[0]
     assert view.highest_of(comp) == 0
-    assert g.weight(view.lowest_of(comp)) == (-1, 0)
+    assert g.weights[view.lowest_of(comp)] == (-1, 0)
 
 
 def test_highest_of_single_string():
@@ -267,7 +267,7 @@ def test_seminormal_checks_raising_operator_target():
     g = generate(C2, (1, 1))
     raisable = [u for u in range(len(g)) if g.e(u, 1) is not None]
     v, w = next(
-        (a, b) for a in raisable for b in raisable if a < b and g.weight(a) == g.weight(b)
+        (a, b) for a in raisable for b in raisable if a < b and g.weights[a] == g.weights[b]
     )
     e_edges = dict(g.e_edges)
     e_edges[(v, 1)], e_edges[(w, 1)] = e_edges[(w, 1)], e_edges[(v, 1)]

@@ -89,10 +89,11 @@ FOLDABLE = [f"{family}{n}" for family in "CB" for n in range(2, FOLDABLE_MAX_RAN
 
 
 @pytest.mark.parametrize("name", FOLDABLE + ["G2", "F4"])
-def test_gamma_equals_symmetrizer(name):
+def test_gamma_equals_symmetrizer(monkeypatch, name):
     # folding_pair takes the exponents from the source symmetrizer; the
     # oracle solves them independently from the root identity
-    fold = folding_pair(name, max_rank=FOLDABLE_MAX_RANK)
+    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", FOLDABLE_MAX_RANK)
+    fold = folding_pair(name)
     y, sigma, _, _ = folding._fold_table(fold.x_type)
     gamma = {i: fold.gamma(i) for i in fold.x_type.nodes}
     assert gamma == solve_gamma(fold.x_type, y, sigma)
@@ -109,14 +110,15 @@ def test_aut_matches_target_theta_except_known_cases():
             assert fold.aut == theta_y
 
 
-def test_unsupported_types_rejected():
+def test_unsupported_types_rejected(monkeypatch):
     with pytest.raises(ConfigurationError):
         folding_pair("A3")
     with pytest.raises(ConfigurationError):
         folding_pair("D4")
     with pytest.raises(ConfigurationError):
         folding_pair("C5")  # above the default rank cap
-    assert folding_pair("C5", max_rank=5).y_type == DynkinType("A", 9)
+    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", 5)
+    assert folding_pair("C5").y_type == DynkinType("A", 9)
 
 
 def test_psi_weight_examples():
@@ -249,6 +251,22 @@ def test_component_identity_passes(name):
     assert verify_component_identity(folding_pair(name)) == []
 
 
+def test_component_identity_reports_untwisted_components(monkeypatch):
+    # without the per-component twists of the target, the C3 pair I = {1, 2},
+    # whose image is {1, 2} and {4, 5} in A5, fails for both inner nodes
+    fold = folding_pair("C3")
+    real = folding.theta
+
+    def untwisted(t, nodes):
+        return {j: j for j in nodes} if t == fold.y_type else real(t, nodes)
+
+    monkeypatch.setattr(folding, "theta", untwisted)
+    assert verify_component_identity(fold) == [
+        {"check": "component-identity", "I": [1, 2], "J": [1], "lhs": [2, 4], "rhs": [1, 5]},
+        {"check": "component-identity", "I": [1, 2], "J": [2], "lhs": [1, 5], "rhs": [2, 4]},
+    ]
+
+
 VIRTUALIZATION_CASES = [
     ("C2", (1, 0)),
     ("C2", (0, 1)),
@@ -279,6 +297,54 @@ def test_virtualization_of_zero_weight():
     assert verify_commutative_diagram(fold, (0, 0)) == []
 
 
+def _never_defined(real):
+    return lambda fold, path, i: None
+
+
+def _standing_still(real):
+    # defined where the real operator is, but leaves the path where it was
+    return lambda fold, path, i: None if real(fold, path, i) is None else path
+
+
+BROKEN_VIRTUAL_OPS = {"definedness": _never_defined, "intertwine": _standing_still}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_VIRTUAL_OPS))
+@pytest.mark.parametrize("name,op", [("f", root_f), ("e", root_e)])
+def test_virtualization_reports_broken_virtual_operators(monkeypatch, check, name, op):
+    # each break is reported at every vertex and color where the source
+    # operator is defined, and nowhere else
+    fold = folding_pair("C2")
+    attr = f"virtual_{name}"
+    monkeypatch.setattr(folding, attr, BROKEN_VIRTUAL_OPS[check](getattr(folding, attr)))
+    gx = generate(fold.x_type, (1, 0))
+    expected = [
+        {"check": f"{name}-{check}", "vertex": b, "color": i}
+        for b in range(len(gx))
+        for i in fold.x_type.nodes
+        if op(gx.path(b), i) is not None
+    ]
+    assert expected and verify_virtualization(fold, (1, 0)) == expected
+
+
+@pytest.mark.parametrize("stat", ["epsilon", "phi"])
+def test_virtualization_reports_unscaled_string_statistics(monkeypatch, stat):
+    # one more step on every target string breaks the scaling at every
+    # vertex, source color and node of its orbit
+    fold = folding_pair("C2")
+    real = getattr(folding, stat)
+    monkeypatch.setattr(
+        folding, stat, lambda path, i: real(path, i) + (path.rtype == fold.y_type)
+    )
+    expected = [
+        {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
+        for b in range(weyl_dim(fold.x_type, (1, 0)))
+        for i in fold.x_type.nodes
+        for j in fold.sigma(i)
+    ]
+    assert verify_virtualization(fold, (1, 0)) == expected
+
+
 @pytest.mark.parametrize("name,lam", [("C2", (1, 0)), ("G2", (1, 0))])
 def test_virtual_relations_pass(name, lam):
     assert verify_virtual_relations(folding_pair(name), lam) == []
@@ -303,6 +369,21 @@ def test_virtual_relation_violations_carry_witness(monkeypatch):
     size = weyl_dim(fold.y_type, psi_weight(fold, lam))
     assert {r["relation"] for r in report} == {1, 2, 3}
     assert all(0 <= r["witness_vertex"] < size for r in report)
+
+
+def test_virtual_relations_report_letters_that_do_not_commute(monkeypatch):
+    # an induced word for {1} made of the adjacent A3 letters {1} and {2}
+    fold = folding_pair("C2")
+    real = folding.s_tilde
+
+    def adjacent(fold, nodes):
+        return (frozenset({1}), frozenset({2})) if set(nodes) == {1} else real(fold, nodes)
+
+    monkeypatch.setattr(folding, "s_tilde", adjacent)
+    report = verify_virtual_relations(fold, (1, 0))
+    assert [r for r in report if r["relation"] == "letter-commute"] == [
+        {"relation": "letter-commute", "I": [1], "J": [2]}
+    ]
 
 
 @pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES)
@@ -381,6 +462,21 @@ def test_commutative_diagram_matches_path_oracle_on_broken_virtualization(
     report = verify_commutative_diagram(fold, lam)
     assert any(r["check"] == "left-inverse" for r in report)
     assert report == verify_commutative_diagram_by_paths(fold, lam)
+
+
+def test_commutative_diagram_reports_unstable_image(monkeypatch):
+    # each induced word cut to its first letter: the word for {1} in the C2
+    # folding becomes xi_1 alone, which moves the image off itself
+    fold = folding_pair("C2")
+    real_act = folding.act
+    monkeypatch.setattr(
+        folding, "act", lambda graph, word, perms=None: real_act(graph, tuple(word)[:1], perms)
+    )
+    report = verify_commutative_diagram(fold, (1, 0))
+    assert [r for r in report if r["check"] == "image-stability"] == [
+        {"check": "image-stability", "I": [1]}
+    ]
+    assert report == verify_commutative_diagram_by_paths(fold, (1, 0))
 
 
 def test_dropping_a_letter_falsifies_action():

@@ -5,17 +5,17 @@ import paths_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import SIZE_CASES
+from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import paths
 from pathcrystals.cartan import DynkinType
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.folding import folding_pair, psi_weight
 from pathcrystals.paths import (
     PLPath,
     canonicalize,
     epsilon,
-    h_function,
     is_integral,
     path_from_json,
     path_to_json,
@@ -57,15 +57,16 @@ def test_weight_is_endpoint():
 
 def test_h_function_linear_on_straight():
     p = straight_path(C2, (3, 2))
-    assert h_function(p, 1) == ((F(0), F(0)), (F(1), F(3)))
-    assert p.value(F(1, 3)) == (F(1), F(2, 3))
+    assert tuple((t, q[0]) for t, q in p.breakpoints) == ((F(0), F(0)), (F(1), F(3)))
+    assert paths_oracle.value(p, F(1, 3)) == (F(1), F(2, 3))
 
 
 def test_h_starts_at_zero_everywhere():
     g = generate(C2, (1, 1))
     for p in g.vertices:
+        t0, start = p.breakpoints[0]
         for i in C2.nodes:
-            assert h_function(p, i)[0] == (F(0), F(0))
+            assert (t0, start[i - 1]) == (F(0), F(0))
 
 
 def test_root_f_on_a1_fundamental():
@@ -89,7 +90,7 @@ def test_root_e_undefined_on_dominant_straight():
 def test_f_drops_h_endpoint_by_two():
     p = straight_path(A1, (2,))
     q = root_f(p, 1)
-    assert h_function(q, 1)[-1][1] == h_function(p, 1)[-1][1] - 2
+    assert q.breakpoints[-1][1][0] == p.breakpoints[-1][1][0] - 2
 
 
 def test_weight_ladder():
@@ -174,6 +175,24 @@ def test_string_identity_everywhere():
                 assert phi(p, i) - epsilon(p, i) == weight_int(p)[i - 1]
 
 
+def _statistics_models():
+    cases = [(t, lam) for t, lam, _ in SIZE_CASES]
+    for name, lam in VIRT_CASES:
+        fold = folding_pair(name)
+        cases += [(fold.x_type, lam), (fold.y_type, psi_weight(fold, lam))]
+    return list(dict.fromkeys(cases))
+
+
+@pytest.mark.parametrize("t,lam", _statistics_models())
+def test_string_statistics_match_oracle(t, lam):
+    # epsilon and phi read H through the operators' input checks; on valid
+    # input they must give the values of the oracle's unchecked closed forms
+    for p in generate(t, lam).vertices:
+        for i in t.nodes:
+            assert epsilon(p, i) == paths_oracle.epsilon(p, i), (str(t), lam, p, i)
+            assert phi(p, i) == paths_oracle.phi(p, i), (str(t), lam, p, i)
+
+
 def test_epsilon_increases_under_f():
     g = generate(C2, (1, 0))
     for p in g.vertices:
@@ -218,7 +237,24 @@ def test_canonicalize_idempotent_and_pointwise_safe():
     assert canonicalize(q) == q
     for _ in range(100):
         t = F(rng.randint(0, 1000), 1000)
-        assert p.value(t) == q.value(t)
+        assert paths_oracle.value(p, t) == paths_oracle.value(q, t)
+
+
+MALFORMED_BREAKPOINTS = [
+    ("at least two breakpoints", A1, ((0, (0,)),)),
+    ("strictly increasing", A1, ((0, (0,)), (F(1, 2), (1,)), (F(1, 2), (1,)), (1, (2,)))),
+    ("length rank", A2, ((0, (0,)), (1, (1,)))),
+]
+
+
+@pytest.mark.parametrize("message,t,bps", MALFORMED_BREAKPOINTS)
+def test_malformed_breakpoints_rejected(message, t, bps):
+    with pytest.raises(DomainError, match=message):
+        PLPath.from_breakpoints(t, bps)
+    rational = tuple((F(time), tuple(map(F, point))) for time, point in bps)
+    data = paths_oracle.path_to_json(paths_oracle.FPath(t, rational))
+    with pytest.raises(DomainError, match=message):
+        path_from_json(t, data)
 
 
 def test_canonicalize_rejects_bad_paths():
@@ -261,6 +297,11 @@ def test_non_integral_minimum_raises():
         epsilon(p, 1)
     with pytest.raises(ModelIntegrityError):
         root_f(p, 1)
+
+
+def test_is_integral_rejects_non_integral_endpoint():
+    # H rises straight to 1/2: no interior minimum, only the endpoint is off
+    assert not is_integral(PLPath.from_breakpoints(A1, ((0, (0,)), (1, (F(1, 2),)))))
 
 
 def test_json_roundtrip():
@@ -361,18 +402,22 @@ def test_root_operators_match_oracle_on_random_paths(p):
 
 def test_operators_reject_paths_off_the_origin():
     # the A1 path from -1 to 1: root_e's window search would run off its
-    # start, so both operators check the origin first, as canonicalize does
-    p = PLPath.from_breakpoints(A1, ((0, (-1,)), (1, (1,))))
-    with pytest.raises(DomainError, match="origin"):
-        canonicalize(p)
-    for op in (root_f, root_e):
+    # start, so both operators check the origin first, as canonicalize does;
+    # the string statistics share that check, so the A2 path from (-1, 0) to
+    # (1, 0) gets no numbers either
+    for t, start, end in ((A1, (-1,), (1,)), (A2, (-1, 0), (1, 0))):
+        p = PLPath.from_breakpoints(t, ((0, start), (1, end)))
         with pytest.raises(DomainError, match="origin"):
-            op(p, 1)
+            canonicalize(p)
+        for op in (root_f, root_e, epsilon, phi):
+            for i in t.nodes:
+                with pytest.raises(DomainError, match="origin"):
+                    op(p, i)
 
 
 def test_operators_reject_colors_outside_the_type():
     p = straight_path(A2, (1, 1))
-    for op in (root_f, root_e):
+    for op in (root_f, root_e, epsilon, phi):
         for i in (0, 3):
             with pytest.raises(DomainError, match="not in A2"):
                 op(p, i)
