@@ -82,14 +82,15 @@ def _parse_nodes(t: DynkinType, text: str) -> frozenset:
 
 
 def _emit(text: str, out=None) -> None:
+    end = "" if text.endswith("\n") else "\n"  # print writes it apart: no copy of text
     if out:
         try:
             with open(out, "w") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
+                print(text, end=end, file=handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        print(text, end=end)
 
 
 def cmd_info(args) -> int:

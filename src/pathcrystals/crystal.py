@@ -19,6 +19,7 @@ the lowering edges from its highest vertex, and keeps the walk.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 
@@ -85,9 +86,14 @@ class CrystalGraph:
         return self._index.get(path)
 
 
-def _edge_map(lists, n) -> dict:
+def _edges(lists, n):
+    """(v, i, w) for each edge v -> w of color i in the lists, in (v, i) order."""
     colors = sorted(lists.items())
-    return {(v, i): t[v] for v in range(n) for i, t in colors if t[v] is not None}
+    return ((v, i, t[v]) for v in range(n) for i, t in colors if t[v] is not None)
+
+
+def _edge_map(lists, n) -> dict:
+    return {(v, i): w for v, i, w in _edges(lists, n)}
 
 
 def _record_edge(targets, v, i, w):
@@ -295,25 +301,54 @@ def levi(graph: CrystalGraph, colors) -> LeviView:
     return LeviView(graph, colors)
 
 
+# _NL[d] opens a line at depth d of json.dumps(obj, indent=2) of the export
+_NL = tuple("\n" + "  " * depth for depth in range(9))
+
+
+def _template(obj, depth) -> str:
+    """json.dumps(obj, indent=2) as a block at the given depth, with its "%d"
+    and "%s" strings unquoted into format placeholders."""
+    text = json.dumps(obj, indent=2).replace("\n", _NL[depth])
+    return text.replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+_VERTEX = _template({"id": "%d", "weight": ["%s"], "path": {"breakpoints": ["%s"]}}, 2)
+_BREAKPOINT = _template(["%d", "%d", ["%s"]], 5)
+_PAIR = _template(["%d", "%d"], 7)
+_EDGE = _template({"from": "%d", "to": "%d", "color": "%d"}, 2)
+
+
 def export_json(graph: CrystalGraph) -> str:
-    """Deterministic JSON export of the crystal graph."""
-    obj = {
-        "type": str(graph.rtype),
-        "highest_weight": list(graph.highest_weight),
-        "vertices": [
-            {
-                "id": v,
-                "weight": list(graph.weights[v]),
-                "path": path_to_json(graph.path(v)),
-            }
-            for v in range(len(graph))
-        ],
-        "edges": [
-            {"from": v, "to": w, "color": i}
-            for (v, i), w in sorted(graph.f_edges.items())
-        ],
-    }
-    return json.dumps(obj, indent=2)
+    """Deterministic JSON export of the crystal graph: json.dumps(obj, indent=2)
+    byte for byte, for obj as in README "JSON formats" (paths by path_to_json,
+    edges in (from, color) order), rendered from one template per block."""
+    weights, paths = graph.weights, graph.vertices
+    weight_sep, breakpoint_sep, pair_sep = "," + _NL[4], "," + _NL[5], "," + _NL[7]
+    pair = functools.cache(lambda num, den: _PAIR % (num, den))  # pairs repeat
+
+    def vertex(v):
+        breakpoints = [
+            _BREAKPOINT % (tn, td, pair_sep.join([pair(cn, cd) for cn, cd in coords]))
+            for tn, td, coords in path_to_json(paths[v])["breakpoints"]
+        ]
+        weight = weight_sep.join(map(str, weights[v]))
+        return _VERTEX % (v, weight, breakpoint_sep.join(breakpoints))
+
+    parts = ['{\n  "type": ', json.dumps(str(graph.rtype))]
+    for key, items in (
+        ("highest_weight", map(str, graph.highest_weight)),
+        ("vertices", map(vertex, range(len(graph)))),
+        ("edges", (_EDGE % (v, w, i) for v, i, w in _edges(graph.f_to, len(graph)))),
+    ):
+        parts.append(f',\n  "{key}": [')
+        start = len(parts)
+        for item in items:
+            parts += (_NL[2], item, ",")
+        if len(parts) > start:
+            parts[-1] = _NL[1]  # in place of the last item's comma
+        parts.append("]")
+    parts.append("\n}")
+    return "".join(parts)
 
 
 _DOT_PALETTE = (
@@ -334,7 +369,7 @@ def export_dot(graph: CrystalGraph) -> str:
     for v in range(len(graph)):
         label = f"{v}: ({','.join(str(x) for x in graph.weights[v])})"
         lines.append(f'  n{v} [label="{label}"];')
-    for (v, i), w in sorted(graph.f_edges.items()):
+    for v, i, w in _edges(graph.f_to, len(graph)):
         color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
         lines.append(f'  n{v} -> n{w} [label="{i}", color="{color}"];')
     lines.append("}")

@@ -178,9 +178,7 @@ def folding_pair(x) -> FoldingPair:
     if isinstance(x, str):
         x = DynkinType.parse(x)
     if x.rank > DEFAULT_MAX_RANK:
-        raise ConfigurationError(
-            f"rank {x.rank} above the configured cap {DEFAULT_MAX_RANK}"
-        )
+        raise ConfigurationError(f"rank {x.rank} above the cap {DEFAULT_MAX_RANK}")
     y, sigma, aut, branch = _fold_table(x)
     gamma = dict(zip(x.nodes, symmetrizer(x)))
     _check_root_identity(x, y, sigma, gamma)

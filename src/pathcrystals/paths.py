@@ -267,9 +267,14 @@ def path_to_json(path: PLPath) -> dict:
 
 def path_from_json(t: DynkinType, data) -> PLPath:
     """Inverse of path_to_json; validates and canonicalizes."""
+    def fraction(num, den):
+        if bool in (type(num), type(den)):
+            raise TypeError("JSON booleans are not integers")
+        return Fraction(num, den)
+
     try:
         bps = tuple(
-            (Fraction(tn, td), tuple(Fraction(cn, cd) for cn, cd in coords))
+            (fraction(tn, td), tuple(fraction(cn, cd) for cn, cd in coords))
             for tn, td, coords in data["breakpoints"]
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -3,11 +3,13 @@ import json
 import subprocess
 import sys
 
+import export_oracle
 import pytest
 
 from pathcrystals import folding
 from pathcrystals.cartan import DynkinType
 from pathcrystals.cli import main
+from pathcrystals.crystal import generate
 from pathcrystals.paths import straight_path
 
 C2 = DynkinType("C", 2)
@@ -80,6 +82,21 @@ def test_crystal_out_file(cli_env, tmp_path):
     assert json.loads(target.read_text())["type"] == "C2"
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_crystal_out_file_matches_stdout(capsys, tmp_path, fmt):
+    # the text and, after a JSON export, its newline; the same bytes either way
+    target = tmp_path / f"c.{fmt}"
+    assert main(["crystal", "G2", "1,1", "--export", fmt, "--out", str(target)]) == 0
+    assert main(["crystal", "G2", "1,1", "--export", fmt]) == 0
+    out = capsys.readouterr().out
+    assert target.read_bytes() == out.encode()
+    g = generate(DynkinType("G", 2), (1, 1))
+    if fmt == "json":
+        assert out == export_oracle.export_json(g) + "\n"
+    else:
+        assert out == export_oracle.export_dot(g)
+
+
 @pytest.mark.parametrize("out", ["dir", "missing/c.json"])
 def test_crystal_unwritable_out_exits_two(cli_env, tmp_path, out):
     target = tmp_path if out == "dir" else tmp_path / out
@@ -117,6 +134,11 @@ def test_fold_info_g2_triality_orbits(cli_env):
 def test_fold_info_rejects_simply_laced(cli_env):
     res = run_cli(["fold-info", "A3"], cli_env)
     assert res.returncode == 2
+
+
+def test_fold_info_rank_above_the_cap(capsys):
+    assert main(["fold-info", "C5"]) == 2
+    assert capsys.readouterr().err == "error: rank 5 above the cap 4\n"
 
 
 def test_virtualize_mapping(cli_env):

@@ -2,6 +2,7 @@ import hashlib
 import json
 from collections import Counter
 
+import export_oracle
 import paths_oracle
 import pytest
 from closure_oracle import generate_by_both_operators, graph_from_edges
@@ -239,6 +240,7 @@ def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     monkeypatch.setattr(crystal, "weight_int", paths_oracle.weight_int)
     oracle = graph_from_edges(t, lam, vertices, f_edges, e_edges)
     assert _sha256(export_json(oracle)) == digest
+    assert export_json(oracle) == export_oracle.export_json(oracle)
 
 
 def test_generate_never_raises(monkeypatch):
@@ -316,6 +318,19 @@ SHAPE_CASES = (
     + [case for name, lam in VIRT_CASES for case in _source_and_target(name, lam)]
     + _source_and_target("F4", (0, 0, 0, 1))
 )
+
+
+@pytest.mark.parametrize(
+    "t,lam", [(A1, (0,))] + CLOSURE_CASES + [c for c in SHAPE_CASES if c not in CLOSURE_CASES]
+)
+def test_exports_match_json_dumps_oracle(t, lam):
+    # the templates against json.dumps(obj, indent=2) of the export object and
+    # the DOT lines against the sorted edge map, byte for byte
+    g = generate(t, lam)
+    text = export_json(g)
+    assert text == export_oracle.export_json(g)
+    assert export_dot(g) == export_oracle.export_dot(g)
+    assert ('"edges": []' in text) == (len(g) == 1)
 
 
 @pytest.mark.parametrize("t,lam", SHAPE_CASES)

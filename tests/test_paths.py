@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -316,6 +317,13 @@ def test_json_rejects_garbage():
         path_from_json(A1, {"breakpoints": [[0, 1, [[0, 0]]], [1, 1, [[1, 1]]]]})
     with pytest.raises(DomainError):
         path_from_json(A1, {})
+    # json.loads reads true as a bool, which Fraction would take as 1
+    text = "[[0,1,[[0,1]]],[%s,%s,[[%s,%s]]]]"
+    one = path_from_json(A1, {"breakpoints": json.loads(text % (1, 1, 1, 1))})
+    assert one == straight_path(A1, (1,))
+    for entries in [("true", "true", "true", 1), (1, 1, 1, "true"), (1, 1, "false", 1)]:
+        with pytest.raises(DomainError, match="booleans"):
+            path_from_json(A1, {"breakpoints": json.loads(text % entries)})
 
 
 ORACLE_CASES = [(t, lam) for t, lam, _ in SIZE_CASES] + [
