@@ -51,9 +51,13 @@ class DynkinType:
     def parse(cls, text: str) -> "DynkinType":
         """Parse a string like "C2", "A5" or "E6"."""
         m = re.fullmatch(r"([A-Ga-g])([0-9]+)", str(text).strip())
-        if not m:
+        try:
+            rank = int(m.group(2)) if m else None
+        except ValueError:  # past the int-from-str digit limit
+            rank = None
+        if rank is None:
             raise ConfigurationError(f"cannot parse Dynkin type {text!r}")
-        return cls(m.group(1).upper(), int(m.group(2)))
+        return cls(m.group(1).upper(), rank)
 
     @property
     def nodes(self) -> range:
@@ -291,34 +295,22 @@ def is_connected(t: DynkinType, nodes) -> bool:
     return len(components(t, nodes)) == 1
 
 
-def _pair_with_covector(t, d, coeffs, mu) -> Fraction:
-    """<mu, alpha^vee> for alpha given by root-basis coefficients."""
-    a = cartan_matrix(t)
-    numer = sum(c * dj * x for c, dj, x in zip(coeffs, d, mu))
-    # (alpha, alpha) / 2, with (alpha_j, alpha_k) = d_k a[k][j]
-    norm2 = sum(
-        coeffs[j] * coeffs[k] * d[k] * a[k][j]
-        for j in range(t.rank)
-        for k in range(t.rank)
-        if coeffs[j] and coeffs[k]
-    )
-    return Fraction(2 * numer, norm2)
-
-
 def weyl_dim(t: DynkinType, lam: Weight) -> int:
     """Dimension of the irreducible module of highest weight lam, computed
     exactly by the Weyl dimension formula.  Used as the independent size
-    oracle for generated crystals."""
+    oracle for generated crystals.  With (alpha_j, alpha_k) = d_k a[k][j],
+    (mu, alpha) = sum_j c_j d_j mu_j for alpha = sum_j c_j alpha_j, so each
+    factor (lam + rho, alpha) / (rho, alpha) is a ratio of integer sums."""
     lam = tuple(lam)
     if len(lam) != t.rank or any(x < 0 for x in lam):
         raise DomainError(f"weyl_dim needs a dominant weight of length {t.rank}")
     d = symmetrizer(t)
-    rho = (1,) * t.rank
-    shifted = tuple(x + 1 for x in lam)
-    result = Fraction(1)
+    numer = denom = 1
     for coeffs in positive_roots(t, all_nodes(t)):
-        result *= _pair_with_covector(t, d, coeffs, shifted)
-        result /= _pair_with_covector(t, d, coeffs, rho)
-    if result.denominator != 1 or result <= 0:
-        raise ModelIntegrityError(f"Weyl dimension not a positive integer: {result}")
-    return int(result)
+        numer *= sum(c * dj * (x + 1) for c, dj, x in zip(coeffs, d, lam))
+        denom *= sum(c * dj for c, dj in zip(coeffs, d))
+    dim, rest = divmod(numer, denom)
+    if rest:
+        # the product can pass the int-to-str digit limit: name the input
+        raise ModelIntegrityError(f"Weyl dimension of {t} at {lam} is not an integer")
+    return dim

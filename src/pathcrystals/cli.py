@@ -51,9 +51,12 @@ VERIFY_KINDS = (
 
 def _parse_ints(text: str, what: str) -> list:
     # ASCII digits only: int() also takes "1_0", "+1", " 1" and non-ASCII digits
-    if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
-        raise ConfigurationError(f"cannot parse {what} {text!r}")
-    return [int(x) for x in text.split(",")]
+    if re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", text):
+        try:
+            return [int(x) for x in text.split(",")]
+        except ValueError:  # past the int-from-str digit limit
+            pass
+    raise ConfigurationError(f"cannot parse {what} {text!r}")
 
 
 def _parse_int(text: str, what: str) -> int:

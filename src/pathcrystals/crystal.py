@@ -109,7 +109,11 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     lam = tuple(lam)
     dim = weyl_dim(t, lam)
     if max_size is not None and dim > max_size:
-        raise DomainError(f"crystal of size {dim} exceeds the cap {max_size}")
+        try:
+            size = str(dim)
+        except ValueError:  # past the int-to-str digit limit
+            size = f"at least 2**{dim.bit_length() - 1}"
+        raise DomainError(f"crystal of size {size} exceeds the cap {max_size}")
     start = straight_path(t, lam)
     vertices = [start]
     index = {start: 0}

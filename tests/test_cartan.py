@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import cartan_oracle
 import pytest
 
+from pathcrystals import cartan
 from pathcrystals.cartan import (
     DynkinType,
     all_nodes,
@@ -21,7 +23,7 @@ from pathcrystals.cartan import (
     w0J_apply,
     weyl_dim,
 )
-from pathcrystals.errors import ConfigurationError, DomainError
+from pathcrystals.errors import ConfigurationError, DomainError, ModelIntegrityError
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -303,3 +305,33 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(A2, (1, -1))
     with pytest.raises(DomainError):
         weyl_dim(A2, (1,))
+
+
+ADMISSIBLE_UP_TO_RANK_8 = [
+    DynkinType(family, n)
+    for family in "ABCDEFG"
+    for n in range(1, 9)
+    if cartan._ADMISSIBLE_RANK[family](n)
+]
+
+
+def _oracle_weights(t):
+    """Every weight with entries 0-2 up to rank 4; above it each fundamental
+    weight, rho and 2 rho."""
+    if t.rank <= 4:
+        return list(itertools.product(range(3), repeat=t.rank))
+    fundamental = [tuple(int(k == i) for k in t.nodes) for i in t.nodes]
+    return fundamental + [(1,) * t.rank, (2,) * t.rank]
+
+
+@pytest.mark.parametrize("t", ADMISSIBLE_UP_TO_RANK_8, ids=str)
+def test_weyl_dim_matches_fraction_oracle(t):
+    for lam in _oracle_weights(t):
+        assert weyl_dim(t, lam) == cartan_oracle.weyl_dim(t, lam), (str(t), lam)
+
+
+def test_weyl_dim_rejects_a_wrong_symmetrizer(monkeypatch):
+    # the B2 symmetrizer is (2, 1); swapped, the products stop dividing
+    monkeypatch.setattr(cartan, "symmetrizer", lambda t: (1, 2))
+    with pytest.raises(ModelIntegrityError, match=r"^Weyl dimension of B2 at \(1, 0\) "):
+        weyl_dim(B2, (1, 0))

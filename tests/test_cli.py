@@ -268,6 +268,38 @@ def test_malformed_integer_options_exit_two(capsys, args, entry):
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), lines
 
 
+@pytest.fixture
+def digit_limit():
+    # Python's default cap on int <-> str conversion since 3.11 (and 3.10.7)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["crystal", "A1", "{ones}"], "error: cannot parse weight '1"),
+        (["xi", "A2", "1,0", "1,2", "--vertex", "{ones}"], "error: cannot parse vertex '1"),
+        (["crystal", "A1", "2", "--max-size", "{ones}"], "error: cannot parse max size '1"),
+        (["info", "A{ones}"], "error: cannot parse Dynkin type 'A1"),
+        (["fold-info", "C{ones}"], "error: cannot parse Dynkin type 'C1"),
+        (["crystal", "A8", "{entries}"], "error: crystal of size at least 2**"),
+    ],
+    ids=["weight", "vertex", "max-size", "info", "fold-info", "size"],
+)
+def test_integers_past_the_digit_limit_exit_two(capsys, digit_limit, args, message):
+    # str <-> int past the limit raises ValueError, which escaped as a traceback
+    ones = "1" * (digit_limit + 700)
+    entries = ",".join(["1" * 1000] * 8)  # each entry parses; the size does not print
+    assert main([a.format(ones=ones, entries=entries) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines[0][:80]
+
+
 def test_integer_options_keep_their_meaning(capsys):
     assert main(["xi", "A1", "2", "1", "--vertex", "0", "--max-size", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["image"] == 2

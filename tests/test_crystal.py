@@ -8,6 +8,7 @@ import pytest
 from closure_oracle import generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
 from seminormal_oracle import seminormal_by_lookups
+from stembridge_oracle import violations as stembridge_violations
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal
@@ -348,6 +349,31 @@ def test_freudenthal_rejects_a_moved_weight():
     weights[v] = weights[0]
     assert len(weights) == weyl_dim(C2, (1, 1)) and set(weights) == set(g.weights)
     assert Counter(weights) != weight_multiset(C2, (1, 1))
+
+
+@pytest.mark.parametrize("t,lam", [c for c in SHAPE_CASES if c[0].family in "ADE"])
+def test_simply_laced_crystals_satisfy_stembridge_axioms(t, lam):
+    assert stembridge_violations(generate(t, lam)) == []
+
+
+def test_stembridge_rejects_a_non_simply_laced_crystal():
+    # the B2 string shifts follow a_ji, not the a_ij of the simply-laced axioms
+    found = stembridge_violations(generate(B2, (1, 1)))
+    assert found and {v["axiom"] for v in found} == {"string-shift"}
+
+
+def test_stembridge_rejects_two_swapped_edges():
+    # f_1 at vertices 16 and 17 of D4(1,0,1,1), which share a weight, trade
+    # targets: the size, the weights and the string law hold, the squares break
+    g = generate(DynkinType("D", 4), (1, 0, 1, 1))
+    assert g.weights[16] == g.weights[17]
+    f_edges, e_edges = dict(g.f_edges), dict(g.e_edges)
+    w16, w17 = f_edges[(16, 1)], f_edges[(17, 1)]
+    f_edges[(16, 1)], f_edges[(17, 1)] = w17, w16
+    e_edges[(w17, 1)], e_edges[(w16, 1)] = 16, 17
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    assert {v["axiom"] for v in verify_seminormal(broken)} == {"raising-operator"}
+    assert {"commute", "braid"} <= {v["axiom"] for v in stembridge_violations(broken)}
 
 
 def _broken_graphs():
