@@ -9,17 +9,18 @@ denominator den.  The package only produces reduced paths (den and all
 entries have gcd 1, no breakpoint is redundant), so dataclass equality is
 pointwise equality.  All arithmetic is exact and on integers.  The lowering
 and raising operators use the non-recursive three-piece formulas: each finds
-its window of the coordinate function, and one reflection rewrite keeps the
-path before the window, reflects it on the window and translates the tail.
-They agree with the classical path operators on models whose coordinate
-functions have integral local minima; generation asserts that property for
-every path it accepts.
+its window of the coordinate function, and one rewrite pass keeps the path
+before the window, inserts the level crossing, reflects the window and
+translates the tail; the result is reduced once.  They agree with the
+classical path operators on models whose coordinate functions have integral
+local minima; generation asserts that property for every path it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -76,22 +77,27 @@ def _check_origin(path: PLPath) -> None:
 
 def _reduced(rtype, den, times, points) -> PLPath:
     """Drop breakpoints where the velocity does not change (compared by
-    cross-multiplication), then divide den and all entries by their gcd."""
+    cross-multiplication), then divide den and all entries by their gcd; the
+    points are read only if den and the times have a common factor."""
     kept = [0]
     for k in range(1, len(times) - 1):
         dt0, dt1 = times[k] - times[k - 1], times[k + 1] - times[k]
-        p0, p1, p2 = points[k - 1], points[k], points[k + 1]
-        if any((b - a) * dt1 != (c - b) * dt0 for a, b, c in zip(p0, p1, p2)):
-            kept.append(k)
+        for a, b, c in zip(points[k - 1], points[k], points[k + 1]):
+            if (b - a) * dt1 != (c - b) * dt0:
+                kept.append(k)
+                break
     kept.append(len(times) - 1)
-    times = tuple(times[k] for k in kept)
-    points = tuple(points[k] for k in kept)
-    g = gcd(den, *times, *chain.from_iterable(points))
+    if len(kept) < len(times):
+        times = [times[k] for k in kept]
+        points = [points[k] for k in kept]
+    g = gcd(den, *times)
+    if g > 1:
+        g = gcd(g, *chain.from_iterable(points))
     if g > 1:
         den //= g
-        times = tuple(t // g for t in times)
-        points = tuple(tuple(c // g for c in p) for p in points)
-    return PLPath(rtype, den, times, points)
+        times = [t // g for t in times]
+        points = [tuple(c // g for c in p) for p in points]
+    return PLPath(rtype, den, tuple(times), tuple(points))
 
 
 def canonicalize(path: PLPath) -> PLPath:
@@ -150,17 +156,16 @@ def is_integral(path: PLPath) -> bool:
     """Whether every local minimum of every coordinate function is an integer
     and the endpoint is an integral weight.  Generated models must satisfy
     this; the operators are only the classical ones on such paths."""
-    den = path.den
-    for i in path.rtype.nodes:
-        compressed = [path.points[0][i - 1]]
-        for p in path.points[1:]:
-            if p[i - 1] != compressed[-1]:
-                compressed.append(p[i - 1])
-        if compressed[-1] % den:
+    den, points = path.den, path.points
+    for x in range(path.rtype.rank):
+        low = mid = points[0][x]  # the last two distinct heights
+        for p in points:
+            if p[x] != mid:
+                if low > mid < p[x] and mid % den:
+                    return False
+                low, mid = mid, p[x]
+        if mid % den:
             return False
-        for low, mid, high in zip(compressed, compressed[1:], compressed[2:]):
-            if low > mid < high and mid % den:
-                return False
     return True
 
 
@@ -176,36 +181,48 @@ def _heights(path: PLPath, i: int):
     return h, m
 
 
-def _crossing(path: PLPath, h, k, level):
-    """(den, times, points, index): the path with a breakpoint where H,
-    linear on segment k, equals level, and that breakpoint's index.  Inside
-    the segment, the path is rescaled by the rise so the crossing is integral."""
-    for j in (k, k + 1):
-        if h[j] == level:
-            return path.den, path.times, path.points, j
-    rise, step = h[k + 1] - h[k], level - h[k]
-    if rise < 0:
-        rise, step = -rise, -step
-    (t0, t1), (p0, p1) = path.times[k : k + 2], path.points[k : k + 2]
-    times = [t * rise for t in path.times]
-    points = [tuple(c * rise for c in p) for p in path.points]
-    times.insert(k + 1, t0 * rise + step * (t1 - t0))
-    points.insert(k + 1, tuple(a * rise + step * (b - a) for a, b in zip(p0, p1)))
-    return path.den * rise, times, points, k + 1
+@cache
+def _alpha_columns(rtype: DynkinType) -> tuple:
+    """Column j - 1 of the Cartan matrix: alpha_j in fundamental weights."""
+    return tuple(zip(*cartan_matrix(rtype)))
 
 
-def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PLPath:
-    """Keep breakpoints 0..a, map p to p - (H(p) - H(a)) * alpha_i on a+1..b,
-    and translate the tail by the shift reached at b (+-den * alpha_i)."""
-    alpha = [row[i - 1] for row in cartan_matrix(rtype)]
-    h_a = points[a][i - 1]
-    out = list(points[: a + 1])
+def _rewrite(path: PLPath, i: int, level: int, k: int, j: int) -> PLPath:
+    """The operator's output in one pass, reduced once.  H crosses level on
+    segment k; p -> p - (H(p) - ref) * alpha_i reflects the window from
+    breakpoint j to the crossing if j <= k (root_f, ref = H(j)), else from the
+    crossing to j (root_e, ref = level), and the tail moves by the shift at the
+    window's end.  A crossing inside segment k becomes breakpoint k + 1, scaled
+    by the least r that keeps it integral; if r = 1 the prefix is reused."""
+    den, times, points = path.den, path.times, path.points
+    x = i - 1
+    alpha = _alpha_columns(path.rtype)[x]
+    (t0, t1), (p0, p1) = times[k : k + 2], points[k : k + 2]
+    h_j = points[j][x]
+    ref, shift = (h_j, level - h_j) if j <= k else (level, h_j - level)
+    rise, step = p1[x] - p0[x], level - p0[x]
+    if step == 0 or step == rise:  # the crossing is breakpoint k or k + 1
+        r, c, g = 1, k + (step == rise), 0
+    else:
+        if rise < 0:
+            rise, step = -rise, -step
+        g = gcd(rise, step * gcd(t1 - t0, *(v - u for u, v in zip(p0, p1))))
+        r, c = rise // g, k
+    a, b = (j, c) if j <= k else (c, j)
+    kept = points[: a + 1]
+    out = list(kept) if r == 1 else [tuple([v * r for v in p]) for p in kept]
     for p in points[a + 1 : b + 1]:
-        c = p[i - 1] - h_a
-        out.append(tuple(x - c * y for x, y in zip(p, alpha)))
-    shift = [c * y for y in alpha]
-    out.extend(tuple(x - s for x, s in zip(p, shift)) for p in points[b + 1 :])
-    return _reduced(rtype, den, times, out)
+        d = (p[x] - ref) * r
+        out.append(tuple([v * r - d * y for v, y in zip(p, alpha)]))
+    moved = [shift * r * y for y in alpha]
+    out.extend([tuple([v * r - s for v, s in zip(p, moved)]) for p in points[b + 1 :]])
+    if g:
+        d = (level - ref) * r
+        crossing = [u * r + step * (v - u) // g - d * y for u, v, y in zip(p0, p1, alpha)]
+        out.insert(k + 1, tuple(crossing))
+        times = [t * r for t in times]
+        times.insert(k + 1, t0 * r + step * (t1 - t0) // g)
+    return _reduced(path.rtype, den * r, times, out)
 
 
 def root_f(path: PLPath, i: int) -> PLPath | None:
@@ -214,7 +231,7 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
     With m the minimum of the coordinate function H of color i, the operator
     is defined iff H(1) - m >= 1.  It keeps the path up to the last time H
     attains m, reflects the stretch up to the first later time H reaches
-    m + 1, and translates the tail by -alpha_i.
+    m + 1, and translates the tail by -alpha_i, all in one rewrite pass.
     """
     h, m = _heights(path, i)
     level = m + path.den
@@ -224,8 +241,7 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
     k = ka
     while h[k + 1] < level:  # stops by the end, as H(1) >= m + 1
         k += 1
-    den, times, points, kb = _crossing(path, h, k, level)
-    return _reflect(path.rtype, den, times, points, i, ka, kb)
+    return _rewrite(path, i, level, k, ka)
 
 
 def root_e(path: PLPath, i: int) -> PLPath | None:
@@ -233,7 +249,8 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
 
     Mirror of root_f: defined iff the minimum m of the coordinate function is
     at most -1; reflects between the last time H equals m + 1 before its
-    first minimum and that minimum, then translates the tail by +alpha_i.
+    first minimum and that minimum, then translates the tail by +alpha_i, in
+    the same rewrite pass.
     """
     h, m = _heights(path, i)
     level = m + path.den
@@ -243,9 +260,7 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
     k = kb - 1
     while h[k] < level:  # stops by the start, as H(0) = 0 >= m + 1
         k -= 1
-    den, times, points, ka = _crossing(path, h, k, level)
-    kb += len(times) - len(path.times)
-    return _reflect(path.rtype, den, times, points, i, ka, kb)
+    return _rewrite(path, i, level, k, kb)
 
 
 def _ratio(x: int, den: int) -> list:

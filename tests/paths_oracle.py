@@ -15,14 +15,26 @@ generate, with these operators.  epsilon and phi are the closed forms as the
 package had them before they shared the operators' input checks: they take
 the minimum of the coordinate function and guard its integrality, and check
 neither the color nor the origin.  value evaluates a path pointwise.
+
+The two-pass integer kernel that the package's one-pass rewrite replaced is
+kept at the end, on the package's PLPath values: two_pass_root_f and
+two_pass_root_e check their input as the package does, then _crossing
+rescales the whole path when the level is crossed between breakpoints,
+_reflect rebuilds every point, and _reduced drops collinear breakpoints with
+any(genexpr) and divides by the gcd of den and every entry.
+two_pass_canonicalize is _reduced after the same input checks, and
+compressed_is_integral builds each color's list of distinct heights.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
-from pathcrystals.cartan import DynkinType, simple_root
+from pathcrystals.cartan import DynkinType, cartan_matrix, simple_root
 from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.paths import PLPath, _validate
 
 
 @dataclass(frozen=True)
@@ -269,3 +281,117 @@ def closure(t, lam):
             f_edges[(v, i)] = w
             e_edges[(w, i)] = v
     return vertices, f_edges, e_edges
+
+
+def _check_origin(path: PLPath) -> None:
+    if any(path.points[0]):
+        raise DomainError("path must start at the origin")
+
+
+def _guard_int(x: int, den: int, what: str) -> int:
+    if x % den:
+        raise ModelIntegrityError(f"{what} is not an integer: {Fraction(x, den)}")
+    return x // den
+
+
+def _heights(path: PLPath, i: int):
+    if i not in path.rtype.nodes:
+        raise DomainError(f"node {i} not in {path.rtype}")
+    _check_origin(path)
+    h = [p[i - 1] for p in path.points]
+    m = min(h)
+    _guard_int(m, path.den, f"minimum of H_{i}")
+    return h, m
+
+
+def _reduced(rtype, den, times, points) -> PLPath:
+    kept = [0]
+    for k in range(1, len(times) - 1):
+        dt0, dt1 = times[k] - times[k - 1], times[k + 1] - times[k]
+        p0, p1, p2 = points[k - 1], points[k], points[k + 1]
+        if any((b - a) * dt1 != (c - b) * dt0 for a, b, c in zip(p0, p1, p2)):
+            kept.append(k)
+    kept.append(len(times) - 1)
+    times = tuple(times[k] for k in kept)
+    points = tuple(points[k] for k in kept)
+    g = gcd(den, *times, *chain.from_iterable(points))
+    if g > 1:
+        den //= g
+        times = tuple(t // g for t in times)
+        points = tuple(tuple(c // g for c in p) for p in points)
+    return PLPath(rtype, den, times, points)
+
+
+def _crossing(path: PLPath, h, k, level):
+    for j in (k, k + 1):
+        if h[j] == level:
+            return path.den, path.times, path.points, j
+    rise, step = h[k + 1] - h[k], level - h[k]
+    if rise < 0:
+        rise, step = -rise, -step
+    (t0, t1), (p0, p1) = path.times[k : k + 2], path.points[k : k + 2]
+    times = [t * rise for t in path.times]
+    points = [tuple(c * rise for c in p) for p in path.points]
+    times.insert(k + 1, t0 * rise + step * (t1 - t0))
+    points.insert(k + 1, tuple(a * rise + step * (b - a) for a, b in zip(p0, p1)))
+    return path.den * rise, times, points, k + 1
+
+
+def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PLPath:
+    alpha = [row[i - 1] for row in cartan_matrix(rtype)]
+    h_a = points[a][i - 1]
+    out = list(points[: a + 1])
+    for p in points[a + 1 : b + 1]:
+        c = p[i - 1] - h_a
+        out.append(tuple(x - c * y for x, y in zip(p, alpha)))
+    shift = [c * y for y in alpha]
+    out.extend(tuple(x - s for x, s in zip(p, shift)) for p in points[b + 1 :])
+    return _reduced(rtype, den, times, out)
+
+
+def two_pass_canonicalize(path: PLPath) -> PLPath:
+    _validate(path)
+    _check_origin(path)
+    return _reduced(path.rtype, path.den, path.times, path.points)
+
+
+def two_pass_root_f(path: PLPath, i: int) -> PLPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if h[-1] < level:
+        return None
+    ka = len(h) - 1 - h[::-1].index(m)
+    k = ka
+    while h[k + 1] < level:
+        k += 1
+    den, times, points, kb = _crossing(path, h, k, level)
+    return _reflect(path.rtype, den, times, points, i, ka, kb)
+
+
+def two_pass_root_e(path: PLPath, i: int) -> PLPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if level > 0:
+        return None
+    kb = h.index(m)
+    k = kb - 1
+    while h[k] < level:
+        k -= 1
+    den, times, points, ka = _crossing(path, h, k, level)
+    kb += len(times) - len(path.times)
+    return _reflect(path.rtype, den, times, points, i, ka, kb)
+
+
+def compressed_is_integral(path: PLPath) -> bool:
+    den = path.den
+    for i in path.rtype.nodes:
+        compressed = [path.points[0][i - 1]]
+        for p in path.points[1:]:
+            if p[i - 1] != compressed[-1]:
+                compressed.append(p[i - 1])
+        if compressed[-1] % den:
+            return False
+        for low, mid, high in zip(compressed, compressed[1:], compressed[2:]):
+            if low > mid < high and mid % den:
+                return False
+    return True

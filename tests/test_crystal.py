@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 from collections import Counter
 
@@ -9,6 +11,7 @@ from closure_oracle import generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
 from seminormal_oracle import seminormal_by_lookups
 from stembridge_oracle import violations as stembridge_violations
+from tensor_oracle import mismatch as tensor_mismatch
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal
@@ -252,6 +255,34 @@ def test_generate_never_raises(monkeypatch):
     assert len(generate(C2, (1, 1))) == 16
 
 
+def test_operator_call_counts_on_d4(monkeypatch):
+    # generate calls root_f once per vertex and color, and the defined calls
+    # are the f-edges; verify_seminormal calls root_e once per vertex and color
+    calls = Counter()
+
+    def counted(name, op):
+        def wrapper(path, i):
+            out = op(path, i)
+            calls[name] += 1
+            calls[f"{name} defined"] += out is not None
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(crystal, "root_f", counted("root_f", crystal.root_f))
+    monkeypatch.setattr(crystal, "root_e", counted("root_e", crystal.root_e))
+    g = generate(DynkinType("D", 4), (1, 1, 1, 1))
+    assert len(g) == 4096 and len(g.f_edges) == 9664
+    assert calls == {"root_f": 16384, "root_f defined": 9664}
+    assert verify_seminormal(g) == []
+    assert calls == {
+        "root_f": 16384,
+        "root_f defined": 9664,
+        "root_e": 16384,
+        "root_e defined": 9664,
+    }
+
+
 def test_seminormal_checks_raising_operator(monkeypatch):
     g = generate(C2, (1, 1))
     real = crystal.root_e
@@ -362,18 +393,66 @@ def test_stembridge_rejects_a_non_simply_laced_crystal():
     assert found and {v["axiom"] for v in found} == {"string-shift"}
 
 
-def test_stembridge_rejects_two_swapped_edges():
-    # f_1 at vertices 16 and 17 of D4(1,0,1,1), which share a weight, trade
-    # targets: the size, the weights and the string law hold, the squares break
-    g = generate(DynkinType("D", 4), (1, 0, 1, 1))
-    assert g.weights[16] == g.weights[17]
+def _swap_lowering_edges(g, i, v, u):
+    """g with the color-i lowering edges at v and u, which share a weight,
+    trading targets: the size, the weights and the string law still hold,
+    and only the path check of verify_seminormal sees the swap."""
+    assert g.weights[v] == g.weights[u]
     f_edges, e_edges = dict(g.f_edges), dict(g.e_edges)
-    w16, w17 = f_edges[(16, 1)], f_edges[(17, 1)]
-    f_edges[(16, 1)], f_edges[(17, 1)] = w17, w16
-    e_edges[(w17, 1)], e_edges[(w16, 1)] = 16, 17
+    wv, wu = f_edges[(v, i)], f_edges[(u, i)]
+    f_edges[(v, i)], f_edges[(u, i)] = wu, wv
+    e_edges[(wu, i)], e_edges[(wv, i)] = v, u
     broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
     assert {v["axiom"] for v in verify_seminormal(broken)} == {"raising-operator"}
+    return broken
+
+
+def test_stembridge_rejects_two_swapped_edges():
+    # f_1 at vertices 16 and 17 of D4(1,0,1,1) trade targets: the squares break
+    broken = _swap_lowering_edges(generate(DynkinType("D", 4), (1, 0, 1, 1)), 1, 16, 17)
     assert {"commute", "braid"} <= {v["axiom"] for v in stembridge_violations(broken)}
+
+
+def _splits(lam) -> list:
+    """Every (lam1, lam2) of nonzero dominant weights with sum lam."""
+    parts = [p for p in itertools.product(*(range(c + 1) for c in lam)) if any(p)]
+    return [(p, tuple(c - x for c, x in zip(lam, p))) for p in parts if p != tuple(lam)]
+
+
+_crystal = functools.cache(generate)
+
+# the shape cases whose weight splits, and non-simply-laced crystals that the
+# Stembridge axioms cannot judge
+TENSOR_CASES = [
+    case
+    for case in dict.fromkeys(
+        SHAPE_CASES
+        + [(B3, (1, 1, 0)), (C2, (2, 1)), (C3, (1, 1, 1)), (G2, (1, 1)), (G2, (2, 2))]
+        + [(F4, (1, 0, 0, 1))]
+    )
+    if _splits(case[1])
+]
+
+
+@pytest.mark.parametrize("t,lam", TENSOR_CASES)
+def test_crystals_match_tensor_product_oracle(t, lam):
+    g = _crystal(t, lam)
+    for first, second in _splits(lam):
+        assert tensor_mismatch(g, _crystal(t, first), _crystal(t, second)) is None
+
+
+@pytest.mark.parametrize(
+    "t,lam,color,v,u",
+    [
+        (DynkinType("D", 4), (1, 0, 1, 1), 1, 16, 17),
+        (G2, (1, 1), 1, 18, 21),
+        (C3, (1, 1, 1), 1, 7, 8),
+    ],
+)
+def test_tensor_product_oracle_rejects_two_swapped_edges(t, lam, color, v, u):
+    broken = _swap_lowering_edges(_crystal(t, lam), color, v, u)
+    for first, second in _splits(lam):
+        assert tensor_mismatch(broken, _crystal(t, first), _crystal(t, second)) is not None
 
 
 def _broken_graphs():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
-from pathcrystals import paths
 from pathcrystals.cartan import DynkinType
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
@@ -338,22 +337,34 @@ def _view(path):
     return None if path is None else (path.rtype, path.breakpoints)
 
 
-def test_root_operators_match_oracle(monkeypatch):
+def _crosses_between_breakpoints(p, i, op):
+    """Whether op's window on color i ends at a level m + 1 that H reaches
+    strictly between two breakpoints, so the operator inserts a breakpoint."""
+    h = [q[i - 1] for q in p.points]
+    m = min(h)
+    level = m + p.den
+    if op == "root_f":
+        if h[-1] < level:
+            return False
+        k = len(h) - 1 - h[::-1].index(m)
+        while h[k] < level:
+            k += 1
+    else:
+        if level > 0:
+            return False
+        k = h.index(m)
+        while h[k] < level:
+            k -= 1
+    return h[k] != level
+
+
+def test_root_operators_match_oracle():
     # the oracle has its own window search and rewrite loop per operator; the
     # cases also cross a level between two breakpoints, counted here, so the
-    # interpolating branch of the shared crossing helper is compared too
+    # interpolating branch of the rewrite is compared too
     interpolated = {"root_f": 0, "root_e": 0}
-    crossing = paths._crossing
-
-    def counting(path, h, k, level):
-        out = crossing(path, h, k, level)
-        interpolated[current] += len(out[1]) > len(path.times)
-        return out
-
-    models = [generate(t, lam) for t, lam in ORACLE_CASES]
-    monkeypatch.setattr(paths, "_crossing", counting)
-    for (t, lam), g in zip(ORACLE_CASES, models):
-        for p in g.vertices:
+    for t, lam in ORACLE_CASES:
+        for p in generate(t, lam).vertices:
             for i in t.nodes:
                 for current, op, oracle in (
                     ("root_f", root_f, paths_oracle.root_f),
@@ -361,7 +372,44 @@ def test_root_operators_match_oracle(monkeypatch):
                 ):
                     expected = _view(oracle(p, i))
                     assert _view(op(p, i)) == expected, (str(t), lam, p, i, current)
+                    interpolated[current] += _crosses_between_breakpoints(p, i, current)
     assert interpolated == {"root_f": 195, "root_e": 195}
+
+
+TWO_PASS_CASES = ORACLE_CASES + [
+    (DynkinType("D", 4), (1, 1, 1, 1)),
+    (G2, (2, 2)),
+    (DynkinType("C", 3), (1, 1, 1)),
+]
+
+
+def _exact_outcome(op, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return op(*args)
+    except Exception as exc:  # the type and the message are the outcome
+        return type(exc), str(exc)
+
+
+def _match_two_pass(p):
+    """Each one-pass operator, canonicalize and is_integral against the
+    two-pass kernel they replaced, on p and every color of its type."""
+    for i in p.rtype.nodes:
+        for op, oracle in (
+            (root_f, paths_oracle.two_pass_root_f),
+            (root_e, paths_oracle.two_pass_root_e),
+        ):
+            assert _exact_outcome(op, p, i) == _exact_outcome(oracle, p, i), (p, i, op)
+    assert _exact_outcome(canonicalize, p) == _exact_outcome(
+        paths_oracle.two_pass_canonicalize, p
+    )
+    assert is_integral(p) == paths_oracle.compressed_is_integral(p)
+
+
+@pytest.mark.parametrize("t,lam", TWO_PASS_CASES)
+def test_root_operators_match_two_pass_oracle(t, lam):
+    for p in generate(t, lam).vertices:
+        _match_two_pass(p)
 
 
 def _fractions(denominators):
@@ -406,6 +454,9 @@ def test_root_operators_match_oracle_on_random_paths(p):
         else:
             assert _outcome(root_f, p, i) == _outcome(paths_oracle.root_f, p, i)
             assert _outcome(root_e, p, i) == _outcome(paths_oracle.root_e, p, i)
+    # against the two-pass kernel, also off the origin: equal results, or the
+    # same exception with the same message
+    _match_two_pass(p)
 
 
 def test_operators_reject_paths_off_the_origin():
