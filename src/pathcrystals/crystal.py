@@ -12,9 +12,9 @@ only reaches the previous layer, so closing under the raising operators too
 would find nothing new.  Edges are stored once, in one list per color and
 direction indexed by vertex id.  verify_seminormal checks the raising
 operators against the e-edges.  The vertex count must match the Weyl
-dimension formula exactly; a mismatch aborts, since it is the strongest
-single guard on the operators.  A Levi view walks each component once, down
-the lowering edges from its highest vertex, and keeps the walk.
+dimension formula exactly, the strongest single guard on the operators; a
+mismatch aborts, at the first extra vertex if there are too many.  A Levi
+view walks each component from its highest vertex, once, and keeps the walk.
 """
 
 from __future__ import annotations
@@ -128,6 +128,10 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             if not is_integral(path):
                 raise ModelIntegrityError("generated path with non-integral minima")
             vid = len(vertices)
+            if vid == dim:
+                raise ModelIntegrityError(
+                    f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
+                )
             vertices.append(path)
             index[path] = vid
             queue.append(vid)

@@ -14,11 +14,11 @@ construction time, so the orientation conventions cannot drift.
 
 Path virtualization applies psi breakpoint-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
-sigma(i); verifiers check, exhaustively on generated models, that
-virtualization intertwines the operators, that the induced generators
-satisfy the cactus relations, and that the partial involutions commute with
-virtualization.  On a finite model virtualization is an injective map on
-vertex ids, so that last check is a permutation identity on its table.
+sigma(i).  Verifiers check exhaustively that virtualization intertwines the
+operators on the source model, with target membership decided by raising
+each image to a known path; and, on the generated target model, that the
+induced generators satisfy the cactus relations and that the partial
+involutions commute with virtualization, as a permutation identity.
 """
 
 from __future__ import annotations
@@ -29,23 +29,27 @@ from math import lcm
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
+    all_nodes,
     cartan_matrix,
     components,
     connected_subdiagrams,
     is_connected,
     neighbors,
+    positive_roots,
     symmetrizer,
     theta,
 )
 from .crystal import DEFAULT_MAX_SIZE, generate
-from .errors import ConfigurationError, ModelIntegrityError, NotInImageError
+from .errors import ConfigurationError, DomainError, ModelIntegrityError, NotInImageError
 from .paths import (
     PLPath,
     canonicalize,
     epsilon,
+    is_integral,
     phi,
     root_e,
     root_f,
+    straight_path,
 )
 
 DEFAULT_MAX_RANK = 4
@@ -294,44 +298,76 @@ def verify_component_identity(fold: FoldingPair) -> list:
     return violations
 
 
-def _embedding(fold: FoldingPair, lam, max_size):
-    """Source model of lam, target model of psi(lam), the virtualization map
-    as a table of vertex ids, and the image-membership and injectivity
-    records of that table."""
-    gx = generate(fold.x_type, lam, max_size=max_size)
-    gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
-    images = {}
-    problems = []
-    for b in range(len(gx)):
-        target = gy.find(virtualize_path(fold, gx.path(b)))
+def _image_table(virtual, lookup):
+    """{source id: lookup(image)} over the images that lookup finds, and the
+    image-membership and injectivity records of that table."""
+    images, problems = {}, []
+    for b, q in enumerate(virtual):
+        target = lookup(q)
         if target is None:
             problems.append({"check": "image-membership", "vertex": b})
         else:
             images[b] = target
     if len(set(images.values())) != len(images):
         problems.append({"check": "injectivity"})
+    return images, problems
+
+
+def _embedding(fold: FoldingPair, lam, max_size):
+    """Source model of lam, target model of psi(lam), the virtualization map
+    as a table of vertex ids, and the image-membership and injectivity
+    records of that table."""
+    gx = generate(fold.x_type, lam, max_size=max_size)
+    gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
+    images, problems = _image_table([virtualize_path(fold, p) for p in gx.vertices], gy.find)
     return gx, gy, images, problems
 
 
+def _membership(fold: FoldingPair, lam, max_size):
+    """Lookup: q if the target path q is in B(psi(lam)), else None.  A walk
+    raises q by the first defined root_e, colors ascending, over integral
+    paths to a path with a verdict and passes it on to every path it visits;
+    it fails past <psi(lam) - wt(q), rho^vee> steps (rho^vee: half the root
+    coefficient sums; Y is simply laced).  DomainError past max_size paths."""
+    y, top = fold.y_type, psi_weight(fold, lam)
+    rho2 = [sum(col) for col in zip(*positive_roots(y, all_nodes(y)))]
+    known = {straight_path(y, top): True}
+
+    def lookup(q):
+        twice = sum(r * (a * q.den - c) for r, a, c in zip(rho2, top, q.points[-1]))
+        budget = twice // (2 * q.den)
+        walk, p = [], q
+        while p not in known and len(walk) < budget and is_integral(p):
+            walk.append(p)
+            p = next(filter(None, (root_e(p, i) for i in y.nodes)), None)
+        known.update(dict.fromkeys(walk, known.get(p, False)))
+        if max_size is not None and len(known) > max_size:
+            raise DomainError(f"{len(known)} target paths touched, past the cap {max_size}")
+        return q if known.get(q) else None
+
+    return lookup
+
+
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:
-    """Exhaustively check that virtualization embeds the source model into
-    the target model: images are vertices, the map is injective, operators
-    intertwine with the virtual operators including definedness, and the
-    string statistics scale by gamma."""
-    gx, gy, images, violations = _embedding(fold, lam, max_size)
-    operators = (("f", root_f, virtual_f), ("e", root_e, virtual_e))
-    for b, target in images.items():
-        pb = gx.path(b)
-        qb = gy.path(target)
+    """Exhaustively check that virtualization embeds the source model, the one
+    model generated, into B(psi(lam)): images are members (by _membership),
+    the map is injective, the source edges intertwine with the virtual
+    operators including definedness, and the string statistics scale by gamma."""
+    gx = generate(fold.x_type, lam, max_size=max_size)
+    virtual = [virtualize_path(fold, p) for p in gx.vertices]
+    images, violations = _image_table(virtual, _membership(fold, lam, max_size))
+    operators = (("f", gx.f_to, virtual_f), ("e", gx.e_to, virtual_e))
+    for b in images:
+        pb, qb = gx.path(b), virtual[b]
         for i in fold.x_type.nodes:
-            for name, op, virtual_op in operators:
-                moved = op(pb, i)
+            for name, edges, virtual_op in operators:
+                moved = edges[i][b]
                 virtual_moved = virtual_op(fold, qb, i)
                 if (moved is None) != (virtual_moved is None):
                     violations.append(
                         {"check": f"{name}-definedness", "vertex": b, "color": i}
                     )
-                elif moved is not None and virtualize_path(fold, moved) != virtual_moved:
+                elif moved is not None and virtual[moved] != virtual_moved:
                     violations.append(
                         {"check": f"{name}-intertwine", "vertex": b, "color": i}
                     )

@@ -1,6 +1,7 @@
-"""Scaling exponents by propagation along the source diagram, and the
-commutative diagram checked path by path, kept as test oracles for
-folding_pair and verify_commutative_diagram.
+"""Scaling exponents by propagation along the source diagram, the
+commutative diagram checked path by path, and the virtualization check on
+the whole target model, kept as test oracles for folding_pair,
+verify_commutative_diagram and verify_virtualization.
 
 The exponents are solved from psi(alpha_k) = gamma_k * sum of the target
 simple roots over sigma(k), one neighbor at a time from node 1, then scaled
@@ -8,6 +9,10 @@ to coprime integers.  The diagram check virtualizes the source path of
 xi_J(b) and compares it, as a path, with the target path of the induced word
 applied to the image of b.  It calls xi_perm and act through the folding
 module, so a test that patches them there patches both verifiers.
+
+The virtualization check generates the target model and looks each image up
+among its vertices, and calls the source operators on the source paths; like
+the diagram check, it calls through the folding module.
 """
 
 from fractions import Fraction
@@ -82,4 +87,36 @@ def verify_commutative_diagram_by_paths(fold, lam, max_size=DEFAULT_MAX_SIZE):
                 violations.append({"check": "diagram", "I": sorted(sub), "vertex": b})
         if {target_perm[v] for v in image_set} != image_set:
             violations.append({"check": "image-stability", "I": sorted(sub)})
+    return violations
+
+
+def verify_virtualization_on_target(fold, lam, max_size=DEFAULT_MAX_SIZE):
+    gx = generate(fold.x_type, lam, max_size=max_size)
+    gy = generate(fold.y_type, folding.psi_weight(fold, lam), max_size=max_size)
+    images, violations = _image_table(fold, gx, gy)
+    operators = (
+        ("f", folding.root_f, folding.virtual_f),
+        ("e", folding.root_e, folding.virtual_e),
+    )
+    for b, target in images.items():
+        pb = gx.path(b)
+        qb = gy.path(target)
+        for i in fold.x_type.nodes:
+            for name, op, virtual_op in operators:
+                moved = op(pb, i)
+                virtual_moved = virtual_op(fold, qb, i)
+                if (moved is None) != (virtual_moved is None):
+                    violations.append({"check": f"{name}-definedness", "vertex": b, "color": i})
+                elif (
+                    moved is not None
+                    and folding.virtualize_path(fold, moved) != virtual_moved
+                ):
+                    violations.append({"check": f"{name}-intertwine", "vertex": b, "color": i})
+            for j in fold.sigma(i):
+                if folding.epsilon(qb, j) != fold.gamma(i) * folding.epsilon(
+                    pb, i
+                ) or folding.phi(qb, j) != fold.gamma(i) * folding.phi(pb, i):
+                    violations.append(
+                        {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
+                    )
     return violations

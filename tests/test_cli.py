@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -305,6 +306,27 @@ def test_integer_options_keep_their_meaning(capsys):
     assert json.loads(capsys.readouterr().out)["image"] == 2
     assert main(["crystal", "A1", "2", "--max-size", "2"]) == 2
     assert capsys.readouterr().err == "error: crystal of size 3 exceeds the cap 2\n"
+
+
+def test_verify_virtualization_past_the_target_cap(capsys):
+    # the 114,688-vertex D4 target is never built: only 565 paths are touched
+    assert main(["verify", "virtualization", "G2", "1,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "cap,message",
+    [
+        ("100", r"error: \d+ target paths touched, past the cap 100\n"),
+        ("10", r"error: crystal of size 64 exceeds the cap 10\n"),
+    ],
+    ids=["touched", "source"],
+)
+def test_verify_virtualization_max_size_exits_two(capsys, cap, message):
+    # 64 source vertices; the cap counts the target paths the walks touch
+    assert main(["verify", "virtualization", "G2", "1,1", "--max-size", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(message, captured.err)
 
 
 def test_malformed_weight_exits_two_from_the_shell(cli_env):

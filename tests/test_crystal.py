@@ -25,7 +25,7 @@ from pathcrystals.crystal import (
 )
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, psi_weight
-from pathcrystals.paths import path_from_json
+from pathcrystals.paths import path_from_json, straight_path
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -245,6 +245,18 @@ def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     oracle = graph_from_edges(t, lam, vertices, f_edges, e_edges)
     assert _sha256(export_json(oracle)) == digest
     assert export_json(oracle) == export_oracle.export_json(oracle)
+
+
+def test_generate_stops_one_vertex_past_the_weyl_dimension(monkeypatch):
+    # a lowering operator that always yields a new path would close forever
+    calls = itertools.count(1)
+    monkeypatch.setattr(
+        crystal, "root_f", lambda path, i: straight_path(A2, (next(calls), 0))
+    )
+    with pytest.raises(ModelIntegrityError) as info:
+        generate(A2, (1, 1))
+    assert str(info.value) == "generated 9 vertices but the Weyl dimension is 8"
+    assert next(calls) - 1 <= (8 + 1) * A2.rank
 
 
 def test_generate_never_raises(monkeypatch):

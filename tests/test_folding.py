@@ -1,7 +1,11 @@
 import random
 
 import pytest
-from fold_oracle import solve_gamma, verify_commutative_diagram_by_paths
+from fold_oracle import (
+    solve_gamma,
+    verify_commutative_diagram_by_paths,
+    verify_virtualization_on_target,
+)
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals.cartan import (
@@ -13,7 +17,7 @@ from pathcrystals.cartan import (
 )
 from pathcrystals import folding
 from pathcrystals.cactus import act, compose
-from pathcrystals.crystal import generate
+from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import ConfigurationError, NotInImageError
 from pathcrystals.folding import (
     devirtualize,
@@ -462,6 +466,104 @@ def test_commutative_diagram_matches_path_oracle_on_broken_virtualization(
     report = verify_commutative_diagram(fold, lam)
     assert any(r["check"] == "left-inverse" for r in report)
     assert report == verify_commutative_diagram_by_paths(fold, lam)
+
+
+# the folding workload of the benchmark: every weight of each symmetry class
+# whose target has 15 to 200 vertices, and the pinned F4 case
+FOLDING_WORKLOAD_CASES = [
+    ("B2", (0, 1)),
+    ("C2", (1, 0)),
+    ("B2", (1, 0)),
+    ("C2", (0, 1)),
+    ("B3", (1, 0, 0)),
+    ("C3", (1, 0, 0)),
+    ("B3", (0, 0, 1)),
+    ("B2", (0, 2)),
+    ("C2", (2, 0)),
+    ("B2", (2, 0)),
+    ("C2", (0, 2)),
+    ("B2", (1, 1)),
+    ("C2", (1, 1)),
+    ("C3", (0, 0, 1)),
+    ("C3", (0, 1, 0)),
+    ("F4", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,lam", sorted(set(DIAGRAM_ORACLE_CASES + FOLDING_WORKLOAD_CASES)))
+def test_virtualization_matches_full_target_oracle(name, lam):
+    fold = folding_pair(name)
+    assert verify_virtualization(fold, lam) == verify_virtualization_on_target(fold, lam)
+
+
+def _one_more_step(real, fold, lam):
+    return lambda path, i: real(path, i) + (path.rtype == fold.y_type)
+
+
+def _merging(real, fold, lam):
+    # vertex 1 goes to the image of vertex 0: two vertices share one path
+    gx = generate(fold.x_type, lam)
+    return lambda fold, path: real(fold, gx.path(0) if path == gx.path(1) else path)
+
+
+VIRTUALIZATION_PATCHES = {
+    **{
+        f"{name}-{check}": (
+            f"virtual_{name}",
+            lambda real, fold, lam, check=check: BROKEN_VIRTUAL_OPS[check](real),
+        )
+        for name in ("f", "e")
+        for check in sorted(BROKEN_VIRTUAL_OPS)
+    },
+    "string-scaling-epsilon": ("epsilon", _one_more_step),
+    "string-scaling-phi": ("phi", _one_more_step),
+    "image-membership": ("virtualize_path", lambda real, fold, lam: _off_lattice),
+    "injectivity": ("virtualize_path", _merging),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(VIRTUALIZATION_PATCHES))
+@pytest.mark.parametrize("name,lam", [("C2", (1, 1)), ("B3", (0, 1, 0)), ("G2", (1, 0))])
+def test_virtualization_matches_full_target_oracle_on_broken_models(
+    monkeypatch, patch, name, lam
+):
+    # the patch name starts with a check the break must show
+    fold = folding_pair(name)
+    attr, broken = VIRTUALIZATION_PATCHES[patch]
+    monkeypatch.setattr(folding, attr, broken(getattr(folding, attr), fold, lam))
+    report = verify_virtualization(fold, lam)
+    assert any(patch.startswith(r["check"]) for r in report)
+    assert report == verify_virtualization_on_target(fold, lam)
+
+
+def test_membership_walk_is_bounded(monkeypatch):
+    # a raising operator that stands still never reaches a known path: each
+    # walk stops at its step budget and records the vertex as no member
+    monkeypatch.setattr(folding, "root_e", lambda path, i: path)
+    report = verify_virtualization(folding_pair("C2"), (1, 0), max_size=None)
+    assert [r for r in report if r["check"] == "image-membership"] == [
+        {"check": "image-membership", "vertex": b} for b in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("name,lam", [("G2", (1, 1)), ("C3", (1, 1, 1)), ("G2", (2, 2))])
+def test_virtualization_reaches_past_the_target_cap(name, lam):
+    fold = folding_pair(name)
+    assert weyl_dim(fold.y_type, psi_weight(fold, lam)) > DEFAULT_MAX_SIZE
+    assert verify_virtualization(fold, lam) == []
+
+
+def test_virtualization_generates_the_source_model_only(monkeypatch):
+    built = []
+
+    def recorded(t, lam, max_size=None):
+        built.append(t)
+        return generate(t, lam, max_size=max_size)
+
+    monkeypatch.setattr(folding, "generate", recorded)
+    fold = folding_pair("C2")
+    assert verify_virtualization(fold, (1, 1)) == []
+    assert built == [fold.x_type]
 
 
 def test_commutative_diagram_reports_unstable_image(monkeypatch):
