@@ -24,7 +24,7 @@ involutions commute with virtualization, as a permutation identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
@@ -315,8 +315,7 @@ def _image_table(virtual, lookup):
 
 def _embedding(fold: FoldingPair, lam, max_size):
     """Source model of lam, target model of psi(lam), the virtualization map
-    as a table of vertex ids, and the image-membership and injectivity
-    records of that table."""
+    as a table of vertex ids, and its image-membership and injectivity records."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
     images, problems = _image_table([virtualize_path(fold, p) for p in gx.vertices], gy.find)
@@ -325,24 +324,25 @@ def _embedding(fold: FoldingPair, lam, max_size):
 
 def _membership(fold: FoldingPair, lam, max_size):
     """Lookup: q if the target path q is in B(psi(lam)), else None.  A walk
-    raises q by the first defined root_e, colors ascending, over integral
-    paths to a path with a verdict and passes it on to every path it visits;
-    it fails past <psi(lam) - wt(q), rho^vee> steps (rho^vee: half the root
-    coefficient sums; Y is simply laced).  DomainError past max_size paths."""
+    raises q by the first defined root_e, colors ascending, to a path with a
+    verdict and passes it on to every path it visits.  It fails off the origin,
+    at a non-integral or another dominant path, or past <psi(lam) - wt(q),
+    rho^vee> steps (Y is simply laced).  DomainError at the (max_size + 1)-th path."""
     y, top = fold.y_type, psi_weight(fold, lam)
     rho2 = [sum(col) for col in zip(*positive_roots(y, all_nodes(y)))]
     known = {straight_path(y, top): True}
+    cap = inf if max_size is None else max_size
 
     def lookup(q):
         twice = sum(r * (a * q.den - c) for r, a, c in zip(rho2, top, q.points[-1]))
         budget = twice // (2 * q.den)
-        walk, p = [], q
-        while p not in known and len(walk) < budget and is_integral(p):
+        walk, p = [], None if any(q.points[0]) else q
+        while p is not None and p not in known and len(walk) < budget and is_integral(p):
+            if len(known) + len(walk) >= cap:
+                raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
             walk.append(p)
             p = next(filter(None, (root_e(p, i) for i in y.nodes)), None)
         known.update(dict.fromkeys(walk, known.get(p, False)))
-        if max_size is not None and len(known) > max_size:
-            raise DomainError(f"{len(known)} target paths touched, past the cap {max_size}")
         return q if known.get(q) else None
 
     return lookup

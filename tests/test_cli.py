@@ -317,7 +317,7 @@ def test_verify_virtualization_past_the_target_cap(capsys):
 @pytest.mark.parametrize(
     "cap,message",
     [
-        ("100", r"error: \d+ target paths touched, past the cap 100\n"),
+        ("100", "error: 101 target paths touched, past the cap 100\n"),
         ("10", r"error: crystal of size 64 exceeds the cap 10\n"),
     ],
     ids=["touched", "source"],

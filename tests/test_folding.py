@@ -18,7 +18,7 @@ from pathcrystals.cartan import (
 from pathcrystals import folding
 from pathcrystals.cactus import act, compose
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
-from pathcrystals.errors import ConfigurationError, NotInImageError
+from pathcrystals.errors import ConfigurationError, DomainError, NotInImageError
 from pathcrystals.folding import (
     devirtualize,
     fold_info,
@@ -506,6 +506,28 @@ def _merging(real, fold, lam):
     return lambda fold, path: real(fold, gx.path(0) if path == gx.path(1) else path)
 
 
+def _bent_images(move):
+    # the image of every bent path is moved; a straight path keeps its image
+    def broken(real, fold, lam):
+        def virtualize(fold, path):
+            q = real(fold, path)
+            return q if len(path.breakpoints) == 2 else move(q)
+
+        return virtualize
+
+    return broken
+
+
+def _to_zero(q):
+    # a dominant path of another component: raising it stops short of the top
+    return straight_path(q.rtype, (0,) * q.rtype.rank)
+
+
+def _off_origin(q):
+    # an integral path translated by minus every fundamental weight
+    return PLPath(q.rtype, q.den, q.times, tuple(tuple(c - q.den for c in p) for p in q.points))
+
+
 VIRTUALIZATION_PATCHES = {
     **{
         f"{name}-{check}": (
@@ -518,6 +540,8 @@ VIRTUALIZATION_PATCHES = {
     "string-scaling-epsilon": ("epsilon", _one_more_step),
     "string-scaling-phi": ("phi", _one_more_step),
     "image-membership": ("virtualize_path", lambda real, fold, lam: _off_lattice),
+    "image-membership-at-zero": ("virtualize_path", _bent_images(_to_zero)),
+    "image-membership-off-origin": ("virtualize_path", _bent_images(_off_origin)),
     "injectivity": ("virtualize_path", _merging),
 }
 
@@ -544,6 +568,14 @@ def test_membership_walk_is_bounded(monkeypatch):
     assert [r for r in report if r["check"] == "image-membership"] == [
         {"check": "image-membership", "vertex": b} for b in (1, 2, 3)
     ]
+
+
+def test_membership_cap_counts_touched_paths_exactly():
+    # the G2(1,1) walks touch 565 target paths, the straight path included
+    fold = folding_pair("G2")
+    assert verify_virtualization(fold, (1, 1), max_size=565) == []
+    with pytest.raises(DomainError, match=r"^565 target paths touched, past the cap 564$"):
+        verify_virtualization(fold, (1, 1), max_size=564)
 
 
 @pytest.mark.parametrize("name,lam", [("G2", (1, 1)), ("C3", (1, 1, 1)), ("G2", (2, 2))])
