@@ -274,6 +274,8 @@ def connected_subdiagrams(t: DynkinType) -> tuple[NodeSet, ...]:
 def components(t: DynkinType, nodes) -> list:
     """Partition a node set into connected pieces, ascending by smallest node."""
     nodes = set(nodes)
+    if not nodes <= all_nodes(t):
+        raise DomainError(f"nodes {sorted(nodes)} not in {t}")
     adj = neighbors(t)
     out = []
     while nodes:

@@ -184,7 +184,7 @@ def cmd_virtualize(args) -> int:
     fold = folding_pair(args.type)
     lam = _parse_weight(fold.x_type, args.weight)
     max_size = _parse_int(args.max_size, "max size")
-    gx, gy, images, problems = _embedding(fold, lam, max_size)
+    gx, gy, _, images, problems = _embedding(fold, lam, max_size)
     if problems:
         raise ModelIntegrityError(f"not an embedding: {json.dumps(problems[0])}")
     data = {

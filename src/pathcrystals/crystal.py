@@ -278,11 +278,11 @@ class LeviView:
         """The unique vertex of the component with no lowering edges."""
         return self._parts[self._top_of[comp[0]]][1]
 
-    def f_word(self, comp, b: int, descending=False) -> tuple:
+    def f_word(self, comp, b: int) -> tuple:
         """A color word w with b obtained from the component's highest vertex
         by lowering in the order the word is read (first letter first).
-        Deterministic BFS parent chains; descending flips the color order."""
-        order = sorted(self.colors, reverse=descending)
+        Deterministic BFS parent chains, colors ascending."""
+        order = sorted(self.colors)
         root = self.highest_of(comp)
         members = set(comp)
         parent = {root: None}

@@ -7,10 +7,11 @@ automorphism of the target, scaling exponents gamma, and the induced
 weight-lattice embedding psi with psi(Lambda_i) = gamma_i * sum of the
 fundamental weights over sigma(i).
 
-The gamma values are not hard-coded: they are the minimal symmetrizer of the
-source Cartan matrix, and the identity psi(alpha_i) = gamma_i * sum of the
-target simple roots over sigma(i) that defines them is re-checked in full at
-construction time, so the orientation conventions cannot drift.
+Neither sigma nor gamma is hard-coded: sigma(i) is the automorphism orbit of
+one target node per source node, and gamma is the minimal symmetrizer of the
+source Cartan matrix.  The identity psi(alpha_i) = gamma_i * sum of the
+target simple roots over sigma(i) is the one construction check, in full, so
+the orientation conventions cannot drift.
 
 Path virtualization applies psi breakpoint-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
@@ -30,12 +31,11 @@ from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
     all_nodes,
-    cartan_matrix,
     components,
     connected_subdiagrams,
     is_connected,
-    neighbors,
     positive_roots,
+    simple_root,
     symmetrizer,
     theta,
 )
@@ -88,106 +88,64 @@ class FoldingPair:
 
 
 def _fold_table(x: DynkinType):
+    """Target type, automorphism, one target node per source node (sigma(i)
+    is the automorphism orbit of node i's entry) and branch node."""
     n = x.rank
     if x.family == "C":
         y = DynkinType("A", 2 * n - 1)
-        sigma = {i: {i, 2 * n - i} for i in range(1, n)}
-        sigma[n] = {n}
         aut = {i: 2 * n - i for i in y.nodes}
-        branch = n
-    elif x.family == "B":
+        return y, aut, x.nodes, n
+    if x.family == "B":
         y = DynkinType("D", n + 1)
-        sigma = {i: {i} for i in range(1, n)}
-        sigma[n] = {n, n + 1}
         aut = {i: i for i in y.nodes}
         aut[n], aut[n + 1] = n + 1, n
-        branch = n - 1
-    elif x.family == "G":
-        y = DynkinType("D", 4)
-        sigma = {1: {1, 3, 4}, 2: {2}}
+        return y, aut, x.nodes, n - 1
+    if x.family == "G":
         # order-3 rotation of the outer nodes; the fork swap would give three
         # orbits and no bijection with the two G_2 nodes
-        aut = {1: 3, 2: 2, 3: 4, 4: 1}
-        branch = 2
-    elif x.family == "F":
-        y = DynkinType("E", 6)
-        sigma = {1: {2}, 2: {4}, 3: {3, 5}, 4: {1, 6}}
-        aut = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
-        branch = 2
-    else:
-        raise ConfigurationError(f"{x} has no simply-laced folding")
-    return y, sigma, aut, branch
+        return DynkinType("D", 4), {1: 3, 2: 2, 3: 4, 4: 1}, (1, 2), 2
+    if x.family == "F":
+        return DynkinType("E", 6), {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}, (2, 4, 3, 1), 2
+    raise ConfigurationError(f"{x} has no simply-laced folding")
 
 
-def _check_root_identity(x, y, sigma, gamma):
-    ax = cartan_matrix(x)
-    ay = cartan_matrix(y)
-    for i in x.nodes:
-        # psi(alpha_i): alpha_i = sum_k ax[k][i] Lambda_k, then apply psi
-        lhs = [0] * y.rank
-        for k in x.nodes:
-            coeff = ax[k - 1][i - 1]
-            if coeff:
-                for j in sigma[k]:
-                    lhs[j - 1] += coeff * gamma[k]
-        rhs = [0] * y.rank
-        for j in sigma[i]:
-            for l in y.nodes:
-                rhs[l - 1] += gamma[i] * ay[l - 1][j - 1]
-        if lhs != rhs:
-            raise ModelIntegrityError(
-                f"root identity fails for {x} at node {i}: {lhs} != {rhs}"
-            )
-
-
-def _check_orbit_structure(x, y, sigma, aut):
-    covered = set()
-    for i in x.nodes:
-        orbit = set(sigma[i])
-        if orbit & covered:
-            raise ModelIntegrityError(f"orbits of {x} nodes overlap")
-        covered |= orbit
-        closure = set()
-        j = min(orbit)
-        while j not in closure:
-            closure.add(j)
-            j = aut[j]
-        if closure != orbit:
-            raise ModelIntegrityError(
-                f"sigma({i}) = {sorted(orbit)} is not an automorphism orbit"
-            )
-    if covered != set(y.nodes):
-        raise ModelIntegrityError(f"orbits do not partition the nodes of {y}")
-    adj_y = neighbors(y)
-    adj_x = neighbors(x)
-    for i in x.nodes:
-        for k in x.nodes:
-            if i >= k:
-                continue
-            linked = any(b in adj_y[a] for a in sigma[i] for b in sigma[k])
-            if linked != (k in adj_x[i]):
-                raise ModelIntegrityError(
-                    f"orbit map is not edge-preserving between {i} and {k}"
-                )
+def _orbit(aut, j) -> frozenset:
+    orbit = set()
+    while j not in orbit:
+        orbit.add(j)
+        j = aut[j]
+    return frozenset(orbit)
 
 
 def folding_pair(x) -> FoldingPair:
     """Folding data for a source type among C_n, B_n, G_2, F_4.
 
     The rank is capped at DEFAULT_MAX_RANK to keep generated target models
-    at desk scale.  Construction validates the orbit structure, takes the
-    scaling exponents from the source symmetrizer, and checks the defining
-    root identity exactly.
+    at desk scale.  sigma(i) is the orbit of the automorphism through the
+    table's target node for i, and the orbits must partition the target
+    nodes.  The scaling exponents are the source symmetrizer.  The one
+    construction check is the defining root identity
+    psi(alpha_i) = gamma_i * sum of the target simple roots over sigma(i),
+    exactly; as the target is simply laced, it also requires sigma(i) and
+    sigma(k) to be linked exactly when i and k are.
     """
     if isinstance(x, str):
         x = DynkinType.parse(x)
     if x.rank > DEFAULT_MAX_RANK:
         raise ConfigurationError(f"rank {x.rank} above the cap {DEFAULT_MAX_RANK}")
-    y, sigma, aut, branch = _fold_table(x)
-    gamma = dict(zip(x.nodes, symmetrizer(x)))
-    _check_root_identity(x, y, sigma, gamma)
-    _check_orbit_structure(x, y, sigma, aut)
-    return FoldingPair(x, y, sigma, aut, gamma, branch)
+    y, aut, table_nodes, branch = _fold_table(x)
+    sigma = {i: _orbit(aut, j) for i, j in zip(x.nodes, table_nodes)}
+    if sorted(j for orbit in sigma.values() for j in orbit) != list(y.nodes):
+        raise ModelIntegrityError(f"orbits do not partition the nodes of {y}")
+    fold = FoldingPair(x, y, sigma, aut, dict(zip(x.nodes, symmetrizer(x))), branch)
+    for i in x.nodes:
+        lhs = list(psi_weight(fold, simple_root(x, i)))
+        rhs = [fold.gamma(i) * sum(c) for c in zip(*(simple_root(y, j) for j in sigma[i]))]
+        if lhs != rhs:
+            raise ModelIntegrityError(
+                f"root identity fails for {x} at node {i}: {lhs} != {rhs}"
+            )
+    return fold
 
 
 def psi_weight(fold: FoldingPair, mu):
@@ -314,12 +272,14 @@ def _image_table(virtual, lookup):
 
 
 def _embedding(fold: FoldingPair, lam, max_size):
-    """Source model of lam, target model of psi(lam), the virtualization map
-    as a table of vertex ids, and its image-membership and injectivity records."""
+    """Source model of lam, target model of psi(lam), the virtualized source
+    paths, the virtualization map as a table of vertex ids, and its
+    image-membership and injectivity records."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
-    images, problems = _image_table([virtualize_path(fold, p) for p in gx.vertices], gy.find)
-    return gx, gy, images, problems
+    virtual = [virtualize_path(fold, p) for p in gx.vertices]
+    images, problems = _image_table(virtual, gy.find)
+    return gx, gy, virtual, images, problems
 
 
 def _membership(fold: FoldingPair, lam, max_size):
@@ -420,12 +380,10 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
     Virtualization is read off the vertex-id table of the embedding, so the
     diagram v o xi_J = s~_J o v is checked as an identity of permutations of
     vertex ids; a vertex whose xi_J-image is missing from the table fails.
-    The left inverse is applied to the table's target path, or to a fresh
-    virtualization for a vertex without an image."""
+    The left inverse is applied to the virtualized path of every vertex."""
     x = fold.x_type
-    gx, gy, images, violations = _embedding(fold, lam, max_size)
-    for b in range(len(gx)):
-        image = gy.path(images[b]) if b in images else virtualize_path(fold, gx.path(b))
+    gx, gy, virtual, images, violations = _embedding(fold, lam, max_size)
+    for b, image in enumerate(virtual):
         try:
             back = devirtualize(fold, image)
         except NotInImageError:

@@ -1,7 +1,14 @@
-"""Scaling exponents by propagation along the source diagram, the
-commutative diagram checked path by path, and the virtualization check on
-the whole target model, kept as test oracles for folding_pair,
-verify_commutative_diagram and verify_virtualization.
+"""The hand-written folding table and its two checkers, scaling exponents by
+propagation along the source diagram, the commutative diagram checked path
+by path, and the virtualization check on the whole target model, kept as
+test oracles for folding_pair, verify_commutative_diagram and
+verify_virtualization.
+
+fold_table writes sigma down beside the automorphism, as folding_pair once
+did, and check_root_identity and check_orbit_structure are the checks that
+confirmed it: the root identity computed from the Cartan matrices, and
+that the orbits are disjoint automorphism orbits partitioning the target
+nodes, linked exactly when their source nodes are.
 
 The exponents are solved from psi(alpha_k) = gamma_k * sum of the target
 simple roots over sigma(k), one neighbor at a time from node 1, then scaled
@@ -19,10 +26,91 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from pathcrystals import folding
-from pathcrystals.cartan import cartan_matrix, connected_subdiagrams, neighbors
+from pathcrystals.cartan import DynkinType, cartan_matrix, connected_subdiagrams, neighbors
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
-from pathcrystals.errors import NotInImageError
+from pathcrystals.errors import ModelIntegrityError, NotInImageError
 from pathcrystals.paths import paths_equal
+
+
+def fold_table(x):
+    """(target type, sigma, automorphism, branch node) for a foldable x."""
+    n = x.rank
+    if x.family == "C":
+        y = DynkinType("A", 2 * n - 1)
+        sigma = {i: {i, 2 * n - i} for i in range(1, n)}
+        sigma[n] = {n}
+        aut = {i: 2 * n - i for i in y.nodes}
+        branch = n
+    elif x.family == "B":
+        y = DynkinType("D", n + 1)
+        sigma = {i: {i} for i in range(1, n)}
+        sigma[n] = {n, n + 1}
+        aut = {i: i for i in y.nodes}
+        aut[n], aut[n + 1] = n + 1, n
+        branch = n - 1
+    elif x.family == "G":
+        y = DynkinType("D", 4)
+        sigma = {1: {1, 3, 4}, 2: {2}}
+        aut = {1: 3, 2: 2, 3: 4, 4: 1}
+        branch = 2
+    else:
+        y = DynkinType("E", 6)
+        sigma = {1: {2}, 2: {4}, 3: {3, 5}, 4: {1, 6}}
+        aut = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+        branch = 2
+    return y, sigma, aut, branch
+
+
+def check_root_identity(x, y, sigma, gamma):
+    ax = cartan_matrix(x)
+    ay = cartan_matrix(y)
+    for i in x.nodes:
+        # psi(alpha_i): alpha_i = sum_k ax[k][i] Lambda_k, then apply psi
+        lhs = [0] * y.rank
+        for k in x.nodes:
+            coeff = ax[k - 1][i - 1]
+            if coeff:
+                for j in sigma[k]:
+                    lhs[j - 1] += coeff * gamma[k]
+        rhs = [0] * y.rank
+        for j in sigma[i]:
+            for l in y.nodes:
+                rhs[l - 1] += gamma[i] * ay[l - 1][j - 1]
+        if lhs != rhs:
+            raise ModelIntegrityError(
+                f"root identity fails for {x} at node {i}: {lhs} != {rhs}"
+            )
+
+
+def check_orbit_structure(x, y, sigma, aut):
+    covered = set()
+    for i in x.nodes:
+        orbit = set(sigma[i])
+        if orbit & covered:
+            raise ModelIntegrityError(f"orbits of {x} nodes overlap")
+        covered |= orbit
+        closure = set()
+        j = min(orbit)
+        while j not in closure:
+            closure.add(j)
+            j = aut[j]
+        if closure != orbit:
+            raise ModelIntegrityError(
+                f"sigma({i}) = {sorted(orbit)} is not an automorphism orbit"
+            )
+    if covered != set(y.nodes):
+        raise ModelIntegrityError(f"orbits do not partition the nodes of {y}")
+    adj_y = neighbors(y)
+    adj_x = neighbors(x)
+    for i in x.nodes:
+        for k in x.nodes:
+            if i >= k:
+                continue
+            linked = any(b in adj_y[a] for a in sigma[i] for b in sigma[k])
+            if linked != (k in adj_x[i]):
+                raise ModelIntegrityError(
+                    f"orbit map is not edge-preserving between {i} and {k}"
+                )
 
 
 def solve_gamma(x, y, sigma) -> dict:

@@ -23,7 +23,10 @@ from pathcrystals.cartan import (
     w0J_apply,
     weyl_dim,
 )
+from pathcrystals.cactus import act, xi_perm
+from pathcrystals.crystal import generate
 from pathcrystals.errors import ConfigurationError, DomainError, ModelIntegrityError
+from pathcrystals.folding import folding_pair, s_tilde
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -265,6 +268,22 @@ def test_components_examples():
     assert components(DynkinType("A", 5), {1, 5}) == [frozenset({1}), frozenset({5})]
     assert components(A3, set()) == []
     assert is_connected(A3, {2, 3}) and not is_connected(A3, {1, 3})
+
+
+NODE_OUTSIDE_TYPE = {
+    "xi_perm": lambda: xi_perm(generate(A2, (1, 0)), {9}),
+    "act": lambda: act(generate(A2, (1, 0)), [{9}]),
+    "s_tilde": lambda: s_tilde(folding_pair("C2"), {9}),
+    "theta": lambda: theta(A2, {9}),
+    "is_connected": lambda: is_connected(A2, {9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_OUTSIDE_TYPE))
+def test_node_outside_the_type_is_a_domain_error(name):
+    # components checks membership for every caller, worded as positive_roots
+    with pytest.raises(DomainError, match=r"^nodes \[9\] not in (A2|C2)$"):
+        NODE_OUTSIDE_TYPE[name]()
 
 
 WEYL_DIMS = [

@@ -1,7 +1,11 @@
+import itertools
 import random
 
 import pytest
 from fold_oracle import (
+    check_orbit_structure,
+    check_root_identity,
+    fold_table,
     solve_gamma,
     verify_commutative_diagram_by_paths,
     verify_virtualization_on_target,
@@ -12,13 +16,19 @@ from pathcrystals.cartan import (
     DynkinType,
     all_nodes,
     cartan_matrix,
+    symmetrizer,
     theta,
     weyl_dim,
 )
 from pathcrystals import folding
 from pathcrystals.cactus import act, compose
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
-from pathcrystals.errors import ConfigurationError, DomainError, NotInImageError
+from pathcrystals.errors import (
+    ConfigurationError,
+    DomainError,
+    ModelIntegrityError,
+    NotInImageError,
+)
 from pathcrystals.folding import (
     devirtualize,
     fold_info,
@@ -98,9 +108,110 @@ def test_gamma_equals_symmetrizer(monkeypatch, name):
     # oracle solves them independently from the root identity
     monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", FOLDABLE_MAX_RANK)
     fold = folding_pair(name)
-    y, sigma, _, _ = folding._fold_table(fold.x_type)
+    sigma = {i: fold.sigma(i) for i in fold.x_type.nodes}
     gamma = {i: fold.gamma(i) for i in fold.x_type.nodes}
-    assert gamma == solve_gamma(fold.x_type, y, sigma)
+    assert gamma == solve_gamma(fold.x_type, fold.y_type, sigma)
+
+
+@pytest.mark.parametrize("name", FOLDABLE + ["G2", "F4"])
+def test_fold_info_matches_oracle_table(monkeypatch, name):
+    # sigma derived from the automorphism equals the hand-written table, and
+    # every other field follows from that table and the solved exponents
+    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", FOLDABLE_MAX_RANK)
+    x = DynkinType.parse(name)
+    y, sigma, aut, branch = fold_table(x)
+    gamma = solve_gamma(x, y, sigma)
+    check_root_identity(x, y, sigma, gamma)
+    check_orbit_structure(x, y, sigma, aut)
+    assert fold_info(folding_pair(x)) == {
+        "X": name,
+        "Y": str(y),
+        "sigma": {str(i): sorted(sigma[i]) for i in x.nodes},
+        "gamma": {str(i): gamma[i] for i in x.nodes},
+        "aut": [aut[j] for j in y.nodes],
+        "branch": branch,
+        "psi_matrix": [[gamma[i] if l in sigma[i] else 0 for i in x.nodes] for l in y.nodes],
+    }
+
+
+def _oracle_checkers_accept(x, y, sigma, aut):
+    gamma = dict(zip(x.nodes, symmetrizer(x)))
+    try:
+        check_root_identity(x, y, sigma, gamma)
+        check_orbit_structure(x, y, sigma, aut)
+    except ModelIntegrityError:
+        return False
+    return True
+
+
+def _construction_accepts(monkeypatch, x, table):
+    monkeypatch.setattr(folding, "_fold_table", lambda _: table)
+    try:
+        fold = folding_pair(x)
+    except ModelIntegrityError:
+        return False
+    assert all(_aut_orbit(table[1], j) == fold.sigma(i) for i, j in zip(x.nodes, table[2]))
+    return True
+
+
+def _aut_orbit(aut, j) -> frozenset:
+    orbit = {j}
+    while aut[j] not in orbit:
+        j = aut[j]
+        orbit.add(j)
+    return frozenset(orbit)
+
+
+ASSIGNMENT_TYPES = [f"{family}{n}" for family in "CB" for n in range(2, 7)] + ["G2", "F4"]
+
+
+def test_construction_accepts_what_the_orbit_and_root_checkers_accept(monkeypatch):
+    # every bijection of source nodes onto the automorphism orbits, each orbit
+    # named by its smallest node: the partition and root-identity checks of
+    # folding_pair accept exactly what the two oracle checkers accept
+    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", 6)
+    tried, accepted = 0, []
+    for name in ASSIGNMENT_TYPES:
+        x = DynkinType.parse(name)
+        y, table_sigma, aut, branch = fold_table(x)
+        for orbits in itertools.permutations(table_sigma.values()):
+            sigma = dict(zip(x.nodes, orbits))
+            table = (y, aut, tuple(min(o) for o in orbits), branch)
+            new = _construction_accepts(monkeypatch, x, table)
+            assert new == _oracle_checkers_accept(x, y, sigma, aut), (name, sigma)
+            tried += 1
+            if new:
+                accepted.append(name)
+    assert tried == 1770
+    assert sorted(accepted) == sorted(ASSIGNMENT_TYPES)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "B2", "B3", "G2"])
+def test_construction_matches_checkers_on_every_node_map(monkeypatch, name):
+    # every map of source nodes to target nodes, overlapping orbits included
+    x = DynkinType.parse(name)
+    y, _, aut, branch = fold_table(x)
+    for picks in itertools.product(y.nodes, repeat=x.rank):
+        sigma = {i: _aut_orbit(aut, j) for i, j in zip(x.nodes, picks)}
+        new = _construction_accepts(monkeypatch, x, (y, aut, picks, branch))
+        assert new == _oracle_checkers_accept(x, y, sigma, aut), (name, picks)
+
+
+@pytest.mark.parametrize(
+    "name,aut,nodes,message",
+    [
+        ("F4", None, (4, 2, 3, 1), r"^root identity fails for F4 at node 1: "),
+        ("C3", None, (1, 5, 3), r"^orbits do not partition the nodes of A5$"),
+        ("G2", {1: 1, 2: 2, 3: 4, 4: 3}, (1, 2), r"^orbits do not partition the nodes of D4$"),
+    ],
+)
+def test_construction_rejects_a_wrong_table(monkeypatch, name, aut, nodes, message):
+    x = DynkinType.parse(name)
+    y, table_aut, _, branch = folding._fold_table(x)
+    table = (y, aut or table_aut, nodes, branch)
+    monkeypatch.setattr(folding, "_fold_table", lambda _: table)
+    with pytest.raises(ModelIntegrityError, match=message):
+        folding_pair(x)
 
 
 def test_aut_matches_target_theta_except_known_cases():

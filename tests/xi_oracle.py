@@ -2,10 +2,10 @@
 kept as test oracles for xi_perm and the relation checker.
 
 xi_perm_by_words writes a vertex b as a lowering word applied to the highest
-vertex of its Levi component (LeviView.f_word, with BFS parent chains in
-ascending or descending color order); its image is the twisted raising word
-applied to the lowest vertex of that component.  This is quadratic in the
-component size.
+vertex of its Levi component (LeviView.f_word, BFS parent chains with the
+colors ascending, or the same breadth-first search here with the colors
+descending); its image is the twisted raising word applied to the lowest
+vertex of that component.  This is quadratic in the component size.
 
 xi_perm_by_bfs is the edge propagation of xi_perm as it stood before the
 graph kept per-color edge lists: the Levi components come from a scan of
@@ -37,6 +37,23 @@ def _apply_raising_word(graph, start, word, twist):
     return cur
 
 
+def _descending_f_words(graph, view, comp) -> dict:
+    """{b: lowering word from the highest vertex of comp to b}, breadth first
+    with the colors descending."""
+    top = view.highest_of(comp)
+    members = set(comp)
+    words = {top: ()}
+    queue = deque([top])
+    while queue:
+        v = queue.popleft()
+        for i in sorted(view.colors, reverse=True):
+            w = graph.f(v, i)
+            if w is not None and w in members and w not in words:
+                words[w] = words[v] + (i,)
+                queue.append(w)
+    return words
+
+
 def xi_perm_by_words(graph, colors, descending=False) -> tuple:
     colors = frozenset(colors)
     view = levi(graph, colors)
@@ -44,9 +61,12 @@ def xi_perm_by_words(graph, colors, descending=False) -> tuple:
     out = [None] * len(graph)
     for comp in view.components:
         lowest = view.lowest_of(comp)
+        if descending:
+            words = _descending_f_words(graph, view, comp)
+        else:
+            words = {b: view.f_word(comp, b) for b in comp}
         for b in comp:
-            word = view.f_word(comp, b, descending)
-            out[b] = _apply_raising_word(graph, lowest, word, twist)
+            out[b] = _apply_raising_word(graph, lowest, words[b], twist)
     return tuple(out)
 
 
