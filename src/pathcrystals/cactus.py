@@ -5,16 +5,18 @@ involution xi_J is the unique map that sends the highest vertex of each
 J-component to its lowest vertex and intertwines f_i with e_theta(i) for
 every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
 It is computed by propagating that rule along every J-colored lowering edge
-of the component, in the order of the Levi view's walk from its highest
-vertex, so any two lowering words to a vertex must give the same image or
-the model is rejected.  The verifier checks, by exhaustive permutation
-arithmetic, that these involutions satisfy the defining relations of the
-cactus group of the diagram, over pairs of subdiagrams planned once per type.
+in one sweep over the vertex ids, which generate numbers in depth order, so
+any two lowering words to a vertex must give the same image or the model is
+rejected; a graph the sweep cannot vouch for is walked through its Levi view.
+The verifier checks, by exhaustive permutation arithmetic, that these
+involutions satisfy the defining relations of the cactus group of the
+diagram, over pairs of subdiagrams planned once per type.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 
 from .cartan import (
     components,
@@ -38,15 +40,64 @@ def xi(graph: CrystalGraph, colors, b: int) -> int:
 def xi_perm(graph: CrystalGraph, colors) -> tuple:
     """The partial involution as a permutation of all vertex ids.
 
-    Along the walk of each Levi component, every lowering edge v -f_i-> w
-    with i in the color set yields the image of w as e_theta(i) of the image
-    of v.  The first edge into w sets it; every other edge into w must agree
-    with it."""
+    Every lowering edge v -f_i-> w with i in the color set yields the image
+    of w as e_theta(i) of the image of v.  A vertex with no image when the
+    sweep reaches it is the highest of its component, sent to the lowest.
+    A raising edge at such a vertex, a cycle on the way down, a missing or
+    disagreeing image, a vertex below two highest or a second lowest vertex,
+    or images that do not permute send the graph to _xi_by_walk."""
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
-    view = levi(graph, colors)
     twist = theta(graph.rtype, colors)
+    columns = [(graph.f_to[i], graph.e_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
+    n = len(graph)
+    out = [None] * n
+    top_of = [None] * n
+    for v in range(n):
+        image = out[v]
+        if image is None:  # no edge reached v: a highest vertex has no raising edge
+            for _, raising, _ in columns:
+                if raising[v] is not None:
+                    return _xi_by_walk(graph, colors, twist)
+            image = top = top_of[v] = v
+            while True:  # down the first lowering edges; rising ids rule out a cycle
+                for lowering, _, _ in columns:
+                    below = lowering[image]
+                    if below is not None:
+                        break
+                else:
+                    break
+                if below <= image:
+                    return _xi_by_walk(graph, colors, twist)
+                image = below
+            out[v] = image
+        top = top_of[v]
+        lowest = True
+        for lowering, _, mirror in columns:
+            w = lowering[v]
+            if w is not None:
+                lowest = False
+                mirrored = mirror[image]
+                if mirrored is None or out[w] not in (None, mirrored):
+                    return _xi_by_walk(graph, colors, twist)
+                if top_of[w] not in (None, top):
+                    return _xi_by_walk(graph, colors, twist)
+                out[w], top_of[w] = mirrored, top
+        if lowest and out[top] != v:  # a second lowest vertex below top
+            return _xi_by_walk(graph, colors, twist)
+    # only lowest vertices map to vertices without raising edges, and they are
+    # no more than the highest vertices, which have none: so when the images
+    # permute, the highest vertices are those the Levi view would start from
+    if set(out) != set(range(n)):
+        return _xi_by_walk(graph, colors, twist)
+    return tuple(out)
+
+
+def _xi_by_walk(graph: CrystalGraph, colors, twist) -> tuple:
+    """xi_perm along the walk of each Levi component from its highest vertex:
+    the first edge into w sets its image, and every other must agree."""
+    view = levi(graph, colors)
     edges = [(i, graph.f_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
     out = [None] * len(graph)
     for walk, lowest in view.walks:
@@ -70,7 +121,9 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
 
 def compose(p: tuple, q: tuple) -> tuple:
     """Permutation composition (p after q)."""
-    return tuple(map(p.__getitem__, q))
+    if len(q) < 2:  # itemgetter of one index returns the item, of none fails
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def identity_perm(graph: CrystalGraph) -> tuple:
@@ -84,15 +137,15 @@ def act(graph: CrystalGraph, word, perms=None) -> tuple:
     per-letter permutations across calls.
     """
     cache = perms if perms is not None else {}
-    total = identity_perm(graph)
+    total = None
     for letter in word:
         letter = frozenset(letter)
         perm = cache.get(letter)
         if perm is None:
             perm = xi_perm(graph, letter)
             cache[letter] = perm
-        total = compose(total, perm)
-    return total
+        total = perm if total is None else compose(total, perm)
+    return identity_perm(graph) if total is None else total
 
 
 def theta_image(t, outer, inner) -> frozenset:
@@ -119,13 +172,14 @@ def _first_difference(p, q):
 @cache
 def _relation_plan(t) -> tuple:
     """The disconnected pairs (a, b), a before b in bitmask order, and the
-    nested triples (outer, inner, twisted inner) that the relations compare."""
+    nested triples (outer, inner, twisted inner) that the relations compare.
+    A triple with inner == outer would compare xi_a xi_a with itself."""
     subs = connected_subdiagrams(t)
     pairs = [(a, b) for a in subs for b in subs]
     disjoint = tuple(
         (a, b) for a, b in pairs if node_mask(a) < node_mask(b) and len(components(t, a | b)) > 1
     )
-    return disjoint, tuple((a, b, theta_image(t, a, b)) for a, b in pairs if b <= a)
+    return disjoint, tuple((a, b, theta_image(t, a, b)) for a, b in pairs if b < a)
 
 
 def _relation_violations(t, perms: dict, ident: tuple) -> list:

@@ -1,4 +1,6 @@
+import functools
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -337,3 +339,203 @@ def test_xi_perm_is_an_involution_matching_bfs_oracle(case):
         perm = xi_perm(g, sub)
         assert compose(perm, perm) == ident
         assert perm == xi_perm_by_bfs(g, sub)
+
+
+@pytest.mark.parametrize("t", [A1, A2, A3, C2, B3, C3, D4, G2, DynkinType("F", 4)])
+def test_relation_plan_has_no_triple_with_equal_sets(t):
+    # xi_a xi_a == xi_theta(a) xi_a holds for every a, so (a, a, a) is dropped
+    _, nested = cactus._relation_plan(t)
+    assert bool(nested) == (t.rank > 1)
+    assert all(outer != inner for outer, inner, _ in nested)
+
+
+_small_crystal = functools.cache(generate)
+
+
+def _edit_edges(g, direction, color, first, second):
+    """g with the color-`color` edges at sources first and second of one
+    direction swapped, or the edge at first dropped when second is first."""
+    f_edges, e_edges = dict(g.f_edges), dict(g.e_edges)
+    edges = f_edges if direction == "f" else e_edges
+    a, b = (first, color), (second, color)
+    if a == b:
+        del edges[a]
+    else:
+        edges[a], edges[b] = edges[b], edges[a]
+    return graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+
+
+def _assert_xi_matches_bfs_oracle(graph):
+    for sub in connected_subdiagrams(graph.rtype):
+        assert _outcome(xi_perm, graph, sub) == _outcome(xi_perm_by_bfs, graph, sub)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_xi_perm_matches_bfs_oracle_on_edited_edges(data):
+    # the same permutation or the same error as the oracle on every subdiagram
+    g = _small_crystal(*data.draw(st.sampled_from(SMALL_CRYSTALS)))
+    direction = data.draw(st.sampled_from("fe"))
+    color = data.draw(st.sampled_from(g.rtype.nodes))
+    lists = g.f_to if direction == "f" else g.e_to
+    sources = [v for v, w in enumerate(lists[color]) if w is not None]
+    if not sources:
+        return
+    first = data.draw(st.sampled_from(sources))
+    second = data.draw(st.sampled_from(sources))
+    _assert_xi_matches_bfs_oracle(_edit_edges(g, direction, color, first, second))
+
+
+def _has_f_cycle(graph):
+    """Whether the lowering edges of all colors contain a cycle: Kahn's
+    topological sort leaves some vertex out."""
+    below = [[] for _ in range(len(graph))]
+    for (v, _), w in graph.f_edges.items():
+        below[v].append(w)
+    indegree = Counter(w for targets in below for w in targets)
+    ready = [v for v in range(len(graph)) if not indegree[v]]
+    for v in ready:
+        for w in below[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return len(ready) < len(graph)
+
+
+@pytest.mark.parametrize("t,lam", [(A2, (1, 1)), (C2, (1, 1)), (A3, (1, 0, 1)), (G2, (1, 0))])
+def test_xi_perm_matches_bfs_oracle_on_every_swap_and_drop(t, lam):
+    g = generate(t, lam)
+    cycles = 0
+    for direction, color in product("fe", t.nodes):
+        lists = g.f_to if direction == "f" else g.e_to
+        sources = [v for v, w in enumerate(lists[color]) if w is not None]
+        for first, second in product(sources, repeat=2):
+            if first <= second:
+                edited = _edit_edges(g, direction, color, first, second)
+                cycles += _has_f_cycle(edited)
+                _assert_xi_matches_bfs_oracle(edited)
+    assert cycles
+
+
+# graphs the sweep must hand to the walk, each caught by one check alone:
+# - lowering edges from the highest vertex into a cycle (0 -> 1 -> 2 -> 1) and
+#   into a loop (0 -> 1 -> 2 -> 2), where the descent must stop;
+# - one A2 edge 0 -> 2, with images 2, 1, 1 that do not permute;
+# - 0 -> 1 along both colors, with images 3 and 1 that disagree; keeping the
+#   second would give a permutation;
+# - vertex 1 below highest vertices 0 and 2, with images 1, 2, 3, 0 that agree
+#   and permute
+SWEEP_FALLBACKS = [
+    (A1, (2,), {(0, 1): 1, (1, 1): 2, (2, 1): 1}, {(1, 1): 0, (2, 1): 1}),
+    (A1, (2,), {(0, 1): 1, (1, 1): 2, (2, 1): 2}, {(1, 1): 0, (2, 1): 1}),
+    (A2, (1, 0), {(0, 1): 2}, {(2, 1): 0, (2, 2): 1}),
+    (
+        A2,
+        (1, 1),
+        {(0, 1): 1, (0, 2): 1, (1, 1): 3},
+        {(1, 1): 0, (1, 2): 0, (3, 1): 1, (3, 2): 3},
+    ),
+    (A2, (1, 1), {(0, 1): 1, (2, 1): 3, (2, 2): 1}, {(1, 2): 2, (3, 1): 2, (3, 2): 0}),
+]
+
+
+@pytest.mark.parametrize("t,lam,f_edges,e_edges", SWEEP_FALLBACKS)
+def test_xi_errors_match_bfs_oracle_on_sweep_fallbacks(t, lam, f_edges, e_edges):
+    g = generate(t, lam)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    expected = _outcome(xi_perm_by_bfs, broken, t.nodes)
+    assert expected[0] is ModelIntegrityError
+    assert _outcome(xi_perm, broken, t.nodes) == expected
+
+
+def _relabel(g, order):
+    """g with vertex order[k] renamed k."""
+    new = {old: k for k, old in enumerate(order)}
+    f_edges = {(new[v], i): new[w] for (v, i), w in g.f_edges.items()}
+    e_edges = {(new[v], i): new[w] for (v, i), w in g.e_edges.items()}
+    vertices = [g.vertices[old] for old in order]
+    return graph_from_edges(g.rtype, g.highest_weight, vertices, f_edges, e_edges), new
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_xi_perm_on_ids_out_of_depth_order(data):
+    g = _small_crystal(*data.draw(st.sampled_from(SMALL_CRYSTALS)))
+    order = data.draw(st.permutations(range(len(g))))
+    shuffled, new = _relabel(g, order)
+    for sub in connected_subdiagrams(g.rtype):
+        perm = xi_perm(shuffled, sub)
+        assert perm == xi_perm_by_bfs(shuffled, sub)
+        assert all(perm[new[v]] == new[w] for v, w in enumerate(xi_perm(g, sub)))
+
+
+def test_reversed_ids_are_walked(monkeypatch):
+    # in reverse depth order vertex 0 is the lowest vertex, which has raising
+    # edges of every color, so the sweep hands each subdiagram to the walk
+    g = generate(C2, (1, 1))
+    reversed_graph, _ = _relabel(g, range(len(g) - 1, -1, -1))
+    walked = []
+    real_walk = cactus._xi_by_walk
+
+    def spy(graph, colors, twist):
+        walked.append(colors)
+        return real_walk(graph, colors, twist)
+
+    monkeypatch.setattr(cactus, "_xi_by_walk", spy)
+    assert verify_cactus_relations(reversed_graph) == []
+    assert sorted(map(sorted, walked)) == sorted(map(sorted, connected_subdiagrams(C2)))
+
+
+def _no_walk(monkeypatch):
+    def refuse(graph, colors, twist):
+        raise AssertionError(f"walked {sorted(colors)}")
+
+    monkeypatch.setattr(cactus, "_xi_by_walk", refuse)
+
+
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_generated_crystals_never_reach_the_walk(monkeypatch, t, lam):
+    g = generate(t, lam)
+    _no_walk(monkeypatch)
+    assert verify_cactus_relations(g) == []
+
+
+@pytest.mark.parametrize("t,lam", [(A1, (0,)), (G2, (0, 0))])
+def test_one_vertex_crystal(t, lam):
+    g = generate(t, lam)
+    assert len(g) == 1
+    assert compose((0,), (0,)) == (0,)
+    assert act(g, []) == act(g, [t.nodes, {1}]) == (0,)
+    assert all(xi_perm(g, sub) == (0,) for sub in connected_subdiagrams(t))
+    assert verify_cactus_relations(g) == []
+
+
+def test_compose_of_empty_permutations():
+    assert compose((), ()) == ()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_compose_matches_map_composition(data):
+    n = data.draw(st.integers(0, 40))
+    p = tuple(data.draw(st.permutations(range(n))))
+    q = tuple(data.draw(st.permutations(range(n))))
+    composed = compose(p, q)
+    assert type(composed) is tuple
+    assert composed == tuple(map(p.__getitem__, q))
+
+
+def test_act_composes_once_per_letter_after_the_first(monkeypatch):
+    g = generate(A3, (0, 1, 0))
+    word = [frozenset({1}), frozenset({1, 2}), frozenset({3})]
+    expected = compose(compose(xi_perm(g, word[0]), xi_perm(g, word[1])), xi_perm(g, word[2]))
+    calls = []
+    real_compose = cactus.compose
+
+    def counted(p, q):
+        calls.append(1)
+        return real_compose(p, q)
+
+    monkeypatch.setattr(cactus, "compose", counted)
+    assert act(g, word[:1]) == xi_perm(g, word[0]) and not calls
+    assert act(g, word) == expected and len(calls) == 2
