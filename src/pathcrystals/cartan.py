@@ -145,16 +145,16 @@ def symmetrizer(t: DynkinType) -> tuple[int, ...]:
 
 def simple_root(t: DynkinType, j: int) -> Weight:
     """Simple root alpha_j in fundamental-weight coordinates (matrix column j)."""
-    if j not in t.nodes:
-        raise DomainError(f"node {j} not in {t}")
+    if type(j) is not int or not 0 < j <= t.rank:
+        raise DomainError(f"node {j!r} not in {t}")
     a = cartan_matrix(t)
     return tuple(a[i][j - 1] for i in range(t.rank))
 
 
 def reflect(t: DynkinType, mu: Weight, i: int) -> Weight:
     """Simple reflection r_i(mu) = mu - <mu, alpha_i^vee> alpha_i."""
-    if i not in t.nodes:
-        raise DomainError(f"node {i} not in {t}")
+    if type(i) is not int or not 0 < i <= t.rank:
+        raise DomainError(f"node {i!r} not in {t}")
     c = mu[i - 1]
     alpha = simple_root(t, i)
     return tuple(x - c * a for x, a in zip(mu, alpha))
@@ -304,7 +304,10 @@ def weyl_dim(t: DynkinType, lam: Weight) -> int:
     (mu, alpha) = sum_j c_j d_j mu_j for alpha = sum_j c_j alpha_j, so each
     factor (lam + rho, alpha) / (rho, alpha) is a ratio of integer sums."""
     lam = tuple(lam)
-    if len(lam) != t.rank or any(x < 0 for x in lam):
+    # one pass when lam is valid; the type test comes first, as "1" < 0 raises
+    if len(lam) != t.rank or any(type(x) is not int or x < 0 for x in lam):
+        if any(type(x) is not int for x in lam):
+            raise DomainError(f"weight {lam} has an entry that is not an int")
         raise DomainError(f"weyl_dim needs a dominant weight of length {t.rank}")
     d = symmetrizer(t)
     numer = denom = 1

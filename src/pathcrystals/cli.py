@@ -12,6 +12,7 @@ import json
 import re
 import sys
 import time
+from functools import cache
 
 from .cactus import verify_cactus_relations, xi_perm
 from .cartan import (
@@ -303,9 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (sys.argv[1:] if None), run the command, return its exit code.
+
+    The parser is built once per process.  The cmd_* functions it dispatches
+    to are bound when it is built, so patching cli.cmd_* later does not reach
+    main; the names they call (generate, verify_seminormal, ...) are still
+    looked up at call time."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, DomainError) as exc:

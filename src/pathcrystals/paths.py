@@ -117,6 +117,8 @@ def paths_equal(a: PLPath, b: PLPath) -> bool:
 def straight_path(t: DynkinType, lam) -> PLPath:
     """The straight path s -> s*lam for a dominant weight lam."""
     lam = tuple(lam)
+    if any(type(x) is not int for x in lam):
+        raise DomainError(f"weight {lam} has an entry that is not an int")
     if len(lam) != t.rank:
         raise DomainError(f"weight must have length {t.rank}")
     if any(x < 0 for x in lam):
@@ -172,8 +174,8 @@ def is_integral(path: PLPath) -> bool:
 def _heights(path: PLPath, i: int):
     """H_i at every breakpoint and its minimum, after the input checks that the
     root operators and the string statistics share."""
-    if i not in path.rtype.nodes:
-        raise DomainError(f"node {i} not in {path.rtype}")
+    if type(i) is not int or not 0 < i <= path.rtype.rank:
+        raise DomainError(f"node {i!r} not in {path.rtype}")
     _check_origin(path)
     h = [p[i - 1] for p in path.points]
     m = min(h)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import cartan_oracle
 import pytest
@@ -320,10 +321,29 @@ def test_weyl_dim_of_zero_weight():
 
 
 def test_weyl_dim_rejects_non_dominant():
-    with pytest.raises(DomainError):
-        weyl_dim(A2, (1, -1))
-    with pytest.raises(DomainError):
-        weyl_dim(A2, (1,))
+    for lam in ((1, -1), (1,)):
+        with pytest.raises(DomainError, match="^weyl_dim needs a dominant weight of length 2$"):
+            weyl_dim(A2, lam)
+
+
+@pytest.mark.parametrize("lam", [(1.0, 1), (0.5, 0), ("1", 1), (True, 1), (1, False)])
+def test_weyl_dim_rejects_entries_that_are_not_ints(lam):
+    # (1.0, 1) gave 8.0 and (0.5, 0) a ModelIntegrityError; bool is refused
+    # as path JSON refuses it
+    with pytest.raises(DomainError, match=r"^weight .* has an entry that is not an int$"):
+        weyl_dim(A2, lam)
+    with pytest.raises(DomainError, match="not an int"):
+        generate(A2, lam)
+
+
+@pytest.mark.parametrize("color", [1.0, True, "1"])
+def test_simple_root_and_reflect_reject_colors_that_are_not_ints(color):
+    # 1.0 and True pass "in range(1, 3)": True acted as node 1
+    message = rf"^node {re.escape(repr(color))} not in A2$"
+    with pytest.raises(DomainError, match=message):
+        simple_root(A2, color)
+    with pytest.raises(DomainError, match=message):
+        reflect(A2, (1, 0), color)
 
 
 ADMISSIBLE_UP_TO_RANK_8 = [

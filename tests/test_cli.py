@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -7,7 +8,7 @@ import sys
 import export_oracle
 import pytest
 
-from pathcrystals import folding
+from pathcrystals import cli, folding
 from pathcrystals.cartan import DynkinType
 from pathcrystals.cli import main
 from pathcrystals.crystal import generate
@@ -342,3 +343,106 @@ def test_negative_weight_keeps_its_message(capsys, weight):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: weight entries must be nonnegative\n"
+
+
+def _verify_fails(monkeypatch):
+    monkeypatch.setattr(cli, "verify_seminormal", lambda graph: [{"axiom": "patched"}])
+
+
+def _not_an_embedding(monkeypatch):
+    top = folding.virtualize_path(folding.folding_pair("C2"), straight_path(C2, (1, 0)))
+    monkeypatch.setattr(folding, "virtualize_path", lambda fold, path: top)
+
+
+COMMANDS = ["info", "crystal", "xi", "fold-info", "virtualize", "verify", "cactus-verify"]
+
+# (argv, patch applied around that call on both sides, or None)
+REUSE_CASES = [
+    (["info", "A2"], None),
+    (["info", "C2", "--json"], None),
+    (["crystal", "A2", "1,1"], None),
+    (["crystal", "C2", "1,0", "--export", "dot"], None),
+    (["crystal", "A2", "1,0", "--levi", "1"], None),
+    (["xi", "A2", "1,1", "1,2", "--vertex", "3"], None),
+    (["xi", "A2", "1,1", "1,2"], None),
+    (["fold-info", "G2"], None),
+    (["virtualize", "C2", "1,0"], None),
+    (["verify", "seminormal", "C2", "1,0", "--json"], None),
+    (["verify", "cactus", "A3", "0,1,0"], None),
+    (["verify", "virtualization", "C2", "1,0", "--json"], None),
+    (["verify", "virtual-relations", "C2", "1,0"], None),
+    (["verify", "diagram", "C2", "1,0"], None),
+    (["verify", "component-identity", "B3", "--json"], None),
+    (["cactus-verify", "C2", "1,1"], None),
+    (["cactus-verify", "A2", "1,0", "--json", "--max-size", "5"], None),
+    (["--help"], None),
+    *[([command, "--help"], None) for command in COMMANDS],
+    (["nonsense"], None),
+    (["crystal", "A2"], None),
+    (["crystal", "A2", "1,0", "--export", "xml"], None),
+    ([], None),
+    (["crystal", "A2", "1,x"], None),
+    (["verify", "diagram", "C2"], None),
+    (["crystal", "A2", "1,1", "--max-size", "7"], None),
+    (["verify", "seminormal", "C2", "1,0"], _verify_fails),
+    (["virtualize", "C2", "1,0"], _not_an_embedding),
+    (["info", "A2"], None),
+]
+
+
+def _run_masked(monkeypatch, capsys, argv, patch):
+    """(exit code or ("SystemExit", code), stdout, stderr) of main(argv), with
+    the verifier's elapsed time masked."""
+    with monkeypatch.context() as m:
+        if patch is not None:
+            patch(m)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": T', out)
+    out = re.sub(r"violations, [0-9.]+s\)", "violations, Ts)", out)
+    return code, out, err
+
+
+def test_main_reuses_one_parser_with_unchanged_output(monkeypatch, capsys):
+    # the same argv list through main's one parser, then with a new
+    # build_parser() per call, as main did before it kept one
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    reused = [_run_masked(monkeypatch, capsys, argv, patch) for argv, patch in REUSE_CASES]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_run_masked(monkeypatch, capsys, argv, patch) for argv, patch in REUSE_CASES]
+    for (argv, _), got, want in zip(REUSE_CASES, reused, fresh):
+        assert got == want, argv
+    codes = [code for code, _, _ in reused]
+    assert {0, 1, 2, ("SystemExit", 0), ("SystemExit", 2)} <= set(codes)
+    xi = ["xi", "A2", "1,1", "1,2"]
+    with_vertex, without_vertex = (
+        json.loads(reused[REUSE_CASES.index((argv, None))][1])
+        for argv in (xi + ["--vertex", "3"], xi)
+    )
+    assert with_vertex["image"] == with_vertex["involution"][3]
+    assert "vertex" not in without_vertex and "image" not in without_vertex
+
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    main(["info", "A2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["info", "A2"], ["xi", "A2", "1,0", "1"], ["verify", "cactus", "A2", "1,1"]):
+        assert main(argv) == 0
+    for argv in (["crystal", "--help"], ["nonsense"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == []
+    # build_parser() itself still returns a new parser: the root and 7 commands
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) == 2 * (1 + len(COMMANDS))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import paths_oracle
@@ -47,8 +48,17 @@ def test_straight_path_zero_weight():
 
 
 def test_straight_path_rejects_non_dominant():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^straight_path needs a dominant weight$"):
         straight_path(A2, (1, -1))
+    with pytest.raises(DomainError, match="^weight must have length 2$"):
+        straight_path(A2, (1,))
+
+
+@pytest.mark.parametrize("lam", [("1", 1), (1.0, 1), (0.5, 0), (True, 1), (1, False)])
+def test_straight_path_rejects_entries_that_are_not_ints(lam):
+    # ("1", 1) raised TypeError; booleans are refused as path JSON refuses them
+    with pytest.raises(DomainError, match=r"^weight .* has an entry that is not an int$"):
+        straight_path(A2, lam)
 
 
 def test_weight_is_endpoint():
@@ -477,6 +487,8 @@ def test_operators_reject_paths_off_the_origin():
 def test_operators_reject_colors_outside_the_type():
     p = straight_path(A2, (1, 1))
     for op in (root_f, root_e, epsilon, phi):
-        for i in (0, 3):
-            with pytest.raises(DomainError, match="not in A2"):
+        # 1.0 and True pass "in range(1, 3)": root_f(p, 1.0) raised TypeError
+        # from tuple indexing and root_f(p, True) acted as color 1
+        for i in (0, 3, 1.0, True, "1"):
+            with pytest.raises(DomainError, match=rf"^node {re.escape(repr(i))} not in A2$"):
                 op(p, i)
