@@ -5,9 +5,9 @@ involution xi_J is the unique map that sends the highest vertex of each
 J-component to its lowest vertex and intertwines f_i with e_theta(i) for
 every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
 It is computed by propagating that rule along every J-colored lowering edge
-in one sweep over the vertex ids, which generate numbers in depth order, so
-any two lowering words to a vertex must give the same image or the model is
-rejected; a graph the sweep cannot vouch for is walked through its Levi view.
+in one sweep over the ids by depth <lambda - wt, 2 rho^vee>, which each
+lowering edge raises by 2, so any two lowering words to a vertex must give
+the same image; a graph the sweep cannot vouch for is rejected.
 The verifier checks, by exhaustive permutation arithmetic, that these
 involutions satisfy the defining relations of the cactus group of the
 diagram, over pairs of subdiagrams planned once per type.
@@ -25,13 +25,12 @@ from .cartan import (
     node_mask,
     theta,
 )
-from .crystal import CrystalGraph, levi
+from .crystal import CrystalGraph
 from .errors import DomainError, ModelIntegrityError
 
 
 def xi(graph: CrystalGraph, colors, b: int) -> int:
-    """Image of vertex b under the partial involution for a connected color
-    set."""
+    """Image of vertex b under the partial involution of a connected color set."""
     if not 0 <= b < len(graph):
         raise DomainError(f"vertex {b} out of range")
     return xi_perm(graph, colors)[b]
@@ -40,12 +39,12 @@ def xi(graph: CrystalGraph, colors, b: int) -> int:
 def xi_perm(graph: CrystalGraph, colors) -> tuple:
     """The partial involution as a permutation of all vertex ids.
 
-    Every lowering edge v -f_i-> w with i in the color set yields the image
-    of w as e_theta(i) of the image of v.  A vertex with no image when the
-    sweep reaches it is the highest of its component, sent to the lowest.
-    A raising edge at such a vertex, a cycle on the way down, a missing or
-    disagreeing image, a vertex below two highest or a second lowest vertex,
-    or images that do not permute send the graph to _xi_by_walk."""
+    In depth order every lowering edge v -f_i-> w, i in the color set, comes
+    before w, and yields the image of w as e_theta(i) of the image of v.  A
+    vertex with no image when the sweep reaches it is the highest of its
+    component, sent to the lowest.  A raising edge at such a vertex, a cycle
+    on the way down, a missing or disagreeing image, a vertex below two
+    highest or a second lowest vertex, or images that do not permute raise."""
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
@@ -54,23 +53,25 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
     n = len(graph)
     out = [None] * n
     top_of = [None] * n
-    for v in range(n):
+    for v in graph._depth_order:
         image = out[v]
         if image is None:  # no edge reached v: a highest vertex has no raising edge
             for _, raising, _ in columns:
                 if raising[v] is not None:
-                    return _xi_by_walk(graph, colors, twist)
-            image = top = top_of[v] = v
-            while True:  # down the first lowering edges; rising ids rule out a cycle
+                    raise ModelIntegrityError(
+                        f"normality violation: vertex {v} has a raising edge but no edge from above"
+                    )
+            image = top_of[v] = v
+            for _ in range(n):  # down the first lowering edges
                 for lowering, _, _ in columns:
                     below = lowering[image]
                     if below is not None:
                         break
                 else:
                     break
-                if below <= image:
-                    return _xi_by_walk(graph, colors, twist)
                 image = below
+            else:  # n steps visit n + 1 vertices, one of them twice
+                raise ModelIntegrityError(f"normality violation: lowering cycle below vertex {v}")
             out[v] = image
         top = top_of[v]
         lowest = True
@@ -80,41 +81,22 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
                 lowest = False
                 mirrored = mirror[image]
                 if mirrored is None or out[w] not in (None, mirrored):
-                    return _xi_by_walk(graph, colors, twist)
-                if top_of[w] not in (None, top):
-                    return _xi_by_walk(graph, colors, twist)
-                out[w], top_of[w] = mirrored, top
-        if lowest and out[top] != v:  # a second lowest vertex below top
-            return _xi_by_walk(graph, colors, twist)
-    # only lowest vertices map to vertices without raising edges, and they are
-    # no more than the highest vertices, which have none: so when the images
-    # permute, the highest vertices are those the Levi view would start from
-    if set(out) != set(range(n)):
-        return _xi_by_walk(graph, colors, twist)
-    return tuple(out)
-
-
-def _xi_by_walk(graph: CrystalGraph, colors, twist) -> tuple:
-    """xi_perm along the walk of each Levi component from its highest vertex:
-    the first edge into w sets its image, and every other must agree."""
-    view = levi(graph, colors)
-    edges = [(i, graph.f_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
-    out = [None] * len(graph)
-    for walk, lowest in view.walks:
-        out[walk[0]] = lowest
-        for v in walk:
-            mirrored = out[v]
-            for i, lowering, raising in edges:
-                w = lowering[v]
-                if w is None:
-                    continue
-                image = raising[mirrored]
-                if image is None or out[w] not in (None, image):
+                    i = next(i for i in sorted(colors) if graph.f_to[i] is lowering)
                     raise ModelIntegrityError(
                         f"involution image of vertex {w} is inconsistent along color {i}"
                     )
-                out[w] = image
-    if set(out) != set(range(len(graph))):
+                if top_of[w] not in (None, top):
+                    raise ModelIntegrityError(
+                        f"normality violation: vertex {w} is below highest "
+                        f"vertices {top_of[w]} and {top}"
+                    )
+                out[w], top_of[w] = mirrored, top
+        if lowest and out[top] != v:
+            raise ModelIntegrityError(f"normality violation: second lowest vertex {v} below {top}")
+    # only lowest vertices map to vertices without raising edges, and they are
+    # no more than the highest vertices, which have none: so when the images
+    # permute, the vertices taken as highest are all those without raising edges
+    if set(out) != set(range(n)):
         raise ModelIntegrityError("involution image is not a permutation")
     return tuple(out)
 

@@ -71,6 +71,18 @@ def all_nodes(t: DynkinType) -> NodeSet:
     return frozenset(t.nodes)
 
 
+def _node_set(t: DynkinType, nodes, noun="nodes") -> NodeSet:
+    """The node set as a frozenset of int nodes of t.  The type test comes
+    first: 1.0 and True compare and hash equal to node 1."""
+    nodes = frozenset(nodes)
+    odd = sorted(repr(j) for j in nodes if type(j) is not int)
+    if odd:
+        raise DomainError(f"node {odd[0]} not in {t}")
+    if not nodes <= all_nodes(t):
+        raise DomainError(f"{noun} {sorted(nodes)} not in {t}")
+    return nodes
+
+
 def node_mask(nodes) -> int:
     """Bitmask of a node set; fixes the canonical ordering of subdiagrams."""
     return sum(1 << (i - 1) for i in nodes)
@@ -160,39 +172,35 @@ def reflect(t: DynkinType, mu: Weight, i: int) -> Weight:
     return tuple(x - c * a for x, a in zip(mu, alpha))
 
 
-@cache
 def positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]:
     """Positive roots of the parabolic subsystem on the given nodes.
 
     Each root is returned as its coefficient vector over the simple roots
     (root-basis coordinates), sorted lexicographically.  Computed as the
     reflection closure of the simple roots, filtered to the positive cone.
+    The node set is checked before the cache, whose entry for node 1 would
+    answer for 1.0 or True.
     """
-    nodes = frozenset(nodes)
-    if not nodes <= all_nodes(t):
-        raise DomainError(f"nodes {sorted(nodes)} not in {t}")
+    return _positive_roots(t, _node_set(t, nodes))
+
+
+@cache
+def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]:
     a = cartan_matrix(t)
-    seen = set()
-    stack = []
-    for j in nodes:
-        c = tuple(1 if k == j else 0 for k in t.nodes)
-        seen.add(c)
-        stack.append(c)
+    stack = [tuple(int(k == j) for k in t.nodes) for j in nodes]
+    seen = set(stack)
     while stack:
         c = stack.pop()
         for j in nodes:
             # <beta, alpha_j^vee> for beta = sum_k c_k alpha_k
             pairing = sum(c[k - 1] * a[j - 1][k - 1] for k in nodes)
-            image = list(c)
-            image[j - 1] -= pairing
-            image = tuple(image)
+            image = c[: j - 1] + (c[j - 1] - pairing,) + c[j:]
             if image not in seen:
                 seen.add(image)
                 stack.append(image)
     return tuple(sorted(c for c in seen if min(c) >= 0))
 
 
-@cache
 def longest_word(t: DynkinType, nodes: NodeSet) -> tuple[int, ...]:
     """Reduced word for the longest parabolic element, by greedy descent.
 
@@ -201,21 +209,27 @@ def longest_word(t: DynkinType, nodes: NodeSet) -> tuple[int, ...]:
     still positive.  The recorded word has length |positive roots| and spells
     the longest element (an involution, so the reading order is immaterial).
     """
-    nodes = frozenset(nodes)
-    if not nodes:
-        return ()
+    nodes = _node_set(t, nodes)
     mu = tuple(1 if j in nodes else 0 for j in t.nodes)
     order = sorted(nodes)
     word = []
-    while True:
-        j = next((j for j in order if mu[j - 1] > 0), None)
-        if j is None:
-            break
+    while (j := next((j for j in order if mu[j - 1] > 0), None)) is not None:
         mu = reflect(t, mu, j)
         word.append(j)
     if len(word) != len(positive_roots(t, nodes)):
         raise ModelIntegrityError(f"longest word length mismatch on {t}, {sorted(nodes)}")
     return tuple(word)
+
+
+@cache
+def _two_rho_vee(t: DynkinType) -> tuple[int, ...]:
+    """Coefficients n of 2 rho^vee, the sum of the positive coroots
+    beta^vee = 2 beta / (beta, beta), over the simple coroots: alpha_k is
+    d_k alpha_k^vee, so n_k = sum 2 c_k d_k / (beta, beta), each term an int."""
+    a, d, ks = cartan_matrix(t), symmetrizer(t), range(t.rank)
+    roots = positive_roots(t, all_nodes(t))
+    norms = [sum(c[j] * c[k] * d[k] * a[k][j] for j in ks for k in ks) for c in roots]
+    return tuple(sum(2 * c[k] * d[k] // m for c, m in zip(roots, norms)) for k in ks)
 
 
 def w0J_apply(t: DynkinType, nodes: NodeSet, mu: Weight) -> Weight:
@@ -273,9 +287,7 @@ def connected_subdiagrams(t: DynkinType) -> tuple[NodeSet, ...]:
 
 def components(t: DynkinType, nodes) -> list:
     """Partition a node set into connected pieces, ascending by smallest node."""
-    nodes = set(nodes)
-    if not nodes <= all_nodes(t):
-        raise DomainError(f"nodes {sorted(nodes)} not in {t}")
+    nodes = set(_node_set(t, nodes))
     adj = neighbors(t)
     out = []
     while nodes:

@@ -13,8 +13,9 @@ would find nothing new.  Edges are stored once, in one list per color and
 direction indexed by vertex id.  verify_seminormal checks the raising
 operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
-mismatch aborts, at the first extra vertex if there are too many.  A Levi
-view walks each component from its highest vertex, once, and keeps the walk.
+mismatch aborts, at the first extra vertex if there are too many.  The ids
+sorted by the depth <lambda - wt, 2 rho^vee> order the involution sweep; a
+Levi view walks each component from its highest vertex, once.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
+from operator import mul
 
 from .cartan import (
     DynkinType,
-    all_nodes,
+    _node_set,
+    _two_rho_vee,
     simple_root,
     weyl_dim,
 )
@@ -59,6 +62,12 @@ class CrystalGraph:
 
     def __len__(self):
         return len(self.vertices)
+
+    @functools.cached_property
+    def _depth_order(self) -> tuple:
+        """The ids sorted stably by the depth <lambda - wt, 2 rho^vee>."""
+        n, weights = _two_rho_vee(self.rtype), self.weights
+        return tuple(sorted(range(len(self)), key=lambda v: -sum(map(mul, n, weights[v]))))
 
     @property
     def f_edges(self) -> dict:
@@ -215,13 +224,10 @@ def verify_seminormal(graph: CrystalGraph) -> list:
 class LeviView:
     """A crystal graph with edges restricted to a subset of colors.  Raises
     ModelIntegrityError unless each component, walked down the lowering
-    edges from its highest vertex, has one highest and one lowest vertex.
-    walks[k] is (that breadth-first walk, the lowest vertex) of components[k]."""
+    edges from its highest vertex, has one highest and one lowest vertex."""
 
     def __init__(self, graph: CrystalGraph, colors):
-        colors = frozenset(colors)
-        if not colors <= all_nodes(graph.rtype):
-            raise DomainError(f"colors {sorted(colors)} not in {graph.rtype}")
+        colors = _node_set(graph.rtype, colors, "colors")
         self.graph = graph
         self.colors = colors
         lowering = [graph.f_to[i] for i in sorted(colors)]
@@ -231,7 +237,7 @@ class LeviView:
         for top in range(len(graph)):
             if top in raisable:
                 continue
-            walk, lows, queue = [], [], [top]
+            comp, lows, queue = [], [], [top]
             for v in queue:
                 seen = top_of[v]
                 if seen == top:
@@ -242,7 +248,7 @@ class LeviView:
                         f"vertices {seen} and {top}"
                     )
                 top_of[v] = top
-                walk.append(v)
+                comp.append(v)
                 size = len(queue)
                 for targets in lowering:
                     if targets[v] is not None:
@@ -253,7 +259,7 @@ class LeviView:
                 raise ModelIntegrityError(
                     f"normality violation: {len(lows)} lowest vertices below {top}"
                 )
-            parts.append((tuple(sorted(walk)), lows[0], tuple(walk)))
+            parts.append((tuple(sorted(comp)), lows[0], top))
         if None in top_of:
             raise ModelIntegrityError(
                 f"normality violation: vertex {top_of.index(None)} is below no "
@@ -261,9 +267,8 @@ class LeviView:
             )
         parts.sort()
         self.components = tuple(comp for comp, _, _ in parts)
-        self.walks = tuple((walk, low) for _, low, walk in parts)
         self._top_of = top_of
-        self._parts = {walk[0]: (comp, low) for comp, low, walk in parts}
+        self._parts = {top: (comp, low) for comp, low, top in parts}
 
     def component_of(self, v: int) -> tuple:
         if not 0 <= v < len(self.graph):

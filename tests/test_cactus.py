@@ -2,6 +2,7 @@ import functools
 import json
 from collections import Counter
 from itertools import product
+from operator import mul
 
 import pytest
 from closure_oracle import graph_from_edges, levi_by_undirected_search
@@ -28,12 +29,13 @@ from pathcrystals.cactus import (
 )
 from pathcrystals.cartan import (
     DynkinType,
+    _two_rho_vee,
     all_nodes,
     connected_subdiagrams,
     w0J_apply,
     weyl_dim,
 )
-from pathcrystals.crystal import generate, levi
+from pathcrystals.crystal import generate, levi, verify_seminormal
 from pathcrystals.errors import DomainError, ModelIntegrityError
 
 A1 = DynkinType("A", 1)
@@ -274,12 +276,35 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _pinned(cases, messages, *case):
+    """The error xi_perm raises on a listed broken graph: messages[k] belongs
+    to cases[k]."""
+    return ModelIntegrityError, messages[cases.index(case)]
+
+
+# on both INCONSISTENT_RAISING graphs the oracle raises the same message
+INCONSISTENT_RAISING_ERRORS = [
+    "involution image of vertex 7 is inconsistent along color 2",
+    "involution image of vertex 12 is inconsistent along color 1",
+]
+
+
 @pytest.mark.parametrize("t,lam,first,second", INCONSISTENT_RAISING)
 def test_xi_errors_match_bfs_oracle_on_inconsistent_raising_edges(t, lam, first, second):
     bad = _swap_raising_edges(t, lam, first, second)
-    expected = _outcome(xi_perm_by_bfs, bad, {1, 2})
-    assert expected[0] is ModelIntegrityError
+    expected = _pinned(INCONSISTENT_RAISING, INCONSISTENT_RAISING_ERRORS, t, lam, first, second)
+    assert _outcome(xi_perm_by_bfs, bad, {1, 2}) == expected
     assert _outcome(xi_perm, bad, {1, 2}) == expected
+
+
+# the sweep meets each fault at another check than the Levi walk: a missing
+# raising edge below the highest vertex, two lowering edges from vertex 0,
+# and a raising edge at vertex 1, which no lowering edge from above reaches
+BROKEN_COMPONENT_ERRORS = [
+    "involution image of vertex 2 is inconsistent along color 1",
+    "involution image of vertex 1 is inconsistent along color 1",
+    "normality violation: vertex 1 has a raising edge but no edge from above",
+]
 
 
 @pytest.mark.parametrize("t,lam,f_edges,e_edges", BROKEN_COMPONENTS)
@@ -289,8 +314,9 @@ def test_levi_errors_match_vertex_scan_oracle_on_broken_components(t, lam, f_edg
     expected = _outcome(levi_by_vertex_scan, broken, all_nodes(t))
     assert expected[0] is ModelIntegrityError
     assert _outcome(lambda: levi(broken, t.nodes).components) == expected
-    assert _outcome(xi_perm, broken, t.nodes) == expected
     assert _outcome(xi_perm_by_bfs, broken, t.nodes) == expected
+    pinned = _pinned(BROKEN_COMPONENTS, BROKEN_COMPONENT_ERRORS, t, lam, f_edges, e_edges)
+    assert _outcome(xi_perm, broken, t.nodes) == pinned
 
 
 @pytest.mark.parametrize("t,lam", WORD_CASES)
@@ -365,9 +391,28 @@ def _edit_edges(g, direction, color, first, second):
     return graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
 
 
-def _assert_xi_matches_bfs_oracle(graph):
+def _raised(outcome):
+    return len(outcome) == 2 and isinstance(outcome[0], type)
+
+
+def _assert_xi_keeps_the_oracle_contract(graph) -> Counter:
+    """On every subdiagram: where xi_perm returns, it returns the oracle's
+    permutation; where the oracle raises, xi_perm raises ModelIntegrityError;
+    xi_perm raises where the oracle returns only on a graph with seminormal
+    violations.  Counts the outcomes by kind."""
+    kinds = Counter()
     for sub in connected_subdiagrams(graph.rtype):
-        assert _outcome(xi_perm, graph, sub) == _outcome(xi_perm_by_bfs, graph, sub)
+        got, expected = _outcome(xi_perm, graph, sub), _outcome(xi_perm_by_bfs, graph, sub)
+        if not _raised(got):
+            assert got == expected
+            kinds["same permutation"] += 1
+        elif _raised(expected):
+            assert got[0] is expected[0] is ModelIntegrityError
+            kinds["both raise"] += 1
+        else:
+            assert got[0] is ModelIntegrityError and verify_seminormal(graph)
+            kinds["only xi_perm raises"] += 1
+    return kinds
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -383,7 +428,7 @@ def test_xi_perm_matches_bfs_oracle_on_edited_edges(data):
         return
     first = data.draw(st.sampled_from(sources))
     second = data.draw(st.sampled_from(sources))
-    _assert_xi_matches_bfs_oracle(_edit_edges(g, direction, color, first, second))
+    _assert_xi_keeps_the_oracle_contract(_edit_edges(g, direction, color, first, second))
 
 
 def _has_f_cycle(graph):
@@ -406,6 +451,7 @@ def _has_f_cycle(graph):
 def test_xi_perm_matches_bfs_oracle_on_every_swap_and_drop(t, lam):
     g = generate(t, lam)
     cycles = 0
+    kinds = Counter()
     for direction, color in product("fe", t.nodes):
         lists = g.f_to if direction == "f" else g.e_to
         sources = [v for v, w in enumerate(lists[color]) if w is not None]
@@ -413,11 +459,13 @@ def test_xi_perm_matches_bfs_oracle_on_every_swap_and_drop(t, lam):
             if first <= second:
                 edited = _edit_edges(g, direction, color, first, second)
                 cycles += _has_f_cycle(edited)
-                _assert_xi_matches_bfs_oracle(edited)
+                kinds += _assert_xi_keeps_the_oracle_contract(edited)
     assert cycles
+    assert kinds["same permutation"] and kinds["both raise"] and kinds["only xi_perm raises"]
 
 
-# graphs the sweep must hand to the walk, each caught by one check alone:
+# graphs that fail one check of the sweep alone (the checks that once handed
+# the graph to a Levi walk), with the error each raises:
 # - lowering edges from the highest vertex into a cycle (0 -> 1 -> 2 -> 1) and
 #   into a loop (0 -> 1 -> 2 -> 2), where the descent must stop;
 # - one A2 edge 0 -> 2, with images 2, 1, 1 that do not permute;
@@ -439,13 +487,24 @@ SWEEP_FALLBACKS = [
 ]
 
 
+SWEEP_FALLBACK_ERRORS = [
+    "normality violation: lowering cycle below vertex 0",
+    "normality violation: lowering cycle below vertex 0",
+    "involution image is not a permutation",
+    "involution image of vertex 1 is inconsistent along color 2",
+    "normality violation: vertex 1 is below highest vertices 0 and 2",
+]
+
+
 @pytest.mark.parametrize("t,lam,f_edges,e_edges", SWEEP_FALLBACKS)
 def test_xi_errors_match_bfs_oracle_on_sweep_fallbacks(t, lam, f_edges, e_edges):
+    # the oracle raises too: on the cycle and the loop it finds 0 lowest
+    # vertices below vertex 0, on the other three the same message
     g = generate(t, lam)
     broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
-    expected = _outcome(xi_perm_by_bfs, broken, t.nodes)
-    assert expected[0] is ModelIntegrityError
-    assert _outcome(xi_perm, broken, t.nodes) == expected
+    assert _outcome(xi_perm_by_bfs, broken, t.nodes)[0] is ModelIntegrityError
+    pinned = _pinned(SWEEP_FALLBACKS, SWEEP_FALLBACK_ERRORS, t, lam, f_edges, e_edges)
+    assert _outcome(xi_perm, broken, t.nodes) == pinned
 
 
 def _relabel(g, order):
@@ -469,35 +528,34 @@ def test_xi_perm_on_ids_out_of_depth_order(data):
         assert all(perm[new[v]] == new[w] for v, w in enumerate(xi_perm(g, sub)))
 
 
-def test_reversed_ids_are_walked(monkeypatch):
-    # in reverse depth order vertex 0 is the lowest vertex, which has raising
-    # edges of every color, so the sweep hands each subdiagram to the walk
+def test_reversed_ids_match_the_walk_oracle():
+    # in reverse depth order vertex 0 is the lowest vertex: the sweep must
+    # take its order from the weights, not from the ids
     g = generate(C2, (1, 1))
     reversed_graph, _ = _relabel(g, range(len(g) - 1, -1, -1))
-    walked = []
-    real_walk = cactus._xi_by_walk
-
-    def spy(graph, colors, twist):
-        walked.append(colors)
-        return real_walk(graph, colors, twist)
-
-    monkeypatch.setattr(cactus, "_xi_by_walk", spy)
+    assert reversed_graph._depth_order != identity_perm(g)
     assert verify_cactus_relations(reversed_graph) == []
-    assert sorted(map(sorted, walked)) == sorted(map(sorted, connected_subdiagrams(C2)))
+    for sub in connected_subdiagrams(C2):
+        assert xi_perm(reversed_graph, sub) == xi_perm_by_bfs(reversed_graph, sub)
 
 
-def _no_walk(monkeypatch):
-    def refuse(graph, colors, twist):
-        raise AssertionError(f"walked {sorted(colors)}")
-
-    monkeypatch.setattr(cactus, "_xi_by_walk", refuse)
-
-
+# named for the Levi walk that xi_perm once fell back to on ids out of depth
+# order; generate numbers the ids in depth order, so the sweep visits them
+# in id order
 @pytest.mark.parametrize("t,lam", XI_CASES)
-def test_generated_crystals_never_reach_the_walk(monkeypatch, t, lam):
+def test_generated_crystals_never_reach_the_walk(t, lam):
     g = generate(t, lam)
-    _no_walk(monkeypatch)
+    assert g._depth_order == identity_perm(g)
     assert verify_cactus_relations(g) == []
+
+
+# XI_CASES hold SHAPE_CASES, so SIZE_CASES too
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_every_lowering_edge_lowers_the_two_rho_vee_pairing_by_two(t, lam):
+    g = generate(t, lam)
+    n = _two_rho_vee(t)
+    pairing = [sum(map(mul, n, wt)) for wt in g.weights]
+    assert all(pairing[v] - pairing[w] == 2 for (v, _), w in g.f_edges.items())
 
 
 @pytest.mark.parametrize("t,lam", [(A1, (0,)), (G2, (0, 0))])

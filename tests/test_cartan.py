@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from operator import mul
 
 import cartan_oracle
 import pytest
@@ -25,7 +26,7 @@ from pathcrystals.cartan import (
     weyl_dim,
 )
 from pathcrystals.cactus import act, xi_perm
-from pathcrystals.crystal import generate
+from pathcrystals.crystal import generate, levi
 from pathcrystals.errors import ConfigurationError, DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, s_tilde
 
@@ -367,6 +368,43 @@ def _oracle_weights(t):
 def test_weyl_dim_matches_fraction_oracle(t):
     for lam in _oracle_weights(t):
         assert weyl_dim(t, lam) == cartan_oracle.weyl_dim(t, lam), (str(t), lam)
+
+
+@pytest.mark.parametrize("t", ADMISSIBLE_UP_TO_RANK_8, ids=str)
+def test_two_rho_vee_pairs_every_simple_root_to_two(t):
+    # <alpha_j, 2 rho^vee> = 2 for every j; the Cartan matrix is invertible,
+    # so these pairings alone determine 2 rho^vee
+    n = cartan._two_rho_vee(t)
+    assert [sum(map(mul, n, simple_root(t, j))) for j in t.nodes] == [2] * t.rank
+
+
+def test_two_rho_vee_of_d4_and_f4():
+    assert cartan._two_rho_vee(D4) == (6, 10, 6, 6)
+    assert cartan._two_rho_vee(F4) == (22, 42, 30, 16)
+
+
+NODE_SET_GUARDS = {
+    "components": lambda nodes: components(A2, nodes),
+    "is_connected": lambda nodes: is_connected(A2, nodes),
+    "positive_roots": lambda nodes: positive_roots(A2, frozenset(nodes)),
+    "longest_word": lambda nodes: longest_word(A2, frozenset(nodes)),
+    "levi": lambda nodes: levi(generate(A2, (1, 1)), nodes),
+}
+
+
+@pytest.mark.parametrize("node", [1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("name", sorted(NODE_SET_GUARDS))
+def test_node_sets_reject_nodes_that_are_not_ints(name, node):
+    # 1.0 and True hash and compare equal to node 1, so the answers cached
+    # for {1} and {1, 2}, asked for first, must not answer for them; at the
+    # parent components and levi accepted them and longest_word raised
+    # TypeError
+    guard = NODE_SET_GUARDS[name]
+    guard({1})
+    guard({1, 2})
+    for nodes in ({node}, {node, 2}):
+        with pytest.raises(DomainError, match=rf"^node {re.escape(repr(node))} not in A2$"):
+            guard(nodes)
 
 
 def test_weyl_dim_rejects_a_wrong_symmetrizer(monkeypatch):

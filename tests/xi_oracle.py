@@ -8,12 +8,16 @@ descending); its image is the twisted raising word applied to the lowest
 vertex of that component.  This is quadratic in the component size.
 
 xi_perm_by_bfs is the edge propagation of xi_perm as it stood before the
-graph kept per-color edge lists: the Levi components come from a scan of
-every vertex for raising edges and one walk down from each highest vertex
-(levi_by_vertex_scan), and each component is then walked a second time,
-breadth-first over graph.f and graph.e.  It raises the same errors with the
-same messages.  relation_violations_by_loops is the relation checker that
-looped over all pairs of subdiagrams on every call.
+graph kept per-color edge lists, and the one Levi-component walk left: the
+components come from a scan of every vertex for raising edges and one walk
+down from each highest vertex (levi_by_vertex_scan), and each component is
+then walked a second time, breadth-first over graph.f and graph.e.  On a
+crystal it returns what the depth-order sweep of xi_perm returns, however
+the ids are numbered.  On a broken graph both raise ModelIntegrityError,
+often with different messages, as each meets the fault at its own check;
+the sweep may also raise where this walk returns, but only on a graph that
+verify_seminormal flags.  relation_violations_by_loops is the relation
+checker that looped over all pairs of subdiagrams on every call.
 
 schutzenberger is the closed form of the involution for the whole diagram on
 the path model, S(pi)(t) = theta(pi(1 - t) - pi(1)): Littelmann's dual path
