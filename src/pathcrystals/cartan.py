@@ -75,11 +75,10 @@ def _node_set(t: DynkinType, nodes, noun="nodes") -> NodeSet:
     """The node set as a frozenset of int nodes of t.  The type test comes
     first: 1.0 and True compare and hash equal to node 1."""
     nodes = frozenset(nodes)
-    odd = sorted(repr(j) for j in nodes if type(j) is not int)
-    if odd:
-        raise DomainError(f"node {odd[0]} not in {t}")
-    if not nodes <= all_nodes(t):
-        raise DomainError(f"{noun} {sorted(nodes)} not in {t}")
+    if not all(type(j) is int and 0 < j <= t.rank for j in nodes):
+        odd = sorted(repr(j) for j in nodes if type(j) is not int)
+        message = f"node {odd[0]}" if odd else f"{noun} {sorted(nodes)}"
+        raise DomainError(f"{message} not in {t}")
     return nodes
 
 
