@@ -237,7 +237,7 @@ class LeviView:
         for top in range(len(graph)):
             if top in raisable:
                 continue
-            comp, lows, queue = [], [], [top]
+            walk, lows, queue = [], [], [top]
             for v in queue:
                 seen = top_of[v]
                 if seen == top:
@@ -248,7 +248,7 @@ class LeviView:
                         f"vertices {seen} and {top}"
                     )
                 top_of[v] = top
-                comp.append(v)
+                walk.append(v)
                 size = len(queue)
                 for targets in lowering:
                     if targets[v] is not None:
@@ -259,7 +259,7 @@ class LeviView:
                 raise ModelIntegrityError(
                     f"normality violation: {len(lows)} lowest vertices below {top}"
                 )
-            parts.append((tuple(sorted(comp)), lows[0], top))
+            parts.append((tuple(sorted(walk)), lows[0], top))
         if None in top_of:
             raise ModelIntegrityError(
                 f"normality violation: vertex {top_of.index(None)} is below no "
