@@ -3,7 +3,8 @@
 Weights are stored in fundamental-weight coordinates throughout: coordinate i
 of a vector mu is the pairing <mu, alpha_i^vee>.  The Cartan matrix convention
 is a[i][j] = <alpha_j, alpha_i^vee>, so column j spells the simple root
-alpha_j in those coordinates.  Nodes are numbered 1..rank in Bourbaki style:
+alpha_j in those coordinates; the other modules read these columns, and
+2 rho^vee, from this one.  Nodes are numbered 1..rank in Bourbaki style:
 the D_n fork sits at nodes n-1 and n (both attached to n-2), the E_n branch
 node 2 hangs off node 4, B_n has its short root at node n, C_n its long root
 at node n, and G_2 its long root at node 2 (a[1][2] = -3).
@@ -154,20 +155,25 @@ def symmetrizer(t: DynkinType) -> tuple[int, ...]:
     return tuple(ints)
 
 
+@cache
+def _columns(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """Column j - 1 of the Cartan matrix: alpha_j in fundamental weights."""
+    return tuple(zip(*cartan_matrix(t)))
+
+
 def simple_root(t: DynkinType, j: int) -> Weight:
     """Simple root alpha_j in fundamental-weight coordinates (matrix column j)."""
     if type(j) is not int or not 0 < j <= t.rank:
         raise DomainError(f"node {j!r} not in {t}")
-    a = cartan_matrix(t)
-    return tuple(a[i][j - 1] for i in range(t.rank))
+    return _columns(t)[j - 1]
 
 
 def reflect(t: DynkinType, mu: Weight, i: int) -> Weight:
     """Simple reflection r_i(mu) = mu - <mu, alpha_i^vee> alpha_i."""
-    if type(i) is not int or not 0 < i <= t.rank:
-        raise DomainError(f"node {i!r} not in {t}")
-    c = mu[i - 1]
     alpha = simple_root(t, i)
+    if len(mu) != t.rank:
+        raise DomainError(f"weight must have length {t.rank}")
+    c = mu[i - 1]
     return tuple(x - c * a for x, a in zip(mu, alpha))
 
 
@@ -200,24 +206,29 @@ def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...
     return tuple(sorted(c for c in seen if min(c) >= 0))
 
 
-def longest_word(t: DynkinType, nodes: NodeSet) -> tuple[int, ...]:
-    """Reduced word for the longest parabolic element, by greedy descent.
-
-    Starting from the sum of fundamental weights over the node set, repeatedly
-    applies the reflection with the smallest node index whose coordinate is
-    still positive.  The recorded word has length |positive roots| and spells
-    the longest element (an involution, so the reading order is immaterial).
-    """
-    nodes = _node_set(t, nodes)
-    mu = tuple(1 if j in nodes else 0 for j in t.nodes)
+def _descent(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], Weight]:
+    """Word and end w0_J mu of the greedy descent from mu = sum_{j in J} j varpi_j,
+    regular dominant on J: reflect at the smallest node of J with a positive
+    coordinate until there is none.  As w0_J alpha_i^vee = -alpha_theta(i)^vee,
+    coordinate i of the end is -theta(i)."""
+    mu = tuple(j if j in nodes else 0 for j in t.nodes)
     order = sorted(nodes)
     word = []
     while (j := next((j for j in order if mu[j - 1] > 0), None)) is not None:
         mu = reflect(t, mu, j)
         word.append(j)
+    return tuple(word), mu
+
+
+def longest_word(t: DynkinType, nodes: NodeSet) -> tuple[int, ...]:
+    """Reduced word for the longest parabolic element, by the greedy descent,
+    checked to have length |positive roots|.  The element is an involution,
+    so the reading order is immaterial."""
+    nodes = _node_set(t, nodes)
+    word, _ = _descent(t, nodes)
     if len(word) != len(positive_roots(t, nodes)):
         raise ModelIntegrityError(f"longest word length mismatch on {t}, {sorted(nodes)}")
-    return tuple(word)
+    return word
 
 
 @cache
@@ -233,6 +244,8 @@ def _two_rho_vee(t: DynkinType) -> tuple[int, ...]:
 
 def w0J_apply(t: DynkinType, nodes: NodeSet, mu: Weight) -> Weight:
     """Apply the longest parabolic element to a weight (word read right to left)."""
+    if len(mu) != t.rank:
+        raise DomainError(f"weight must have length {t.rank}")
     for i in reversed(longest_word(t, frozenset(nodes))):
         mu = reflect(t, mu, i)
     return mu
@@ -242,24 +255,21 @@ def w0J_apply(t: DynkinType, nodes: NodeSet, mu: Weight) -> Weight:
 def _theta_pairs(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, int], ...]:
     if not is_connected(t, nodes):
         raise DomainError(f"theta needs a connected node set, got {sorted(nodes)}")
-    simples = {j: simple_root(t, j) for j in nodes}
-    pairs = []
-    for j in sorted(nodes):
-        image = w0J_apply(t, nodes, simples[j])
-        negated = tuple(-x for x in image)
-        matches = [jp for jp in nodes if simples[jp] == negated]
-        if len(matches) != 1:
-            raise ModelIntegrityError(
-                f"longest element does not negate a simple root on {t}, {sorted(nodes)}"
-            )
-        pairs.append((j, matches[0]))
-    return tuple(pairs)
+    _, end = _descent(t, nodes)
+    pairs = tuple((j, -end[j - 1]) for j in sorted(nodes))
+    if sorted(jp for _, jp in pairs) != sorted(nodes):
+        raise ModelIntegrityError(
+            f"longest element does not negate a simple root on {t}, {sorted(nodes)}"
+        )
+    return pairs
 
 
 def theta(t: DynkinType, nodes: NodeSet) -> dict:
     """Diagram automorphism j -> j' of a connected subdiagram determined by
-    alpha_{j'} = -(longest parabolic element)(alpha_j)."""
-    return dict(_theta_pairs(t, frozenset(nodes)))
+    alpha_{j'} = -(longest parabolic element)(alpha_j), read off the end of
+    the descent.  The node set is checked before the cache: 1.0 and True
+    would hit the entry of node 1."""
+    return dict(_theta_pairs(t, _node_set(t, nodes)))
 
 
 @cache

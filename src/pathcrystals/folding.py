@@ -30,11 +30,10 @@ from math import inf, lcm
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
-    all_nodes,
+    _two_rho_vee,
     components,
     connected_subdiagrams,
     is_connected,
-    positive_roots,
     simple_root,
     symmetrizer,
     theta,
@@ -81,10 +80,7 @@ class FoldingPair:
 
     def sigma_set(self, nodes) -> frozenset:
         """Union of the orbits of a set of source nodes."""
-        out: frozenset = frozenset()
-        for i in nodes:
-            out |= self._sigma[i]
-        return out
+        return frozenset().union(*(self._sigma[i] for i in nodes))
 
 
 def _fold_table(x: DynkinType):
@@ -152,10 +148,7 @@ def psi_weight(fold: FoldingPair, mu):
     """Apply the weight-lattice embedding to a source weight."""
     if len(mu) != fold.x_type.rank:
         raise ConfigurationError(f"weight must have length {fold.x_type.rank}")
-    return tuple(
-        sum(row[i] * mu[i] for i in range(fold.x_type.rank))
-        for row in fold.psi_matrix
-    )
+    return tuple(sum(r * m for r, m in zip(row, mu)) for row in fold.psi_matrix)
 
 
 def virtualize_path(fold: FoldingPair, path: PLPath) -> PLPath:
@@ -287,9 +280,9 @@ def _membership(fold: FoldingPair, lam, max_size):
     raises q by the first defined root_e, colors ascending, to a path with a
     verdict and passes it on to every path it visits.  It fails off the origin,
     at a non-integral or another dominant path, or past <psi(lam) - wt(q),
-    rho^vee> steps (Y is simply laced).  DomainError at the (max_size + 1)-th path."""
+    rho^vee> steps.  DomainError at the (max_size + 1)-th path."""
     y, top = fold.y_type, psi_weight(fold, lam)
-    rho2 = [sum(col) for col in zip(*positive_roots(y, all_nodes(y)))]
+    rho2 = _two_rho_vee(y)
     known = {straight_path(y, top): True}
     cap = inf if max_size is None else max_size
 

@@ -1,17 +1,61 @@
-"""The Fraction Weyl dimension formula, kept as a test oracle for
-pathcrystals.cartan.weyl_dim.
+"""Replaced Cartan routines, kept as test oracles for pathcrystals.cartan.
 
-Each positive root alpha contributes the factor <lam + rho, alpha^vee> /
-<rho, alpha^vee>, and each coroot pairing is built as the Fraction
-2 (mu, alpha) / (alpha, alpha), with the root norm summed over the Cartan
-matrix.  The package cancels (alpha, alpha) in each factor and divides one
-integer product by another.
+weyl_dim is the Fraction Weyl dimension formula.  Each positive root alpha
+contributes the factor <lam + rho, alpha^vee> / <rho, alpha^vee>, and each
+coroot pairing is built as the Fraction 2 (mu, alpha) / (alpha, alpha), with
+the root norm summed over the Cartan matrix.  The package cancels
+(alpha, alpha) in each factor and divides one integer product by another.
+
+longest_word, w0J_apply and theta are the earlier descent and diagram
+automorphism.  The descent starts from the sum of the fundamental weights
+over the node set, and theta applies w0_J to each simple root of J and
+matches the negated image against the simple roots: |J| + 1 descents where
+the package makes one.  They reflect with their own columns of the Cartan
+matrix.
 """
 
 from fractions import Fraction
 
 from pathcrystals.cartan import all_nodes, cartan_matrix, positive_roots, symmetrizer
 from pathcrystals.errors import DomainError, ModelIntegrityError
+
+
+def _simple_root(t, j) -> tuple:
+    a = cartan_matrix(t)
+    return tuple(a[i][j - 1] for i in range(t.rank))
+
+
+def _reflect(t, mu, i) -> tuple:
+    c = mu[i - 1]
+    return tuple(x - c * a for x, a in zip(mu, _simple_root(t, i)))
+
+
+def longest_word(t, nodes) -> tuple:
+    mu = tuple(1 if j in nodes else 0 for j in t.nodes)
+    order = sorted(nodes)
+    word = []
+    while (j := next((j for j in order if mu[j - 1] > 0), None)) is not None:
+        mu = _reflect(t, mu, j)
+        word.append(j)
+    return tuple(word)
+
+
+def w0J_apply(t, nodes, mu) -> tuple:
+    for i in reversed(longest_word(t, nodes)):
+        mu = _reflect(t, mu, i)
+    return mu
+
+
+def theta(t, nodes) -> dict:
+    simples = {j: _simple_root(t, j) for j in nodes}
+    out = {}
+    for j in sorted(nodes):
+        negated = tuple(-x for x in w0J_apply(t, nodes, simples[j]))
+        matches = [jp for jp in nodes if simples[jp] == negated]
+        if len(matches) != 1:
+            raise ModelIntegrityError(f"longest element does not negate alpha_{j}")
+        out[j] = matches[0]
+    return out
 
 
 def _pair_with_covector(t, d, coeffs, mu) -> Fraction:

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import os
 import re
+import sys
 import types
 
 import pytest
@@ -66,6 +67,31 @@ def test_readme_api_lists_every_public_name_of_every_module():
         assert _own_public_names(module) == set(exported) | set(local), name
         for export in exported:
             assert getattr(pathcrystals, export) is getattr(module, export), export
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime is stdlib only: every import, also inside functions, is
+    # relative, from __future__, or of a standard-library module
+    outside = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                (name, module)
+                for module in modules
+                if module != "__future__"
+                and module.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 # sha256 of each help text at 80 columns, as argparse of Python 3.11 prints it

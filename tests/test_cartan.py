@@ -25,7 +25,7 @@ from pathcrystals.cartan import (
     w0J_apply,
     weyl_dim,
 )
-from pathcrystals.cactus import act, xi_perm
+from pathcrystals.cactus import act, theta_image, xi_perm
 from pathcrystals.crystal import generate, levi
 from pathcrystals.errors import ConfigurationError, DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, s_tilde
@@ -337,14 +337,26 @@ def test_weyl_dim_rejects_entries_that_are_not_ints(lam):
         generate(A2, lam)
 
 
-@pytest.mark.parametrize("color", [1.0, True, "1"])
+@pytest.mark.parametrize("color", [1.0, True, "1", 0, 3])
 def test_simple_root_and_reflect_reject_colors_that_are_not_ints(color):
-    # 1.0 and True pass "in range(1, 3)": True acted as node 1
+    # 1.0 and True pass "in range(1, 3)": True acted as node 1; 0 and 3 are
+    # ints outside A2, refused by the same guard, which reflect takes from
+    # simple_root
     message = rf"^node {re.escape(repr(color))} not in A2$"
     with pytest.raises(DomainError, match=message):
         simple_root(A2, color)
     with pytest.raises(DomainError, match=message):
         reflect(A2, (1, 0), color)
+
+
+@pytest.mark.parametrize("mu", [(1, 0), (1, 0, 0, 5)])
+def test_reflect_and_w0J_apply_reject_weights_of_the_wrong_length(mu):
+    # reflect gave (-1, 1) and (-1, 1, 0), and w0J_apply (0, -1) on {1, 2}
+    with pytest.raises(DomainError, match="^weight must have length 3$"):
+        reflect(A3, mu, 1)
+    for nodes in (frozenset(), frozenset({1, 2})):
+        with pytest.raises(DomainError, match="^weight must have length 3$"):
+            w0J_apply(A3, nodes, mu)
 
 
 ADMISSIBLE_UP_TO_RANK_8 = [
@@ -389,6 +401,10 @@ NODE_SET_GUARDS = {
     "positive_roots": lambda nodes: positive_roots(A2, frozenset(nodes)),
     "longest_word": lambda nodes: longest_word(A2, frozenset(nodes)),
     "levi": lambda nodes: levi(generate(A2, (1, 1)), nodes),
+    # theta read its cache before any node check, so after {1, 2} the set
+    # {1.0, 2} returned {1: 2, 2: 1}
+    "theta": lambda nodes: theta(A2, nodes),
+    "theta_image": lambda nodes: theta_image(A2, nodes, nodes),
 }
 
 
@@ -412,3 +428,77 @@ def test_weyl_dim_rejects_a_wrong_symmetrizer(monkeypatch):
     monkeypatch.setattr(cartan, "symmetrizer", lambda t: (1, 2))
     with pytest.raises(ModelIntegrityError, match=r"^Weyl dimension of B2 at \(1, 0\) "):
         weyl_dim(B2, (1, 0))
+
+
+DESCENT_TYPES = [
+    DynkinType(family, n)
+    for family, ranks in (
+        ("A", range(1, 9)),
+        ("B", range(2, 7)),
+        ("C", range(2, 7)),
+        ("D", range(4, 8)),
+        ("E", range(6, 9)),
+        ("F", (4,)),
+        ("G", (2,)),
+    )
+    for n in ranks
+]
+
+
+def _nonempty_subsets(t):
+    for mask in range(1, 1 << t.rank):
+        yield frozenset(j for j in t.nodes if mask >> (j - 1) & 1)
+
+
+@pytest.mark.parametrize("t", DESCENT_TYPES, ids=str)
+def test_one_descent_matches_the_replaced_routines(t):
+    # 1,439 nonempty node sets in all; the descent starts from
+    # sum_j j varpi_j and the oracle from sum_j varpi_j, both regular
+    # dominant on J, so the greedy words agree
+    mu = tuple(range(t.rank, 0, -1))
+    for nodes in _nonempty_subsets(t):
+        assert longest_word(t, nodes) == cartan_oracle.longest_word(t, nodes), sorted(nodes)
+        assert w0J_apply(t, nodes, mu) == cartan_oracle.w0J_apply(t, nodes, mu), sorted(nodes)
+        if is_connected(t, nodes):
+            assert theta(t, nodes) == cartan_oracle.theta(t, nodes), sorted(nodes)
+
+
+SIMPLY_LACED_UP_TO_RANK_9 = (
+    [DynkinType("A", n) for n in range(1, 10)]
+    + [DynkinType("D", n) for n in range(3, 10)]
+    + [DynkinType("E", n) for n in (6, 7, 8)]
+)
+
+
+def _positive_root_sum(t):
+    return tuple(sum(col) for col in zip(*positive_roots(t, all_nodes(t))))
+
+
+@pytest.mark.parametrize("t", SIMPLY_LACED_UP_TO_RANK_9, ids=str)
+def test_two_rho_vee_is_the_positive_root_sum_when_simply_laced(t):
+    # the folding membership walk took its budget from this sum; it differs
+    # from 2 rho^vee on B3, C3, G2 and F4
+    assert cartan._two_rho_vee(t) == _positive_root_sum(t)
+
+
+def test_theta_makes_one_descent_of_one_reflection_per_positive_root(monkeypatch):
+    # the per-node routine made one descent to spell w0_J and one to apply
+    # it for each node: 200 reflections on D5
+    calls = []
+    real_reflect = cartan.reflect
+    monkeypatch.setattr(cartan, "reflect", lambda *args: calls.append(args) or real_reflect(*args))
+    monkeypatch.setattr(cartan, "w0J_apply", None)
+    cartan._theta_pairs.cache_clear()
+    assert theta(D5, all_nodes(D5)) == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
+    assert len(calls) == len(positive_roots(D5, all_nodes(D5))) == 20
+
+
+@pytest.mark.parametrize("end", [(-1, -1), (-2, -3), (1, 2)])
+def test_theta_refuses_a_descent_end_that_is_not_a_permutation(monkeypatch, end):
+    monkeypatch.setattr(cartan, "_descent", lambda t, nodes: ((1, 2, 1), end))
+    cartan._theta_pairs.cache_clear()
+    message = r"^longest element does not negate a simple root on A2, \[1, 2\]$"
+    with pytest.raises(ModelIntegrityError, match=message):
+        theta(A2, {1, 2})
+    with pytest.raises(ModelIntegrityError, match=message):
+        theta_image(A2, {1, 2}, {1})
