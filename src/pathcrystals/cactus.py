@@ -7,7 +7,8 @@ every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
 It is computed by propagating that rule along every J-colored lowering edge
 in one sweep over the ids by depth <lambda - wt, 2 rho^vee>, which each
 lowering edge raises by 2, so any two lowering words to a vertex must give
-the same image; a graph the sweep cannot vouch for is rejected.
+the same image; a graph the sweep cannot vouch for is rejected.  The sweep
+lives in crystal, where the Levi views read their components off it.
 The verifier checks, by exhaustive permutation arithmetic, that these
 involutions satisfy the defining relations of the cactus group of the
 diagram, over pairs of subdiagrams planned once per type.
@@ -25,81 +26,25 @@ from .cartan import (
     node_mask,
     theta,
 )
-from .crystal import CrystalGraph
+from .crystal import CrystalGraph, _levi_sweep
 from .errors import DomainError, ModelIntegrityError
 
 
 def xi(graph: CrystalGraph, colors, b: int) -> int:
     """Image of vertex b under the partial involution of a connected color set."""
-    if not 0 <= b < len(graph):
-        raise DomainError(f"vertex {b} out of range")
+    if type(b) is not int or not 0 <= b < len(graph):
+        raise DomainError(f"vertex {b!r} out of range")
     return xi_perm(graph, colors)[b]
 
 
 def xi_perm(graph: CrystalGraph, colors) -> tuple:
-    """The partial involution as a permutation of all vertex ids.
-
-    In depth order every lowering edge v -f_i-> w, i in the color set, comes
-    before w, and yields the image of w as e_theta(i) of the image of v.  A
-    vertex with no image when the sweep reaches it is the highest of its
-    component, sent to the lowest.  A raising edge at such a vertex, a cycle
-    on the way down, a missing or disagreeing image, a vertex below two
-    highest or a second lowest vertex, or images that do not permute raise."""
+    """The partial involution as a permutation of all vertex ids, computed
+    and checked by the depth-order sweep crystal._levi_sweep."""
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
-    twist = theta(graph.rtype, colors)
-    columns = [(graph.f_to[i], graph.e_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
-    n = len(graph)
-    steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
-    out = [None] * n
-    top_of = [None] * n
-    for v in graph._depth_order:
-        image = out[v]
-        if image is None:  # no edge reached v: a highest vertex has no raising edge
-            for _, raising, _ in columns:
-                if raising[v] is not None:
-                    raise ModelIntegrityError(
-                        f"normality violation: vertex {v} has a raising edge but no edge from above"
-                    )
-            image = top_of[v] = v
-            for _ in steps:  # down the first lowering edges
-                for lowering, _, _ in columns:
-                    below = lowering[image]
-                    if below is not None:
-                        break
-                else:
-                    break
-                image = below
-            else:  # n steps visit n + 1 vertices, one of them twice
-                raise ModelIntegrityError(f"normality violation: lowering cycle below vertex {v}")
-            out[v] = image
-        top = top_of[v]
-        lowest = True
-        for lowering, _, mirror in columns:
-            w = lowering[v]
-            if w is not None:
-                lowest = False
-                mirrored = mirror[image]
-                if mirrored is None or out[w] not in (None, mirrored):
-                    i = next(i for i in sorted(colors) if graph.f_to[i] is lowering)
-                    raise ModelIntegrityError(
-                        f"involution image of vertex {w} is inconsistent along color {i}"
-                    )
-                if top_of[w] not in (None, top):
-                    raise ModelIntegrityError(
-                        f"normality violation: vertex {w} is below highest "
-                        f"vertices {top_of[w]} and {top}"
-                    )
-                out[w], top_of[w] = mirrored, top
-        if lowest and out[top] != v:
-            raise ModelIntegrityError(f"normality violation: second lowest vertex {v} below {top}")
-    # only lowest vertices map to vertices without raising edges, and they are
-    # no more than the highest vertices, which have none: so when the images
-    # permute, the vertices taken as highest are all those without raising edges
-    if set(out) != set(range(n)):
-        raise ModelIntegrityError("involution image is not a permutation")
-    return tuple(out)
+    images, _ = _levi_sweep(graph, colors, theta(graph.rtype, colors))
+    return tuple(images)
 
 
 def compose(p: tuple, q: tuple) -> tuple:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
@@ -181,8 +182,8 @@ def positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]
     """Positive roots of the parabolic subsystem on the given nodes.
 
     Each root is returned as its coefficient vector over the simple roots
-    (root-basis coordinates), sorted lexicographically.  Computed as the
-    reflection closure of the simple roots, filtered to the positive cone.
+    (root-basis coordinates), sorted lexicographically.  Grown from the
+    simple roots by the simple reflections that keep a root positive.
     The node set is checked before the cache, whose entry for node 1 would
     answer for 1.0 or True.
     """
@@ -197,13 +198,18 @@ def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...
     while stack:
         c = stack.pop()
         for j in nodes:
-            # <beta, alpha_j^vee> for beta = sum_k c_k alpha_k
-            pairing = sum(c[k - 1] * a[j - 1][k - 1] for k in nodes)
-            image = c[: j - 1] + (c[j - 1] - pairing,) + c[j:]
+            # coefficient j of r_j(beta) = beta - <beta, alpha_j^vee> alpha_j, for
+            # beta = sum_k c_k alpha_k: negative only for beta = alpha_j, and every
+            # positive root is reached from a simple root by reflections that keep
+            # it positive
+            coeff = c[j - 1] - sum(map(mul, c, a[j - 1]))
+            if coeff < 0:
+                continue
+            image = c[: j - 1] + (coeff,) + c[j:]
             if image not in seen:
                 seen.add(image)
                 stack.append(image)
-    return tuple(sorted(c for c in seen if min(c) >= 0))
+    return tuple(sorted(seen))
 
 
 def _descent(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], Weight]:

@@ -14,8 +14,10 @@ direction indexed by vertex id.  verify_seminormal checks the raising
 operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
 mismatch aborts, at the first extra vertex if there are too many.  The ids
-sorted by the depth <lambda - wt, 2 rho^vee> order the involution sweep; a
-Levi view walks each component from its highest vertex, once.
+sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi
+decomposition, a sweep that propagates the partial involution of a color set
+down its lowering edges and finds the highest and lowest vertex of each
+component on the way; cactus.xi_perm and the Levi views both read it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .cartan import (
     DynkinType,
     _node_set,
     _two_rho_vee,
+    components,
     simple_root,
+    theta,
     weyl_dim,
 )
 from .errors import DomainError, ModelIntegrityError
@@ -221,58 +225,94 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     return violations
 
 
+def _levi_sweep(graph: CrystalGraph, colors, twist) -> tuple:
+    """(images, top_of): the involution of the color set that sends each
+    highest vertex to the lowest of its component and intertwines f_i with
+    e_twist[i], as a list, and the highest vertex above each vertex.
+
+    In depth order every lowering edge v -f_i-> w, i in the color set, comes
+    before w, and yields the image of w as e_twist[i] of the image of v.  A
+    vertex with no image when the sweep reaches it is the highest of its
+    component, sent to the lowest.  A raising edge at such a vertex, a cycle
+    on the way down, a missing or disagreeing image, a vertex below two
+    highest or a second lowest vertex, or images that do not permute raise."""
+    columns = [(graph.f_to[i], graph.e_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
+    n = len(graph)
+    steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
+    out = [None] * n
+    top_of = [None] * n
+    for v in graph._depth_order:
+        image = out[v]
+        if image is None:  # no edge reached v: a highest vertex has no raising edge
+            for _, raising, _ in columns:
+                if raising[v] is not None:
+                    raise ModelIntegrityError(
+                        f"normality violation: vertex {v} has a raising edge but no edge from above"
+                    )
+            image = top_of[v] = v
+            for _ in steps:  # down the first lowering edges
+                for lowering, _, _ in columns:
+                    below = lowering[image]
+                    if below is not None:
+                        break
+                else:
+                    break
+                image = below
+            else:  # n steps visit n + 1 vertices, one of them twice
+                raise ModelIntegrityError(f"normality violation: lowering cycle below vertex {v}")
+            out[v] = image
+        top = top_of[v]
+        lowest = True
+        for lowering, _, mirror in columns:
+            w = lowering[v]
+            if w is not None:
+                lowest = False
+                mirrored = mirror[image]
+                if mirrored is None or out[w] not in (None, mirrored):
+                    i = next(i for i in sorted(colors) if graph.f_to[i] is lowering)
+                    raise ModelIntegrityError(
+                        f"involution image of vertex {w} is inconsistent along color {i}"
+                    )
+                if top_of[w] not in (None, top):
+                    raise ModelIntegrityError(
+                        f"normality violation: vertex {w} is below highest "
+                        f"vertices {top_of[w]} and {top}"
+                    )
+                out[w], top_of[w] = mirrored, top
+        if lowest and out[top] != v:
+            raise ModelIntegrityError(f"normality violation: second lowest vertex {v} below {top}")
+    # only lowest vertices map to vertices without raising edges, and they are
+    # no more than the highest vertices, which have none: so when the images
+    # permute, the vertices taken as highest are all those without raising edges
+    if set(out) != set(range(n)):
+        raise ModelIntegrityError("involution image is not a permutation")
+    return out, top_of
+
+
 class LeviView:
-    """A crystal graph with edges restricted to a subset of colors.  Raises
-    ModelIntegrityError unless each component, walked down the lowering
-    edges from its highest vertex, has one highest and one lowest vertex."""
+    """A crystal graph with edges restricted to a subset of colors, read off
+    the involution sweep with the twist of w0_J, the product of the longest
+    elements of the components of J.  Raises ModelIntegrityError where the
+    sweep does, so each component has one highest and one lowest vertex."""
 
     def __init__(self, graph: CrystalGraph, colors):
         colors = _node_set(graph.rtype, colors, "colors")
         self.graph = graph
         self.colors = colors
-        lowering = [graph.f_to[i] for i in sorted(colors)]
-        raisable = {v for i in colors for v, u in enumerate(graph.e_to[i]) if u is not None}
-        top_of = [None] * len(graph)
-        parts = []
-        for top in range(len(graph)):
-            if top in raisable:
-                continue
-            walk, lows, queue = [], [], [top]
-            for v in queue:
-                seen = top_of[v]
-                if seen == top:
-                    continue
-                if seen is not None:
-                    raise ModelIntegrityError(
-                        f"normality violation: vertex {v} is below highest "
-                        f"vertices {seen} and {top}"
-                    )
-                top_of[v] = top
-                walk.append(v)
-                size = len(queue)
-                for targets in lowering:
-                    if targets[v] is not None:
-                        queue.append(targets[v])
-                if len(queue) == size:
-                    lows.append(v)
-            if len(lows) != 1:
-                raise ModelIntegrityError(
-                    f"normality violation: {len(lows)} lowest vertices below {top}"
-                )
-            parts.append((tuple(sorted(walk)), lows[0], top))
-        if None in top_of:
-            raise ModelIntegrityError(
-                f"normality violation: vertex {top_of.index(None)} is below no "
-                "highest vertex"
-            )
-        parts.sort()
-        self.components = tuple(comp for comp, _, _ in parts)
+        twist = {}
+        for part in components(graph.rtype, colors):
+            twist.update(theta(graph.rtype, part))
+        images, top_of = _levi_sweep(graph, colors, twist)
+        members = {}
+        for v, top in enumerate(top_of):
+            members.setdefault(top, []).append(v)
         self._top_of = top_of
-        self._parts = {top: (comp, low) for comp, low, top in parts}
+        self._parts = {top: (tuple(comp), images[top]) for top, comp in members.items()}
+        self.components = tuple(sorted(comp for comp, _ in self._parts.values()))
 
     def component_of(self, v: int) -> tuple:
-        if not 0 <= v < len(self.graph):
-            raise DomainError(f"vertex {v} out of range")
+        if type(v) is not int or not 0 <= v < len(self.graph):
+            raise DomainError(f"vertex {v!r} out of range")
         return self._parts[self._top_of[v]][0]
 
     def highest_of(self, comp) -> int:

@@ -6,6 +6,9 @@ coroot pairing is built as the Fraction 2 (mu, alpha) / (alpha, alpha), with
 the root norm summed over the Cartan matrix.  The package cancels
 (alpha, alpha) in each factor and divides one integer product by another.
 
+positive_roots is the earlier reflection closure of the simple roots, which
+also reaches the negative roots and filters them out at the end.
+
 longest_word, w0J_apply and theta are the earlier descent and diagram
 automorphism.  The descent starts from the sum of the fundamental weights
 over the node set, and theta applies w0_J to each simple root of J and
@@ -16,7 +19,7 @@ matrix.
 
 from fractions import Fraction
 
-from pathcrystals.cartan import all_nodes, cartan_matrix, positive_roots, symmetrizer
+from pathcrystals.cartan import all_nodes, cartan_matrix, symmetrizer
 from pathcrystals.errors import DomainError, ModelIntegrityError
 
 
@@ -28,6 +31,21 @@ def _simple_root(t, j) -> tuple:
 def _reflect(t, mu, i) -> tuple:
     c = mu[i - 1]
     return tuple(x - c * a for x, a in zip(mu, _simple_root(t, i)))
+
+
+def positive_roots(t, nodes) -> tuple:
+    a = cartan_matrix(t)
+    stack = [tuple(int(k == j) for k in t.nodes) for j in nodes]
+    seen = set(stack)
+    while stack:
+        c = stack.pop()
+        for j in nodes:
+            pairing = sum(c[k - 1] * a[j - 1][k - 1] for k in nodes)
+            image = c[: j - 1] + (c[j - 1] - pairing,) + c[j:]
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return tuple(sorted(c for c in seen if min(c) >= 0))
 
 
 def longest_word(t, nodes) -> tuple:

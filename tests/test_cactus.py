@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from collections import Counter
 from itertools import product
 from operator import mul
@@ -31,11 +32,13 @@ from pathcrystals.cartan import (
     DynkinType,
     _two_rho_vee,
     all_nodes,
+    components,
     connected_subdiagrams,
     w0J_apply,
     weyl_dim,
 )
-from pathcrystals.crystal import generate, levi, verify_seminormal
+from pathcrystals.cartan import theta as diagram_theta
+from pathcrystals.crystal import _levi_sweep, generate, levi, verify_seminormal
 from pathcrystals.errors import DomainError, ModelIntegrityError
 
 A1 = DynkinType("A", 1)
@@ -100,8 +103,6 @@ def test_xi_rejects_disconnected_or_empty():
 def test_xi_involution_weight_twist_intertwining(t, lam):
     g = generate(t, lam)
     ident = identity_perm(g)
-    from pathcrystals.cartan import theta as diagram_theta
-
     for sub in connected_subdiagrams(t):
         perm = xi_perm(g, sub)
         assert compose(perm, perm) == ident
@@ -139,13 +140,20 @@ def test_xi_word_independence(t, lam):
         assert perm == xi_perm_by_words(g, sub, descending=True)
 
 
+def _subsets(t):
+    """Every node set of t, the empty and the disconnected ones included."""
+    for mask in range(1 << t.rank):
+        yield frozenset(j for j in t.nodes if mask >> (j - 1) & 1)
+
+
 @pytest.mark.parametrize("t,lam", WORD_CASES)
 def test_levi_matches_undirected_search(t, lam):
     g = generate(t, lam)
-    for sub in connected_subdiagrams(t):
+    for sub in _subsets(t):
         view = levi(g, sub)
         comps, highest, lowest = levi_by_undirected_search(g, sub)
         assert view.components == comps
+        assert levi_by_vertex_scan(g, sub) == (comps, highest, lowest)
         for comp in comps:
             assert view.highest_of(comp) == highest[comp]
             assert view.lowest_of(comp) == lowest[comp]
@@ -177,6 +185,18 @@ def test_xi_rejects_out_of_range_vertex():
     for b in (-1, len(g)):
         with pytest.raises(DomainError):
             xi(g, {1, 2}, b)
+
+
+def test_vertex_ids_must_be_ints():
+    # True and 1.0 compare equal to vertex 1, and "1" fails the range test
+    g = generate(A2, (1, 0))
+    view = levi(g, {1})
+    for b in (1.0, True, "1", -1, len(g)):
+        message = f"^{re.escape(f'vertex {b!r} out of range')}$"
+        with pytest.raises(DomainError, match=message):
+            xi(g, {1}, b)
+        with pytest.raises(DomainError, match=message):
+            view.component_of(b)
 
 
 def test_act_empty_word_is_identity():
@@ -297,7 +317,18 @@ def test_xi_errors_match_bfs_oracle_on_inconsistent_raising_edges(t, lam, first,
     assert _outcome(xi_perm, bad, {1, 2}) == expected
 
 
-# the sweep meets each fault at another check than the Levi walk: a missing
+@pytest.mark.parametrize("t,lam,first,second", INCONSISTENT_RAISING)
+def test_levi_rejects_inconsistent_raising_edges(t, lam, first, second):
+    # the vertex scan finds one component here; the sweep that LeviView reads
+    # rejects the graph, which verify_seminormal flags too
+    bad = _swap_raising_edges(t, lam, first, second)
+    assert len(levi_by_vertex_scan(bad, {1, 2})[0]) == 1
+    expected = _pinned(INCONSISTENT_RAISING, INCONSISTENT_RAISING_ERRORS, t, lam, first, second)
+    assert _outcome(levi, bad, {1, 2}) == expected
+    assert verify_seminormal(bad)
+
+
+# the sweep meets each fault at another check than the vertex scan: a missing
 # raising edge below the highest vertex, two lowering edges from vertex 0,
 # and a raising edge at vertex 1, which no lowering edge from above reaches
 BROKEN_COMPONENT_ERRORS = [
@@ -313,10 +344,23 @@ def test_levi_errors_match_vertex_scan_oracle_on_broken_components(t, lam, f_edg
     broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
     expected = _outcome(levi_by_vertex_scan, broken, all_nodes(t))
     assert expected[0] is ModelIntegrityError
-    assert _outcome(lambda: levi(broken, t.nodes).components) == expected
     assert _outcome(xi_perm_by_bfs, broken, t.nodes) == expected
     pinned = _pinned(BROKEN_COMPONENTS, BROKEN_COMPONENT_ERRORS, t, lam, f_edges, e_edges)
+    assert _outcome(lambda: levi(broken, t.nodes).components) == pinned
     assert _outcome(xi_perm, broken, t.nodes) == pinned
+
+
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_sweep_of_a_disconnected_set_is_the_product_of_its_parts(t, lam):
+    # w0_J of J = J1 + J2 is the product of the longest elements of J1 and J2
+    g = generate(t, lam)
+    subs = connected_subdiagrams(t)
+    pairs = [(a, b) for a in subs for b in subs if components(t, a | b) == [a, b]]
+    assert pairs or t.rank < 3
+    for a, b in pairs:
+        twist = {**diagram_theta(t, a), **diagram_theta(t, b)}
+        images, _ = _levi_sweep(g, a | b, twist)
+        assert tuple(images) == compose(xi_perm(g, a), xi_perm(g, b))
 
 
 @pytest.mark.parametrize("t,lam", WORD_CASES)

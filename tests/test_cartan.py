@@ -463,6 +463,20 @@ def test_one_descent_matches_the_replaced_routines(t):
             assert theta(t, nodes) == cartan_oracle.theta(t, nodes), sorted(nodes)
 
 
+@pytest.mark.parametrize("t", DESCENT_TYPES, ids=str)
+def test_positive_roots_match_the_reflection_closure(t):
+    # the closure grows upward only; the oracle reflects every way and
+    # filters the negative roots out at the end
+    for nodes in _nonempty_subsets(t):
+        assert positive_roots(t, nodes) == cartan_oracle.positive_roots(t, nodes), sorted(nodes)
+
+
+def test_positive_roots_match_the_reflection_closure_on_a40():
+    t = DynkinType("A", 40)
+    roots = positive_roots(t, all_nodes(t))
+    assert len(roots) == 820 and roots == cartan_oracle.positive_roots(t, all_nodes(t))
+
+
 SIMPLY_LACED_UP_TO_RANK_9 = (
     [DynkinType("A", n) for n in range(1, 10)]
     + [DynkinType("D", n) for n in range(3, 10)]

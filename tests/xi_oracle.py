@@ -2,22 +2,25 @@
 kept as test oracles for xi_perm and the relation checker.
 
 xi_perm_by_words writes a vertex b as a lowering word applied to the highest
-vertex of its Levi component (LeviView.f_word, BFS parent chains with the
-colors ascending, or the same breadth-first search here with the colors
-descending); its image is the twisted raising word applied to the lowest
-vertex of that component.  This is quadratic in the component size.
+vertex of its Levi component, found by a breadth-first search down from that
+vertex with the colors ascending or descending; its image is the twisted
+raising word applied to the lowest vertex of that component.  The components
+and their extremes come from levi_by_vertex_scan, not from the depth-order
+sweep that the package's LeviView and xi_perm share.  This is quadratic in
+the component size.
 
-xi_perm_by_bfs is the edge propagation of xi_perm as it stood before the
-graph kept per-color edge lists, and the one Levi-component walk left: the
-components come from a scan of every vertex for raising edges and one walk
-down from each highest vertex (levi_by_vertex_scan), and each component is
-then walked a second time, breadth-first over graph.f and graph.e.  On a
-crystal it returns what the depth-order sweep of xi_perm returns, however
-the ids are numbered.  On a broken graph both raise ModelIntegrityError,
-often with different messages, as each meets the fault at its own check;
-the sweep may also raise where this walk returns, but only on a graph that
-verify_seminormal flags.  relation_violations_by_loops is the relation
-checker that looped over all pairs of subdiagrams on every call.
+levi_by_vertex_scan is the Levi decomposition that LeviView made before it
+read the sweep: a scan of every vertex for raising edges and one walk down
+from each highest vertex.  xi_perm_by_bfs is the edge propagation of xi_perm
+as it stood before the graph kept per-color edge lists: it takes the
+components from levi_by_vertex_scan and walks each a second time,
+breadth-first over graph.f and graph.e.  On a crystal it returns what the
+depth-order sweep of xi_perm returns, however the ids are numbered.  On a
+broken graph both raise ModelIntegrityError, often with different messages,
+as each meets the fault at its own check; the sweep may also raise where
+this walk returns, but only on a graph that verify_seminormal flags.
+relation_violations_by_loops is the relation checker that looped over all
+pairs of subdiagrams on every call.
 
 schutzenberger is the closed form of the involution for the whole diagram on
 the path model, S(pi)(t) = theta(pi(1 - t) - pi(1)): Littelmann's dual path
@@ -28,7 +31,6 @@ theta of the whole diagram, which permutes fundamental-weight coordinates.
 from collections import deque
 
 from pathcrystals.cartan import all_nodes, components, is_connected, node_mask, theta
-from pathcrystals.crystal import levi
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.paths import PLPath, canonicalize
 
@@ -41,16 +43,14 @@ def _apply_raising_word(graph, start, word, twist):
     return cur
 
 
-def _descending_f_words(graph, view, comp) -> dict:
-    """{b: lowering word from the highest vertex of comp to b}, breadth first
-    with the colors descending."""
-    top = view.highest_of(comp)
-    members = set(comp)
+def _f_words(graph, colors, top, members, descending) -> dict:
+    """{b: lowering word from top to b}, breadth first with the colors
+    ascending or descending."""
     words = {top: ()}
     queue = deque([top])
     while queue:
         v = queue.popleft()
-        for i in sorted(view.colors, reverse=True):
+        for i in sorted(colors, reverse=descending):
             w = graph.f(v, i)
             if w is not None and w in members and w not in words:
                 words[w] = words[v] + (i,)
@@ -60,17 +60,13 @@ def _descending_f_words(graph, view, comp) -> dict:
 
 def xi_perm_by_words(graph, colors, descending=False) -> tuple:
     colors = frozenset(colors)
-    view = levi(graph, colors)
+    comps, highest, lowest = levi_by_vertex_scan(graph, colors)
     twist = theta(graph.rtype, colors)
     out = [None] * len(graph)
-    for comp in view.components:
-        lowest = view.lowest_of(comp)
-        if descending:
-            words = _descending_f_words(graph, view, comp)
-        else:
-            words = {b: view.f_word(comp, b) for b in comp}
+    for comp in comps:
+        words = _f_words(graph, colors, highest[comp], set(comp), descending)
         for b in comp:
-            out[b] = _apply_raising_word(graph, lowest, words[b], twist)
+            out[b] = _apply_raising_word(graph, lowest[comp], words[b], twist)
     return tuple(out)
 
 
