@@ -26,14 +26,13 @@ from .cartan import (
     node_mask,
     theta,
 )
-from .crystal import CrystalGraph, _levi_sweep
+from .crystal import CrystalGraph, _check_vertex, _levi_sweep
 from .errors import DomainError, ModelIntegrityError
 
 
 def xi(graph: CrystalGraph, colors, b: int) -> int:
     """Image of vertex b under the partial involution of a connected color set."""
-    if type(b) is not int or not 0 <= b < len(graph):
-        raise DomainError(f"vertex {b!r} out of range")
+    _check_vertex(graph, b)
     return xi_perm(graph, colors)[b]
 
 
@@ -77,11 +76,12 @@ def act(graph: CrystalGraph, word, perms=None) -> tuple:
 
 
 def theta_image(t, outer, inner) -> frozenset:
-    """Image of a connected subset under the diagram automorphism of a
-    connected superset."""
-    outer = frozenset(outer)
+    """Image of a nonempty connected subset under the diagram automorphism
+    of a superset, which may be disconnected (theta holds for any node set)."""
     inner = frozenset(inner)
-    if not inner <= outer:
+    if not is_connected(t, inner):  # through _node_set; the empty set has no component
+        raise DomainError("theta_image needs a nonempty connected inner set")
+    if not inner <= frozenset(outer):
         raise DomainError("theta_image needs nested node sets")
     twist = theta(t, outer)
     image = frozenset(twist[j] for j in inner)

@@ -162,10 +162,14 @@ def _columns(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cartan_matrix(t)))
 
 
-def simple_root(t: DynkinType, j: int) -> Weight:
-    """Simple root alpha_j in fundamental-weight coordinates (matrix column j)."""
+def _check_node(t: DynkinType, j) -> None:
     if type(j) is not int or not 0 < j <= t.rank:
         raise DomainError(f"node {j!r} not in {t}")
+
+
+def simple_root(t: DynkinType, j: int) -> Weight:
+    """Simple root alpha_j in fundamental-weight coordinates (matrix column j)."""
+    _check_node(t, j)
     return _columns(t)[j - 1]
 
 
@@ -259,8 +263,6 @@ def w0J_apply(t: DynkinType, nodes: NodeSet, mu: Weight) -> Weight:
 
 @cache
 def _theta_pairs(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, int], ...]:
-    if not is_connected(t, nodes):
-        raise DomainError(f"theta needs a connected node set, got {sorted(nodes)}")
     _, end = _descent(t, nodes)
     pairs = tuple((j, -end[j - 1]) for j in sorted(nodes))
     if sorted(jp for _, jp in pairs) != sorted(nodes):
@@ -271,10 +273,10 @@ def _theta_pairs(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, int], ...]:
 
 
 def theta(t: DynkinType, nodes: NodeSet) -> dict:
-    """Diagram automorphism j -> j' of a connected subdiagram determined by
-    alpha_{j'} = -(longest parabolic element)(alpha_j), read off the end of
-    the descent.  The node set is checked before the cache: 1.0 and True
-    would hit the entry of node 1."""
+    """Diagram automorphism j -> j' of any node set, alpha_{j'} = -w0_J(alpha_j),
+    read off the end of the descent: on a disconnected set the union of its
+    components' automorphisms, on the empty set {}.  The node set is checked
+    before the cache: 1.0 and True would hit the entry of node 1."""
     return dict(_theta_pairs(t, _node_set(t, nodes)))
 
 

@@ -23,7 +23,9 @@ from .cartan import (
     positive_roots,
     theta,
 )
-from .crystal import DEFAULT_MAX_SIZE, export_dot, export_json, generate, levi, verify_seminormal
+from .crystal import (
+    DEFAULT_MAX_SIZE, _check_vertex, export_dot, export_json, generate, levi, verify_seminormal
+)
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -167,10 +169,8 @@ def cmd_xi(args) -> int:
         "involution": list(perm),
     }
     if vertex is not None:
-        if not 0 <= vertex < len(graph):
-            raise ConfigurationError(f"vertex {vertex} out of range")
-        data["vertex"] = vertex
-        data["image"] = perm[vertex]
+        _check_vertex(graph, vertex)
+        data.update(vertex=vertex, image=perm[vertex])
     _emit(json.dumps(data, indent=2))
     return 0
 

@@ -16,8 +16,9 @@ dimension formula exactly, the strongest single guard on the operators; a
 mismatch aborts, at the first extra vertex if there are too many.  The ids
 sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi
 decomposition, a sweep that propagates the partial involution of a color set
-down its lowering edges and finds the highest and lowest vertex of each
-component on the way; cactus.xi_perm and the Levi views both read it.
+(twisted by cartan.theta of the set, connected or not) down its lowering
+edges and finds the highest and lowest vertex of each component on the way;
+cactus.xi_perm and the Levi views both read it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .cartan import (
     DynkinType,
     _node_set,
     _two_rho_vee,
-    components,
     simple_root,
     theta,
     weyl_dim,
@@ -289,20 +289,22 @@ def _levi_sweep(graph: CrystalGraph, colors, twist) -> tuple:
     return out, top_of
 
 
+def _check_vertex(graph: CrystalGraph, v) -> None:
+    if type(v) is not int or not 0 <= v < len(graph):
+        raise DomainError(f"vertex {v!r} out of range")
+
+
 class LeviView:
     """A crystal graph with edges restricted to a subset of colors, read off
-    the involution sweep with the twist of w0_J, the product of the longest
-    elements of the components of J.  Raises ModelIntegrityError where the
+    the involution sweep with the twist theta(J) of w0_J, the union of the
+    twists of the components of J.  Raises ModelIntegrityError where the
     sweep does, so each component has one highest and one lowest vertex."""
 
     def __init__(self, graph: CrystalGraph, colors):
         colors = _node_set(graph.rtype, colors, "colors")
         self.graph = graph
         self.colors = colors
-        twist = {}
-        for part in components(graph.rtype, colors):
-            twist.update(theta(graph.rtype, part))
-        images, top_of = _levi_sweep(graph, colors, twist)
+        images, top_of = _levi_sweep(graph, colors, theta(graph.rtype, colors))
         members = {}
         for v, top in enumerate(top_of):
             members.setdefault(top, []).append(v)
@@ -311,8 +313,7 @@ class LeviView:
         self.components = tuple(sorted(comp for comp, _ in self._parts.values()))
 
     def component_of(self, v: int) -> tuple:
-        if type(v) is not int or not 0 <= v < len(self.graph):
-            raise DomainError(f"vertex {v!r} out of range")
+        _check_vertex(self.graph, v)
         return self._parts[self._top_of[v]][0]
 
     def highest_of(self, comp) -> int:
@@ -327,6 +328,7 @@ class LeviView:
         """A color word w with b obtained from the component's highest vertex
         by lowering in the order the word is read (first letter first).
         Deterministic BFS parent chains, colors ascending."""
+        _check_vertex(self.graph, b)
         order = sorted(self.colors)
         root = self.highest_of(comp)
         members = set(comp)

@@ -30,6 +30,7 @@ from math import inf, lcm
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
+    _check_node,
     _two_rho_vee,
     components,
     connected_subdiagrams,
@@ -184,6 +185,7 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
 
 
 def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):
+    _check_node(fold.x_type, i)
     cur = path
     for j in sorted(fold.sigma(i)):
         for _ in range(fold.gamma(i)):
@@ -217,25 +219,21 @@ def s_tilde(fold: FoldingPair, nodes) -> tuple:
 
 def verify_component_identity(fold: FoldingPair) -> list:
     """For nested connected pairs whose outer orbit image is disconnected,
-    check that the orbit image of the twisted inner set equals the disjoint
-    union of the per-component twists of the inner image."""
+    check that the orbit image of the twisted inner set equals the image of
+    the inner orbit image under theta of the (disconnected) outer image."""
     x, y = fold.x_type, fold.y_type
     subs = connected_subdiagrams(x)
     violations = []
     for outer in subs:
-        comps = components(y, fold.sigma_set(outer))
-        if len(comps) < 2:
+        image = fold.sigma_set(outer)
+        if len(components(y, image)) < 2:
             continue
-        twist_outer = theta(x, outer)
-        part_twists = [theta(y, comp) for comp in comps]
+        twist_outer, twist_image = theta(x, outer), theta(y, image)
         for inner in subs:
             if not inner <= outer:
                 continue
             lhs = fold.sigma_set(frozenset(twist_outer[j] for j in inner))
-            rhs: frozenset = frozenset()
-            for comp, twist in zip(comps, part_twists):
-                piece = fold.sigma_set(inner) & comp
-                rhs |= frozenset(twist[v] for v in piece)
+            rhs = frozenset(twist_image[v] for v in fold.sigma_set(inner))
             if lhs != rhs:
                 violations.append(
                     {

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .cartan import DynkinType, _columns
+from .cartan import DynkinType, _check_node, _columns
 from .errors import DomainError, ModelIntegrityError
 
 
@@ -172,15 +172,12 @@ def is_integral(path: PLPath) -> bool:
 
 def _heights(path: PLPath, i: int):
     """H_i at every breakpoint and its minimum, after the input checks that the
-    root operators and the string statistics share."""
-    # cartan.simple_root's guard, inline: one shared guard call read -4.9% closure
-    # vertices_per_s in one prototype, -0.7% to +2.2% in another (BENCH_one_descent.json)
-    if type(i) is not int or not 0 < i <= path.rtype.rank:
-        raise DomainError(f"node {i!r} not in {path.rtype}")
+    root operators and the string statistics share (messages built on failure)."""
+    _check_node(path.rtype, i)
     _check_origin(path)
     h = [p[i - 1] for p in path.points]
-    m = min(h)
-    _guard_integer(m, path.den, f"minimum of H_{i}")
+    if (m := min(h)) % path.den:
+        _guard_integer(m, path.den, f"minimum of H_{i}")
     return h, m
 
 

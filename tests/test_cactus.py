@@ -191,12 +191,15 @@ def test_vertex_ids_must_be_ints():
     # True and 1.0 compare equal to vertex 1, and "1" fails the range test
     g = generate(A2, (1, 0))
     view = levi(g, {1})
+    comp = view.component_of(1)
     for b in (1.0, True, "1", -1, len(g)):
         message = f"^{re.escape(f'vertex {b!r} out of range')}$"
         with pytest.raises(DomainError, match=message):
             xi(g, {1}, b)
         with pytest.raises(DomainError, match=message):
             view.component_of(b)
+        with pytest.raises(DomainError, match=message):
+            view.f_word(comp, b)
 
 
 def test_act_empty_word_is_identity():
@@ -222,11 +225,21 @@ def test_theta_image_examples():
     assert theta_image(C3, all_nodes(C3), frozenset({1, 2})) == frozenset({1, 2})
     full = all_nodes(A2)
     assert theta_image(A2, full, full) == full
+    # the outer set may be disconnected: theta holds for any node set
+    assert theta_image(A3, {1, 3}, {1}) == frozenset({1})
 
 
 def test_theta_image_requires_nesting():
     with pytest.raises(DomainError):
         theta_image(A3, frozenset({1, 2}), frozenset({3}))
+
+
+@pytest.mark.parametrize("inner", [set(), {1, 3}], ids=repr)
+def test_theta_image_refuses_an_empty_or_disconnected_inner_set(inner):
+    # these reached the image check and raised ModelIntegrityError, an
+    # internal fault, for a bad argument
+    with pytest.raises(DomainError, match="^theta_image needs a nonempty connected inner set$"):
+        theta_image(A3, {1, 2, 3}, inner)
 
 
 @pytest.mark.parametrize(

@@ -215,7 +215,7 @@ def test_theta_full_diagram(t, expected):
 @pytest.mark.parametrize("t", BATTERY)
 def test_theta_is_involutive_diagram_automorphism(t):
     adj = neighbors(t)
-    for sub in connected_subdiagrams(t):
+    for sub in _nonempty_subsets(t):
         tw = theta(t, sub)
         assert set(tw) == set(sub)
         for j in sub:
@@ -225,9 +225,19 @@ def test_theta_is_involutive_diagram_automorphism(t):
                 assert (k in adj[j]) == (tw[k] in adj[tw[j]])
 
 
-def test_theta_rejects_disconnected():
-    with pytest.raises(DomainError):
-        theta(A3, frozenset({1, 3}))
+def test_theta_of_a_disconnected_or_empty_set_is_the_union_over_components():
+    # theta refused a disconnected set, so Levi views and the component
+    # identity each assembled the union from components
+    assert theta(A3, {1, 3}) == {1: 1, 3: 3}
+    assert theta(DynkinType("A", 5), {1, 2, 4, 5}) == {1: 2, 2: 1, 4: 5, 5: 4}
+    assert theta(D4, {1, 3, 4}) == {1: 1, 3: 3, 4: 4}
+    assert theta(A3, set()) == {}
+    for t in DESCENT_TYPES:
+        for nodes in [frozenset(), *_nonempty_subsets(t)]:
+            union = {}
+            for part in components(t, nodes):
+                union.update(theta(t, part))
+            assert theta(t, nodes) == union, (t, sorted(nodes))
 
 
 def _brute_connected_subsets(t):
@@ -405,6 +415,7 @@ NODE_SET_GUARDS = {
     # {1.0, 2} returned {1: 2, 2: 1}
     "theta": lambda nodes: theta(A2, nodes),
     "theta_image": lambda nodes: theta_image(A2, nodes, nodes),
+    "theta_image_inner": lambda nodes: theta_image(A2, {1, 2}, nodes),
 }
 
 
@@ -459,8 +470,7 @@ def test_one_descent_matches_the_replaced_routines(t):
     for nodes in _nonempty_subsets(t):
         assert longest_word(t, nodes) == cartan_oracle.longest_word(t, nodes), sorted(nodes)
         assert w0J_apply(t, nodes, mu) == cartan_oracle.w0J_apply(t, nodes, mu), sorted(nodes)
-        if is_connected(t, nodes):
-            assert theta(t, nodes) == cartan_oracle.theta(t, nodes), sorted(nodes)
+        assert theta(t, nodes) == cartan_oracle.theta(t, nodes), sorted(nodes)
 
 
 @pytest.mark.parametrize("t", DESCENT_TYPES, ids=str)

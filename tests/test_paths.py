@@ -12,7 +12,7 @@ from test_acceptance import SIZE_CASES, VIRT_CASES
 from pathcrystals.cartan import DynkinType
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
-from pathcrystals.folding import folding_pair, psi_weight
+from pathcrystals.folding import folding_pair, psi_weight, virtual_e, virtual_f, virtualize_path
 from pathcrystals.paths import (
     PLPath,
     canonicalize,
@@ -492,3 +492,22 @@ def test_operators_reject_colors_outside_the_type():
         for i in (0, 3, 1.0, True, "1"):
             with pytest.raises(DomainError, match=rf"^node {re.escape(repr(i))} not in A2$"):
                 op(p, i)
+
+
+def test_operators_reject_a_non_integral_minimum():
+    # _heights formats this message only when the minimum is not an integer
+    p = PLPath.from_breakpoints(A1, ((0, (0,)), (F(1, 2), (F(-1, 2),)), (1, (1,))))
+    for op in (root_f, root_e, epsilon, phi):
+        with pytest.raises(ModelIntegrityError, match=r"^minimum of H_1 is not an integer: -1/2$"):
+            op(p, 1)
+
+
+def test_virtual_operators_reject_colors_outside_the_source_type():
+    # the virtual operators read sigma(i) and gamma(i) unguarded: color 0 raised
+    # a bare KeyError, and True and 1.0 acted as color 1
+    fold = folding_pair("C2")
+    q = virtualize_path(fold, straight_path(C2, (1, 1)))
+    for op in (virtual_f, virtual_e):
+        for i in (0, 3, 1.0, True, "1"):
+            with pytest.raises(DomainError, match=rf"^node {re.escape(repr(i))} not in C2$"):
+                op(fold, q, i)
