@@ -32,7 +32,7 @@ from .errors import DomainError, ModelIntegrityError
 
 def xi(graph: CrystalGraph, colors, b: int) -> int:
     """Image of vertex b under the partial involution of a connected color set."""
-    _check_vertex(graph, b)
+    _check_vertex(len(graph), b)
     return xi_perm(graph, colors)[b]
 
 
@@ -42,7 +42,7 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
     colors = frozenset(colors)
     if not colors or not is_connected(graph.rtype, colors):
         raise DomainError("xi_perm needs a nonempty connected color set")
-    images, _ = _levi_sweep(graph, colors, theta(graph.rtype, colors))
+    images, _ = _levi_sweep(graph, colors)
     return tuple(images)
 
 

@@ -22,6 +22,7 @@ from .cartan import (
     connected_subdiagrams,
     positive_roots,
     theta,
+    weyl_dim,
 )
 from .crystal import (
     DEFAULT_MAX_SIZE, _check_vertex, export_dot, export_json, generate, levi, verify_seminormal
@@ -128,9 +129,10 @@ def cmd_info(args) -> int:
 def cmd_crystal(args) -> int:
     t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
-    graph = generate(t, lam, max_size=_parse_int(args.max_size, "max size"))
-    if args.levi is not None:
-        colors = _parse_nodes(t, args.levi)
+    max_size = _parse_int(args.max_size, "max size")
+    colors = None if args.levi is None else _parse_nodes(t, args.levi)
+    graph = generate(t, lam, max_size=max_size)
+    if colors is not None:
         view = levi(graph, colors)
         comps = [
             {
@@ -160,7 +162,10 @@ def cmd_xi(args) -> int:
     lam = _parse_weight(t, args.weight)
     colors = _parse_nodes(t, args.nodes)
     vertex = None if args.vertex is None else _parse_int(args.vertex, "vertex")
-    graph = generate(t, lam, max_size=_parse_int(args.max_size, "max size"))
+    max_size = _parse_int(args.max_size, "max size")
+    if vertex is not None:  # the vertex count is the Weyl dimension
+        _check_vertex(weyl_dim(t, lam), vertex)
+    graph = generate(t, lam, max_size=max_size)
     perm = xi_perm(graph, colors)
     data = {
         "type": str(t),
@@ -169,7 +174,6 @@ def cmd_xi(args) -> int:
         "involution": list(perm),
     }
     if vertex is not None:
-        _check_vertex(graph, vertex)
         data.update(vertex=vertex, image=perm[vertex])
     _emit(json.dumps(data, indent=2))
     return 0

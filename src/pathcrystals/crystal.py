@@ -5,27 +5,27 @@ A highest-weight path crystal is the closure of its straight dominant path
 under the lowering operators alone, so generation is a breadth-first search
 along f-edges, deduplicating by canonical breakpoint sequence; each e-edge is
 recorded as the inverse of an f-edge.  Vertex ids are BFS discovery order
-(colors ascending), so regenerating a crystal reproduces it bit for bit.
-Every f-edge adds one to the depth (the height of lambda - wt), so the BFS
-layer of a vertex is its depth and ids come in depth order; a raising step
-only reaches the previous layer, so closing under the raising operators too
-would find nothing new.  Edges are stored once, in one list per color and
-direction indexed by vertex id.  verify_seminormal checks the raising
+(colors ascending), so the vertex list is the search queue and regenerating
+a crystal reproduces it bit for bit.  Every f-edge adds one to the depth
+(the height of lambda - wt), so the BFS layer of a vertex is its depth and
+ids come in depth order; a raising step only reaches the previous layer, so
+closing under the raising operators too would find nothing new.  Edges are
+stored once, in one list per color and direction indexed by vertex id and
+sized by the Weyl dimension.  verify_seminormal checks the raising
 operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
 mismatch aborts, at the first extra vertex if there are too many.  The ids
 sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi
 decomposition, a sweep that propagates the partial involution of a color set
-(twisted by cartan.theta of the set, connected or not) down its lowering
-edges and finds the highest and lowest vertex of each component on the way;
-cactus.xi_perm and the Levi views both read it.
+(twisted by cartan.theta of the set, connected or not, which the sweep reads
+itself) down its lowering edges and finds the highest and lowest vertex of
+each component on the way; cactus.xi_perm and the Levi views both read it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from collections import deque
 from operator import mul
 
 from .cartan import (
@@ -130,37 +130,26 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     start = straight_path(t, lam)
     vertices = [start]
     index = {start: 0}
-    f_to = {i: [None] for i in t.nodes}
-    e_to = {i: [None] for i in t.nodes}
-    columns = tuple(f_to.values()) + tuple(e_to.values())
-    queue = deque([0])
-
-    def visit(path):
-        vid = index.get(path)
-        if vid is None:
-            if not is_integral(path):
-                raise ModelIntegrityError("generated path with non-integral minima")
-            vid = len(vertices)
-            if vid == dim:
-                raise ModelIntegrityError(
-                    f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
-                )
-            vertices.append(path)
-            index[path] = vid
-            queue.append(vid)
-            for targets in columns:
-                targets.append(None)
-        return vid
-
-    while queue:
-        v = queue.popleft()
-        pv = vertices[v]
+    f_to = {i: [None] * dim for i in t.nodes}
+    e_to = {i: [None] * dim for i in t.nodes}
+    for v, pv in enumerate(vertices):  # ids are discovery order: the list is the queue
         for i in t.nodes:
             lowered = root_f(pv, i)
-            if lowered is not None:
-                w = visit(lowered)
-                f_to[i][v] = w
-                _record_edge(e_to[i], w, i, v)
+            if lowered is None:
+                continue
+            w = index.get(lowered)
+            if w is None:
+                if not is_integral(lowered):
+                    raise ModelIntegrityError("generated path with non-integral minima")
+                w = len(vertices)
+                if w == dim:
+                    raise ModelIntegrityError(
+                        f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
+                    )
+                vertices.append(lowered)
+                index[lowered] = w
+            f_to[i][v] = w
+            _record_edge(e_to[i], w, i, v)
     if len(vertices) != dim:
         raise ModelIntegrityError(
             f"generated {len(vertices)} vertices but the Weyl dimension is {dim}"
@@ -225,17 +214,19 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     return violations
 
 
-def _levi_sweep(graph: CrystalGraph, colors, twist) -> tuple:
+def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
     """(images, top_of): the involution of the color set that sends each
     highest vertex to the lowest of its component and intertwines f_i with
-    e_twist[i], as a list, and the highest vertex above each vertex.
+    e_theta(i) (theta = cartan.theta of the set), as a list, and the highest
+    vertex above each vertex.
 
     In depth order every lowering edge v -f_i-> w, i in the color set, comes
-    before w, and yields the image of w as e_twist[i] of the image of v.  A
+    before w, and yields the image of w as e_theta(i) of the image of v.  A
     vertex with no image when the sweep reaches it is the highest of its
     component, sent to the lowest.  A raising edge at such a vertex, a cycle
     on the way down, a missing or disagreeing image, a vertex below two
     highest or a second lowest vertex, or images that do not permute raise."""
+    twist = theta(graph.rtype, colors)
     columns = [(graph.f_to[i], graph.e_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
     n = len(graph)
     steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
@@ -289,8 +280,9 @@ def _levi_sweep(graph: CrystalGraph, colors, twist) -> tuple:
     return out, top_of
 
 
-def _check_vertex(graph: CrystalGraph, v) -> None:
-    if type(v) is not int or not 0 <= v < len(graph):
+def _check_vertex(n: int, v) -> None:
+    """Refuse v unless it is an int vertex id of a crystal of n vertices."""
+    if type(v) is not int or not 0 <= v < n:
         raise DomainError(f"vertex {v!r} out of range")
 
 
@@ -304,7 +296,7 @@ class LeviView:
         colors = _node_set(graph.rtype, colors, "colors")
         self.graph = graph
         self.colors = colors
-        images, top_of = _levi_sweep(graph, colors, theta(graph.rtype, colors))
+        images, top_of = _levi_sweep(graph, colors)
         members = {}
         for v, top in enumerate(top_of):
             members.setdefault(top, []).append(v)
@@ -313,7 +305,7 @@ class LeviView:
         self.components = tuple(sorted(comp for comp, _ in self._parts.values()))
 
     def component_of(self, v: int) -> tuple:
-        _check_vertex(self.graph, v)
+        _check_vertex(len(self.graph), v)
         return self._parts[self._top_of[v]][0]
 
     def highest_of(self, comp) -> int:
@@ -326,23 +318,24 @@ class LeviView:
 
     def f_word(self, comp, b: int) -> tuple:
         """A color word w with b obtained from the component's highest vertex
-        by lowering in the order the word is read (first letter first).
-        Deterministic BFS parent chains, colors ascending."""
-        _check_vertex(self.graph, b)
-        order = sorted(self.colors)
+        by lowering in the order the word is read (first letter first): the
+        parent chain of a breadth-first search down the component that the
+        sweep found, colors ascending, stopped once b is reached."""
+        _check_vertex(len(self.graph), b)
         root = self.highest_of(comp)
-        members = set(comp)
+        if self._top_of[b] != root:
+            raise DomainError(f"vertex {b} not in the component of {root}")
+        order = sorted(self.colors)
         parent = {root: None}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:
+            if b in parent:
+                break
             for i in order:
                 w = self.graph.f(v, i)
-                if w is not None and w in members and w not in parent:
+                if w is not None and w not in parent:
                     parent[w] = (v, i)
                     queue.append(w)
-        if b not in parent:
-            raise DomainError(f"vertex {b} not in the component of {root}")
         word = []
         cur = b
         while parent[cur] is not None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
 from xi_oracle import (
+    _f_words,
     levi_by_vertex_scan,
     relation_violations_by_loops,
     schutzenberger,
@@ -158,6 +159,17 @@ def test_levi_matches_undirected_search(t, lam):
             assert view.highest_of(comp) == highest[comp]
             assert view.lowest_of(comp) == lowest[comp]
             assert all(view.component_of(v) == comp for v in comp)
+
+
+@pytest.mark.parametrize("t,lam", WORD_CASES)
+def test_f_word_matches_the_breadth_first_oracle(t, lam):
+    # the search stops at b, yet returns the word of the whole search
+    g = generate(t, lam)
+    for sub in _subsets(t):
+        view = levi(g, sub)
+        for comp in view.components:
+            words = _f_words(g, sub, view.highest_of(comp), set(comp), descending=False)
+            assert {b: view.f_word(comp, b) for b in comp} == words
 
 
 INCONSISTENT_RAISING = [(A2, (1, 1), (2, 2), (3, 2)), (C2, (1, 1), (3, 2), (8, 2))]
@@ -371,8 +383,8 @@ def test_sweep_of_a_disconnected_set_is_the_product_of_its_parts(t, lam):
     pairs = [(a, b) for a in subs for b in subs if components(t, a | b) == [a, b]]
     assert pairs or t.rank < 3
     for a, b in pairs:
-        twist = {**diagram_theta(t, a), **diagram_theta(t, b)}
-        images, _ = _levi_sweep(g, a | b, twist)
+        assert diagram_theta(t, a | b) == {**diagram_theta(t, a), **diagram_theta(t, b)}
+        images, _ = _levi_sweep(g, a | b)
         assert tuple(images) == compose(xi_perm(g, a), xi_perm(g, b))
 
 

@@ -309,6 +309,32 @@ def test_integer_options_keep_their_meaning(capsys):
     assert capsys.readouterr().err == "error: crystal of size 3 exceeds the cap 2\n"
 
 
+def _generate_refused(t, lam, max_size=None):
+    raise AssertionError("generate called")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["xi", "D4", "1,1,1,1", "1,2,3,4", "--vertex", "99999"], "vertex 99999 out of range"),
+        (["xi", "A2", "1,1", "1", "--vertex", "8", "--max-size", "7"], "vertex 8 out of range"),
+        (["crystal", "D4", "1,1,1,1", "--levi", "9"], "node set '9' not contained in D4"),
+        (
+            ["crystal", "A2", "1,1", "--levi", "3", "--max-size", "7"],
+            "node set '3' not contained in A2",
+        ),
+    ],
+    ids=["vertex", "vertex-past-cap", "levi", "levi-past-cap"],
+)
+def test_vertex_and_levi_are_refused_before_generation(monkeypatch, capsys, argv, message):
+    # the vertex count is the Weyl dimension, so neither needs the crystal;
+    # both now come before the size cap's error
+    monkeypatch.setattr(cli, "generate", _generate_refused)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_verify_virtualization_past_the_target_cap(capsys):
     # the 114,688-vertex D4 target is never built: only 565 paths are touched
     assert main(["verify", "virtualization", "G2", "1,1", "--json"]) == 0

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction as F
 
 import export_oracle
 import paths_oracle
@@ -25,7 +26,7 @@ from pathcrystals.crystal import (
 )
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, psi_weight
-from pathcrystals.paths import path_from_json, straight_path
+from pathcrystals.paths import PLPath, path_from_json, straight_path
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -157,6 +158,16 @@ def test_f_word_properties():
         assert cur == v
 
 
+def test_f_word_refuses_a_vertex_of_another_component():
+    g = generate(A2, (1, 0))
+    view = levi(g, {1})
+    comp = view.component_of(0)
+    other = next(v for v in range(len(g)) if v not in comp)
+    with pytest.raises(DomainError) as info:
+        view.f_word(comp, other)
+    assert str(info.value) == f"vertex {other} not in the component of 0"
+
+
 def test_f_word_length_is_bfs_depth():
     from collections import deque
 
@@ -257,6 +268,33 @@ def test_generate_stops_one_vertex_past_the_weyl_dimension(monkeypatch):
         generate(A2, (1, 1))
     assert str(info.value) == "generated 9 vertices but the Weyl dimension is 8"
     assert next(calls) - 1 <= (8 + 1) * A2.rank
+
+
+def test_generate_stops_short_of_the_weyl_dimension(monkeypatch):
+    monkeypatch.setattr(crystal, "root_f", lambda path, i: None)
+    with pytest.raises(ModelIntegrityError) as info:
+        generate(A2, (1, 1))
+    assert str(info.value) == "generated 1 vertices but the Weyl dimension is 8"
+
+
+def test_generate_refuses_a_second_edge_into_a_vertex(monkeypatch):
+    # every lowering step lands on f_1 of the highest path, so the color-1
+    # step from that path to itself is a second 1-edge into vertex 1
+    second = crystal.root_f(straight_path(A2, (1, 1)), 1)
+    monkeypatch.setattr(crystal, "root_f", lambda path, i: second)
+    with pytest.raises(ModelIntegrityError) as info:
+        generate(A2, (1, 1))
+    assert str(info.value) == "conflicting edge at (1, 1): 0 vs 1"
+
+
+def test_generate_refuses_a_path_with_non_integral_minima(monkeypatch):
+    # coordinate 1 dips to -1/2 and comes back: an integral endpoint, a
+    # non-integral minimum
+    dip = PLPath.from_breakpoints(A2, [(0, (0, 0)), (F(1, 2), (F(-1, 2), 0)), (1, (0, 0))])
+    monkeypatch.setattr(crystal, "root_f", lambda path, i: dip)
+    with pytest.raises(ModelIntegrityError) as info:
+        generate(A2, (1, 1))
+    assert str(info.value) == "generated path with non-integral minima"
 
 
 def test_generate_never_raises(monkeypatch):

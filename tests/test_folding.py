@@ -244,6 +244,22 @@ def test_psi_weight_examples():
     assert fold.psi_matrix == ((1, 0), (0, 2), (1, 0))
 
 
+def test_psi_weight_refuses_a_weight_of_the_wrong_length():
+    with pytest.raises(ConfigurationError) as info:
+        psi_weight(folding_pair("C2"), (1, 0, 0))
+    assert str(info.value) == "weight must have length 2"
+
+
+def test_virtualize_and_devirtualize_refuse_a_path_of_the_wrong_type():
+    fold = folding_pair("C2")
+    with pytest.raises(ConfigurationError) as info:
+        virtualize_path(fold, straight_path(fold.y_type, (1, 0, 1)))
+    assert str(info.value) == "path lives in A3, not C2"
+    with pytest.raises(ConfigurationError) as info:
+        devirtualize(fold, straight_path(fold.x_type, (1, 0)))
+    assert str(info.value) == "path lives in C2, not A3"
+
+
 def test_psi_preserves_dominance_random():
     rng = random.Random(4401)
     for name in sorted(FOLD_CASES):
@@ -577,6 +593,17 @@ def test_commutative_diagram_matches_path_oracle_on_broken_virtualization(
     report = verify_commutative_diagram(fold, lam)
     assert any(r["check"] == "left-inverse" for r in report)
     assert report == verify_commutative_diagram_by_paths(fold, lam)
+
+
+def test_commutative_diagram_reports_a_left_inverse_off_the_image(monkeypatch):
+    # a devirtualization that finds no path records one left-inverse per vertex
+    def not_in_image(fold, path):
+        raise NotInImageError("patched")
+
+    fold = folding_pair("C2")
+    monkeypatch.setattr(folding, "devirtualize", not_in_image)
+    report = verify_commutative_diagram(fold, (1, 0))
+    assert report == [{"check": "left-inverse", "vertex": b} for b in range(4)]
 
 
 # the folding workload of the benchmark: every weight of each symmetry class

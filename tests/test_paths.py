@@ -36,6 +36,13 @@ G2 = DynkinType("G", 2)
 F = Fraction
 
 
+def test_weight_int_refuses_a_non_integral_endpoint():
+    half = PLPath.from_breakpoints(A2, [(0, (0, 0)), (1, (F(1, 2), 0))])
+    with pytest.raises(ModelIntegrityError) as info:
+        weight_int(half)
+    assert str(info.value) == "non-integral path weight"
+
+
 def test_straight_path_breakpoints():
     p = straight_path(A1, (1,))
     assert p.breakpoints == ((F(0), (F(0),)), (F(1), (F(1),)))
