@@ -43,6 +43,8 @@ from .folding import (
     verify_virtualization,
 )
 
+DEFAULT_MAX_RANK = 4
+
 VERIFY_KINDS = (
     "seminormal",
     "cactus",
@@ -86,6 +88,14 @@ def _parse_nodes(t: DynkinType, text: str) -> frozenset:
     if not nodes <= all_nodes(t):
         raise ConfigurationError(f"node set {text!r} not contained in {t}")
     return nodes
+
+
+def _folding_pair(text: str):
+    """folding_pair of the type, refused above rank DEFAULT_MAX_RANK."""
+    t = DynkinType.parse(text)
+    if t.rank > DEFAULT_MAX_RANK:
+        raise ConfigurationError(f"rank {t.rank} above the cap {DEFAULT_MAX_RANK}")
+    return folding_pair(t)
 
 
 def _emit(text: str, out=None) -> None:
@@ -180,13 +190,13 @@ def cmd_xi(args) -> int:
 
 
 def cmd_fold_info(args) -> int:
-    fold = folding_pair(args.type)
+    fold = _folding_pair(args.type)
     _emit(json.dumps(fold_info(fold), indent=2))
     return 0
 
 
 def cmd_virtualize(args) -> int:
-    fold = folding_pair(args.type)
+    fold = _folding_pair(args.type)
     lam = _parse_weight(fold.x_type, args.weight)
     max_size = _parse_int(args.max_size, "max size")
     gx, gy, _, images, problems = _embedding(fold, lam, max_size)
@@ -218,7 +228,7 @@ def _verify_violations(kind, type_text, weight_text, max_size):
         if kind == "seminormal":
             return verify_seminormal(graph)
         return verify_cactus_relations(graph)
-    fold = folding_pair(type_text)
+    fold = _folding_pair(type_text)
     if kind == "component-identity":
         return verify_component_identity(fold)
     lam = _parse_weight(fold.x_type, weight_text)

@@ -76,23 +76,7 @@ class CrystalGraph:
     @property
     def f_edges(self) -> dict:
         """The lowering edges as a {(v, i): w} map, sorted by (v, i)."""
-        return _edge_map(self.f_to, len(self))
-
-    @property
-    def e_edges(self) -> dict:
-        """The raising edges as a {(v, i): w} map, sorted by (v, i)."""
-        return _edge_map(self.e_to, len(self))
-
-    def f(self, v: int, i: int):
-        """Target of the color-i lowering edge at vertex v, or None."""
-        return self.f_to[i][v]
-
-    def e(self, v: int, i: int):
-        """Target of the color-i raising edge at vertex v, or None."""
-        return self.e_to[i][v]
-
-    def path(self, v: int) -> PLPath:
-        return self.vertices[v]
+        return {(v, i): w for v, i, w in _edges(self.f_to, len(self))}
 
     def find(self, path: PLPath):
         """Vertex id of a canonical path, or None if absent."""
@@ -103,10 +87,6 @@ def _edges(lists, n):
     """(v, i, w) for each edge v -> w of color i in the lists, in (v, i) order."""
     colors = sorted(lists.items())
     return ((v, i, t[v]) for v in range(n) for i, t in colors if t[v] is not None)
-
-
-def _edge_map(lists, n) -> dict:
-    return {(v, i): w for v, i, w in _edges(lists, n)}
 
 
 def _record_edge(targets, v, i, w):
@@ -332,7 +312,7 @@ class LeviView:
             if b in parent:
                 break
             for i in order:
-                w = self.graph.f(v, i)
+                w = self.graph.f_to[i][v]
                 if w is not None and w not in parent:
                     parent[w] = (v, i)
                     queue.append(w)

@@ -52,8 +52,6 @@ from .paths import (
     straight_path,
 )
 
-DEFAULT_MAX_RANK = 4
-
 
 class FoldingPair:
     """Folding data for one source/target pair, immutable after construction."""
@@ -117,19 +115,15 @@ def _orbit(aut, j) -> frozenset:
 def folding_pair(x) -> FoldingPair:
     """Folding data for a source type among C_n, B_n, G_2, F_4.
 
-    The rank is capped at DEFAULT_MAX_RANK to keep generated target models
-    at desk scale.  sigma(i) is the orbit of the automorphism through the
-    table's target node for i, and the orbits must partition the target
-    nodes.  The scaling exponents are the source symmetrizer.  The one
-    construction check is the defining root identity
-    psi(alpha_i) = gamma_i * sum of the target simple roots over sigma(i),
-    exactly; as the target is simply laced, it also requires sigma(i) and
-    sigma(k) to be linked exactly when i and k are.
+    sigma(i) is the orbit of the automorphism through the table's target
+    node for i, and the orbits must partition the target nodes.  The scaling
+    exponents are the source symmetrizer.  The one construction check is the
+    defining root identity psi(alpha_i) = gamma_i * sum of the target simple
+    roots over sigma(i), exactly; as the target is simply laced, it also
+    requires sigma(i) and sigma(k) to be linked exactly when i and k are.
     """
     if isinstance(x, str):
         x = DynkinType.parse(x)
-    if x.rank > DEFAULT_MAX_RANK:
-        raise ConfigurationError(f"rank {x.rank} above the cap {DEFAULT_MAX_RANK}")
     y, aut, table_nodes, branch = _fold_table(x)
     sigma = {i: _orbit(aut, j) for i, j in zip(x.nodes, table_nodes)}
     if sorted(j for orbit in sigma.values() for j in orbit) != list(y.nodes):
@@ -309,7 +303,7 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
     images, violations = _image_table(virtual, _membership(fold, lam, max_size))
     operators = (("f", gx.f_to, virtual_f), ("e", gx.e_to, virtual_e))
     for b in images:
-        pb, qb = gx.path(b), virtual[b]
+        pb, qb = gx.vertices[b], virtual[b]
         for i in fold.x_type.nodes:
             for name, edges, virtual_op in operators:
                 moved = edges[i][b]
@@ -379,7 +373,7 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
             back = devirtualize(fold, image)
         except NotInImageError:
             back = None
-        if back != gx.path(b):
+        if back != gx.vertices[b]:
             violations.append({"check": "left-inverse", "vertex": b})
     image_set = set(images.values())
     cache: dict = {}

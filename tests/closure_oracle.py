@@ -1,6 +1,6 @@
 """Closure under lowering and raising operators, and Levi components by
 undirected search, kept as test oracles for generate and LeviView, and
-crystal graphs built from {(v, i): w} edge maps.
+crystal graphs built from {(v, i): w} edge maps and read back into them.
 
 The closure applies root_f and then root_e at every vertex, colors
 ascending, and records both edge maps from both operators.  The components
@@ -24,6 +24,14 @@ def graph_from_edges(t, lam, vertices, f_edges, e_edges) -> CrystalGraph:
         for (v, i), w in edges.items():
             lists[i][v] = w
     return CrystalGraph(t, lam, vertices, f_to, e_to)
+
+
+def edge_map(lists) -> dict:
+    """The {(v, i): w} map of per-color edge lists, sorted by (v, i)."""
+    edges = {
+        (v, i): w for i, targets in lists.items() for v, w in enumerate(targets) if w is not None
+    }
+    return dict(sorted(edges.items()))
 
 
 def _record_edge(edges, key, value):
@@ -88,12 +96,12 @@ def levi_by_undirected_search(graph, colors):
         while todo:
             v = todo.pop()
             for i in colors:
-                for nxt in (graph.f(v, i), graph.e(v, i)):
+                for nxt in (graph.f_to[i][v], graph.e_to[i][v]):
                     if nxt is not None and not seen[nxt]:
                         seen[nxt] = True
                         comp.append(nxt)
                         todo.append(nxt)
         comps.append(tuple(sorted(comp)))
-    highest = {c: _extremal(graph, colors, c, graph.e) for c in comps}
-    lowest = {c: _extremal(graph, colors, c, graph.f) for c in comps}
+    highest = {c: _extremal(graph, colors, c, lambda v, i: graph.e_to[i][v]) for c in comps}
+    lowest = {c: _extremal(graph, colors, c, lambda v, i: graph.f_to[i][v]) for c in comps}
     return tuple(comps), highest, lowest

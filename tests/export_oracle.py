@@ -20,7 +20,7 @@ def export_json(graph) -> str:
             {
                 "id": v,
                 "weight": list(graph.weights[v]),
-                "path": crystal.path_to_json(graph.path(v)),
+                "path": crystal.path_to_json(graph.vertices[v]),
             }
             for v in range(len(graph))
         ],

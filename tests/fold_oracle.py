@@ -139,7 +139,7 @@ def _image_table(fold, gx, gy):
     images = {}
     problems = []
     for b in range(len(gx)):
-        target = gy.find(folding.virtualize_path(fold, gx.path(b)))
+        target = gy.find(folding.virtualize_path(fold, gx.vertices[b]))
         if target is None:
             problems.append({"check": "image-membership", "vertex": b})
         else:
@@ -157,11 +157,11 @@ def verify_commutative_diagram_by_paths(fold, lam, max_size=DEFAULT_MAX_SIZE):
     images, violations = _image_table(fold, gx, gy)
     for b in range(len(gx)):
         try:
-            back = folding.devirtualize(fold, virtualize(fold, gx.path(b)))
+            back = folding.devirtualize(fold, virtualize(fold, gx.vertices[b]))
         except NotInImageError:
             violations.append({"check": "left-inverse", "vertex": b})
             continue
-        if not paths_equal(back, gx.path(b)):
+        if not paths_equal(back, gx.vertices[b]):
             violations.append({"check": "left-inverse", "vertex": b})
     image_set = set(images.values())
     cache: dict = {}
@@ -169,8 +169,8 @@ def verify_commutative_diagram_by_paths(fold, lam, max_size=DEFAULT_MAX_SIZE):
         source_perm = folding.xi_perm(gx, sub)
         target_perm = folding.act(gy, folding.s_tilde(fold, sub), cache)
         for b, target in images.items():
-            lhs = virtualize(fold, gx.path(source_perm[b]))
-            rhs = gy.path(target_perm[target])
+            lhs = virtualize(fold, gx.vertices[source_perm[b]])
+            rhs = gy.vertices[target_perm[target]]
             if not paths_equal(lhs, rhs):
                 violations.append({"check": "diagram", "I": sorted(sub), "vertex": b})
         if {target_perm[v] for v in image_set} != image_set:
@@ -187,8 +187,8 @@ def verify_virtualization_on_target(fold, lam, max_size=DEFAULT_MAX_SIZE):
         ("e", folding.root_e, folding.virtual_e),
     )
     for b, target in images.items():
-        pb = gx.path(b)
-        qb = gy.path(target)
+        pb = gx.vertices[b]
+        qb = gy.vertices[target]
         for i in fold.x_type.nodes:
             for name, op, virtual_op in operators:
                 moved = op(pb, i)

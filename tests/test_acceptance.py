@@ -106,8 +106,8 @@ def test_criterion_03_partial_involutions():
                 if graph.weights[perm[v]] != w0J_apply(t, sub, graph.weights[v]):
                     failures.append((str(t), lam, sorted(sub), "weight-twist", v))
                 for j in sub:
-                    lowered = graph.f(v, j)
-                    mirrored = graph.e(perm[v], twist[j])
+                    lowered = graph.f_to[j][v]
+                    mirrored = graph.e_to[twist[j]][perm[v]]
                     if (lowered is None) != (mirrored is None):
                         failures.append((str(t), lam, sorted(sub), "intertwine", v, j))
                     elif lowered is not None and perm[lowered] != mirrored:
@@ -173,7 +173,7 @@ def test_criterion_08_commutative_diagram():
             failures.append((name, lam, violations))
         graph = generate(fold.x_type, lam)
         for b in range(len(graph)):
-            path = graph.path(b)
+            path = graph.vertices[b]
             if not paths_equal(devirtualize(fold, virtualize_path(fold, path)), path):
                 failures.append((name, lam, "round-trip", b))
     _report(8, "commutative-diagram", failures)

@@ -6,7 +6,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from closure_oracle import graph_from_edges, levi_by_undirected_search
+from closure_oracle import edge_map, graph_from_edges, levi_by_undirected_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
@@ -77,8 +77,8 @@ def test_xi_singleton_reverses_every_string():
             cur, mirrored = top, bottom
             while cur is not None:
                 assert perm[cur] == mirrored
-                cur = g.f(cur, i)
-                mirrored = g.e(mirrored, i) if mirrored is not None else None
+                cur = g.f_to[i][cur]
+                mirrored = g.e_to[i][mirrored] if mirrored is not None else None
 
 
 def test_xi_full_on_a2_fundamental():
@@ -111,8 +111,8 @@ def test_xi_involution_weight_twist_intertwining(t, lam):
         for v in range(len(g)):
             assert g.weights[perm[v]] == w0J_apply(t, sub, g.weights[v])
             for j in sub:
-                w = g.f(v, j)
-                image = g.e(perm[v], twist[j])
+                w = g.f_to[j][v]
+                image = g.e_to[twist[j]][perm[v]]
                 if w is None:
                     assert image is None
                 else:
@@ -177,7 +177,7 @@ INCONSISTENT_RAISING = [(A2, (1, 1), (2, 2), (3, 2)), (C2, (1, 1), (3, 2), (8, 2
 
 def _swap_raising_edges(t, lam, first, second):
     g = generate(t, lam)
-    e_edges = dict(g.e_edges)
+    e_edges = edge_map(g.e_to)
     e_edges[first], e_edges[second] = e_edges[second], e_edges[first]
     return graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
 
@@ -402,7 +402,7 @@ def test_relation_violations_match_loop_oracle(monkeypatch, t, lam):
 @pytest.mark.parametrize("t,lam", SHAPE_CASES)
 def test_xi_full_diagram_matches_schutzenberger_closed_form(t, lam):
     g = generate(t, lam)
-    images = [g.find(schutzenberger(g.path(b))) for b in range(len(g))]
+    images = [g.find(schutzenberger(g.vertices[b])) for b in range(len(g))]
     assert images == list(xi_perm(g, all_nodes(t)))
 
 
@@ -410,7 +410,7 @@ def test_schutzenberger_closed_form_rejects_swapped_images():
     g = generate(C2, (1, 1))
     perm = list(xi_perm(g, all_nodes(C2)))
     perm[0], perm[1] = perm[1], perm[0]
-    images = [g.find(schutzenberger(g.path(b))) for b in range(len(g))]
+    images = [g.find(schutzenberger(g.vertices[b])) for b in range(len(g))]
     assert [b for b in range(len(g)) if images[b] != perm[b]] == [0, 1]
 
 
@@ -450,7 +450,7 @@ _small_crystal = functools.cache(generate)
 def _edit_edges(g, direction, color, first, second):
     """g with the color-`color` edges at sources first and second of one
     direction swapped, or the edge at first dropped when second is first."""
-    f_edges, e_edges = dict(g.f_edges), dict(g.e_edges)
+    f_edges, e_edges = dict(g.f_edges), edge_map(g.e_to)
     edges = f_edges if direction == "f" else e_edges
     a, b = (first, color), (second, color)
     if a == b:
@@ -580,7 +580,7 @@ def _relabel(g, order):
     """g with vertex order[k] renamed k."""
     new = {old: k for k, old in enumerate(order)}
     f_edges = {(new[v], i): new[w] for (v, i), w in g.f_edges.items()}
-    e_edges = {(new[v], i): new[w] for (v, i), w in g.e_edges.items()}
+    e_edges = {(new[v], i): new[w] for (v, i), w in edge_map(g.e_to).items()}
     vertices = [g.vertices[old] for old in order]
     return graph_from_edges(g.rtype, g.highest_weight, vertices, f_edges, e_edges), new
 

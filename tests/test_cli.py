@@ -138,9 +138,30 @@ def test_fold_info_rejects_simply_laced(cli_env):
     assert res.returncode == 2
 
 
-def test_fold_info_rank_above_the_cap(capsys):
-    assert main(["fold-info", "C5"]) == 2
-    assert capsys.readouterr().err == "error: rank 5 above the cap 4\n"
+FOLDING_COMMANDS = [
+    ["fold-info", "{}"],
+    ["virtualize", "{}", "1,0,0,0,0"],
+    ["verify", "virtualization", "{}", "1,0,0,0,0"],
+    ["verify", "virtual-relations", "{}", "1,0,0,0,0"],
+    ["verify", "diagram", "{}", "1,0,0,0,0"],
+    ["verify", "component-identity", "{}"],
+]
+
+
+def _folding_pair_refused(x):
+    raise AssertionError("folding_pair called")
+
+
+def test_fold_info_rank_above_the_cap(monkeypatch, capsys):
+    # the cap is the command line's and comes before folding_pair, so A5 gets
+    # the rank message and not "has no simply-laced folding"
+    monkeypatch.setattr(cli, "folding_pair", _folding_pair_refused)
+    for type_text in ("C5", "A5"):
+        for command in FOLDING_COMMANDS:
+            argv = [a.format(type_text) for a in command]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: rank 5 above the cap 4\n", argv
 
 
 def test_virtualize_mapping(cli_env):
@@ -354,6 +375,24 @@ def test_verify_virtualization_max_size_exits_two(capsys, cap, message):
     assert main(["verify", "virtualization", "G2", "1,1", "--max-size", cap]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and re.fullmatch(message, captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["xi", "A2", "1,0", "1,2", "--vertex", "1,2"], "cannot parse vertex '1,2'"),
+        (["crystal", "A2", "1"], "weight '1' must have 2 comma-separated entries"),
+        (
+            ["verify", "component-identity", "C2", "1,0"],
+            "verify component-identity takes no weight",
+        ),
+    ],
+    ids=["vertex-list", "weight-length", "weight-not-taken"],
+)
+def test_one_line_guards_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_malformed_weight_exits_two_from_the_shell(cli_env):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import export_oracle
 import paths_oracle
 import pytest
-from closure_oracle import generate_by_both_operators, graph_from_edges
+from closure_oracle import edge_map, generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
 from seminormal_oracle import seminormal_by_lookups
 from stembridge_oracle import violations as stembridge_violations
@@ -57,20 +57,20 @@ def test_size_matches_weyl_dim(t, lam):
 def test_a1_two_lambda_is_one_string():
     g = generate(A1, (2,))
     assert len(g) == 3
-    assert g.f(0, 1) == 1 and g.f(1, 1) == 2 and g.f(2, 1) is None
+    assert g.f_to[1][0] == 1 and g.f_to[1][1] == 2 and g.f_to[1][2] is None
     assert g.weights == ((2,), (0,), (-2,))
 
 
 def test_zero_weight_single_vertex():
     g = generate(C2, (0, 0))
-    assert len(g) == 1 and not g.f_edges and not g.e_edges
+    assert len(g) == 1 and not g.f_edges and not edge_map(g.e_to)
 
 
 def test_generation_is_deterministic():
     a = generate(C2, (1, 1))
     b = generate(C2, (1, 1))
     assert a.vertices == b.vertices
-    assert a.f_edges == b.f_edges and a.e_edges == b.e_edges
+    assert a.f_edges == b.f_edges and edge_map(a.e_to) == edge_map(b.e_to)
 
 
 def test_max_size_guard():
@@ -87,7 +87,7 @@ def test_seminormal_detects_deleted_edge():
     g = generate(A1, (2,))
     broken_f = dict(g.f_edges)
     del broken_f[(0, 1)]
-    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, broken_f, g.e_edges)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, broken_f, edge_map(g.e_to))
     violations = verify_seminormal(broken)
     assert any(v["axiom"] == "mutual-inverse" for v in violations)
 
@@ -148,13 +148,13 @@ def test_f_word_properties():
     view = levi(g, {1, 2})
     comp = view.components[0]
     assert view.f_word(comp, 0) == ()
-    b = g.f(0, 1)
+    b = g.f_to[1][0]
     assert view.f_word(comp, b) == (1,)
     for v in comp:
         word = view.f_word(comp, v)
         cur = view.highest_of(comp)
         for color in word:
-            cur = g.f(cur, color)
+            cur = g.f_to[color][cur]
         assert cur == v
 
 
@@ -180,7 +180,7 @@ def test_f_word_length_is_bfs_depth():
     while queue:
         v = queue.popleft()
         for i in C2.nodes:
-            w = g.f(v, i)
+            w = g.f_to[i][v]
             if w is not None and w not in depth:
                 depth[w] = depth[v] + 1
                 queue.append(w)
@@ -197,7 +197,7 @@ def test_export_json_structure():
     assert all(set(v) == {"id", "weight", "path"} for v in data["vertices"])
     assert all(set(e) == {"from", "to", "color"} for e in data["edges"])
     for v in data["vertices"]:
-        assert path_from_json(C2, v["path"]) == g.path(v["id"])
+        assert path_from_json(C2, v["path"]) == g.vertices[v["id"]]
 
 
 def test_export_json_deterministic():
@@ -214,7 +214,7 @@ def test_export_dot_counts():
 
 def test_seminormal_detects_doctored_e_edge():
     g = generate(A1, (2,))
-    bad_e = dict(g.e_edges)
+    bad_e = edge_map(g.e_to)
     bad_e[(1, 1)] = 1
     broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, bad_e)
     assert verify_seminormal(broken) != []
@@ -233,7 +233,7 @@ def test_lowering_closure_matches_both_operator_closure(t, lam):
     g = generate(t, lam)
     oracle = generate_by_both_operators(t, lam)
     assert g.vertices == oracle.vertices
-    assert g.f_edges == oracle.f_edges and g.e_edges == oracle.e_edges
+    assert g.f_edges == oracle.f_edges and edge_map(g.e_to) == edge_map(oracle.e_to)
     assert export_json(g) == export_json(oracle)
 
 
@@ -249,7 +249,7 @@ def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     g = generate(t, lam)
     vertices, f_edges, e_edges = paths_oracle.closure(t, lam)
     assert [p.breakpoints for p in g.vertices] == [q.breakpoints for q in vertices]
-    assert g.f_edges == f_edges and g.e_edges == e_edges
+    assert g.f_edges == f_edges and edge_map(g.e_to) == e_edges
     digest = _sha256(export_json(g))
     monkeypatch.setattr(crystal, "path_to_json", paths_oracle.path_to_json)
     monkeypatch.setattr(crystal, "weight_int", paths_oracle.weight_int)
@@ -340,7 +340,7 @@ def test_seminormal_checks_raising_operator(monkeypatch):
         crystal, "root_e", lambda path, i: None if i == 1 else real(path, i)
     )
     records = [v for v in verify_seminormal(g) if v["axiom"] == "raising-operator"]
-    expected = [v for v in range(len(g)) if g.e(v, 1) is not None]
+    expected = [v for v in range(len(g)) if g.e_to[1][v] is not None]
     assert expected and [(r["vertex"], r["color"]) for r in records] == [
         (v, 1) for v in expected
     ]
@@ -349,11 +349,11 @@ def test_seminormal_checks_raising_operator(monkeypatch):
 def test_seminormal_checks_raising_operator_target():
     # an e-edge that points at the wrong vertex of the right weight
     g = generate(C2, (1, 1))
-    raisable = [u for u in range(len(g)) if g.e(u, 1) is not None]
+    raisable = [u for u in range(len(g)) if g.e_to[1][u] is not None]
     v, w = next(
         (a, b) for a in raisable for b in raisable if a < b and g.weights[a] == g.weights[b]
     )
-    e_edges = dict(g.e_edges)
+    e_edges = edge_map(g.e_to)
     e_edges[(v, 1)], e_edges[(w, 1)] = e_edges[(w, 1)], e_edges[(v, 1)]
     broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, g.f_edges, e_edges)
     records = [r for r in verify_seminormal(broken) if r["axiom"] == "raising-operator"]
@@ -448,7 +448,7 @@ def _swap_lowering_edges(g, i, v, u):
     trading targets: the size, the weights and the string law still hold,
     and only the path check of verify_seminormal sees the swap."""
     assert g.weights[v] == g.weights[u]
-    f_edges, e_edges = dict(g.f_edges), dict(g.e_edges)
+    f_edges, e_edges = dict(g.f_edges), edge_map(g.e_to)
     wv, wu = f_edges[(v, i)], f_edges[(u, i)]
     f_edges[(v, i)], f_edges[(u, i)] = wu, wv
     e_edges[(wu, i)], e_edges[(wv, i)] = v, u
@@ -514,11 +514,11 @@ def _broken_graphs():
     c2 = generate(C2, (1, 1))
     deleted = dict(a1.f_edges)
     del deleted[(0, 1)]
-    looped = dict(a1.e_edges)
+    looped = edge_map(a1.e_to)
     looped[(1, 1)] = 1
-    swapped = dict(c2.e_edges)
+    swapped = edge_map(c2.e_to)
     swapped[(3, 2)], swapped[(8, 2)] = swapped[(8, 2)], swapped[(3, 2)]
-    edits = [(a1, deleted, a1.e_edges), (a1, a1.f_edges, looped), (c2, c2.f_edges, swapped)]
+    edits = [(a1, deleted, edge_map(a1.e_to)), (a1, a1.f_edges, looped), (c2, c2.f_edges, swapped)]
     edits += [(generate(t, lam), f, e) for t, lam, f, e in BROKEN_COMPONENTS]
     return [graph_from_edges(g.rtype, g.highest_weight, g.vertices, f, e) for g, f, e in edits]
 

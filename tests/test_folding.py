@@ -103,10 +103,9 @@ FOLDABLE = [f"{family}{n}" for family in "CB" for n in range(2, FOLDABLE_MAX_RAN
 
 
 @pytest.mark.parametrize("name", FOLDABLE + ["G2", "F4"])
-def test_gamma_equals_symmetrizer(monkeypatch, name):
+def test_gamma_equals_symmetrizer(name):
     # folding_pair takes the exponents from the source symmetrizer; the
     # oracle solves them independently from the root identity
-    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", FOLDABLE_MAX_RANK)
     fold = folding_pair(name)
     sigma = {i: fold.sigma(i) for i in fold.x_type.nodes}
     gamma = {i: fold.gamma(i) for i in fold.x_type.nodes}
@@ -114,10 +113,9 @@ def test_gamma_equals_symmetrizer(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", FOLDABLE + ["G2", "F4"])
-def test_fold_info_matches_oracle_table(monkeypatch, name):
+def test_fold_info_matches_oracle_table(name):
     # sigma derived from the automorphism equals the hand-written table, and
     # every other field follows from that table and the solved exponents
-    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", FOLDABLE_MAX_RANK)
     x = DynkinType.parse(name)
     y, sigma, aut, branch = fold_table(x)
     gamma = solve_gamma(x, y, sigma)
@@ -169,7 +167,6 @@ def test_construction_accepts_what_the_orbit_and_root_checkers_accept(monkeypatc
     # every bijection of source nodes onto the automorphism orbits, each orbit
     # named by its smallest node: the partition and root-identity checks of
     # folding_pair accept exactly what the two oracle checkers accept
-    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", 6)
     tried, accepted = 0, []
     for name in ASSIGNMENT_TYPES:
         x = DynkinType.parse(name)
@@ -225,15 +222,12 @@ def test_aut_matches_target_theta_except_known_cases():
             assert fold.aut == theta_y
 
 
-def test_unsupported_types_rejected(monkeypatch):
+def test_unsupported_types_rejected():
     with pytest.raises(ConfigurationError):
         folding_pair("A3")
     with pytest.raises(ConfigurationError):
         folding_pair("D4")
-    with pytest.raises(ConfigurationError):
-        folding_pair("C5")  # above the default rank cap
-    monkeypatch.setattr(folding, "DEFAULT_MAX_RANK", 5)
-    assert folding_pair("C5").y_type == DynkinType("A", 9)
+    assert folding_pair("C5").y_type == DynkinType("A", 9)  # the rank cap is the CLI's
 
 
 def test_psi_weight_examples():
@@ -453,7 +447,7 @@ def test_virtualization_reports_broken_virtual_operators(monkeypatch, check, nam
         {"check": f"{name}-{check}", "vertex": b, "color": i}
         for b in range(len(gx))
         for i in fold.x_type.nodes
-        if op(gx.path(b), i) is not None
+        if op(gx.vertices[b], i) is not None
     ]
     assert expected and verify_virtualization(fold, (1, 0)) == expected
 
@@ -520,6 +514,28 @@ def test_virtual_relations_report_letters_that_do_not_commute(monkeypatch):
 @pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES)
 def test_commutative_diagram_passes(name, lam):
     assert verify_commutative_diagram(folding_pair(name), lam) == []
+
+
+ABOVE_RANK_FOUR = [
+    ("C5", (1, 0, 0, 0, 0), "A9", 99),
+    ("B5", (1, 0, 0, 0, 0), "D6", 77),
+    ("C6", (1, 0, 0, 0, 0, 0), "A11", 143),
+    ("B6", (1, 0, 0, 0, 0, 0), "D7", 104),
+    ("B5", (0, 0, 0, 0, 1), "D6", 792),
+]
+
+
+@pytest.mark.parametrize("name,lam,target,size", ABOVE_RANK_FOUR)
+def test_folding_verifiers_pass_above_rank_four(name, lam, target, size):
+    # the rank cap is the command line's; through the API the theorem is
+    # checked on sources of rank 5 and 6
+    fold = folding_pair(name)
+    assert str(fold.y_type) == target
+    assert weyl_dim(fold.y_type, psi_weight(fold, lam)) == size
+    assert verify_component_identity(fold) == []
+    assert verify_virtualization(fold, lam) == []
+    assert verify_virtual_relations(fold, lam) == []
+    assert verify_commutative_diagram(fold, lam) == []
 
 
 DIAGRAM_ORACLE_CASES = VIRTUALIZATION_CASES + [
@@ -641,7 +657,7 @@ def _one_more_step(real, fold, lam):
 def _merging(real, fold, lam):
     # vertex 1 goes to the image of vertex 0: two vertices share one path
     gx = generate(fold.x_type, lam)
-    return lambda fold, path: real(fold, gx.path(0) if path == gx.path(1) else path)
+    return lambda fold, path: real(fold, gx.vertices[0] if path == gx.vertices[1] else path)
 
 
 def _bent_images(move):

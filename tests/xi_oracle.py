@@ -14,11 +14,12 @@ read the sweep: a scan of every vertex for raising edges and one walk down
 from each highest vertex.  xi_perm_by_bfs is the edge propagation of xi_perm
 as it stood before the graph kept per-color edge lists: it takes the
 components from levi_by_vertex_scan and walks each a second time,
-breadth-first over graph.f and graph.e.  On a crystal it returns what the
-depth-order sweep of xi_perm returns, however the ids are numbered.  On a
-broken graph both raise ModelIntegrityError, often with different messages,
-as each meets the fault at its own check; the sweep may also raise where
-this walk returns, but only on a graph that verify_seminormal flags.
+breadth-first over the lowering and raising edges.  On a crystal it returns
+what the depth-order sweep of xi_perm returns, however the ids are
+numbered.  On a broken graph both raise ModelIntegrityError, often with
+different messages, as each meets the fault at its own check; the sweep may
+also raise where this walk returns, but only on a graph that
+verify_seminormal flags.
 relation_violations_by_loops is the relation checker that looped over all
 pairs of subdiagrams on every call.
 
@@ -38,7 +39,7 @@ from pathcrystals.paths import PLPath, canonicalize
 def _apply_raising_word(graph, start, word, twist):
     cur = start
     for color in word:
-        cur = graph.e(cur, twist[color])
+        cur = graph.e_to[twist[color]][cur]
         assert cur is not None, "raising word left the component"
     return cur
 
@@ -51,7 +52,7 @@ def _f_words(graph, colors, top, members, descending) -> dict:
     while queue:
         v = queue.popleft()
         for i in sorted(colors, reverse=descending):
-            w = graph.f(v, i)
+            w = graph.f_to[i][v]
             if w is not None and w in members and w not in words:
                 words[w] = words[v] + (i,)
                 queue.append(w)
@@ -77,7 +78,7 @@ def levi_by_vertex_scan(graph, colors):
     top_of = [None] * len(graph)
     parts = {}
     for top in range(len(graph)):
-        if any(graph.e(top, i) is not None for i in colors):
+        if any(graph.e_to[i][top] is not None for i in colors):
             continue
         comp, lows, queue = [], [], [top]
         for v in queue:
@@ -90,7 +91,7 @@ def levi_by_vertex_scan(graph, colors):
                 )
             top_of[v] = top
             comp.append(v)
-            below = [w for w in (graph.f(v, i) for i in colors) if w is not None]
+            below = [w for w in (graph.f_to[i][v] for i in colors) if w is not None]
             if not below:
                 lows.append(v)
             queue.extend(below)
@@ -125,10 +126,10 @@ def xi_perm_by_bfs(graph, colors) -> tuple:
         while queue:
             v = queue.popleft()
             for i in order:
-                w = graph.f(v, i)
+                w = graph.f_to[i][v]
                 if w is None:
                     continue
-                image = graph.e(out[v], twist[i])
+                image = graph.e_to[twist[i]][out[v]]
                 if image is None or out[w] not in (None, image):
                     raise ModelIntegrityError(
                         f"involution image of vertex {w} is inconsistent along color {i}"
