@@ -8,7 +8,9 @@ It is computed by propagating that rule along every J-colored lowering edge
 in one sweep over the ids by depth <lambda - wt, 2 rho^vee>, which each
 lowering edge raises by 2, so any two lowering words to a vertex must give
 the same image; a graph the sweep cannot vouch for is rejected.  The sweep
-lives in crystal, where the Levi views read their components off it.
+lives in crystal, where the Levi views read their components off it.  The
+guard that the color set is nonempty and connected is one node-set check and
+one lookup in the per-type cache of cartan.is_connected.
 The verifier checks, by exhaustive permutation arithmetic, that these
 involutions satisfy the defining relations of the cactus group of the
 diagram, over pairs of subdiagrams planned once per type.
@@ -40,7 +42,7 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
     """The partial involution as a permutation of all vertex ids, computed
     and checked by the depth-order sweep crystal._levi_sweep."""
     colors = frozenset(colors)
-    if not colors or not is_connected(graph.rtype, colors):
+    if not is_connected(graph.rtype, colors):  # False on the empty set
         raise DomainError("xi_perm needs a nonempty connected color set")
     images, _ = _levi_sweep(graph, colors)
     return tuple(images)

@@ -323,6 +323,13 @@ def components(t: DynkinType, nodes) -> list:
 
 
 def is_connected(t: DynkinType, nodes) -> bool:
+    """Whether the node set is nonempty and connected, cached per type.  The
+    node set is checked before the cache: 1.0 and True would hit node 1."""
+    return _is_connected(t, _node_set(t, nodes))
+
+
+@cache
+def _is_connected(t: DynkinType, nodes: NodeSet) -> bool:
     return len(components(t, nodes)) == 1
 
 

@@ -140,7 +140,7 @@ def cmd_crystal(args) -> int:
     t = DynkinType.parse(args.type)
     lam = _parse_weight(t, args.weight)
     max_size = _parse_int(args.max_size, "max size")
-    colors = None if args.levi is None else _parse_nodes(t, args.levi)
+    colors = None if args.levi is None else _parse_nodes(t, args.levi) if args.levi else frozenset()
     graph = generate(t, lam, max_size=max_size)
     if colors is not None:
         view = levi(graph, colors)

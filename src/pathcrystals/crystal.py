@@ -19,7 +19,8 @@ sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi
 decomposition, a sweep that propagates the partial involution of a color set
 (twisted by cartan.theta of the set, connected or not, which the sweep reads
 itself) down its lowering edges and finds the highest and lowest vertex of
-each component on the way; cactus.xi_perm and the Levi views both read it.
+each component on the way.  The Levi views read it for any color set;
+cactus.xi_perm reads it after a cached guard that the set is connected.
 """
 
 from __future__ import annotations
@@ -207,7 +208,10 @@ def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
     on the way down, a missing or disagreeing image, a vertex below two
     highest or a second lowest vertex, or images that do not permute raise."""
     twist = theta(graph.rtype, colors)
-    columns = [(graph.f_to[i], graph.e_to[i], graph.e_to[twist[i]]) for i in sorted(colors)]
+    order = sorted(colors)
+    raising = [graph.e_to[i] for i in order]
+    lowering = [graph.f_to[i] for i in order]
+    columns = [(graph.f_to[i], graph.e_to[twist[i]]) for i in order]  # (f_i, e_theta(i))
     n = len(graph)
     steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
     out = [None] * n
@@ -215,15 +219,15 @@ def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
     for v in graph._depth_order:
         image = out[v]
         if image is None:  # no edge reached v: a highest vertex has no raising edge
-            for _, raising, _ in columns:
-                if raising[v] is not None:
+            for e_i in raising:
+                if e_i[v] is not None:
                     raise ModelIntegrityError(
                         f"normality violation: vertex {v} has a raising edge but no edge from above"
                     )
             image = top_of[v] = v
             for _ in steps:  # down the first lowering edges
-                for lowering, _, _ in columns:
-                    below = lowering[image]
+                for f_i in lowering:
+                    below = f_i[image]
                     if below is not None:
                         break
                 else:
@@ -234,28 +238,29 @@ def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
             out[v] = image
         top = top_of[v]
         lowest = True
-        for lowering, _, mirror in columns:
-            w = lowering[v]
+        for f_i, mirror in columns:
+            w = f_i[v]
             if w is not None:
                 lowest = False
-                mirrored = mirror[image]
-                if mirrored is None or out[w] not in (None, mirrored):
-                    i = next(i for i in sorted(colors) if graph.f_to[i] is lowering)
+                mirrored, seen = mirror[image], out[w]
+                if mirrored is None or seen is not None and seen != mirrored:
+                    i = next(i for i in order if graph.f_to[i] is f_i)
                     raise ModelIntegrityError(
                         f"involution image of vertex {w} is inconsistent along color {i}"
                     )
-                if top_of[w] not in (None, top):
+                above = top_of[w]
+                if above is not None and above != top:
                     raise ModelIntegrityError(
                         f"normality violation: vertex {w} is below highest "
-                        f"vertices {top_of[w]} and {top}"
+                        f"vertices {above} and {top}"
                     )
                 out[w], top_of[w] = mirrored, top
         if lowest and out[top] != v:
             raise ModelIntegrityError(f"normality violation: second lowest vertex {v} below {top}")
-    # only lowest vertices map to vertices without raising edges, and they are
-    # no more than the highest vertices, which have none: so when the images
-    # permute, the vertices taken as highest are all those without raising edges
-    if set(out) != set(range(n)):
+    # the n images permute iff each id is one of them.  Only lowest vertices map to
+    # vertices without raising edges, no more than the highest, which have none: so
+    # when they permute, the vertices taken as highest are all without raising edges
+    if not set(out).issuperset(steps):
         raise ModelIntegrityError("involution image is not a permutation")
     return out, top_of
 

@@ -13,13 +13,14 @@ from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
 from xi_oracle import (
     _f_words,
     levi_by_vertex_scan,
+    levi_sweep_by_triples,
     relation_violations_by_loops,
     schutzenberger,
     xi_perm_by_bfs,
     xi_perm_by_words,
 )
 
-from pathcrystals import cactus
+from pathcrystals import cactus, cartan
 from pathcrystals.cactus import (
     act,
     compose,
@@ -666,3 +667,110 @@ def test_act_composes_once_per_letter_after_the_first(monkeypatch):
     monkeypatch.setattr(cactus, "compose", counted)
     assert act(g, word[:1]) == xi_perm(g, word[0]) and not calls
     assert act(g, word) == expected and len(calls) == 2
+
+
+# the sweep as it stood before it read (lowering, mirror) pairs and built one
+# set; it is compared on every node set, as LeviView takes any set
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_levi_sweep_matches_the_replaced_sweep_on_every_node_set(t, lam):
+    g = generate(t, lam)
+    for graph in (g, _relabel(g, range(len(g) - 1, -1, -1))[0]):
+        for sub in _subsets(t):
+            assert _outcome(_levi_sweep, graph, sub) == _outcome(levi_sweep_by_triples, graph, sub)
+
+
+def _assert_sweeps_agree_on_every_node_set(graph) -> set:
+    """The errors the sweep raises on the node sets of the graph's type, each
+    the replaced sweep's error."""
+    errors = set()
+    for sub in _subsets(graph.rtype):
+        got = _outcome(_levi_sweep, graph, sub)
+        assert got == _outcome(levi_sweep_by_triples, graph, sub), sorted(sub)
+        if _raised(got):
+            errors.add(got)
+    return errors
+
+
+@pytest.mark.parametrize("t,lam,f_edges,e_edges", SWEEP_FALLBACKS)
+def test_levi_sweep_raises_as_the_replaced_sweep_on_sweep_fallbacks(t, lam, f_edges, e_edges):
+    g = generate(t, lam)
+    broken = graph_from_edges(g.rtype, g.highest_weight, g.vertices, f_edges, e_edges)
+    pinned = _pinned(SWEEP_FALLBACKS, SWEEP_FALLBACK_ERRORS, t, lam, f_edges, e_edges)
+    assert pinned in _assert_sweeps_agree_on_every_node_set(broken)
+
+
+@pytest.mark.parametrize("t,lam,first,second", INCONSISTENT_RAISING)
+def test_levi_sweep_raises_as_the_replaced_sweep_on_inconsistent_raising(t, lam, first, second):
+    bad = _swap_raising_edges(t, lam, first, second)
+    pinned = _pinned(INCONSISTENT_RAISING, INCONSISTENT_RAISING_ERRORS, t, lam, first, second)
+    assert pinned in _assert_sweeps_agree_on_every_node_set(bad)
+
+
+def _swaps_and_drops(g):
+    """g with each swap or drop of _edit_edges made, one at a time."""
+    for direction, color in product("fe", g.rtype.nodes):
+        lists = g.f_to if direction == "f" else g.e_to
+        sources = [v for v, w in enumerate(lists[color]) if w is not None]
+        for first, second in product(sources, repeat=2):
+            if first <= second:
+                yield _edit_edges(g, direction, color, first, second)
+
+
+# the checks that some swap or drop fails, in ids by depth or reversed; the
+# SWEEP_FALLBACKS graphs fail the other two
+SWAP_AND_DROP_CHECKS = {
+    "normality violation: vertex N has a raising edge but no edge from above",
+    "involution image of vertex N is inconsistent along color N",
+    "normality violation: second lowest vertex N below N",
+}
+
+
+@pytest.mark.parametrize(
+    "t,lam,more",
+    [(A2, (1, 1), set()), (C2, (1, 1), {"normality violation: lowering cycle below vertex N"})],
+)
+def test_levi_sweep_raises_as_the_replaced_sweep_on_every_swap_and_drop(t, lam, more):
+    g = generate(t, lam)
+    reversed_graph, _ = _relabel(g, range(len(g) - 1, -1, -1))
+    checks = set()
+    for base in (g, reversed_graph):
+        for edited in _swaps_and_drops(base):
+            errors = _assert_sweeps_agree_on_every_node_set(edited)
+            checks |= {re.sub(r"[0-9]+", "N", message) for _, message in errors}
+    assert checks == SWAP_AND_DROP_CHECKS | more
+
+
+def test_levi_sweep_raises_as_the_replaced_sweep_on_every_two_edits():
+    # two edits can fail two checks at one edge, e.g. the f_1 edges at 0
+    # and 2 swapped and the e_1 edge at 1 dropped: vertex 1 is below highest
+    # vertices 1 and 0 and its images disagree, and the image check comes first
+    g = generate(A2, (1, 1))
+    pinned = (ModelIntegrityError, "involution image of vertex 1 is inconsistent along color 1")
+    edited = _edit_edges(_edit_edges(g, "f", 1, 0, 2), "e", 1, 1, 1)
+    assert _outcome(_levi_sweep, edited, {1, 2}) == pinned
+    for once in _swaps_and_drops(g):
+        for twice in _swaps_and_drops(once):
+            _assert_sweeps_agree_on_every_node_set(twice)
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_relations_read_one_involution_per_subdiagram_and_a_cached_guard(monkeypatch):
+    # xi_perm once per connected subdiagram; on a second graph of the type
+    # neither its guard nor the relation plan searches for components
+    calls = Counter()
+    _count_calls(monkeypatch, calls, cactus, "xi_perm")
+    assert verify_cactus_relations(generate(C3, (1, 1, 0))) == []
+    assert calls == {"xi_perm": len(connected_subdiagrams(C3))}
+    _count_calls(monkeypatch, calls, cartan, "components")
+    _count_calls(monkeypatch, calls, cactus, "components")
+    assert verify_cactus_relations(generate(C3, (0, 1, 0))) == []
+    assert calls == {"xi_perm": 2 * len(connected_subdiagrams(C3))}

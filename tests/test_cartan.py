@@ -526,3 +526,43 @@ def test_theta_refuses_a_descent_end_that_is_not_a_permutation(monkeypatch, end)
         theta(A2, {1, 2})
     with pytest.raises(ModelIntegrityError, match=message):
         theta_image(A2, {1, 2}, {1})
+
+
+@pytest.mark.parametrize(
+    "nodes,message",
+    [
+        ({True}, "node True not in A3"),
+        ({1.0}, "node 1.0 not in A3"),
+        ({0}, "nodes [0] not in A3"),
+        ({4}, "nodes [4] not in A3"),
+    ],
+    ids=repr,
+)
+def test_is_connected_cache_answers_only_for_checked_node_sets(nodes, message):
+    # frozenset({True}) == frozenset({1}): a cache keyed before the node-set
+    # check would answer for node 1
+    g = generate(A3, (1, 0, 1))
+    assert xi_perm(g, {1}) and is_connected(A3, {1})
+    for guard in (xi_perm, lambda _, nodes: is_connected(A3, nodes)):
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            guard(g, nodes)
+
+
+@pytest.mark.parametrize("nodes", [set(), {1, 3}], ids=repr)
+def test_xi_perm_refuses_an_empty_or_disconnected_set_after_the_cache_is_filled(nodes):
+    g = generate(A3, (1, 0, 1))
+    assert xi_perm(g, {1}) and is_connected(A3, {1})
+    for _ in range(2):  # a miss, then a hit
+        assert not is_connected(A3, nodes)
+        with pytest.raises(DomainError, match="^xi_perm needs a nonempty connected color set$"):
+            xi_perm(g, nodes)
+
+
+@pytest.mark.parametrize("t", DESCENT_TYPES, ids=str)
+def test_cached_is_connected_matches_the_component_search(t):
+    # the 1,439 nonempty node sets, each asked twice: a miss, then a hit
+    connected = set(connected_subdiagrams(t))
+    for nodes in _nonempty_subsets(t):
+        expected = len(components(t, nodes)) == 1
+        assert expected == (nodes in connected)
+        assert is_connected(t, nodes) is is_connected(t, set(nodes)) is expected, sorted(nodes)

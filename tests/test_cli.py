@@ -11,7 +11,7 @@ import pytest
 from pathcrystals import cli, folding
 from pathcrystals.cartan import DynkinType
 from pathcrystals.cli import main
-from pathcrystals.crystal import generate
+from pathcrystals.crystal import generate, levi
 from pathcrystals.paths import straight_path
 
 C2 = DynkinType("C", 2)
@@ -253,7 +253,7 @@ MALFORMED_INTEGERS = ["1_0", "+1", " 1", "1 ", "\u0661", "\u00b2", "", "1.0", "0
     [
         ["crystal", "A2", "{},0"],
         ["virtualize", "C2", "0,{}"],
-        ["crystal", "A2", "1,0", "--levi", "{}"],
+        ["crystal", "A2", "1,0", "--levi", "1,{}"],
         ["xi", "A2", "1,0", "1,{}"],
     ],
     ids=["crystal", "virtualize", "levi", "xi-nodes"],
@@ -511,3 +511,30 @@ def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
     # build_parser() itself still returns a new parser: the root and 7 commands
     assert cli.build_parser() is not cli.build_parser()
     assert len(built) == 2 * (1 + len(COMMANDS))
+
+
+def test_levi_of_the_empty_set_gives_one_component_per_vertex(capsys):
+    # levi(g, set()) is valid in the API, so --levi "" is the empty node set
+    assert main(["crystal", "A2", "1,1", "--levi", ""]) == 0
+    data = json.loads(capsys.readouterr().out)
+    view = levi(generate(DynkinType("A", 2), (1, 1)), set())
+    assert data["levi"] == []
+    assert [c["vertices"] for c in data["components"]] == [list(c) for c in view.components]
+    assert data["components"] == [{"vertices": [v], "highest": v, "lowest": v} for v in range(8)]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["xi", "A2", "1,0", ""], "cannot parse node set ''"),
+        (["crystal", "A2", "1,0", "--levi", ","], "cannot parse node set ','"),
+        (["crystal", "A2", "1,0", "--levi", " "], "cannot parse node set ' '"),
+        (["crystal", "A2", "1,0", "--levi", "1,"], "cannot parse node set '1,'"),
+        (["crystal", "A2", "1,0", "--levi", "0"], "node set '0' not contained in A2"),
+    ],
+    ids=["xi-empty", "levi-comma", "levi-space", "levi-trailing-comma", "levi-zero"],
+)
+def test_node_sets_other_than_an_empty_levi_are_refused_as_before(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
