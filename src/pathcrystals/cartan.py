@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
@@ -187,7 +187,7 @@ def positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]
 
     Each root is returned as its coefficient vector over the simple roots
     (root-basis coordinates), sorted lexicographically.  Grown from the
-    simple roots by the simple reflections that keep a root positive.
+    simple roots by the simple reflections that raise a root.
     The node set is checked before the cache, whose entry for node 1 would
     answer for 1.0 or True.
     """
@@ -196,20 +196,22 @@ def positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]
 
 @cache
 def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]:
-    a = cartan_matrix(t)
+    a, adj = cartan_matrix(t), neighbors(t)
+    near = {j: [(k - 1, a[j - 1][k - 1]) for k in adj[j]] for j in nodes}
     stack = [tuple(int(k == j) for k in t.nodes) for j in nodes]
     seen = set(stack)
     while stack:
         c = stack.pop()
         for j in nodes:
-            # coefficient j of r_j(beta) = beta - <beta, alpha_j^vee> alpha_j, for
-            # beta = sum_k c_k alpha_k: negative only for beta = alpha_j, and every
-            # positive root is reached from a simple root by reflections that keep
-            # it positive
-            coeff = c[j - 1] - sum(map(mul, c, a[j - 1]))
-            if coeff < 0:
+            # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j for beta = sum_k c_k
+            # alpha_k, where <beta, alpha_j^vee> = 2 c_j + sum_k a[j][k] c_k over
+            # the neighbours k of j.  Only raising reflections are taken: a positive
+            # root beta != alpha_j with <beta, alpha_j^vee> > 0 is r_j of a lower
+            # positive root, so they reach every positive root from the simple ones
+            pairing = 2 * c[j - 1] + sum(c[k] * ajk for k, ajk in near[j])
+            if pairing >= 0:
                 continue
-            image = c[: j - 1] + (coeff,) + c[j:]
+            image = c[: j - 1] + (c[j - 1] - pairing,) + c[j:]
             if image not in seen:
                 seen.add(image)
                 stack.append(image)
@@ -333,23 +335,33 @@ def _is_connected(t: DynkinType, nodes: NodeSet) -> bool:
     return len(components(t, nodes)) == 1
 
 
+@cache
+def _weyl_table(t: DynkinType) -> tuple[tuple, int]:
+    """Per positive root alpha = sum_j c_j alpha_j, the row (c_j d_j)_j and
+    (rho, alpha) = sum_j c_j d_j; and the product of the (rho, alpha).  Reads
+    the module's symmetrizer at build time."""
+    d = symmetrizer(t)
+    rows = [tuple(map(mul, c, d)) for c in positive_roots(t, all_nodes(t))]
+    return tuple((row, sum(row)) for row in rows), prod(map(sum, rows))
+
+
 def weyl_dim(t: DynkinType, lam: Weight) -> int:
     """Dimension of the irreducible module of highest weight lam, computed
     exactly by the Weyl dimension formula.  Used as the independent size
     oracle for generated crystals.  With (alpha_j, alpha_k) = d_k a[k][j],
     (mu, alpha) = sum_j c_j d_j mu_j for alpha = sum_j c_j alpha_j, so each
-    factor (lam + rho, alpha) / (rho, alpha) is a ratio of integer sums."""
+    factor (lam + rho, alpha) / (rho, alpha) is a ratio of integer sums; the
+    rows and the denominator come from a table cached per type."""
     lam = tuple(lam)
     # one pass when lam is valid; the type test comes first, as "1" < 0 raises
     if len(lam) != t.rank or any(type(x) is not int or x < 0 for x in lam):
         if any(type(x) is not int for x in lam):
             raise DomainError(f"weight {lam} has an entry that is not an int")
         raise DomainError(f"weyl_dim needs a dominant weight of length {t.rank}")
-    d = symmetrizer(t)
-    numer = denom = 1
-    for coeffs in positive_roots(t, all_nodes(t)):
-        numer *= sum(c * dj * (x + 1) for c, dj, x in zip(coeffs, d, lam))
-        denom *= sum(c * dj for c, dj in zip(coeffs, d))
+    table, denom = _weyl_table(t)
+    numer = 1
+    for row, rho_alpha in table:
+        numer *= sum(map(mul, row, lam)) + rho_alpha
     dim, rest = divmod(numer, denom)
     if rest:
         # the product can pass the int-to-str digit limit: name the input

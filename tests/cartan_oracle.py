@@ -5,9 +5,15 @@ contributes the factor <lam + rho, alpha^vee> / <rho, alpha^vee>, and each
 coroot pairing is built as the Fraction 2 (mu, alpha) / (alpha, alpha), with
 the root norm summed over the Cartan matrix.  The package cancels
 (alpha, alpha) in each factor and divides one integer product by another.
+weyl_dim_by_roots is the package's earlier form of that: both products
+rebuilt from the root coefficients and the symmetrizer on every call, where
+the package now reads the rows and the denominator from a table cached per
+type.  Both oracles cache only the oracle's own positive roots and root
+norms per type.
 
 positive_roots is the earlier reflection closure of the simple roots, which
-also reaches the negative roots and filters them out at the end.
+sums each pairing over the whole node set, also reaches the negative roots
+and filters them out at the end.
 
 longest_word, w0J_apply and theta are the earlier descent and diagram
 automorphism.  The descent starts from the sum of the fundamental weights
@@ -18,6 +24,7 @@ matrix.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from pathcrystals.cartan import all_nodes, cartan_matrix, symmetrizer
 from pathcrystals.errors import DomainError, ModelIntegrityError
@@ -76,18 +83,27 @@ def theta(t, nodes) -> dict:
     return out
 
 
-def _pair_with_covector(t, d, coeffs, mu) -> Fraction:
-    """<mu, alpha^vee> for alpha given by root-basis coefficients."""
+@cache
+def _all_positive_roots(t) -> tuple:
+    return positive_roots(t, all_nodes(t))
+
+
+@cache
+def _half_norm(t, d, coeffs) -> int:
+    """(alpha, alpha) / 2, with (alpha_j, alpha_k) = d_k a[k][j]."""
     a = cartan_matrix(t)
-    numer = sum(c * dj * x for c, dj, x in zip(coeffs, d, mu))
-    # (alpha, alpha) / 2, with (alpha_j, alpha_k) = d_k a[k][j]
-    norm2 = sum(
+    return sum(
         coeffs[j] * coeffs[k] * d[k] * a[k][j]
         for j in range(t.rank)
         for k in range(t.rank)
         if coeffs[j] and coeffs[k]
     )
-    return Fraction(2 * numer, norm2)
+
+
+def _pair_with_covector(t, d, coeffs, mu) -> Fraction:
+    """<mu, alpha^vee> for alpha given by root-basis coefficients."""
+    numer = sum(c * dj * x for c, dj, x in zip(coeffs, d, mu))
+    return Fraction(2 * numer, _half_norm(t, d, coeffs))
 
 
 def weyl_dim(t, lam) -> int:
@@ -98,9 +114,21 @@ def weyl_dim(t, lam) -> int:
     rho = (1,) * t.rank
     shifted = tuple(x + 1 for x in lam)
     result = Fraction(1)
-    for coeffs in positive_roots(t, all_nodes(t)):
+    for coeffs in _all_positive_roots(t):
         result *= _pair_with_covector(t, d, coeffs, shifted)
         result /= _pair_with_covector(t, d, coeffs, rho)
     if result.denominator != 1 or result <= 0:
         raise ModelIntegrityError(f"Weyl dimension not a positive integer: {result}")
     return int(result)
+
+
+def weyl_dim_by_roots(t, lam) -> int:
+    d = symmetrizer(t)
+    numer = denom = 1
+    for coeffs in _all_positive_roots(t):
+        numer *= sum(c * dj * (x + 1) for c, dj, x in zip(coeffs, d, lam))
+        denom *= sum(c * dj for c, dj in zip(coeffs, d))
+    dim, rest = divmod(numer, denom)
+    if rest:
+        raise ModelIntegrityError(f"Weyl dimension of {t} at {lam} is not an integer")
+    return dim

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -437,8 +438,54 @@ def test_node_sets_reject_nodes_that_are_not_ints(name, node):
 def test_weyl_dim_rejects_a_wrong_symmetrizer(monkeypatch):
     # the B2 symmetrizer is (2, 1); swapped, the products stop dividing
     monkeypatch.setattr(cartan, "symmetrizer", lambda t: (1, 2))
+    monkeypatch.setattr(cartan, "_weyl_table", cartan._weyl_table.__wrapped__)
     with pytest.raises(ModelIntegrityError, match=r"^Weyl dimension of B2 at \(1, 0\) "):
         weyl_dim(B2, (1, 0))
+
+
+# the benchmark's candidate types, then the folding targets not among them
+WEYL_TABLE_TYPES = [
+    DynkinType.parse(name)
+    for name in ("A2 A3 A4 B2 B3 B4 C2 C3 C4 D4 G2 F4" + " A5 D3 E6").split()
+]
+
+
+@pytest.mark.parametrize("t", WEYL_TABLE_TYPES, ids=str)
+def test_weyl_dim_matches_the_replaced_product_and_the_fraction_oracle(t):
+    for lam in itertools.product(range(4), repeat=t.rank):
+        dim = weyl_dim(t, lam)
+        assert dim == cartan_oracle.weyl_dim_by_roots(t, lam), (str(t), lam)
+        assert dim == cartan_oracle.weyl_dim(t, lam), (str(t), lam)
+
+
+def test_weyl_dim_builds_its_table_once_per_type(monkeypatch):
+    # the product was rebuilt from the roots and the symmetrizer on every call
+    calls = []
+    for name in ("positive_roots", "symmetrizer"):
+        real = getattr(cartan, name)
+        monkeypatch.setattr(cartan, name, lambda *a, r=real, n=name: calls.append(n) or r(*a))
+    monkeypatch.setattr(cartan, "_weyl_table", functools.cache(cartan._weyl_table.__wrapped__))
+    weights = itertools.islice(itertools.product(range(10), repeat=F4.rank), 1000)
+    assert len([weyl_dim(F4, lam) for lam in weights]) == 1000
+    assert sorted(calls) == ["positive_roots", "symmetrizer"]
+
+
+@pytest.mark.parametrize(
+    "lam,message",
+    [
+        ((1.0, 1), "weight (1.0, 1) has an entry that is not an int"),
+        ((1, 0, 0), "weyl_dim needs a dominant weight of length 2"),
+        ((1, -1), "weyl_dim needs a dominant weight of length 2"),
+    ],
+)
+def test_weyl_dim_checks_the_weight_before_its_table(monkeypatch, lam, message):
+    def refuse(t):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(cartan, "_weyl_table", refuse)
+    with pytest.raises(DomainError) as info:
+        weyl_dim(A2, lam)
+    assert str(info.value) == message
 
 
 DESCENT_TYPES = [
