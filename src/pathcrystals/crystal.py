@@ -3,24 +3,24 @@ restriction, highest/lowest elements, axiom checking, and exports.
 
 A highest-weight path crystal is the closure of its straight dominant path
 under the lowering operators alone, so generation is a breadth-first search
-along f-edges, deduplicating by canonical breakpoint sequence; each e-edge is
-recorded as the inverse of an f-edge.  Vertex ids are BFS discovery order
-(colors ascending), so the vertex list is the search queue and regenerating
-a crystal reproduces it bit for bit.  Every f-edge adds one to the depth
-(the height of lambda - wt), so the BFS layer of a vertex is its depth and
-ids come in depth order; a raising step only reaches the previous layer, so
-closing under the raising operators too would find nothing new.  Edges are
-stored once, in one list per color and direction indexed by vertex id and
-sized by the Weyl dimension.  verify_seminormal checks the raising
-operators against the e-edges.  The vertex count must match the Weyl
+along f-edges, deduplicating by canonical path; each e-edge is recorded as the
+inverse of an f-edge.  Vertex ids are BFS discovery order (colors ascending),
+so the vertex list is the search queue, regenerating a crystal reproduces it
+bit for bit, and a graph maps paths to ids only if asked.  Every f-edge adds
+one to the depth (the height of lambda - wt), so the BFS layer of a vertex is
+its depth and ids come in depth order; a raising step only reaches the
+previous layer, so closing under the raising operators too would find nothing
+new.  Edges are stored once, in one list per color and direction indexed by
+vertex id and sized by the Weyl dimension.  verify_seminormal checks the
+raising operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
 mismatch aborts, at the first extra vertex if there are too many.  The ids
-sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi
-decomposition, a sweep that propagates the partial involution of a color set
-(twisted by cartan.theta of the set, connected or not, which the sweep reads
-itself) down its lowering edges and finds the highest and lowest vertex of
-each component on the way.  The Levi views read it for any color set;
-cactus.xi_perm reads it after a cached guard that the set is connected.
+sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi decomposition,
+a sweep that propagates the partial involution of a color set (twisted by
+cartan.theta of the set, connected or not, which the sweep reads itself) down
+its lowering edges and finds the highest and lowest vertex of each component
+on the way.  The Levi views read it for any color set; cactus.xi_perm reads it
+after a cached guard that the set is connected.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class CrystalGraph:
         self.vertices = tuple(vertices)
         self.f_to = f_to
         self.e_to = e_to
-        self._index = {p: k for k, p in enumerate(self.vertices)}
         self.weights = tuple(weight_int(p) for p in self.vertices)
 
     def __len__(self):
@@ -74,13 +73,17 @@ class CrystalGraph:
         n, weights = _two_rho_vee(self.rtype), self.weights
         return tuple(sorted(range(len(self)), key=lambda v: -sum(map(mul, n, weights[v]))))
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {p: k for k, p in enumerate(self.vertices)}
+
     @property
     def f_edges(self) -> dict:
         """The lowering edges as a {(v, i): w} map, sorted by (v, i)."""
         return {(v, i): w for v, i, w in _edges(self.f_to, len(self))}
 
     def find(self, path: PLPath):
-        """Vertex id of a canonical path, or None if absent."""
+        """Vertex id of a canonical path, or None; the index is built on first use."""
         return self._index.get(path)
 
 

@@ -309,24 +309,14 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
                 moved = edges[i][b]
                 virtual_moved = virtual_op(fold, qb, i)
                 if (moved is None) != (virtual_moved is None):
-                    violations.append(
-                        {"check": f"{name}-definedness", "vertex": b, "color": i}
-                    )
+                    violations.append({"check": f"{name}-definedness", "vertex": b, "color": i})
                 elif moved is not None and virtual[moved] != virtual_moved:
-                    violations.append(
-                        {"check": f"{name}-intertwine", "vertex": b, "color": i}
-                    )
+                    violations.append({"check": f"{name}-intertwine", "vertex": b, "color": i})
+            eps, ph = fold.gamma(i) * epsilon(pb, i), fold.gamma(i) * phi(pb, i)
             for j in fold.sigma(i):
-                if epsilon(qb, j) != fold.gamma(i) * epsilon(pb, i) or phi(
-                    qb, j
-                ) != fold.gamma(i) * phi(pb, i):
+                if epsilon(qb, j) != eps or phi(qb, j) != ph:
                     violations.append(
-                        {
-                            "check": "string-scaling",
-                            "vertex": b,
-                            "color": i,
-                            "target_color": j,
-                        }
+                        {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
                     )
     return violations
 

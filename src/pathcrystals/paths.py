@@ -11,9 +11,11 @@ pointwise equality.  All arithmetic is exact and on integers.  The lowering
 and raising operators use the non-recursive three-piece formulas: each finds
 its window of the coordinate function, and one rewrite pass keeps the path
 before the window, inserts the level crossing, reflects the window and
-translates the tail; the result is reduced once.  They agree with the
-classical path operators on models whose coordinate functions have integral
-local minima; generation asserts that property for every path it accepts.
+translates the tail; the result is reduced once, by one walk that copies the
+breakpoint lists only if it drops one or divides by a common factor.  They
+agree with the classical path operators on models whose coordinate functions
+have integral local minima; generation asserts that property for every path
+it accepts.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import sub
 
 from .cartan import DynkinType, _check_node, _columns
 from .errors import DomainError, ModelIntegrityError
@@ -78,24 +81,24 @@ def _reduced(rtype, den, times, points) -> PLPath:
     """Drop breakpoints where the velocity does not change (compared by
     cross-multiplication), then divide den and all entries by their gcd; the
     points are read only if den and the times have a common factor."""
-    kept = [0]
-    for k in range(1, len(times) - 1):
-        dt0, dt1 = times[k] - times[k - 1], times[k + 1] - times[k]
-        for a, b, c in zip(points[k - 1], points[k], points[k + 1]):
+    dropped = []
+    t1, t2, p1, p2 = times[0], times[1], points[0], points[1]
+    for k in range(2, len(times)):
+        t0, t1, t2, p0, p1, p2 = t1, t2, times[k], p1, p2, points[k]
+        dt0, dt1 = t1 - t0, t2 - t1
+        for a, b, c in zip(p0, p1, p2):
             if (b - a) * dt1 != (c - b) * dt0:
-                kept.append(k)
                 break
-    kept.append(len(times) - 1)
-    if len(kept) < len(times):
-        times = [times[k] for k in kept]
-        points = [points[k] for k in kept]
-    g = gcd(den, *times)
-    if g > 1:
-        g = gcd(g, *chain.from_iterable(points))
-    if g > 1:
+        else:
+            dropped.append(k - 1)
+    if dropped:
+        times, points = list(times), list(points)
+        for k in reversed(dropped):
+            del times[k], points[k]
+    if (g := gcd(den, *times)) > 1 and (g := gcd(g, *chain.from_iterable(points))) > 1:
         den //= g
         times = [t // g for t in times]
-        points = [tuple(c // g for c in p) for p in points]
+        points = [tuple([c // g for c in p]) for p in points]
     return PLPath(rtype, den, tuple(times), tuple(points))
 
 
@@ -114,7 +117,7 @@ def paths_equal(a: PLPath, b: PLPath) -> bool:
 
 
 def straight_path(t: DynkinType, lam) -> PLPath:
-    """The straight path s -> s*lam for a dominant weight lam."""
+    """The straight path s -> s*lam for a dominant weight lam, on den 1."""
     lam = tuple(lam)
     if any(type(x) is not int for x in lam):
         raise DomainError(f"weight {lam} has an entry that is not an int")
@@ -122,7 +125,7 @@ def straight_path(t: DynkinType, lam) -> PLPath:
         raise DomainError(f"weight must have length {t.rank}")
     if any(x < 0 for x in lam):
         raise DomainError("straight_path needs a dominant weight")
-    return PLPath.from_breakpoints(t, ((0, (0,) * t.rank), (1, lam)))
+    return PLPath(t, 1, (0, 1), ((0,) * t.rank, lam))
 
 
 def weight_int(path: PLPath) -> tuple:
@@ -185,38 +188,40 @@ def _rewrite(path: PLPath, i: int, level: int, k: int, j: int) -> PLPath:
     """The operator's output in one pass, reduced once.  H crosses level on
     segment k; p -> p - (H(p) - ref) * alpha_i reflects the window from
     breakpoint j to the crossing if j <= k (root_f, ref = H(j)), else from the
-    crossing to j (root_e, ref = level), and the tail moves by the shift at the
-    window's end.  A crossing inside segment k becomes breakpoint k + 1, scaled
-    by the least r that keeps it integral; if r = 1 the prefix is reused."""
+    crossing to j (root_e, ref = level); its last point and the tail move by
+    one precomputed multiple of alpha_i.  A crossing inside segment k becomes
+    breakpoint k + 1 of the path scaled by the least r that keeps it integral."""
     den, times, points = path.den, path.times, path.points
     x = i - 1
     alpha = _columns(path.rtype)[x]
-    (t0, t1), (p0, p1) = times[k : k + 2], points[k : k + 2]
+    p0, p1 = points[k], points[k + 1]
     h_j = points[j][x]
     ref, shift = (h_j, level - h_j) if j <= k else (level, h_j - level)
     rise, step = p1[x] - p0[x], level - p0[x]
     if step == 0 or step == rise:  # the crossing is breakpoint k or k + 1
-        r, c, g = 1, k + (step == rise), 0
+        c = k + (step == rise)
     else:
         if rise < 0:
             rise, step = -rise, -step
-        g = gcd(rise, step * gcd(t1 - t0, *(v - u for u, v in zip(p0, p1))))
-        r, c = rise // g, k
-    a, b = (j, c) if j <= k else (c, j)
-    kept = points[: a + 1]
-    out = list(kept) if r == 1 else [tuple([v * r for v in p]) for p in kept]
-    for p in points[a + 1 : b + 1]:
-        d = (p[x] - ref) * r
-        out.append(tuple([v * r - d * y for v, y in zip(p, alpha)]))
-    moved = [shift * r * y for y in alpha]
-    out.extend([tuple([v * r - s for v, s in zip(p, moved)]) for p in points[b + 1 :]])
-    if g:
-        d = (level - ref) * r
-        crossing = [u * r + step * (v - u) // g - d * y for u, v, y in zip(p0, p1, alpha)]
-        out.insert(k + 1, tuple(crossing))
-        times = [t * r for t in times]
-        times.insert(k + 1, t0 * r + step * (t1 - t0) // g)
-    return _reduced(path.rtype, den * r, times, out)
+        t0, t1 = times[k], times[k + 1]
+        g = gcd(rise, step * gcd(t1 - t0, *map(sub, p1, p0)))
+        r = rise // g
+        crossing = tuple([u * r + step * (v - u) // g for u, v in zip(p0, p1)])
+        if r > 1:  # the prefix tuples are reused only if r = 1
+            den, ref, shift = den * r, ref * r, shift * r
+            times = [t * r for t in times]
+            points = [tuple([v * r for v in p]) for p in points]
+        times = [*times[: k + 1], t0 * r + step * (t1 - t0) // g, *times[k + 1 :]]
+        points = [*points[: k + 1], crossing, *points[k + 1 :]]
+        c, j = k + 1, j + (j > k)
+    a, b = (j, c) if j < c else (c, j)
+    out = list(points[: a + 1])
+    for p in points[a + 1 : b]:
+        d = p[x] - ref
+        out.append(tuple([v - d * y for v, y in zip(p, alpha)]))
+    moved = tuple([shift * y for y in alpha])
+    out += [tuple(map(sub, p, moved)) for p in points[b:]]
+    return _reduced(path.rtype, den, times, out)
 
 
 def root_f(path: PLPath, i: int) -> PLPath | None:
@@ -231,7 +236,9 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
     level = m + path.den
     if h[-1] < level:
         return None
-    ka = len(h) - 1 - h[::-1].index(m)
+    ka = len(h) - 1
+    while h[ka] != m:
+        ka -= 1
     k = ka
     while h[k + 1] < level:  # stops by the end, as H(1) >= m + 1
         k += 1

@@ -20,7 +20,7 @@ from pathcrystals.cartan import (
     theta,
     weyl_dim,
 )
-from pathcrystals import folding
+from pathcrystals import crystal, folding
 from pathcrystals.cactus import act, compose
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import (
@@ -821,3 +821,37 @@ def test_virtualization_results_are_canonical(name, lam):
         _results_are_canonical(
             op(p, i) for p in model for i in t.nodes for op in (root_f, root_e)
         )
+
+
+# root_f and root_e calls of each verifier, all and defined, on C2(1,1) and
+# F4(0,0,0,1): generate reaches root_f through crystal, the membership walk
+# and the virtual operators reach both through folding
+VERIFIER_OPERATOR_CALLS = [
+    ("C2", (1, 1), verify_virtualization, (82, 54, 151, 92)),
+    ("C2", (1, 1), verify_virtual_relations, (525, 324, 0, 0)),
+    ("C2", (1, 1), verify_commutative_diagram, (557, 342, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_virtualization, (240, 96, 603, 210)),
+    ("F4", (0, 0, 0, 1), verify_virtual_relations, (3900, 1380, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_commutative_diagram, (4004, 1412, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,lam,verifier,expected", VERIFIER_OPERATOR_CALLS)
+def test_verifier_operator_call_counts(monkeypatch, name, lam, verifier, expected):
+    # a change that adds operator calls to a verifier shows here first
+    calls = dict.fromkeys(("root_f", "root_f defined", "root_e", "root_e defined"), 0)
+
+    def counted(label, op):
+        def wrapper(path, i):
+            out = op(path, i)
+            calls[label] += 1
+            calls[f"{label} defined"] += out is not None
+            return out
+
+        return wrapper
+
+    for module in (crystal, folding):
+        for op in (root_f, root_e):
+            monkeypatch.setattr(module, op.__name__, counted(op.__name__, op))
+    assert verifier(folding_pair(name), lam) == []
+    assert tuple(calls.values()) == expected

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -66,6 +67,38 @@ def test_straight_path_rejects_entries_that_are_not_ints(lam):
     # ("1", 1) raised TypeError; booleans are refused as path JSON refuses them
     with pytest.raises(DomainError, match=r"^weight .* has an entry that is not an int$"):
         straight_path(A2, lam)
+
+
+STRAIGHT_TYPES = ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", STRAIGHT_TYPES)
+def test_straight_path_equals_the_validating_constructor(name):
+    # straight_path builds its path on den 1 without Fractions; on every
+    # weight with entries 0-3, the zero weight included, it must be the path
+    # from_breakpoints gives, with int entries only
+    t = DynkinType.parse(name)
+    for lam in itertools.product(range(4), repeat=t.rank):
+        p = straight_path(t, lam)
+        assert p == PLPath.from_breakpoints(t, ((0, (0,) * t.rank), (1, lam))), lam
+        assert all(type(c) is int for c in (p.den, *p.times, *p.points[0], *p.points[1]))
+
+
+@pytest.mark.parametrize(
+    "lam,message",
+    [
+        ((1, 0.5), "weight (1, 0.5) has an entry that is not an int"),
+        (("1",), "weight ('1',) has an entry that is not an int"),
+        ((-1,), "weight must have length 2"),
+        ((1, 2, 3), "weight must have length 2"),
+        ((1, -1), "straight_path needs a dominant weight"),
+    ],
+)
+def test_straight_path_messages_are_exact(lam, message):
+    # the checks run in this order: entry types, length, dominance
+    with pytest.raises(DomainError) as info:
+        straight_path(A2, lam)
+    assert str(info.value) == message
 
 
 def test_weight_is_endpoint():
@@ -393,10 +426,20 @@ def test_root_operators_match_oracle():
     assert interpolated == {"root_f": 195, "root_e": 195}
 
 
+def _folding_target(x, lam):
+    fold = folding_pair(x)
+    return fold.y_type, psi_weight(fold, lam)
+
+
 TWO_PASS_CASES = ORACLE_CASES + [
     (DynkinType("D", 4), (1, 1, 1, 1)),
     (G2, (2, 2)),
     (DynkinType("C", 3), (1, 1, 1)),
+    # target models the folding verifiers generate: A5(0,1,0,1,0) with 189
+    # vertices, D4(0,0,1,1) and E6(1,0,0,0,0,1) with 650
+    _folding_target("C3", (0, 1, 0)),
+    _folding_target("B3", (0, 0, 1)),
+    _folding_target("F4", (0, 0, 0, 1)),
 ]
 
 
