@@ -6,7 +6,7 @@ under the lowering operators alone, so generation is a breadth-first search
 along f-edges, deduplicating by canonical path; each e-edge is recorded as the
 inverse of an f-edge.  Vertex ids are BFS discovery order (colors ascending),
 so the vertex list is the search queue, regenerating a crystal reproduces it
-bit for bit, and a graph maps paths to ids only if asked.  Every f-edge adds
+bit for bit, and the graph keeps no map from paths to ids.  Every f-edge adds
 one to the depth (the height of lambda - wt), so the BFS layer of a vertex is
 its depth and ids come in depth order; a raising step only reaches the
 previous layer, so closing under the raising operators too would find nothing
@@ -39,7 +39,6 @@ from .cartan import (
 )
 from .errors import DomainError, ModelIntegrityError
 from .paths import (
-    PLPath,
     is_integral,
     path_to_json,
     root_e,
@@ -73,18 +72,10 @@ class CrystalGraph:
         n, weights = _two_rho_vee(self.rtype), self.weights
         return tuple(sorted(range(len(self)), key=lambda v: -sum(map(mul, n, weights[v]))))
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {p: k for k, p in enumerate(self.vertices)}
-
     @property
     def f_edges(self) -> dict:
         """The lowering edges as a {(v, i): w} map, sorted by (v, i)."""
         return {(v, i): w for v, i, w in _edges(self.f_to, len(self))}
-
-    def find(self, path: PLPath):
-        """Vertex id of a canonical path, or None; the index is built on first use."""
-        return self._index.get(path)
 
 
 def _edges(lists, n):

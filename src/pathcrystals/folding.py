@@ -19,12 +19,14 @@ sigma(i).  Verifiers check exhaustively that virtualization intertwines the
 operators on the source model, with target membership decided by raising
 each image to a known path; and, on the generated target model, that the
 induced generators satisfy the cactus relations and that the partial
-involutions commute with virtualization, as a permutation identity.
+involutions commute with virtualization, as a permutation identity of the
+target ids that the embedding reads off a {path: id} table it builds itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import inf, lcm
 
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
@@ -206,7 +208,7 @@ def s_tilde(fold: FoldingPair, nodes) -> tuple:
     the connected components of its orbit image, ascending by smallest node.
     The letters have mutually disconnected supports, so they commute."""
     nodes = frozenset(nodes)
-    if not nodes or not is_connected(fold.x_type, nodes):
+    if not is_connected(fold.x_type, nodes):  # False on the empty set
         raise ConfigurationError("generator index must be connected and nonempty")
     return tuple(components(fold.y_type, fold.sigma_set(nodes)))
 
@@ -257,13 +259,13 @@ def _image_table(virtual, lookup):
 
 
 def _embedding(fold: FoldingPair, lam, max_size):
-    """Source model of lam, target model of psi(lam), the virtualized source
-    paths, the virtualization map as a table of vertex ids, and its
-    image-membership and injectivity records."""
+    """Source and target models of lam and psi(lam), the virtualized source
+    paths, their target ids from a {path: id} table of the target built here,
+    and the image-membership and injectivity records of that lookup."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
-    images, problems = _image_table(virtual, gy.find)
+    images, problems = _image_table(virtual, {p: k for k, p in enumerate(gy.vertices)}.get)
     return gx, gy, virtual, images, problems
 
 
@@ -325,25 +327,22 @@ def verify_virtual_relations(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) 
     """Check that the induced generator words satisfy the cactus relations of
     the source diagram, as permutations of the target model of the embedded
     highest weight.  Also checks that the letters of each word commute."""
-    x = fold.x_type
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
+    words = {s: s_tilde(fold, s) for s in connected_subdiagrams(fold.x_type)}
     cache: dict = {}
-    perms = {s: act(gy, s_tilde(fold, s), cache) for s in connected_subdiagrams(x)}
+    perms = {s: act(gy, word, cache) for s, word in words.items()}
     violations = []
-    for s in perms:
-        letters = s_tilde(fold, s)
-        for a in range(len(letters)):
-            for b in range(a + 1, len(letters)):
-                pa, pb = cache[letters[a]], cache[letters[b]]
-                if compose(pa, pb) != compose(pb, pa):
-                    violations.append(
-                        {
-                            "relation": "letter-commute",
-                            "I": sorted(s),
-                            "J": sorted(letters[b]),
-                        }
-                    )
-    return violations + _relation_violations(x, perms, identity_perm(gy))
+    for s, word in words.items():
+        for a, b in combinations(word, 2):  # act cached each letter's permutation
+            if compose(cache[a], cache[b]) != compose(cache[b], cache[a]):
+                violations.append(
+                    {
+                        "relation": "letter-commute",
+                        "I": sorted(s),
+                        "J": sorted(b),
+                    }
+                )
+    return violations + _relation_violations(fold.x_type, perms, identity_perm(gy))
 
 
 def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:

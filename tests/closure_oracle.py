@@ -1,6 +1,7 @@
 """Closure under lowering and raising operators, and Levi components by
-undirected search, kept as test oracles for generate and LeviView, and
-crystal graphs built from {(v, i): w} edge maps and read back into them.
+undirected search, kept as test oracles for generate and LeviView, crystal
+graphs built from {(v, i): w} edge maps and read back into them, and the
+vertex id of a path looked up in a {path: id} map of a graph's vertices.
 
 The closure applies root_f and then root_e at every vertex, colors
 ascending, and records both edge maps from both operators.  The components
@@ -32,6 +33,12 @@ def edge_map(lists) -> dict:
         (v, i): w for i, targets in lists.items() for v, w in enumerate(targets) if w is not None
     }
     return dict(sorted(edges.items()))
+
+
+def vertex_ids(graph):
+    """The {path: id}.get of the graph's vertices: the id of a canonical path,
+    or None for a path that is not a vertex."""
+    return {p: k for k, p in enumerate(graph.vertices)}.get
 
 
 def _record_edge(edges, key, value):

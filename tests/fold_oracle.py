@@ -20,12 +20,22 @@ module, so a test that patches them there patches both verifiers.
 The virtualization check generates the target model and looks each image up
 among its vertices, and calls the source operators on the source paths; like
 the diagram check, it calls through the folding module.
+
+The virtual-relations check is verify_virtual_relations as it was before it
+computed each induced word once: it calls s_tilde once for the permutations
+and again for the letter pairs, which it walks by index, and checks the
+relations by the nested loops of xi_oracle.  It calls s_tilde and act through
+the folding module too.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from closure_oracle import vertex_ids
+from xi_oracle import relation_violations_by_loops
+
 from pathcrystals import folding
+from pathcrystals.cactus import compose, identity_perm
 from pathcrystals.cartan import DynkinType, cartan_matrix, connected_subdiagrams, neighbors
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import ModelIntegrityError, NotInImageError
@@ -136,10 +146,11 @@ def solve_gamma(x, y, sigma) -> dict:
 
 
 def _image_table(fold, gx, gy):
+    find = vertex_ids(gy)
     images = {}
     problems = []
     for b in range(len(gx)):
-        target = gy.find(folding.virtualize_path(fold, gx.vertices[b]))
+        target = find(folding.virtualize_path(fold, gx.vertices[b]))
         if target is None:
             problems.append({"check": "image-membership", "vertex": b})
         else:
@@ -208,3 +219,23 @@ def verify_virtualization_on_target(fold, lam, max_size=DEFAULT_MAX_SIZE):
                         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
                     )
     return violations
+
+
+def verify_virtual_relations_by_index_loops(fold, lam, max_size=DEFAULT_MAX_SIZE):
+    x = fold.x_type
+    gy = generate(fold.y_type, folding.psi_weight(fold, lam), max_size=max_size)
+    cache: dict = {}
+    perms = {
+        s: folding.act(gy, folding.s_tilde(fold, s), cache) for s in connected_subdiagrams(x)
+    }
+    violations = []
+    for s in perms:
+        letters = folding.s_tilde(fold, s)
+        for a in range(len(letters)):
+            for b in range(a + 1, len(letters)):
+                pa, pb = cache[letters[a]], cache[letters[b]]
+                if compose(pa, pb) != compose(pb, pa):
+                    violations.append(
+                        {"relation": "letter-commute", "I": sorted(s), "J": sorted(letters[b])}
+                    )
+    return violations + relation_violations_by_loops(x, perms, identity_perm(gy))

@@ -6,7 +6,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from closure_oracle import edge_map, graph_from_edges, levi_by_undirected_search
+from closure_oracle import edge_map, graph_from_edges, levi_by_undirected_search, vertex_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
@@ -403,7 +403,8 @@ def test_relation_violations_match_loop_oracle(monkeypatch, t, lam):
 @pytest.mark.parametrize("t,lam", SHAPE_CASES)
 def test_xi_full_diagram_matches_schutzenberger_closed_form(t, lam):
     g = generate(t, lam)
-    images = [g.find(schutzenberger(g.vertices[b])) for b in range(len(g))]
+    find = vertex_ids(g)
+    images = [find(schutzenberger(p)) for p in g.vertices]
     assert images == list(xi_perm(g, all_nodes(t)))
 
 
@@ -411,7 +412,8 @@ def test_schutzenberger_closed_form_rejects_swapped_images():
     g = generate(C2, (1, 1))
     perm = list(xi_perm(g, all_nodes(C2)))
     perm[0], perm[1] = perm[1], perm[0]
-    images = [g.find(schutzenberger(g.vertices[b])) for b in range(len(g))]
+    find = vertex_ids(g)
+    images = [find(schutzenberger(p)) for p in g.vertices]
     assert [b for b in range(len(g)) if images[b] != perm[b]] == [0, 1]
 
 

@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from closure_oracle import vertex_ids
 from fold_oracle import (
     check_orbit_structure,
     check_root_identity,
     fold_table,
     solve_gamma,
     verify_commutative_diagram_by_paths,
+    verify_virtual_relations_by_index_loops,
     verify_virtualization_on_target,
 )
 from test_acceptance import SIZE_CASES, VIRT_CASES
@@ -16,6 +19,7 @@ from pathcrystals.cartan import (
     DynkinType,
     all_nodes,
     cartan_matrix,
+    connected_subdiagrams,
     symmetrizer,
     theta,
     weyl_dim,
@@ -412,7 +416,8 @@ def test_virtualization_image_size_c2():
     assert weyl_dim(fold.y_type, psi_weight(fold, (1, 0))) == 15
     gx = generate(fold.x_type, (1, 0))
     gy = generate(fold.y_type, psi_weight(fold, (1, 0)))
-    images = {gy.find(virtualize_path(fold, p)) for p in gx.vertices}
+    find = vertex_ids(gy)
+    images = {find(virtualize_path(fold, p)) for p in gx.vertices}
     assert None not in images and len(images) == 4
 
 
@@ -475,11 +480,8 @@ def test_virtual_relations_pass(name, lam):
     assert verify_virtual_relations(folding_pair(name), lam) == []
 
 
-def test_virtual_relation_violations_carry_witness(monkeypatch):
-    # shifting the values of the induced permutation for {1} cyclically breaks
-    # all three source relations: its square, its commutation with {3}, and
-    # its conjugation by the full generator
-    fold = folding_pair("C3")
+def _shifted_word_of_one(monkeypatch, fold):
+    # the values of the induced permutation for {1} shifted cyclically
     broken_word = s_tilde(fold, {1})
 
     def corrupted(graph, word, perms=None):
@@ -489,6 +491,24 @@ def test_virtual_relation_violations_carry_witness(monkeypatch):
         return perm
 
     monkeypatch.setattr(folding, "act", corrupted)
+
+
+def _adjacent_letters_for_one(monkeypatch, fold):
+    # an induced word for {1} made of the target letters {1} and {2}
+    real = folding.s_tilde
+
+    def adjacent(fold, nodes):
+        return (frozenset({1}), frozenset({2})) if set(nodes) == {1} else real(fold, nodes)
+
+    monkeypatch.setattr(folding, "s_tilde", adjacent)
+
+
+def test_virtual_relation_violations_carry_witness(monkeypatch):
+    # shifting the values of the induced permutation for {1} cyclically breaks
+    # all three source relations: its square, its commutation with {3}, and
+    # its conjugation by the full generator
+    fold = folding_pair("C3")
+    _shifted_word_of_one(monkeypatch, fold)
     lam = (1, 0, 0)
     report = verify_virtual_relations(fold, lam)
     size = weyl_dim(fold.y_type, psi_weight(fold, lam))
@@ -499,12 +519,7 @@ def test_virtual_relation_violations_carry_witness(monkeypatch):
 def test_virtual_relations_report_letters_that_do_not_commute(monkeypatch):
     # an induced word for {1} made of the adjacent A3 letters {1} and {2}
     fold = folding_pair("C2")
-    real = folding.s_tilde
-
-    def adjacent(fold, nodes):
-        return (frozenset({1}), frozenset({2})) if set(nodes) == {1} else real(fold, nodes)
-
-    monkeypatch.setattr(folding, "s_tilde", adjacent)
+    _adjacent_letters_for_one(monkeypatch, fold)
     report = verify_virtual_relations(fold, (1, 0))
     assert [r for r in report if r["relation"] == "letter-commute"] == [
         {"relation": "letter-commute", "I": [1], "J": [2]}
@@ -538,6 +553,28 @@ def test_folding_verifiers_pass_above_rank_four(name, lam, target, size):
     assert verify_commutative_diagram(fold, lam) == []
 
 
+# the folding workload of the benchmark: every weight of each symmetry class
+# whose target has 15 to 200 vertices, and the pinned F4 case
+FOLDING_WORKLOAD_CASES = [
+    ("B2", (0, 1)),
+    ("C2", (1, 0)),
+    ("B2", (1, 0)),
+    ("C2", (0, 1)),
+    ("B3", (1, 0, 0)),
+    ("C3", (1, 0, 0)),
+    ("B3", (0, 0, 1)),
+    ("B2", (0, 2)),
+    ("C2", (2, 0)),
+    ("B2", (2, 0)),
+    ("C2", (0, 2)),
+    ("B2", (1, 1)),
+    ("C2", (1, 1)),
+    ("C3", (0, 0, 1)),
+    ("C3", (0, 1, 0)),
+    ("F4", (0, 0, 0, 1)),
+]
+
+
 DIAGRAM_ORACLE_CASES = VIRTUALIZATION_CASES + [
     ("C2", (1, 1)),
     ("B3", (0, 1, 0)),
@@ -545,7 +582,10 @@ DIAGRAM_ORACLE_CASES = VIRTUALIZATION_CASES + [
 ]
 
 
-@pytest.mark.parametrize("name,lam", DIAGRAM_ORACLE_CASES)
+@pytest.mark.parametrize(
+    "name,lam",
+    DIAGRAM_ORACLE_CASES + [c for c in FOLDING_WORKLOAD_CASES if c not in DIAGRAM_ORACLE_CASES],
+)
 def test_commutative_diagram_matches_path_oracle(name, lam):
     fold = folding_pair(name)
     assert verify_commutative_diagram(fold, lam) == verify_commutative_diagram_by_paths(
@@ -622,32 +662,49 @@ def test_commutative_diagram_reports_a_left_inverse_off_the_image(monkeypatch):
     assert report == [{"check": "left-inverse", "vertex": b} for b in range(4)]
 
 
-# the folding workload of the benchmark: every weight of each symmetry class
-# whose target has 15 to 200 vertices, and the pinned F4 case
-FOLDING_WORKLOAD_CASES = [
-    ("B2", (0, 1)),
-    ("C2", (1, 0)),
-    ("B2", (1, 0)),
-    ("C2", (0, 1)),
-    ("B3", (1, 0, 0)),
-    ("C3", (1, 0, 0)),
-    ("B3", (0, 0, 1)),
-    ("B2", (0, 2)),
-    ("C2", (2, 0)),
-    ("B2", (2, 0)),
-    ("C2", (0, 2)),
-    ("B2", (1, 1)),
-    ("C2", (1, 1)),
-    ("C3", (0, 0, 1)),
-    ("C3", (0, 1, 0)),
-    ("F4", (0, 0, 0, 1)),
-]
+FULL_TARGET_CASES = sorted(set(DIAGRAM_ORACLE_CASES + FOLDING_WORKLOAD_CASES))
 
 
-@pytest.mark.parametrize("name,lam", sorted(set(DIAGRAM_ORACLE_CASES + FOLDING_WORKLOAD_CASES)))
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
 def test_virtualization_matches_full_target_oracle(name, lam):
     fold = folding_pair(name)
     assert verify_virtualization(fold, lam) == verify_virtualization_on_target(fold, lam)
+
+
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_virtual_relations_match_index_loop_oracle(name, lam):
+    fold = folding_pair(name)
+    assert verify_virtual_relations(fold, lam) == verify_virtual_relations_by_index_loops(
+        fold, lam
+    )
+
+
+@pytest.mark.parametrize("patch", [_shifted_word_of_one, _adjacent_letters_for_one])
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_virtual_relations_match_index_loop_oracle_on_broken_words(
+    monkeypatch, patch, name, lam
+):
+    # a corrupted letter permutation and a word of letters that need not
+    # commute: both checkers report the same records, in the same order
+    fold = folding_pair(name)
+    patch(monkeypatch, fold)
+    report = verify_virtual_relations(fold, lam)
+    assert report and report == verify_virtual_relations_by_index_loops(fold, lam)
+
+
+def test_virtual_relations_compute_each_induced_word_once(monkeypatch):
+    # one s_tilde call per connected source subdiagram: the letter pairs are
+    # read off the same words as the permutations
+    fold = folding_pair("C3")
+    real, calls = folding.s_tilde, Counter()
+
+    def counted(fold, nodes):
+        calls[frozenset(nodes)] += 1
+        return real(fold, nodes)
+
+    monkeypatch.setattr(folding, "s_tilde", counted)
+    assert verify_virtual_relations(fold, (1, 0, 0)) == []
+    assert calls == Counter(connected_subdiagrams(fold.x_type))
 
 
 def _one_more_step(real, fold, lam):
@@ -774,7 +831,8 @@ def test_dropping_a_letter_falsifies_action():
     fold = folding_pair("C2")
     gy = generate(fold.y_type, psi_weight(fold, (1, 0)))
     gx = generate(fold.x_type, (1, 0))
-    image = {gy.find(virtualize_path(fold, p)) for p in gx.vertices}
+    find = vertex_ids(gy)
+    image = {find(virtualize_path(fold, p)) for p in gx.vertices}
     cache = {}
     broken = act(gy, [frozenset({1})], cache)
     assert {broken[v] for v in image} != image

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from closure_oracle import vertex_ids
 from tableau_oracle import (
     evacuate,
     intervals,
@@ -113,7 +114,8 @@ def test_diagram_target_side_matches_evacuation(name, lam):
     gx = generate(fold.x_type, lam)
     gy = generate(fold.y_type, psi_weight(fold, lam))
     tabs = tableaux(gy)
-    image = [gy.find(virtualize_path(fold, p)) for p in gx.vertices]
+    find = vertex_ids(gy)
+    image = [find(virtualize_path(fold, p)) for p in gx.vertices]
     for sub in connected_subdiagrams(fold.x_type):
         source_perm = xi_perm(gx, sub)
         for b in range(len(gx)):
