@@ -141,6 +141,8 @@ def cmd_crystal(args) -> int:
     lam = _parse_weight(t, args.weight)
     max_size = _parse_int(args.max_size, "max size")
     colors = None if args.levi is None else _parse_nodes(t, args.levi) if args.levi else frozenset()
+    if colors is not None and args.export == "dot":
+        raise ConfigurationError("--export dot does not apply to --levi, which prints JSON")
     graph = generate(t, lam, max_size=max_size)
     if colors is not None:
         view = levi(graph, colors)

@@ -13,7 +13,7 @@ source Cartan matrix.  The identity psi(alpha_i) = gamma_i * sum of the
 target simple roots over sigma(i) is the one construction check, in full, so
 the orientation conventions cannot drift.
 
-Path virtualization applies psi breakpoint-wise.  Virtual root operators for
+Path virtualization applies psi direction-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
 sigma(i).  Verifiers check exhaustively that virtualization intertwines the
 operators on the source model, with target membership decided by raising
@@ -149,35 +149,35 @@ def psi_weight(fold: FoldingPair, mu):
 
 
 def virtualize_path(fold: FoldingPair, path: PLPath) -> PLPath:
-    """Push a source path to the target lattice, breakpoint by breakpoint."""
+    """Push a source path to the target lattice, direction by direction."""
     if path.rtype != fold.x_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.x_type}")
-    points = tuple(psi_weight(fold, p) for p in path.points)
-    return canonicalize(PLPath(fold.y_type, path.den, path.times, points))
+    dirs = tuple(psi_weight(fold, d) for d in path.dirs)
+    return canonicalize(PLPath(fold.y_type, path.den, path.times, path.vden, dirs))
 
 
 def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
-    """Left inverse of virtualization, by exact per-breakpoint solve.
+    """Left inverse of virtualization, by exact per-direction solve.
 
     Each source coordinate is read off one representative target coordinate
-    divided by the scaling exponent; the remaining coordinates must agree or
-    the path is not in the image.  The denominator is multiplied by the lcm
-    of the scaling exponents, so the division stays integral.
+    divided by the scaling exponent; the others must agree, and the error
+    names the end of the first direction where they do not: the first
+    breakpoint outside the image, as paths start at the origin.  vden is
+    multiplied by the lcm of the scaling exponents, so the division is exact.
     """
     if path.rtype != fold.y_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.y_type}")
     nodes = fold.x_type.nodes
     scale = lcm(*(fold.gamma(i) for i in nodes))
     out = []
-    for t, p in zip(path.times, path.points):
-        if any(len({p[j - 1] for j in fold.sigma(i)}) > 1 for i in nodes):
+    for t, d in zip(path.times[1:], path.dirs):
+        if any(len({d[j - 1] for j in fold.sigma(i)}) > 1 for i in nodes):
             time = Fraction(t, path.den)
             raise NotInImageError(f"breakpoint at t={time} is outside the embedded lattice")
         out.append(
-            tuple(p[min(fold.sigma(i)) - 1] * (scale // fold.gamma(i)) for i in nodes)
+            tuple(d[min(fold.sigma(i)) - 1] * (scale // fold.gamma(i)) for i in nodes)
         )
-    times = tuple(t * scale for t in path.times)
-    return canonicalize(PLPath(fold.x_type, path.den * scale, times, tuple(out)))
+    return canonicalize(PLPath(fold.x_type, path.den, path.times, path.vden * scale, tuple(out)))
 
 
 def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):
@@ -272,8 +272,8 @@ def _embedding(fold: FoldingPair, lam, max_size):
 def _membership(fold: FoldingPair, lam, max_size):
     """Lookup: q if the target path q is in B(psi(lam)), else None.  A walk
     raises q by the first defined root_e, colors ascending, to a path with a
-    verdict and passes it on to every path it visits.  It fails off the origin,
-    at a non-integral or another dominant path, or past <psi(lam) - wt(q),
+    verdict and passes it on to every path it visits.  It fails at a
+    non-integral or another dominant path, or past <psi(lam) - wt(q),
     rho^vee> steps.  DomainError at the (max_size + 1)-th path."""
     y, top = fold.y_type, psi_weight(fold, lam)
     rho2 = _two_rho_vee(y)
@@ -281,9 +281,9 @@ def _membership(fold: FoldingPair, lam, max_size):
     cap = inf if max_size is None else max_size
 
     def lookup(q):
-        twice = sum(r * (a * q.den - c) for r, a, c in zip(rho2, top, q.points[-1]))
-        budget = twice // (2 * q.den)
-        walk, p = [], None if any(q.points[0]) else q
+        twice = sum(r * (a * q.den * q.vden - c) for r, a, c in zip(rho2, top, q.points[-1]))
+        budget = twice // (2 * q.den * q.vden)
+        walk, p = [], q
         while p is not None and p not in known and len(walk) < budget and is_integral(p):
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")

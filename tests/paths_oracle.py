@@ -16,14 +16,25 @@ package had them before they shared the operators' input checks: they take
 the minimum of the coordinate function and guard its integrality, and check
 neither the color nor the origin.  value evaluates a path pointwise.
 
-The two-pass integer kernel that the package's one-pass rewrite replaced is
-kept at the end, on the package's PLPath values: two_pass_root_f and
-two_pass_root_e check their input as the package does, then _crossing
-rescales the whole path when the level is crossed between breakpoints,
-_reflect rebuilds every point, and _reduced drops collinear breakpoints with
-any(genexpr) and divides by the gcd of den and every entry.
-two_pass_canonicalize is _reduced after the same input checks, and
-compressed_is_integral builds each color's list of distinct heights.
+The package stored paths as integer breakpoints over one denominator before
+it stored them in Littelmann's LS form, and its two integer kernels on that
+form are kept at the end, on PointsPath records of their own; points_form
+gives a package path's record.  Both check their input as the package did,
+the origin included.  The one-pass kernel, one_pass_root_f and
+one_pass_root_e, finds the crossing and rewrites the path in one pass: it
+scales every point when the crossing falls between breakpoints, reflects the
+window and translates the tail by one precomputed multiple of alpha_i, then
+_one_pass_reduced walks the breakpoints once and drops those where the
+velocity, compared by cross-multiplication, does not change.
+one_pass_canonicalize and one_pass_is_integral are the package's canonical
+form and integrality test of that time.  The two-pass kernel that the
+one-pass rewrite replaced, two_pass_root_f and two_pass_root_e, runs
+_crossing, which rescales the whole path when the level is crossed between
+breakpoints, then _reflect, which rebuilds every point, and _reduced, which
+drops collinear breakpoints with any(genexpr) and divides by the gcd of den
+and every entry.  two_pass_canonicalize is _reduced after the same input
+checks, and compressed_is_integral builds each color's list of distinct
+heights.
 """
 
 from collections import deque
@@ -31,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import sub
 
-from pathcrystals.cartan import DynkinType, cartan_matrix, simple_root
+from pathcrystals.cartan import DynkinType, _columns, cartan_matrix, simple_root
 from pathcrystals.errors import DomainError, ModelIntegrityError
-from pathcrystals.paths import PLPath, _validate
 
 
 @dataclass(frozen=True)
@@ -283,7 +294,47 @@ def closure(t, lam):
     return vertices, f_edges, e_edges
 
 
-def _check_origin(path: PLPath) -> None:
+@dataclass(frozen=True, slots=True)
+class PointsPath:
+    """A path in the breakpoint form: breakpoint k is (times[k] / den,
+    points[k] / den) with integer times and integer point tuples."""
+
+    rtype: DynkinType
+    den: int
+    times: tuple
+    points: tuple
+
+    @property
+    def breakpoints(self) -> tuple:
+        return tuple(
+            (Fraction(t, self.den), tuple(Fraction(c, self.den) for c in p))
+            for t, p in zip(self.times, self.points)
+        )
+
+
+def points_form(path) -> PointsPath:
+    """A package path's record in lowest terms: its points and its times over
+    den * vden, all divided by their gcd with that denominator.  Two package
+    paths have equal records iff they have the same breakpoints."""
+    times, points = [t * path.vden for t in path.times], path.points
+    g = gcd(path.den * path.vden, *times, *chain.from_iterable(points))
+    points = tuple(tuple(c // g for c in p) for p in points)
+    return PointsPath(path.rtype, path.den * path.vden // g, tuple(t // g for t in times), points)
+
+
+def _validate(path: PointsPath) -> None:
+    times = path.times
+    if len(times) < 2:
+        raise DomainError("a path needs at least two breakpoints")
+    if times[0] != 0 or times[-1] != path.den:
+        raise DomainError("path must be parametrized over [0, 1]")
+    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        raise DomainError("breakpoint times must be strictly increasing")
+    if any(len(p) != path.rtype.rank for p in path.points):
+        raise DomainError("breakpoint coordinates must have length rank")
+
+
+def _check_origin(path: PointsPath) -> None:
     if any(path.points[0]):
         raise DomainError("path must start at the origin")
 
@@ -294,7 +345,7 @@ def _guard_int(x: int, den: int, what: str) -> int:
     return x // den
 
 
-def _heights(path: PLPath, i: int):
+def _heights(path: PointsPath, i: int):
     if i not in path.rtype.nodes:
         raise DomainError(f"node {i} not in {path.rtype}")
     _check_origin(path)
@@ -304,7 +355,7 @@ def _heights(path: PLPath, i: int):
     return h, m
 
 
-def _reduced(rtype, den, times, points) -> PLPath:
+def _reduced(rtype, den, times, points) -> PointsPath:
     kept = [0]
     for k in range(1, len(times) - 1):
         dt0, dt1 = times[k] - times[k - 1], times[k + 1] - times[k]
@@ -319,10 +370,10 @@ def _reduced(rtype, den, times, points) -> PLPath:
         den //= g
         times = tuple(t // g for t in times)
         points = tuple(tuple(c // g for c in p) for p in points)
-    return PLPath(rtype, den, times, points)
+    return PointsPath(rtype, den, times, points)
 
 
-def _crossing(path: PLPath, h, k, level):
+def _crossing(path: PointsPath, h, k, level):
     for j in (k, k + 1):
         if h[j] == level:
             return path.den, path.times, path.points, j
@@ -337,7 +388,7 @@ def _crossing(path: PLPath, h, k, level):
     return path.den * rise, times, points, k + 1
 
 
-def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PLPath:
+def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PointsPath:
     alpha = [row[i - 1] for row in cartan_matrix(rtype)]
     h_a = points[a][i - 1]
     out = list(points[: a + 1])
@@ -349,13 +400,115 @@ def _reflect(rtype, den, times, points, i: int, a: int, b: int) -> PLPath:
     return _reduced(rtype, den, times, out)
 
 
-def two_pass_canonicalize(path: PLPath) -> PLPath:
+def _one_pass_reduced(rtype, den, times, points) -> PointsPath:
+    dropped = []
+    t1, t2, p1, p2 = times[0], times[1], points[0], points[1]
+    for k in range(2, len(times)):
+        t0, t1, t2, p0, p1, p2 = t1, t2, times[k], p1, p2, points[k]
+        dt0, dt1 = t1 - t0, t2 - t1
+        for a, b, c in zip(p0, p1, p2):
+            if (b - a) * dt1 != (c - b) * dt0:
+                break
+        else:
+            dropped.append(k - 1)
+    if dropped:
+        times, points = list(times), list(points)
+        for k in reversed(dropped):
+            del times[k], points[k]
+    if (g := gcd(den, *times)) > 1 and (g := gcd(g, *chain.from_iterable(points))) > 1:
+        den //= g
+        times = [t // g for t in times]
+        points = [tuple([c // g for c in p]) for p in points]
+    return PointsPath(rtype, den, tuple(times), tuple(points))
+
+
+def _one_pass_rewrite(path: PointsPath, i: int, level: int, k: int, j: int) -> PointsPath:
+    den, times, points = path.den, path.times, path.points
+    x = i - 1
+    alpha = _columns(path.rtype)[x]
+    p0, p1 = points[k], points[k + 1]
+    h_j = points[j][x]
+    ref, shift = (h_j, level - h_j) if j <= k else (level, h_j - level)
+    rise, step = p1[x] - p0[x], level - p0[x]
+    if step == 0 or step == rise:
+        c = k + (step == rise)
+    else:
+        if rise < 0:
+            rise, step = -rise, -step
+        t0, t1 = times[k], times[k + 1]
+        g = gcd(rise, step * gcd(t1 - t0, *map(sub, p1, p0)))
+        r = rise // g
+        crossing = tuple([u * r + step * (v - u) // g for u, v in zip(p0, p1)])
+        if r > 1:
+            den, ref, shift = den * r, ref * r, shift * r
+            times = [t * r for t in times]
+            points = [tuple([v * r for v in p]) for p in points]
+        times = [*times[: k + 1], t0 * r + step * (t1 - t0) // g, *times[k + 1 :]]
+        points = [*points[: k + 1], crossing, *points[k + 1 :]]
+        c, j = k + 1, j + (j > k)
+    a, b = (j, c) if j < c else (c, j)
+    out = list(points[: a + 1])
+    for p in points[a + 1 : b]:
+        d = p[x] - ref
+        out.append(tuple([v - d * y for v, y in zip(p, alpha)]))
+    moved = tuple([shift * y for y in alpha])
+    out += [tuple(map(sub, p, moved)) for p in points[b:]]
+    return _one_pass_reduced(path.rtype, den, times, out)
+
+
+def one_pass_canonicalize(path: PointsPath) -> PointsPath:
+    _validate(path)
+    _check_origin(path)
+    return _one_pass_reduced(path.rtype, path.den, path.times, path.points)
+
+
+def one_pass_root_f(path: PointsPath, i: int) -> PointsPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if h[-1] < level:
+        return None
+    ka = len(h) - 1
+    while h[ka] != m:
+        ka -= 1
+    k = ka
+    while h[k + 1] < level:
+        k += 1
+    return _one_pass_rewrite(path, i, level, k, ka)
+
+
+def one_pass_root_e(path: PointsPath, i: int) -> PointsPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den
+    if level > 0:
+        return None
+    kb = h.index(m)
+    k = kb - 1
+    while h[k] < level:
+        k -= 1
+    return _one_pass_rewrite(path, i, level, k, kb)
+
+
+def one_pass_is_integral(path: PointsPath) -> bool:
+    den, points = path.den, path.points
+    for x in range(path.rtype.rank):
+        low = mid = points[0][x]  # the last two distinct heights
+        for p in points:
+            if p[x] != mid:
+                if low > mid < p[x] and mid % den:
+                    return False
+                low, mid = mid, p[x]
+        if mid % den:
+            return False
+    return True
+
+
+def two_pass_canonicalize(path: PointsPath) -> PointsPath:
     _validate(path)
     _check_origin(path)
     return _reduced(path.rtype, path.den, path.times, path.points)
 
 
-def two_pass_root_f(path: PLPath, i: int) -> PLPath | None:
+def two_pass_root_f(path: PointsPath, i: int) -> PointsPath | None:
     h, m = _heights(path, i)
     level = m + path.den
     if h[-1] < level:
@@ -368,7 +521,7 @@ def two_pass_root_f(path: PLPath, i: int) -> PLPath | None:
     return _reflect(path.rtype, den, times, points, i, ka, kb)
 
 
-def two_pass_root_e(path: PLPath, i: int) -> PLPath | None:
+def two_pass_root_e(path: PointsPath, i: int) -> PointsPath | None:
     h, m = _heights(path, i)
     level = m + path.den
     if level > 0:
@@ -382,7 +535,7 @@ def two_pass_root_e(path: PLPath, i: int) -> PLPath | None:
     return _reflect(path.rtype, den, times, points, i, ka, kb)
 
 
-def compressed_is_integral(path: PLPath) -> bool:
+def compressed_is_integral(path: PointsPath) -> bool:
     den = path.den
     for i in path.rtype.nodes:
         compressed = [path.points[0][i - 1]]

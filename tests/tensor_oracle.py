@@ -10,11 +10,11 @@ epsilon_i and phi_i are the string lengths along the e_to and f_to lists of
 two generated crystals of the smaller weights.  The signature rule, in
 Kashiwara's convention, lowers a pair (x, y) as f_i x (x) y if
 phi_i(x) > epsilon_i(y) and as x (x) f_i y otherwise; the pair has no
-f_i-edge when the chosen factor has none.  mismatch walks the graph of
+f_i-edge when the chosen factor has none.  pairing walks the graph of
 weight lam1 + lam2 breadth-first down its f-edges from vertex 0, which it
 pairs with (0, 0), and requires the same defined and undefined f_i on both
-sides and a one-to-one pairing of all vertices.  It reads edges only, never
-paths.
+sides and a one-to-one pairing of all vertices; mismatch is its verdict.
+Both read edges only, never paths.
 """
 
 from collections import deque
@@ -33,10 +33,11 @@ def _string_lengths(step) -> list:
     return lengths
 
 
-def mismatch(graph, first, second):
-    """None if graph is the component of (0, 0) in first (x) second, else a
-    record {"vertex", "color"} of the first place where they differ (color
-    None when vertices are left over)."""
+def pairing(graph, first, second):
+    """({vertex: (x, y)}, None) if graph is the component of (0, 0) in
+    first (x) second, else the pairing so far and a record {"vertex",
+    "color"} of the first place where they differ (color None when vertices
+    are left over)."""
     nodes = graph.rtype.nodes
     phi = {i: _string_lengths(first.f_to[i]) for i in nodes}
     eps = {i: _string_lengths(second.e_to[i]) for i in nodes}
@@ -61,7 +62,13 @@ def mismatch(graph, first, second):
                 pair_of[w], vertex_of[q] = q, w
                 queue.append(w)
             elif w is None or pair_of.get(w) != q:
-                return {"vertex": v, "color": i}
+                return pair_of, {"vertex": v, "color": i}
     if len(pair_of) != len(graph):
-        return {"vertex": min(set(range(len(graph))) - set(pair_of)), "color": None}
-    return None
+        return pair_of, {"vertex": min(set(range(len(graph))) - set(pair_of)), "color": None}
+    return pair_of, None
+
+
+def mismatch(graph, first, second):
+    """None if graph is the component of (0, 0) in first (x) second, else the
+    record of pairing at the first place where they differ."""
+    return pairing(graph, first, second)[1]

@@ -9,7 +9,8 @@ import pytest
 from closure_oracle import edge_map, graph_from_edges, levi_by_undirected_search, vertex_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES
+from tensor_oracle import pairing
+from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES, _crystal
 from xi_oracle import (
     _f_words,
     levi_by_vertex_scan,
@@ -415,6 +416,67 @@ def test_schutzenberger_closed_form_rejects_swapped_images():
     find = vertex_ids(g)
     images = [find(schutzenberger(p)) for p in g.vertices]
     assert [b for b in range(len(g)) if images[b] != perm[b]] == [0, 1]
+
+
+def _first_split(lam):
+    """lam = lam1 + lam2, with lam1 the first nonzero entry of lam alone."""
+    k = next(k for k, c in enumerate(lam) if c)
+    first = tuple(c if j == k else 0 for j, c in enumerate(lam))
+    return first, tuple(c - x for c, x in zip(lam, first))
+
+
+def _reversal_xi(t, lam, involution):
+    """xi on B(lam) read off the Henriques-Kamnitzer reversal
+    x (x) y -> xi(y) (x) xi(x), which maps the Cartan component of
+    B(lam1) (x) B(lam2) onto that of B(lam2) (x) B(lam1), highest to lowest:
+    xi = iota'^-1 o rev o iota, with iota and iota' the tensor oracle's
+    pairings and involution(graph) on the factors only.  None where the
+    reversal leaves the Cartan component."""
+    g, (lam1, lam2) = _crystal(t, lam), _first_split(lam)
+    first, second = _crystal(t, lam1), _crystal(t, lam2)
+    iota, fault = pairing(g, first, second)
+    iota_prime, fault_prime = pairing(g, second, first)
+    assert fault is None and fault_prime is None
+    vertex_of = {pair: v for v, pair in iota_prime.items()}
+    xi1, xi2 = involution(first), involution(second)
+    return [vertex_of.get((xi2[y], xi1[x])) for x, y in map(iota.get, range(len(g)))]
+
+
+REVERSAL_CASES = [
+    (C2, (1, 1)),
+    (C3, (1, 1, 1)),
+    (DynkinType("C", 4), (1, 0, 0, 1)),
+    (B3, (1, 0, 1)),
+    (B3, (1, 1, 1)),
+    (G2, (1, 1)),
+    (G2, (2, 2)),
+    (DynkinType("F", 4), (1, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("t,lam", REVERSAL_CASES)
+def test_xi_full_diagram_matches_tensor_reversal(t, lam):
+    # an oracle for xi on the source types B, C, F4 and G2 that reads xi on
+    # the two smaller factors only
+    def schutzenberger_perm(graph):
+        return xi_perm(graph, all_nodes(t))
+
+    expected = _reversal_xi(t, lam, schutzenberger_perm)
+    assert expected == list(xi_perm(_crystal(t, lam), all_nodes(t)))
+
+
+@pytest.mark.parametrize(
+    "t,lam,count", [(C2, (1, 1), 16), (DynkinType("F", 4), (1, 0, 0, 1), 1046)]
+)
+def test_tensor_reversal_rejects_an_identity_involution_on_the_factors(t, lam, count):
+    # with the identity in place of xi on the factors, the reversal is the
+    # flip x (x) y -> y (x) x, which mismatches xi on nearly every vertex
+    def identity(graph):
+        return range(len(graph))
+
+    got = _reversal_xi(t, lam, identity)
+    xi_full = xi_perm(_crystal(t, lam), all_nodes(t))
+    assert sum(a != b for a, b in zip(got, xi_full)) == count
 
 
 # every (type, dominant weight with entries 0-2) whose crystal has at most

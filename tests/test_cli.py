@@ -344,12 +344,17 @@ def _generate_refused(t, lam, max_size=None):
             ["crystal", "A2", "1,1", "--levi", "3", "--max-size", "7"],
             "node set '3' not contained in A2",
         ),
+        (
+            ["crystal", "A2", "1,0", "--levi", "1", "--export", "dot"],
+            "--export dot does not apply to --levi, which prints JSON",
+        ),
     ],
-    ids=["vertex", "vertex-past-cap", "levi", "levi-past-cap"],
+    ids=["vertex", "vertex-past-cap", "levi", "levi-past-cap", "levi-dot"],
 )
 def test_vertex_and_levi_are_refused_before_generation(monkeypatch, capsys, argv, message):
     # the vertex count is the Weyl dimension, so neither needs the crystal;
-    # both now come before the size cap's error
+    # both now come before the size cap's error.  --levi prints JSON only,
+    # so a DOT request with it is refused rather than dropped
     monkeypatch.setattr(cli, "generate", _generate_refused)
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction as F
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from pathcrystals.cartan import (
     all_nodes,
     cartan_matrix,
     connected_subdiagrams,
+    reflect,
     symmetrizer,
     theta,
     weyl_dim,
@@ -303,9 +305,17 @@ def test_devirtualize_of_straight_image():
 
 
 def test_devirtualize_rejects_off_image_path():
+    # the error names the first breakpoint outside the image: the end of the
+    # first direction outside it, as the path starts at the origin; the A3
+    # path below leaves the image at t=2/3 and is back in it at t=1
     fold = folding_pair("C2")
-    with pytest.raises(NotInImageError):
+    message = "^breakpoint at t={} is outside the embedded lattice$"
+    with pytest.raises(NotInImageError, match=message.format(1)):
         devirtualize(fold, straight_path(fold.y_type, (1, 0, 0)))
+    bps = [(0, (0, 0, 0)), (F(1, 3), (F(1, 3), 0, F(1, 3))), (F(2, 3), (F(2, 3), 0, F(1, 3)))]
+    path = PLPath.from_breakpoints(fold.y_type, [*bps, (1, (F(2, 3), 0, F(2, 3)))])
+    with pytest.raises(NotInImageError, match=message.format("2/3")):
+        devirtualize(fold, path)
 
 
 def test_virtual_operators_intertwine_c2():
@@ -665,6 +675,59 @@ def test_commutative_diagram_reports_a_left_inverse_off_the_image(monkeypatch):
 FULL_TARGET_CASES = sorted(set(DIAGRAM_ORACLE_CASES + FOLDING_WORKLOAD_CASES))
 
 
+def _weyl_orbit(t, lam) -> set:
+    """W.lam, the closure of lam under the simple reflections."""
+    orbit, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for i in t.nodes:
+            if (nu := reflect(t, mu, i)) not in orbit:
+                orbit.add(nu)
+                todo.append(nu)
+    return orbit
+
+
+def _ls_form_faults(path, orbit) -> list:
+    """How a path fails to be a reduced LS path of the orbit's weight: a
+    direction denominator, two equal adjacent directions, a direction
+    outside the orbit."""
+    dirs = path.dirs
+    faults = ["vden"] if path.vden != 1 else []
+    if any(d == e for d, e in zip(dirs, dirs[1:])):
+        faults.append("adjacent")
+    if not orbit.issuperset(dirs):
+        faults.append("orbit")
+    return faults
+
+
+def _ls_form_models():
+    """Every model of SIZE_CASES, and the source and target of every folding
+    case whose target tier-1 generates."""
+    cases = [(t, lam) for t, lam, _ in SIZE_CASES]
+    above = [(name, lam) for name, lam, _, _ in ABOVE_RANK_FOUR]
+    for name, lam in FULL_TARGET_CASES + VIRT_CASES + above:
+        fold = folding_pair(name)
+        cases += [(fold.x_type, lam), (fold.y_type, psi_weight(fold, lam))]
+    return list(dict.fromkeys(cases))
+
+
+@pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
+def test_generated_paths_are_reduced_ls_paths(t, lam):
+    # the LS form is built for this traffic: integral directions in W.lam,
+    # one per segment
+    orbit = _weyl_orbit(t, lam)
+    faults = [(b, _ls_form_faults(p, orbit)) for b, p in enumerate(generate(t, lam).vertices)]
+    assert not [fault for fault in faults if fault[1]][:3]
+
+
+def test_ls_form_check_flags_a_direction_off_the_orbit():
+    t, lam = DynkinType("C", 2), (1, 1)
+    p = next(p for p in generate(t, lam).vertices if len(p.dirs) > 1)
+    off = PLPath(t, p.den, p.times, p.vden, (tuple(2 * c for c in p.dirs[0]), *p.dirs[1:]))
+    assert _ls_form_faults(p, _weyl_orbit(t, lam)) == []
+    assert _ls_form_faults(off, _weyl_orbit(t, lam)) == ["orbit"]
+
+
 @pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
 def test_virtualization_matches_full_target_oracle(name, lam):
     fold = folding_pair(name)
@@ -734,11 +797,6 @@ def _to_zero(q):
     return straight_path(q.rtype, (0,) * q.rtype.rank)
 
 
-def _off_origin(q):
-    # an integral path translated by minus every fundamental weight
-    return PLPath(q.rtype, q.den, q.times, tuple(tuple(c - q.den for c in p) for p in q.points))
-
-
 VIRTUALIZATION_PATCHES = {
     **{
         f"{name}-{check}": (
@@ -752,7 +810,6 @@ VIRTUALIZATION_PATCHES = {
     "string-scaling-phi": ("phi", _one_more_step),
     "image-membership": ("virtualize_path", lambda real, fold, lam: _off_lattice),
     "image-membership-at-zero": ("virtualize_path", _bent_images(_to_zero)),
-    "image-membership-off-origin": ("virtualize_path", _bent_images(_off_origin)),
     "injectivity": ("virtualize_path", _merging),
 }
 

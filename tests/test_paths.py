@@ -81,7 +81,7 @@ def test_straight_path_equals_the_validating_constructor(name):
     for lam in itertools.product(range(4), repeat=t.rank):
         p = straight_path(t, lam)
         assert p == PLPath.from_breakpoints(t, ((0, (0,) * t.rank), (1, lam))), lam
-        assert all(type(c) is int for c in (p.den, *p.times, *p.points[0], *p.points[1]))
+        assert all(type(c) is int for c in (p.den, *p.times, p.vden, *p.dirs[0]))
 
 
 @pytest.mark.parametrize(
@@ -392,7 +392,7 @@ def _crosses_between_breakpoints(p, i, op):
     strictly between two breakpoints, so the operator inserts a breakpoint."""
     h = [q[i - 1] for q in p.points]
     m = min(h)
-    level = m + p.den
+    level = m + p.den * p.vden
     if op == "root_f":
         if h[-1] < level:
             return False
@@ -451,19 +451,32 @@ def _exact_outcome(op, *args):
         return type(exc), str(exc)
 
 
+def _points(outcome):
+    """A path through its points_form record; None and an exception's type
+    and message as they are."""
+    if outcome is None or type(outcome) is tuple:
+        return outcome
+    return paths_oracle.points_form(outcome)
+
+
 def _match_two_pass(p):
-    """Each one-pass operator, canonicalize and is_integral against the
-    two-pass kernel they replaced, on p and every color of its type."""
+    """Each operator, canonicalize and is_integral against the one-pass
+    breakpoint kernel, through the points in lowest terms, and that kernel
+    against the two-pass one it replaced, on p and every color of its type."""
+    q = paths_oracle.points_form(p)
     for i in p.rtype.nodes:
-        for op, oracle in (
-            (root_f, paths_oracle.two_pass_root_f),
-            (root_e, paths_oracle.two_pass_root_e),
+        for op, one_pass, two_pass in (
+            (root_f, paths_oracle.one_pass_root_f, paths_oracle.two_pass_root_f),
+            (root_e, paths_oracle.one_pass_root_e, paths_oracle.two_pass_root_e),
         ):
-            assert _exact_outcome(op, p, i) == _exact_outcome(oracle, p, i), (p, i, op)
-    assert _exact_outcome(canonicalize, p) == _exact_outcome(
-        paths_oracle.two_pass_canonicalize, p
-    )
-    assert is_integral(p) == paths_oracle.compressed_is_integral(p)
+            expected = _exact_outcome(one_pass, q, i)
+            assert _exact_outcome(two_pass, q, i) == expected, (p, i, op)
+            assert _points(_exact_outcome(op, p, i)) == expected, (p, i, op)
+    expected = _exact_outcome(paths_oracle.one_pass_canonicalize, q)
+    assert _exact_outcome(paths_oracle.two_pass_canonicalize, q) == expected
+    assert _points(_exact_outcome(canonicalize, p)) == expected
+    expected = paths_oracle.one_pass_is_integral(q)
+    assert is_integral(p) == expected == paths_oracle.compressed_is_integral(q)
 
 
 @pytest.mark.parametrize("t,lam", TWO_PASS_CASES)
@@ -478,10 +491,10 @@ def _fractions(denominators):
 
 @st.composite
 def rational_paths(draw):
-    """Paths with strictly increasing times from 0 to 1 and small rational
-    points, mostly integral.  A drawn split adds a collinear breakpoint, so
-    the path need not be canonical; one in eight does not start at the
-    origin, which both operators must reject with DomainError."""
+    """A type and breakpoints with strictly increasing times from 0 to 1 and
+    small rational points, mostly integral.  A drawn split adds a collinear
+    breakpoint, so the path need not be reduced; one in eight does not start
+    at the origin, which PLPath.from_breakpoints must refuse."""
     t = draw(st.sampled_from([A1, A2, C2, G2, DynkinType("B", 3)]))
     inner = draw(st.lists(_fractions([2, 3, 4, 5, 6]), max_size=4, unique=True))
     times = [F(0)] + sorted(x for x in inner if 0 < x < 1) + [F(1)]
@@ -494,7 +507,7 @@ def rational_paths(draw):
             t0, p0 = bps[-1]
             bps.append(((t0 + time) / 2, tuple((a + b) / 2 for a, b in zip(p0, point))))
         bps.append((time, point))
-    return PLPath.from_breakpoints(t, bps)
+    return t, bps
 
 
 def _outcome(op, p, i):
@@ -504,34 +517,60 @@ def _outcome(op, p, i):
         return type(exc)
 
 
+def _scaled(p, a, b):
+    """p over a times den and b times vden: pointwise equal, not reduced if a
+    or b is above 1."""
+    dirs = tuple(tuple(b * c for c in d) for d in p.dirs)
+    return PLPath(p.rtype, a * p.den, tuple(a * x for x in p.times), b * p.vden, dirs)
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(rational_paths())
-def test_root_operators_match_oracle_on_random_paths(p):
+@given(rational_paths(), st.integers(1, 3), st.integers(1, 3))
+def test_root_operators_match_oracle_on_random_paths(case, a, b):
+    t, bps = case
+    if any(bps[0][1]):
+        with pytest.raises(DomainError, match="^path must start at the origin$"):
+            PLPath.from_breakpoints(t, bps)
+        return
+    p = _scaled(PLPath.from_breakpoints(t, bps), a, b)
     for i in p.rtype.nodes:
-        if any(p.points[0]):
-            assert _outcome(root_f, p, i) is DomainError
-            assert _outcome(root_e, p, i) is DomainError
-        else:
-            assert _outcome(root_f, p, i) == _outcome(paths_oracle.root_f, p, i)
-            assert _outcome(root_e, p, i) == _outcome(paths_oracle.root_e, p, i)
-    # against the two-pass kernel, also off the origin: equal results, or the
-    # same exception with the same message
+        assert _outcome(root_f, p, i) == _outcome(paths_oracle.root_f, p, i)
+        assert _outcome(root_e, p, i) == _outcome(paths_oracle.root_e, p, i)
+    # against the breakpoint kernels: equal results, or the same exception
+    # with the same message
+    _match_two_pass(p)
+
+
+@pytest.mark.parametrize(
+    "p,reduced",
+    [
+        # the straight A1 path of weight 1 with a breakpoint at 1/2: dropping
+        # it leaves times (0, 2) over den 2, which reduce to (0, 1) over 1
+        (PLPath(A1, 2, (0, 1, 2), 1, ((1,), (1,))), straight_path(A1, (1,))),
+        (PLPath(A1, 2, (0, 1, 2), 2, ((2,), (2,))), straight_path(A1, (1,))),
+        (
+            PLPath(A2, 4, (0, 2, 4), 2, ((2, 0), (-2, 2))),
+            PLPath(A2, 2, (0, 1, 2), 1, ((1, 0), (-1, 1))),
+        ),
+    ],
+)
+def test_unreduced_paths_match_the_breakpoint_kernels(p, reduced):
+    assert canonicalize(p) == reduced
     _match_two_pass(p)
 
 
 def test_operators_reject_paths_off_the_origin():
-    # the A1 path from -1 to 1: root_e's window search would run off its
-    # start, so both operators check the origin first, as canonicalize does;
-    # the string statistics share that check, so the A2 path from (-1, 0) to
-    # (1, 0) gets no numbers either
+    # the A1 path from -1 to 1 and the A2 path from (-1, 0) to (1, 0): a path
+    # starts at the origin by construction, so neither its constructor nor
+    # path JSON builds these, and the operators need no check of their own
     for t, start, end in ((A1, (-1,), (1,)), (A2, (-1, 0), (1, 0))):
-        p = PLPath.from_breakpoints(t, ((0, start), (1, end)))
-        with pytest.raises(DomainError, match="origin"):
-            canonicalize(p)
-        for op in (root_f, root_e, epsilon, phi):
-            for i in t.nodes:
-                with pytest.raises(DomainError, match="origin"):
-                    op(p, i)
+        bps = ((0, start), (1, end))
+        with pytest.raises(DomainError, match="^path must start at the origin$"):
+            PLPath.from_breakpoints(t, bps)
+        rational = tuple((F(time), tuple(map(F, point))) for time, point in bps)
+        data = paths_oracle.path_to_json(paths_oracle.FPath(t, rational))
+        with pytest.raises(DomainError, match="^path must start at the origin$"):
+            path_from_json(t, data)
 
 
 def test_operators_reject_colors_outside_the_type():

@@ -29,16 +29,11 @@ def test_raising_undoes_lowering(case):
 
 
 def _refined(p: PLPath, k: int) -> PLPath:
-    """The same path over k times the denominator, each segment cut into k
-    collinear pieces: pointwise equal to p, never reduced."""
-    times, points = [], []
-    for (t0, p0), (t1, p1) in zip(zip(p.times, p.points), zip(p.times[1:], p.points[1:])):
-        for j in range(k):
-            times.append(k * t0 + j * (t1 - t0))
-            points.append(tuple(k * a + j * (b - a) for a, b in zip(p0, p1)))
-    times.append(k * p.times[-1])
-    points.append(tuple(k * c for c in p.points[-1]))
-    return PLPath(p.rtype, k * p.den, tuple(times), tuple(points))
+    """The same path over k times each denominator, each segment cut into k
+    pieces of one direction: pointwise equal to p, never reduced."""
+    times = [k * t0 + j * (t1 - t0) for t0, t1 in zip(p.times, p.times[1:]) for j in range(k)]
+    dirs = tuple(tuple(k * c for c in d) for d in p.dirs for _ in range(k))
+    return PLPath(p.rtype, k * p.den, (*times, k * p.den), k * p.vden, dirs)
 
 
 @PROPERTY

@@ -263,7 +263,6 @@ def schutzenberger(path: PLPath) -> PLPath:
     """The canonical path t -> theta(path(1 - t) - path(1))."""
     t = path.rtype
     source = [theta(t, all_nodes(t))[k] - 1 for k in t.nodes]
-    end = path.points[-1]
-    times = tuple(path.den - x for x in reversed(path.times))
-    points = tuple(tuple(q[j] - end[j] for j in source) for q in reversed(path.points))
-    return canonicalize(PLPath(t, path.den, times, points))
+    end = path.breakpoints[-1][1]
+    bps = [(1 - s, tuple(q[j] - end[j] for j in source)) for s, q in reversed(path.breakpoints)]
+    return canonicalize(PLPath.from_breakpoints(t, bps))
