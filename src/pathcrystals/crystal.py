@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import mul
+from operator import add, mul, sub
 
 from .cartan import (
     DynkinType,
@@ -170,13 +170,13 @@ def verify_seminormal(graph: CrystalGraph) -> list:
             if w is not None:
                 if e_i[w] != v:
                     flag("mutual-inverse", v, i)
-                if weights[w] != tuple(x - a for x, a in zip(wt, alpha)):
+                if weights[w] != tuple(map(sub, wt, alpha)):
                     flag("weight-ladder-f", v, i)
             u = e_i[v]
             if u is not None:
                 if f_i[u] != v:
                     flag("mutual-inverse", v, i)
-                if weights[u] != tuple(x + a for x, a in zip(wt, alpha)):
+                if weights[u] != tuple(map(add, wt, alpha)):
                     flag("weight-ladder-e", v, i)
             eps = _string_length(e_i, v, limit)
             ph = _string_length(f_i, v, limit)

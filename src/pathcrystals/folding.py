@@ -45,6 +45,7 @@ from .crystal import DEFAULT_MAX_SIZE, generate
 from .errors import ConfigurationError, DomainError, ModelIntegrityError, NotInImageError
 from .paths import (
     PLPath,
+    _endpoint,
     canonicalize,
     epsilon,
     is_integral,
@@ -281,7 +282,7 @@ def _membership(fold: FoldingPair, lam, max_size):
     cap = inf if max_size is None else max_size
 
     def lookup(q):
-        twice = sum(r * (a * q.den * q.vden - c) for r, a, c in zip(rho2, top, q.points[-1]))
+        twice = sum(r * (a * q.den * q.vden - c) for r, a, c in zip(rho2, top, _endpoint(q)))
         budget = twice // (2 * q.den * q.vden)
         walk, p = [], q
         while p is not None and p not in known and len(walk) < budget and is_integral(p):

@@ -9,22 +9,26 @@ one integer direction (velocity) per segment over a second denominator vden
 segment lengths, so it starts at the origin by construction.  The package
 only produces reduced paths (adjacent directions differ, and den and vden
 each have gcd 1 with their entries), so dataclass equality is pointwise
-equality.  All arithmetic is exact and on integers.  The lowering and raising
-operators use the non-recursive three-piece formulas: each finds its window
-of the coordinate function, splits the segment where the window ends inside
-it, and reflects the window's directions by s_i, so the tail moves by
-alpha_i without being touched; the result is reduced once.  They agree with
-the classical path operators on models whose coordinate functions have
-integral local minima; generation asserts that property for every path it
-accepts.
+equality; the hash leaves out the type.  All arithmetic is exact and on
+integers.  The lowering and raising operators use the non-recursive
+three-piece formulas: each finds its window of the coordinate function,
+splits the segment where the window ends inside it, and reflects the
+window's directions by s_i, each read from a memo per type and color that
+holds at most the distinct directions reflected (W.lam per model lam), so
+the tail moves by alpha_i without being touched; the result is reduced
+once.  They agree with the classical path operators on models whose
+coordinate functions have integral local minima; generation asserts that
+property for every path it accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
+from operator import mul, sub
 
 from .cartan import DynkinType, _check_node, _columns
 from .errors import DomainError, ModelIntegrityError
@@ -36,7 +40,7 @@ class PLPath:
     times[k] / den to times[k + 1] / den with velocity dirs[k] / vden, for
     integer times and integer direction tuples."""
 
-    rtype: DynkinType
+    rtype: DynkinType = field(hash=False)  # equality still compares it
     den: int
     times: tuple
     vden: int
@@ -49,7 +53,7 @@ class PLPath:
         rank or a first point off the origin."""
         bps = [(Fraction(t), tuple(Fraction(c) for c in p)) for t, p in breakpoints]
         times = [t for t, _ in bps]
-        _validate(rtype, 1, times, [p for _, p in bps])
+        _validate(rtype, 1, times, 1, [p for _, p in bps])
         if any(bps[0][1]):
             raise DomainError("path must start at the origin")
         segments = zip(bps, bps[1:])
@@ -78,7 +82,9 @@ class PLPath:
         )
 
 
-def _validate(rtype: DynkinType, den, times, vectors) -> None:
+def _validate(rtype: DynkinType, den, times, vden, vectors) -> None:
+    if type(vden) is not int or vden < 1:
+        raise DomainError(f"direction denominator {vden!r} is not a positive int")
     if len(times) < 2:
         raise DomainError("a path needs at least two breakpoints")
     if times[0] != 0 or times[-1] != den:
@@ -89,11 +95,10 @@ def _validate(rtype: DynkinType, den, times, vectors) -> None:
         raise DomainError("breakpoint coordinates must have length rank")
 
 
-def _reduced(rtype, den, times, vden, dirs) -> PLPath:
+def _reduced(rtype, den, times: list, vden, dirs: list) -> PLPath:
     """Drop each breakpoint where the direction does not change, then divide
     den and the times, and vden and the directions, by their gcds; the
-    directions are read only if vden > 1."""
-    times, dirs = list(times), list(dirs)
+    directions are read only if vden > 1.  Edits the caller's lists."""
     for k in range(len(dirs) - 1, 0, -1):
         if dirs[k] == dirs[k - 1]:
             del times[k], dirs[k]
@@ -110,8 +115,8 @@ def canonicalize(path: PLPath) -> PLPath:
     """Reduced representation: adjacent directions differ, and den and vden
     each have gcd 1 with their entries.  Two paths are pointwise equal iff
     their canonical forms coincide."""
-    _validate(path.rtype, path.den, path.times, path.dirs)
-    return _reduced(path.rtype, path.den, path.times, path.vden, path.dirs)
+    _validate(path.rtype, path.den, path.times, path.vden, path.dirs)
+    return _reduced(path.rtype, path.den, list(path.times), path.vden, list(path.dirs))
 
 
 def paths_equal(a: PLPath, b: PLPath) -> bool:
@@ -131,9 +136,15 @@ def straight_path(t: DynkinType, lam) -> PLPath:
     return PLPath(t, 1, (0, 1), 1, (lam,))
 
 
+def _endpoint(path: PLPath) -> list:
+    """The endpoint over den * vden: directions times segment lengths, summed."""
+    lengths = list(map(sub, path.times[1:], path.times))
+    return [sum(map(mul, c, lengths)) for c in zip(*path.dirs)]
+
+
 def weight_int(path: PLPath) -> tuple:
     """Endpoint as an integer vector; raises if it is not integral."""
-    scale, end = path.den * path.vden, path.points[-1]
+    scale, end = path.den * path.vden, _endpoint(path)
     if any(c % scale for c in end):
         raise ModelIntegrityError("non-integral path weight")
     return tuple(c // scale for c in end)
@@ -195,13 +206,19 @@ def _heights(path: PLPath, i: int):
     return h, m
 
 
+@cache
+def _reflections(t: DynkinType) -> tuple:
+    """Per color of t, alpha_i and a memo d -> s_i(d) of the directions seen."""
+    return tuple(({}, alpha) for alpha in _columns(t))
+
+
 def _rewrite(path: PLPath, i: int, h, level: int, k: int, j: int) -> PLPath:
     """The operator's output, reduced once.  H crosses level on segment k;
     each direction d from breakpoint j to the crossing if j <= k (root_f),
     else from the crossing to j (root_e), becomes s_i(d) = d - d[i] * alpha_i.
     A crossing inside segment k splits it, on the times scaled by the least r
     that keeps the new time integral; the directions and the tail stay."""
-    den, times, dirs = path.den, path.times, path.dirs
+    den, times, dirs = path.den, list(path.times), path.dirs
     x = i - 1
     step = level - h[k]
     if step == 0 or h[k + 1] == level:  # the crossing is breakpoint k or k + 1
@@ -212,12 +229,16 @@ def _rewrite(path: PLPath, i: int, h, level: int, k: int, j: int) -> PLPath:
         if r > 1:
             den *= r
             times = [t * r for t in times]
-        times = [*times[: k + 1], times[k] + step * r // dx, *times[k + 1 :]]
+        times.insert(k + 1, times[k] + step * r // dx)
         dirs = [*dirs[: k + 1], *dirs[k:]]
         c, j = k + 1, j + (j > k)
     a, b = (j, c) if j < c else (c, j)
-    alpha = _columns(path.rtype)[x]
-    window = [tuple([v - d[x] * y for v, y in zip(d, alpha)]) for d in dirs[a:b]]
+    memo, alpha = _reflections(path.rtype)[x]
+    window = []
+    for d in dirs[a:b]:
+        if (s := memo.get(d)) is None:
+            s = memo[d] = tuple([v - d[x] * y for v, y in zip(d, alpha)])
+        window.append(s)
     return _reduced(path.rtype, den, times, path.vden, [*dirs[:a], *window, *dirs[b:]])
 
 

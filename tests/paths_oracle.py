@@ -35,6 +35,13 @@ drops collinear breakpoints with any(genexpr) and divides by the gcd of den
 and every entry.  two_pass_canonicalize is _reduced after the same input
 checks, and compressed_is_integral builds each color's list of distinct
 heights.
+
+The package's first LS-form kernel is kept last, on the package's own
+paths: direct_root_f and direct_root_e find their windows as the package
+does (through its _heights), and _direct_rewrite computes each reflected
+direction d - d[i] * alpha_i afresh, where the package reads it from a memo
+per type and color; _direct_reduced copies the lists it is given.
+points_weight_int reads the endpoint off the last of the path's points.
 """
 
 from collections import deque
@@ -46,6 +53,7 @@ from operator import sub
 
 from pathcrystals.cartan import DynkinType, _columns, cartan_matrix, simple_root
 from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.paths import PLPath, _heights
 
 
 @dataclass(frozen=True)
@@ -548,3 +556,71 @@ def compressed_is_integral(path: PointsPath) -> bool:
             if low > mid < high and mid % den:
                 return False
     return True
+
+
+def _direct_reduced(rtype, den, times, vden, dirs) -> PLPath:
+    times, dirs = list(times), list(dirs)
+    for k in range(len(dirs) - 1, 0, -1):
+        if dirs[k] == dirs[k - 1]:
+            del times[k], dirs[k]
+    if den > 1 and (g := gcd(den, *times)) > 1:
+        den //= g
+        times = [t // g for t in times]
+    if vden > 1 and (g := gcd(vden, *chain.from_iterable(dirs))) > 1:
+        vden //= g
+        dirs = [tuple([c // g for c in d]) for d in dirs]
+    return PLPath(rtype, den, tuple(times), vden, tuple(dirs))
+
+
+def _direct_rewrite(path: PLPath, i: int, h, level: int, k: int, j: int) -> PLPath:
+    den, times, dirs = path.den, path.times, path.dirs
+    x = i - 1
+    step = level - h[k]
+    if step == 0 or h[k + 1] == level:
+        c = k + (step != 0)
+    else:
+        dx = dirs[k][x]
+        r = abs(dx) // gcd(step, dx)
+        if r > 1:
+            den *= r
+            times = [t * r for t in times]
+        times = [*times[: k + 1], times[k] + step * r // dx, *times[k + 1 :]]
+        dirs = [*dirs[: k + 1], *dirs[k:]]
+        c, j = k + 1, j + (j > k)
+    a, b = (j, c) if j < c else (c, j)
+    alpha = _columns(path.rtype)[x]
+    window = [tuple([v - d[x] * y for v, y in zip(d, alpha)]) for d in dirs[a:b]]
+    return _direct_reduced(path.rtype, den, times, path.vden, [*dirs[:a], *window, *dirs[b:]])
+
+
+def direct_root_f(path: PLPath, i: int) -> PLPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den * path.vden
+    if h[-1] < level:
+        return None
+    ka = len(h) - 1
+    while h[ka] != m:
+        ka -= 1
+    k = ka
+    while h[k + 1] < level:
+        k += 1
+    return _direct_rewrite(path, i, h, level, k, ka)
+
+
+def direct_root_e(path: PLPath, i: int) -> PLPath | None:
+    h, m = _heights(path, i)
+    level = m + path.den * path.vden
+    if level > 0:
+        return None
+    kb = h.index(m)
+    k = kb - 1
+    while h[k] < level:
+        k -= 1
+    return _direct_rewrite(path, i, h, level, k, kb)
+
+
+def points_weight_int(path: PLPath) -> tuple:
+    scale, end = path.den * path.vden, path.points[-1]
+    if any(c % scale for c in end):
+        raise ModelIntegrityError("non-integral path weight")
+    return tuple(c // scale for c in end)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from collections import Counter
 
+import paths_oracle
 import pytest
 from closure_oracle import vertex_ids
 from fold_oracle import (
@@ -726,6 +727,18 @@ def test_ls_form_check_flags_a_direction_off_the_orbit():
     off = PLPath(t, p.den, p.times, p.vden, (tuple(2 * c for c in p.dirs[0]), *p.dirs[1:]))
     assert _ls_form_faults(p, _weyl_orbit(t, lam)) == []
     assert _ls_form_faults(off, _weyl_orbit(t, lam)) == ["orbit"]
+
+
+@pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
+def test_path_kernel_matches_the_direct_reflection_oracle(t, lam):
+    # the operators read each reflected direction from a memo per type and
+    # color, and weight_int sums the directions; the oracle reflects every
+    # direction afresh and reads the last of the points
+    for p in generate(t, lam).vertices:
+        assert weight_int(p) == paths_oracle.points_weight_int(p), p
+        for i in t.nodes:
+            assert root_f(p, i) == paths_oracle.direct_root_f(p, i), (p, i)
+            assert root_e(p, i) == paths_oracle.direct_root_e(p, i), (p, i)
 
 
 @pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)

@@ -4,13 +4,15 @@ import random
 import re
 from fractions import Fraction
 
+import kernel_bench
 import paths_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
-from pathcrystals.cartan import DynkinType
+from pathcrystals import crystal, paths
+from pathcrystals.cartan import DynkinType, reflect, simple_root
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, psi_weight, virtual_e, virtual_f, virtualize_path
@@ -31,6 +33,7 @@ from pathcrystals.paths import (
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
+B2 = DynkinType("B", 2)
 C2 = DynkinType("C", 2)
 G2 = DynkinType("G", 2)
 
@@ -600,3 +603,66 @@ def test_virtual_operators_reject_colors_outside_the_source_type():
         for i in (0, 3, 1.0, True, "1"):
             with pytest.raises(DomainError, match=rf"^node {re.escape(repr(i))} not in C2$"):
                 op(fold, q, i)
+
+
+def test_reflection_memo_is_kept_per_type_and_color():
+    # A2, B2, C2 and G2 have one rank and different simple roots, and their
+    # models share directions, such as the straight (1, 1).  Each path's data
+    # is read in all four types in turn, so a memo keyed by the direction
+    # alone would hand one type's reflection to the next.
+    paths._reflections.cache_clear()
+    data = {
+        (p.den, p.times, p.vden, p.dirs)
+        for t in (A2, B2, C2, G2)
+        for lam in ((1, 1), (2, 1), (1, 2))
+        for p in generate(t, lam).vertices
+    }
+    for path_data in sorted(data):
+        for t in (A2, B2, C2, G2):
+            p = PLPath(t, *path_data)
+            for i in t.nodes:
+                for op, oracle in (
+                    (root_f, paths_oracle.direct_root_f),
+                    (root_e, paths_oracle.direct_root_e),
+                ):
+                    assert _exact_outcome(op, p, i) == _exact_outcome(oracle, p, i), (p, i)
+    for t in (A2, B2, C2, G2):
+        for i, (memo, alpha) in zip(t.nodes, paths._reflections(t)):
+            assert memo and alpha == simple_root(t, i)
+            assert all(s == reflect(t, d, i) for d, s in memo.items()), (str(t), i)
+
+
+def test_paths_of_two_types_with_the_same_data_are_two_keys():
+    # the hash leaves out the type; equality does not
+    a, g = PLPath(A2, 1, (0, 1), 1, ((1, 1),)), PLPath(G2, 1, (0, 1), 1, ((1, 1),))
+    assert a != g and hash(a) == hash(g)
+    index = {a: "A2", g: "G2"}
+    assert len(index) == 2 and (index[a], index[g]) == ("A2", "G2")
+    assert hash(canonicalize(a)) == hash(a)
+
+
+def test_paths_equal_refuses_a_negative_direction_denominator():
+    # pointwise equal paths: with vden -1 accepted, paths_equal said False
+    negative = PLPath(A1, 1, (0, 1), -1, ((-2,),))
+    positive = PLPath(A1, 1, (0, 1), 1, ((2,),))
+    assert negative.breakpoints == positive.breakpoints
+    with pytest.raises(DomainError, match="^direction denominator -1 is not a positive int$"):
+        paths_equal(negative, positive)
+
+
+@pytest.mark.parametrize("vden", [0, -1, True, 1.0])
+def test_canonicalize_refuses_a_direction_denominator_that_is_not_a_positive_int(vden):
+    # vden 0 was canonicalized, and breakpoints and weight_int then raised
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match=rf"^direction denominator {vden!r} is not"):
+        canonicalize(PLPath(A1, 1, (0, 1), vden, ((2,),)))
+
+
+def test_kernel_bench_counts_the_operator_calls():
+    report = kernel_bench.measure([("A2", (1, 1))], repeats=1)
+    assert list(report) == ["A2(1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
+    for label, f_calls, e_calls in (("generate", 16, 0), ("verify_seminormal", 0, 16)):
+        measured = report["A2(1, 1)"][label]
+        assert (measured["root_f"], measured["root_e"]) == (f_calls, e_calls), label
+        assert measured["median_ms"] >= 0
+    assert (crystal.root_f, crystal.root_e) == (root_f, root_e)
