@@ -38,14 +38,7 @@ from .cartan import (
     weyl_dim,
 )
 from .errors import DomainError, ModelIntegrityError
-from .paths import (
-    is_integral,
-    path_to_json,
-    root_e,
-    root_f,
-    straight_path,
-    weight_int,
-)
+from .paths import _integral_weight, _ratio, root_e, root_f, straight_path
 
 DEFAULT_MAX_SIZE = 20000
 
@@ -53,15 +46,16 @@ DEFAULT_MAX_SIZE = 20000
 class CrystalGraph:
     """Finite crystal with indexed path vertices and per-color edge lists:
     f_to[i][v] and e_to[i][v] are the targets of the color-i lowering and
-    raising edges at vertex v, or None where there is no edge."""
+    raising edges at vertex v, or None where there is no edge; weights[v]
+    is the weight of vertex v, as its builder computed it."""
 
-    def __init__(self, rtype, highest_weight, vertices, f_to, e_to):
+    def __init__(self, rtype, highest_weight, vertices, f_to, e_to, weights):
         self.rtype = rtype
         self.highest_weight = tuple(highest_weight)
         self.vertices = tuple(vertices)
         self.f_to = f_to
         self.e_to = e_to
-        self.weights = tuple(weight_int(p) for p in self.vertices)
+        self.weights = tuple(weights)
 
     def __len__(self):
         return len(self.vertices)
@@ -93,7 +87,8 @@ def _record_edge(targets, v, i, w):
 
 def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     """Generate the path model of highest weight lam by closure under the
-    lowering operators, checking that each f_i is injective."""
+    lowering operators, checking that each f_i is injective and weighing each
+    new path in the scan that checks its minima are integral."""
     lam = tuple(lam)
     dim = weyl_dim(t, lam)
     if max_size is not None and dim > max_size:
@@ -103,7 +98,7 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             size = f"at least 2**{dim.bit_length() - 1}"
         raise DomainError(f"crystal of size {size} exceeds the cap {max_size}")
     start = straight_path(t, lam)
-    vertices = [start]
+    vertices, weights = [start], [_integral_weight(start)]
     index = {start: 0}
     f_to = {i: [None] * dim for i in t.nodes}
     e_to = {i: [None] * dim for i in t.nodes}
@@ -114,7 +109,7 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
                 continue
             w = index.get(lowered)
             if w is None:
-                if not is_integral(lowered):
+                if (weight := _integral_weight(lowered)) is None:
                     raise ModelIntegrityError("generated path with non-integral minima")
                 w = len(vertices)
                 if w == dim:
@@ -122,6 +117,7 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
                         f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
                     )
                 vertices.append(lowered)
+                weights.append(weight)
                 index[lowered] = w
             f_to[i][v] = w
             _record_edge(e_to[i], w, i, v)
@@ -129,7 +125,7 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
         raise ModelIntegrityError(
             f"generated {len(vertices)} vertices but the Weyl dimension is {dim}"
         )
-    return CrystalGraph(t, lam, vertices, f_to, e_to)
+    return CrystalGraph(t, lam, vertices, f_to, e_to, weights)
 
 
 def _string_length(targets, v, limit):
@@ -347,30 +343,44 @@ _EDGE = _template({"from": "%d", "to": "%d", "color": "%d"}, 2)
 
 def export_json(graph: CrystalGraph) -> str:
     """Deterministic JSON export of the crystal graph: json.dumps(obj, indent=2)
-    byte for byte, for obj as in README "JSON formats" (paths by path_to_json,
-    edges in (from, color) order), rendered from one template per block."""
+    byte for byte, for obj as in README "JSON formats" (paths as by
+    path_to_json, edges in (from, color) order), joined from template blocks.
+    Each distinct breakpoint is rendered once a call, and its block is joined
+    in once per vertex that has it, with no string per vertex."""
     weights, paths = graph.weights, graph.vertices
     weight_sep, breakpoint_sep, pair_sep = "," + _NL[4], "," + _NL[5], "," + _NL[7]
-    pair = functools.cache(lambda num, den: _PAIR % (num, den))  # pairs repeat
+    head, tail = _VERTEX.rsplit("%s", 1)  # a vertex's block around its breakpoints
+    blocks = {}  # (t, den, den * vden, point) -> its _BREAKPOINT block
+    pair = functools.cache(lambda c, scale: _PAIR % tuple(_ratio(c, scale)))  # pairs repeat
+
+    def render(key):
+        t, den, scale, point = key
+        pairs = pair_sep.join([pair(c, scale) for c in point])
+        block = blocks[key] = _BREAKPOINT % (*_ratio(t, den), pairs)
+        return block
 
     def vertex(v):
-        breakpoints = [
-            _BREAKPOINT % (tn, td, pair_sep.join([pair(cn, cd) for cn, cd in coords]))
-            for tn, td, coords in path_to_json(paths[v])["breakpoints"]
-        ]
-        weight = weight_sep.join(map(str, weights[v]))
-        return _VERTEX % (v, weight, breakpoint_sep.join(breakpoints))
+        p = paths[v]
+        den, scale = p.den, p.den * p.vden
+        pieces = [head % (v, weight_sep.join(map(str, weights[v])))]
+        for t, point in zip(p.times, p.points):
+            key = (t, den, scale, point)
+            pieces += (blocks.get(key) or render(key), breakpoint_sep)
+        pieces[-1] = tail  # in place of the last separator
+        return pieces
 
     parts = ['{\n  "type": ', json.dumps(str(graph.rtype))]
-    for key, items in (
-        ("highest_weight", map(str, graph.highest_weight)),
+    for key, items in (  # each item a sequence of pieces
+        ("highest_weight", ((str(x),) for x in graph.highest_weight)),
         ("vertices", map(vertex, range(len(graph)))),
-        ("edges", (_EDGE % (v, w, i) for v, i, w in _edges(graph.f_to, len(graph)))),
+        ("edges", ((_EDGE % (v, w, i),) for v, i, w in _edges(graph.f_to, len(graph)))),
     ):
         parts.append(f',\n  "{key}": [')
         start = len(parts)
         for item in items:
-            parts += (_NL[2], item, ",")
+            parts.append(_NL[2])
+            parts += item
+            parts.append(",")
         if len(parts) > start:
             parts[-1] = _NL[1]  # in place of the last item's comma
         parts.append("]")

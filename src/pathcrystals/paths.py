@@ -18,7 +18,8 @@ holds at most the distinct directions reflected (W.lam per model lam), so
 the tail moves by alpha_i without being touched; the result is reduced
 once.  They agree with the classical path operators on models whose
 coordinate functions have integral local minima; generation asserts that
-property for every path it accepts.
+property for every path it accepts in _integral_weight, the one
+integrality scan, which returns the path's weight as it goes.
 """
 
 from __future__ import annotations
@@ -82,9 +83,13 @@ class PLPath:
         )
 
 
+def _refuse_vden(vden):
+    raise DomainError(f"direction denominator {vden!r} is not a positive int")
+
+
 def _validate(rtype: DynkinType, den, times, vden, vectors) -> None:
     if type(vden) is not int or vden < 1:
-        raise DomainError(f"direction denominator {vden!r} is not a positive int")
+        _refuse_vden(vden)
     if len(times) < 2:
         raise DomainError("a path needs at least two breakpoints")
     if times[0] != 0 or times[-1] != den:
@@ -159,51 +164,61 @@ def _guard_integer(x: int, den: int, what: str) -> int:
 def epsilon(path: PLPath, i: int) -> int:
     """Number of defined raising steps in color i (closed form: minus the
     minimum of the coordinate function)."""
-    _, m = _heights(path, i)
-    return -m // (path.den * path.vden)
+    _, m, scale = _heights(path, i)
+    return -m // scale
 
 
 def phi(path: PLPath, i: int) -> int:
     """Number of defined lowering steps in color i (closed form: endpoint
     value minus the minimum)."""
-    h, m = _heights(path, i)
-    return _guard_integer(h[-1] - m, path.den * path.vden, f"endpoint of H_{i} minus its minimum")
+    h, m, scale = _heights(path, i)
+    return _guard_integer(h[-1] - m, scale, f"endpoint of H_{i} minus its minimum")
 
 
-def is_integral(path: PLPath) -> bool:
-    """Whether every local minimum of every coordinate function is an integer
-    and the endpoint is an integral weight.  Generated models must satisfy
-    this; the operators are only the classical ones on such paths."""
-    scale, times = path.den * path.vden, path.times
+def _integral_weight(path: PLPath) -> tuple | None:
+    """The endpoint as an int tuple if it and every local minimum of every
+    coordinate function are integral, else None: the package's one
+    integrality scan, which generate makes once per new path."""
+    scale, times, weight = path.den * path.vden, path.times, []
     for x in range(path.rtype.rank):
         h, falling = 0, False  # H at the start of segment k; whether H last fell
         for k, d in enumerate(path.dirs):
             v = d[x]
             if v > 0:
                 if falling and h % scale:
-                    return False
+                    return None
                 falling = False
             elif v < 0:
                 falling = True
             h += v * (times[k + 1] - times[k])
         if h % scale:
-            return False
-    return True
+            return None
+        weight.append(h // scale)
+    return tuple(weight)
+
+
+def is_integral(path: PLPath) -> bool:
+    """Whether every local minimum of every coordinate function is an integer
+    and the endpoint is an integral weight.  Generated models must satisfy
+    this; the operators are only the classical ones on such paths."""
+    return _integral_weight(path) is not None
 
 
 def _heights(path: PLPath, i: int):
-    """H_i at every breakpoint, over den * vden, and its minimum, after the
-    input checks that the root operators and the string statistics share
-    (messages built on failure)."""
+    """H_i at every breakpoint, over scale = den * vden, its minimum and
+    scale, after the input checks that the root operators and the string
+    statistics share (messages built on failure)."""
     _check_node(path.rtype, i)
+    if type(vden := path.vden) is not int or vden < 1:
+        _refuse_vden(vden)
     x, times = i - 1, path.times
     h, height = [0], 0
     for k, d in enumerate(path.dirs):
         height += d[x] * (times[k + 1] - times[k])
         h.append(height)
-    if (m := min(h)) % (scale := path.den * path.vden):
+    if (m := min(h)) % (scale := path.den * vden):
         _guard_integer(m, scale, f"minimum of H_{i}")
-    return h, m
+    return h, m, scale
 
 
 @cache
@@ -250,8 +265,8 @@ def root_f(path: PLPath, i: int) -> PLPath | None:
     attains m and reflects the directions up to the first later time H
     reaches m + 1; the tail keeps its directions, so it moves by -alpha_i.
     """
-    h, m = _heights(path, i)
-    level = m + path.den * path.vden
+    h, m, scale = _heights(path, i)
+    level = m + scale
     if h[-1] < level:
         return None
     ka = len(h) - 1
@@ -270,8 +285,8 @@ def root_e(path: PLPath, i: int) -> PLPath | None:
     at most -1; reflects the directions between the last time H equals m + 1
     before its first minimum and that minimum, so the tail moves by +alpha_i.
     """
-    h, m = _heights(path, i)
-    level = m + path.den * path.vden
+    h, m, scale = _heights(path, i)
+    level = m + scale
     if level > 0:
         return None
     kb = h.index(m)

@@ -12,19 +12,23 @@ found by scanning the whole component.
 
 from collections import deque
 
+from pathcrystals import paths
 from pathcrystals.crystal import CrystalGraph
 from pathcrystals.errors import ModelIntegrityError
 from pathcrystals.paths import is_integral, root_e, root_f, straight_path
 
 
 def graph_from_edges(t, lam, vertices, f_edges, e_edges) -> CrystalGraph:
-    """A graph from {(v, i): w} maps of its lowering and raising edges."""
+    """A graph from {(v, i): w} maps of its lowering and raising edges, each
+    vertex weighed by paths.weight_int, looked up at call time so that a test
+    that patches that name drives the weights."""
     f_to = {i: [None] * len(vertices) for i in t.nodes}
     e_to = {i: [None] * len(vertices) for i in t.nodes}
     for edges, lists in ((f_edges, f_to), (e_edges, e_to)):
         for (v, i), w in edges.items():
             lists[i][v] = w
-    return CrystalGraph(t, lam, vertices, f_to, e_to)
+    weights = [paths.weight_int(p) for p in vertices]
+    return CrystalGraph(t, lam, vertices, f_to, e_to, weights)
 
 
 def edge_map(lists) -> dict:

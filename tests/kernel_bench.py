@@ -1,4 +1,5 @@
-"""In-process timing of the path kernel through generate and verify_seminormal.
+"""In-process timing of the path kernel through generate and verify_seminormal,
+and of the JSON export of the generated graph.
 
 Run as
 
@@ -7,13 +8,23 @@ Run as
 SRC is the src/ directory of the checkout to time (put first on sys.path;
 by default the package is imported as installed or from PYTHONPATH), and
 REPEATS the number of timed calls per measure (9 by default).  For each of
-the six models below it prints, as JSON, the vertex count and, for generate
-and for verify_seminormal of the generated graph, the median wall time of
-REPEATS calls in ms after one untimed warm-up call, and the number of
-root_f and root_e calls one more call makes.  The calls are counted by
-patching the names crystal.root_f and crystal.root_e, which both functions
-look up at call time; the timed calls run unpatched.  Times depend on the
-host; the counts do not.
+the six models below it prints, as JSON, the vertex count and, for generate,
+for verify_seminormal and for export_json of the generated graph, the
+median wall time of REPEATS calls in ms after one untimed warm-up call, and
+counts that one more call makes:
+
+- generate and verify_seminormal: the root_f and root_e calls; generate
+  also the path scans, the calls of whichever of crystal._integral_weight,
+  crystal.is_integral and crystal.weight_int the module binds (one per
+  vertex when each new path is weighed in the scan that checks it);
+- export_json: the _BREAKPOINT blocks rendered, counted through a str
+  subclass put in place of crystal._BREAKPOINT, and the breakpoints
+  exported, one per path time.
+
+All counts are taken by patching names of the crystal module, which the
+functions look up at call time; the timed calls run unpatched, and the
+script runs on checkouts that bind only some of the names.  Times depend
+on the host; the counts do not.
 """
 
 import json
@@ -41,14 +52,18 @@ def _median_ms(call, repeats: int) -> float:
     return round(1000 * statistics.median(times), 2)
 
 
-def _operator_calls(crystal, call) -> dict:
-    counts = {"root_f": 0, "root_e": 0}
+SCANS = ("_integral_weight", "is_integral", "weight_int")
+
+
+def _counted_calls(crystal, call, names) -> dict:
+    """{name: calls} of each of the names crystal binds while call() runs."""
+    counts = {name: 0 for name in names if hasattr(crystal, name)}
     real = {name: getattr(crystal, name) for name in counts}
 
     def counted(name):
-        def op(path, i):
+        def op(*args):
             counts[name] += 1
-            return real[name](path, i)
+            return real[name](*args)
 
         return op
 
@@ -62,9 +77,37 @@ def _operator_calls(crystal, call) -> dict:
     return counts
 
 
+def _operator_calls(crystal, call, scans: bool = False) -> dict:
+    counts = _counted_calls(crystal, call, ("root_f", "root_e") + (SCANS if scans else ()))
+    out = {"root_f": counts.pop("root_f"), "root_e": counts.pop("root_e")}
+    if scans:
+        out["path_scans"] = sum(counts.values())
+    return out
+
+
+def _export_counts(crystal, graph) -> dict:
+    rendered = 0
+
+    class Counted(str):
+        def __mod__(self, args):
+            nonlocal rendered
+            rendered += 1
+            return str.__mod__(self, args)
+
+    real = crystal._BREAKPOINT
+    try:
+        crystal._BREAKPOINT = Counted(real)
+        crystal.export_json(graph)
+    finally:
+        crystal._BREAKPOINT = real
+    return {"blocks_rendered": rendered, "breakpoints": sum(len(p.times) for p in graph.vertices)}
+
+
 def measure(models=MODELS, repeats: int = 9) -> dict:
-    """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...}}},
-    each inner dict holding median_ms, root_f and root_e."""
+    """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
+    "export_json": {...}}}, the first two inner dicts holding median_ms,
+    root_f and root_e (and generate path_scans), the last median_ms,
+    blocks_rendered and breakpoints."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
 
@@ -79,8 +122,12 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
         ):
             report[label] = {
                 "median_ms": _median_ms(call, repeats),
-                **_operator_calls(crystal, call),
+                **_operator_calls(crystal, call, scans=label == "generate"),
             }
+        report["export_json"] = {
+            "median_ms": _median_ms(lambda: crystal.export_json(graph), repeats),
+            **_export_counts(crystal, graph),
+        }
         out[f"{name}{lam}"] = report
     return out
 

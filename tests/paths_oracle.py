@@ -38,10 +38,14 @@ heights.
 
 The package's first LS-form kernel is kept last, on the package's own
 paths: direct_root_f and direct_root_e find their windows as the package
-does (through its _heights), and _direct_rewrite computes each reflected
+does, through its _heights (imported as _ls_heights: the breakpoint kernels
+have a _heights of their own), and _direct_rewrite computes each reflected
 direction d - d[i] * alpha_i afresh, where the package reads it from a memo
 per type and color; _direct_reduced copies the lists it is given.
-points_weight_int reads the endpoint off the last of the path's points.
+points_weight_int reads the endpoint off the last of the path's points,
+and integral_weight, the oracle of the package's one integrality scan,
+returns it where one_pass_is_integral holds on the path's points form and
+None elsewhere.
 """
 
 from collections import deque
@@ -53,7 +57,8 @@ from operator import sub
 
 from pathcrystals.cartan import DynkinType, _columns, cartan_matrix, simple_root
 from pathcrystals.errors import DomainError, ModelIntegrityError
-from pathcrystals.paths import PLPath, _heights
+from pathcrystals.paths import PLPath
+from pathcrystals.paths import _heights as _ls_heights
 
 
 @dataclass(frozen=True)
@@ -594,8 +599,8 @@ def _direct_rewrite(path: PLPath, i: int, h, level: int, k: int, j: int) -> PLPa
 
 
 def direct_root_f(path: PLPath, i: int) -> PLPath | None:
-    h, m = _heights(path, i)
-    level = m + path.den * path.vden
+    h, m, scale = _ls_heights(path, i)
+    level = m + scale
     if h[-1] < level:
         return None
     ka = len(h) - 1
@@ -608,8 +613,8 @@ def direct_root_f(path: PLPath, i: int) -> PLPath | None:
 
 
 def direct_root_e(path: PLPath, i: int) -> PLPath | None:
-    h, m = _heights(path, i)
-    level = m + path.den * path.vden
+    h, m, scale = _ls_heights(path, i)
+    level = m + scale
     if level > 0:
         return None
     kb = h.index(m)
@@ -624,3 +629,9 @@ def points_weight_int(path: PLPath) -> tuple:
     if any(c % scale for c in end):
         raise ModelIntegrityError("non-integral path weight")
     return tuple(c // scale for c in end)
+
+
+def integral_weight(path: PLPath) -> tuple | None:
+    if not one_pass_is_integral(points_form(path)):
+        return None
+    return points_weight_int(path)

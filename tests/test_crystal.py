@@ -15,7 +15,7 @@ from stembridge_oracle import violations as stembridge_violations
 from tensor_oracle import mismatch as tensor_mismatch
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
-from pathcrystals import crystal
+from pathcrystals import crystal, paths
 from pathcrystals.cartan import DynkinType, reflect, weyl_dim
 from pathcrystals.crystal import (
     export_dot,
@@ -26,7 +26,7 @@ from pathcrystals.crystal import (
 )
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, psi_weight
-from pathcrystals.paths import PLPath, path_from_json, straight_path
+from pathcrystals.paths import PLPath, path_from_json, straight_path, weight_int
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -245,17 +245,18 @@ def _sha256(text):
 def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     # the same search driven by the Fraction operators of tests/paths_oracle.py
     # gives the same vertices in the same order, the same edge maps, and the
-    # same JSON export when that export reads paths through the oracle too
+    # same JSON export when the export oracles read paths and weights through
+    # the Fraction oracle too (the package export reads the LS form itself)
     g = generate(t, lam)
     vertices, f_edges, e_edges = paths_oracle.closure(t, lam)
     assert [p.breakpoints for p in g.vertices] == [q.breakpoints for q in vertices]
     assert g.f_edges == f_edges and edge_map(g.e_to) == e_edges
     digest = _sha256(export_json(g))
-    monkeypatch.setattr(crystal, "path_to_json", paths_oracle.path_to_json)
-    monkeypatch.setattr(crystal, "weight_int", paths_oracle.weight_int)
+    monkeypatch.setattr(paths, "path_to_json", paths_oracle.path_to_json)
+    monkeypatch.setattr(paths, "weight_int", paths_oracle.weight_int)
     oracle = graph_from_edges(t, lam, vertices, f_edges, e_edges)
-    assert _sha256(export_json(oracle)) == digest
-    assert export_json(oracle) == export_oracle.export_json(oracle)
+    assert _sha256(export_oracle.export_json(oracle)) == digest
+    assert export_oracle.export_json_by_path(oracle) == export_oracle.export_json(oracle)
 
 
 def test_generate_stops_one_vertex_past_the_weyl_dimension(monkeypatch):
@@ -407,12 +408,36 @@ SHAPE_CASES = (
 )
 def test_exports_match_json_dumps_oracle(t, lam):
     # the templates against json.dumps(obj, indent=2) of the export object and
+    # against the renderer that rendered every breakpoint of every path, and
     # the DOT lines against the sorted edge map, byte for byte
     g = generate(t, lam)
+    assert g.weights == tuple(weight_int(p) for p in g.vertices)
     text = export_json(g)
-    assert text == export_oracle.export_json(g)
+    assert text == export_oracle.export_json(g) == export_oracle.export_json_by_path(g)
     assert export_dot(g) == export_oracle.export_dot(g)
     assert ('"edges": []' in text) == (len(g) == 1)
+
+
+def test_export_renders_each_distinct_breakpoint_once_per_call(monkeypatch):
+    # two graphs exported in turn in one process, and the first again: each
+    # call reduces each distinct breakpoint once and keeps nothing after it
+    # returns, so the third call reduces as much as the first
+    reduced = []
+    real = crystal._ratio
+    monkeypatch.setattr(crystal, "_ratio", lambda x, den: reduced.append(x) or real(x, den))
+    first, second = generate(C2, (1, 1)), generate(G2, (1, 1))
+    counts = []
+    for g in (first, second, first):
+        reduced.clear()
+        text = export_json(g)
+        assert text == export_oracle.export_json(g) == export_oracle.export_json_by_path(g)
+        distinct = {
+            (t, p.den, p.den * p.vden, q) for p in g.vertices for t, q in zip(p.times, p.points)
+        }
+        coordinates = {(c, scale) for _, _, scale, q in distinct for c in q}
+        assert len(reduced) == len(distinct) + len(coordinates)
+        counts.append(len(reduced))
+    assert counts[0] == counts[2]
 
 
 @pytest.mark.parametrize("t,lam", SHAPE_CASES)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from collections import Counter
 
+import export_oracle
 import paths_oracle
 import pytest
 from closure_oracle import vertex_ids
@@ -27,9 +28,9 @@ from pathcrystals.cartan import (
     theta,
     weyl_dim,
 )
-from pathcrystals import crystal, folding
+from pathcrystals import crystal, folding, paths
 from pathcrystals.cactus import act, compose
-from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
+from pathcrystals.crystal import DEFAULT_MAX_SIZE, export_json, generate
 from pathcrystals.errors import (
     ConfigurationError,
     DomainError,
@@ -732,13 +733,26 @@ def test_ls_form_check_flags_a_direction_off_the_orbit():
 @pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
 def test_path_kernel_matches_the_direct_reflection_oracle(t, lam):
     # the operators read each reflected direction from a memo per type and
-    # color, and weight_int sums the directions; the oracle reflects every
-    # direction afresh and reads the last of the points
-    for p in generate(t, lam).vertices:
+    # color, and weight_int and the integrality scan that weighs each new
+    # vertex sum the directions; the oracle reflects every direction afresh
+    # and reads the last of the points
+    g = generate(t, lam)
+    assert g.weights == tuple(weight_int(p) for p in g.vertices)
+    for p in g.vertices:
         assert weight_int(p) == paths_oracle.points_weight_int(p), p
+        assert paths._integral_weight(p) == paths_oracle.integral_weight(p) is not None, p
         for i in t.nodes:
             assert root_f(p, i) == paths_oracle.direct_root_f(p, i), (p, i)
             assert root_e(p, i) == paths_oracle.direct_root_e(p, i), (p, i)
+
+
+@pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
+def test_exports_of_folding_models_match_the_oracles(t, lam):
+    # each distinct breakpoint rendered once a call, against json.dumps of the
+    # export object and the renderer that rendered every breakpoint of every path
+    g = generate(t, lam)
+    text = export_json(g)
+    assert text == export_oracle.export_json(g) == export_oracle.export_json_by_path(g)
 
 
 @pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)

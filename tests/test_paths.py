@@ -480,6 +480,7 @@ def _match_two_pass(p):
     assert _points(_exact_outcome(canonicalize, p)) == expected
     expected = paths_oracle.one_pass_is_integral(q)
     assert is_integral(p) == expected == paths_oracle.compressed_is_integral(q)
+    assert paths._integral_weight(p) == paths_oracle.integral_weight(p)
 
 
 @pytest.mark.parametrize("t,lam", TWO_PASS_CASES)
@@ -658,6 +659,52 @@ def test_canonicalize_refuses_a_direction_denominator_that_is_not_a_positive_int
         canonicalize(PLPath(A1, 1, (0, 1), vden, ((2,),)))
 
 
+@pytest.mark.parametrize("op", [root_f, root_e, epsilon, phi], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("vden", [-1, 0, 1.5, True, 1.0])
+def test_operators_refuse_a_direction_denominator_that_is_not_a_positive_int(op, vden):
+    # the straight A1 path of weight 2 over vden -1 gave root_f times (0, -1, 2)
+    # and phi -2; vden 0 raised ZeroDivisionError; vden 1.5 made root_f raise
+    # TypeError and epsilon return 0.0
+    p = PLPath(A1, 1, (0, 1), vden, ((2,),))
+    message = rf"^direction denominator {vden!r} is not a positive int$"
+    with pytest.raises(DomainError, match=message):
+        op(p, 1)
+
+
+def _random_path(rng):
+    """A path from 0 to 1 through up to three random inner times, with
+    points of small rational coordinates over 1, 2 or 3, not reduced when
+    the scale factors drawn are above 1."""
+    t = rng.choice([A1, A2, C2, G2, DynkinType("B", 3)])
+    inner = sorted({Fraction(rng.randint(1, 5), 6) for _ in range(rng.randint(0, 3))})
+
+    def point():
+        return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in t.nodes)
+
+    bps = [(0, (0,) * t.rank)] + [(x, point()) for x in inner] + [(1, point())]
+    return _scaled(PLPath.from_breakpoints(t, bps), rng.randint(1, 3), rng.randint(1, 3))
+
+
+def test_integral_weight_matches_the_oracles_on_random_paths():
+    # the one scan against the breakpoint kernel's integrality test and the
+    # endpoint read off the points, on seeded paths of all three outcomes
+    rng, outcomes = random.Random(28), {}
+    for _ in range(600):
+        p = _random_path(rng)
+        weight = paths._integral_weight(p)
+        assert weight == paths_oracle.integral_weight(p), p
+        assert is_integral(p) == (weight is not None)
+        if weight is not None:
+            outcome = "integral"
+        elif any(c % (p.den * p.vden) for c in p.points[-1]):
+            outcome = "endpoint"
+        else:
+            outcome = "minimum"
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert set(outcomes) == {"integral", "endpoint", "minimum"}, outcomes
+    assert min(outcomes.values()) >= 30, outcomes
+
+
 def test_kernel_bench_counts_the_operator_calls():
     report = kernel_bench.measure([("A2", (1, 1))], repeats=1)
     assert list(report) == ["A2(1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
@@ -665,4 +712,12 @@ def test_kernel_bench_counts_the_operator_calls():
         measured = report["A2(1, 1)"][label]
         assert (measured["root_f"], measured["root_e"]) == (f_calls, e_calls), label
         assert measured["median_ms"] >= 0
+    # one scan per vertex, where weighing after the closure made 2n - 1; 11
+    # distinct breakpoints of the 18 that the 8 paths export
+    assert report["A2(1, 1)"]["generate"]["path_scans"] == 8
+    exported = report["A2(1, 1)"]["export_json"]
+    assert (exported["blocks_rendered"], exported["breakpoints"]) == (11, 18)
+    assert exported["median_ms"] >= 0
     assert (crystal.root_f, crystal.root_e) == (root_f, root_e)
+    assert crystal._integral_weight is paths._integral_weight
+    assert type(crystal._BREAKPOINT) is str
