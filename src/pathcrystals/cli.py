@@ -8,6 +8,7 @@ arithmetic is exact, so every export is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -99,15 +100,14 @@ def _folding_pair(text: str):
 
 
 def _emit(text: str, out=None) -> None:
+    """Write text, newline-terminated and flushed, to the file out or else to
+    stdout; a write that fails raises ConfigurationError."""
     end = "" if text.endswith("\n") else "\n"  # print writes it apart: no copy of text
-    if out:
-        try:
-            with open(out, "w") as handle:
-                print(text, end=end, file=handle)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        print(text, end=end)
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+            print(text, end=end, file=handle, flush=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 def cmd_info(args) -> int:

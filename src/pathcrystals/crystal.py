@@ -78,13 +78,6 @@ def _edges(lists, n):
     return ((v, i, t[v]) for v in range(n) for i, t in colors if t[v] is not None)
 
 
-def _record_edge(targets, v, i, w):
-    prev = targets[v]
-    if prev is not None and prev != w:
-        raise ModelIntegrityError(f"conflicting edge at {(v, i)}: {prev} vs {w}")
-    targets[v] = w
-
-
 def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     """Generate the path model of highest weight lam by closure under the
     lowering operators, checking that each f_i is injective and weighing each
@@ -120,7 +113,9 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
                 weights.append(weight)
                 index[lowered] = w
             f_to[i][v] = w
-            _record_edge(e_to[i], w, i, v)
+            if (prev := e_to[i][w]) is not None:  # (v, i) comes once: prev is not v
+                raise ModelIntegrityError(f"conflicting edge at {(w, i)}: {prev} vs {v}")
+            e_to[i][w] = v
     if len(vertices) != dim:
         raise ModelIntegrityError(
             f"generated {len(vertices)} vertices but the Weyl dimension is {dim}"

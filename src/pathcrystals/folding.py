@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
+from operator import mul, sub
 
 from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
@@ -45,7 +46,7 @@ from .crystal import DEFAULT_MAX_SIZE, generate
 from .errors import ConfigurationError, DomainError, ModelIntegrityError, NotInImageError
 from .paths import (
     PLPath,
-    _endpoint,
+    _integral_weight,
     canonicalize,
     epsilon,
     is_integral,
@@ -282,8 +283,8 @@ def _membership(fold: FoldingPair, lam, max_size):
     cap = inf if max_size is None else max_size
 
     def lookup(q):
-        twice = sum(r * (a * q.den * q.vden - c) for r, a, c in zip(rho2, top, _endpoint(q)))
-        budget = twice // (2 * q.den * q.vden)
+        weight = _integral_weight(q)
+        budget = 0 if weight is None else sum(map(mul, rho2, map(sub, top, weight))) // 2
         walk, p = [], q
         while p is not None and p not in known and len(walk) < budget and is_integral(p):
             if len(known) + len(walk) >= cap:

@@ -6,20 +6,23 @@ coordinate function of a path is the pairing of the moving point against
 alpha_i^vee.  A path stores integer break times over a denominator den and
 one integer direction (velocity) per segment over a second denominator vden
 (Littelmann, Invent. Math. 1994); its points are sums of directions times
-segment lengths, so it starts at the origin by construction.  The package
-only produces reduced paths (adjacent directions differ, and den and vden
-each have gcd 1 with their entries), so dataclass equality is pointwise
-equality; the hash leaves out the type.  All arithmetic is exact and on
-integers.  The lowering and raising operators use the non-recursive
-three-piece formulas: each finds its window of the coordinate function,
-splits the segment where the window ends inside it, and reflects the
-window's directions by s_i, each read from a memo per type and color that
-holds at most the distinct directions reflected (W.lam per model lam), so
-the tail moves by alpha_i without being touched; the result is reduced
-once.  They agree with the classical path operators on models whose
+segment lengths, so it starts at the origin by construction.  The record
+guards its own O(1) invariants when it is built (den and vden are positive
+ints, and there is one direction per segment), so no reader checks them
+again; weights are read off it here only, by the integrality scan or
+weight_int.  The package only produces reduced paths (adjacent directions
+differ, and den and vden each have gcd 1 with their entries), so dataclass
+equality is pointwise equality; the hash leaves out the type.  All
+arithmetic is exact and on integers.  The lowering and raising operators use
+the non-recursive three-piece formulas: each finds its window of the
+coordinate function, splits the segment where the window ends inside it, and
+reflects the window's directions by s_i, each read from a memo per type and
+color that holds at most the distinct directions reflected (W.lam per model
+lam), so the tail moves by alpha_i without being touched; the result is
+reduced once.  They agree with the classical path operators on models whose
 coordinate functions have integral local minima; generation asserts that
-property for every path it accepts in _integral_weight, the one
-integrality scan, which returns the path's weight as it goes.
+property for every path it accepts in _integral_weight, the one integrality
+scan, which returns the path's weight as it goes.
 """
 
 from __future__ import annotations
@@ -39,13 +42,23 @@ from .errors import DomainError, ModelIntegrityError
 class PLPath:
     """Piecewise-linear path in LS form: segment k runs from time
     times[k] / den to times[k + 1] / den with velocity dirs[k] / vden, for
-    integer times and integer direction tuples."""
+    integer times and integer direction tuples.  Building one refuses a den
+    or vden that is not a positive int, bools included, and a direction
+    count other than one per segment: the record's O(1) invariants."""
 
     rtype: DynkinType = field(hash=False)  # equality still compares it
     den: int
     times: tuple
     vden: int
     dirs: tuple
+
+    def __post_init__(self):
+        if type(den := self.den) is not int or den < 1:
+            raise DomainError(f"time denominator {den!r} is not a positive int")
+        if type(vden := self.vden) is not int or vden < 1:
+            raise DomainError(f"direction denominator {vden!r} is not a positive int")
+        if len(self.dirs) != len(self.times) - 1:
+            raise DomainError(f"{len(self.dirs)} directions for {len(self.times)} break times")
 
     @classmethod
     def from_breakpoints(cls, rtype: DynkinType, breakpoints) -> PLPath:
@@ -54,7 +67,7 @@ class PLPath:
         rank or a first point off the origin."""
         bps = [(Fraction(t), tuple(Fraction(c) for c in p)) for t, p in breakpoints]
         times = [t for t, _ in bps]
-        _validate(rtype, 1, times, 1, [p for _, p in bps])
+        _validate(rtype, 1, times, [p for _, p in bps])
         if any(bps[0][1]):
             raise DomainError("path must start at the origin")
         segments = zip(bps, bps[1:])
@@ -83,13 +96,7 @@ class PLPath:
         )
 
 
-def _refuse_vden(vden):
-    raise DomainError(f"direction denominator {vden!r} is not a positive int")
-
-
-def _validate(rtype: DynkinType, den, times, vden, vectors) -> None:
-    if type(vden) is not int or vden < 1:
-        _refuse_vden(vden)
+def _validate(rtype: DynkinType, den, times, vectors) -> None:
     if len(times) < 2:
         raise DomainError("a path needs at least two breakpoints")
     if times[0] != 0 or times[-1] != den:
@@ -120,7 +127,7 @@ def canonicalize(path: PLPath) -> PLPath:
     """Reduced representation: adjacent directions differ, and den and vden
     each have gcd 1 with their entries.  Two paths are pointwise equal iff
     their canonical forms coincide."""
-    _validate(path.rtype, path.den, path.times, path.vden, path.dirs)
+    _validate(path.rtype, path.den, path.times, path.dirs)
     return _reduced(path.rtype, path.den, list(path.times), path.vden, list(path.dirs))
 
 
@@ -141,15 +148,11 @@ def straight_path(t: DynkinType, lam) -> PLPath:
     return PLPath(t, 1, (0, 1), 1, (lam,))
 
 
-def _endpoint(path: PLPath) -> list:
-    """The endpoint over den * vden: directions times segment lengths, summed."""
-    lengths = list(map(sub, path.times[1:], path.times))
-    return [sum(map(mul, c, lengths)) for c in zip(*path.dirs)]
-
-
 def weight_int(path: PLPath) -> tuple:
-    """Endpoint as an integer vector; raises if it is not integral."""
-    scale, end = path.den * path.vden, _endpoint(path)
+    """Endpoint, each direction times its segment's length summed over
+    den * vden, as an integer vector; raises if it is not integral."""
+    lengths = list(map(sub, path.times[1:], path.times))
+    scale, end = path.den * path.vden, [sum(map(mul, c, lengths)) for c in zip(*path.dirs)]
     if any(c % scale for c in end):
         raise ModelIntegrityError("non-integral path weight")
     return tuple(c // scale for c in end)
@@ -206,17 +209,15 @@ def is_integral(path: PLPath) -> bool:
 
 def _heights(path: PLPath, i: int):
     """H_i at every breakpoint, over scale = den * vden, its minimum and
-    scale, after the input checks that the root operators and the string
-    statistics share (messages built on failure)."""
+    scale, after the color check that the root operators and the string
+    statistics share (its message built on failure)."""
     _check_node(path.rtype, i)
-    if type(vden := path.vden) is not int or vden < 1:
-        _refuse_vden(vden)
     x, times = i - 1, path.times
     h, height = [0], 0
     for k, d in enumerate(path.dirs):
         height += d[x] * (times[k + 1] - times[k])
         h.append(height)
-    if (m := min(h)) % (scale := path.den * vden):
+    if (m := min(h)) % (scale := path.den * path.vden):
         _guard_integer(m, scale, f"minimum of H_{i}")
     return h, m, scale
 

@@ -21,6 +21,11 @@ The virtualization check generates the target model and looks each image up
 among its vertices, and calls the source operators on the source paths; like
 the diagram check, it calls through the folding module.
 
+membership_by_endpoint is the image-membership walk of verify_virtualization
+as it was before its step budget came from the integrality scan: it sums
+rho^vee-weighted coordinates of the endpoint over den * vden and floors the
+quotient, and it calls root_e and is_integral through the folding module.
+
 The virtual-relations check is verify_virtual_relations as it was before it
 computed each induced word once: it calls s_tilde once for the permutations
 and again for the letter pairs, which it walks by index, and checks the
@@ -29,17 +34,24 @@ the folding module too.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
+from operator import mul, sub
 
 from closure_oracle import vertex_ids
 from xi_oracle import relation_violations_by_loops
 
 from pathcrystals import folding
 from pathcrystals.cactus import compose, identity_perm
-from pathcrystals.cartan import DynkinType, cartan_matrix, connected_subdiagrams, neighbors
+from pathcrystals.cartan import (
+    DynkinType,
+    _two_rho_vee,
+    cartan_matrix,
+    connected_subdiagrams,
+    neighbors,
+)
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
-from pathcrystals.errors import ModelIntegrityError, NotInImageError
-from pathcrystals.paths import paths_equal
+from pathcrystals.errors import DomainError, ModelIntegrityError, NotInImageError
+from pathcrystals.paths import paths_equal, straight_path
 
 
 def fold_table(x):
@@ -239,3 +251,36 @@ def verify_virtual_relations_by_index_loops(fold, lam, max_size=DEFAULT_MAX_SIZE
                         {"relation": "letter-commute", "I": sorted(s), "J": sorted(letters[b])}
                     )
     return violations + relation_violations_by_loops(x, perms, identity_perm(gy))
+
+
+def _endpoint(path) -> list:
+    """The endpoint over den * vden: directions times segment lengths, summed."""
+    lengths = list(map(sub, path.times[1:], path.times))
+    return [sum(map(mul, c, lengths)) for c in zip(*path.dirs)]
+
+
+def membership_by_endpoint(fold, lam, max_size):
+    """Lookup: q if the target path q is in B(psi(lam)), else None, by a walk
+    that raises q by the first defined root_e, colors ascending, within
+    floor(<psi(lam) - end(q), 2 rho^vee> / 2) steps, for end(q) the endpoint
+    read off the directions; DomainError at the (max_size + 1)-th path."""
+    y, top = fold.y_type, folding.psi_weight(fold, lam)
+    rho2 = _two_rho_vee(y)
+    known = {straight_path(y, top): True}
+    cap = inf if max_size is None else max_size
+
+    def lookup(q):
+        twice = sum(r * (a * q.den * q.vden - c) for r, a, c in zip(rho2, top, _endpoint(q)))
+        budget = twice // (2 * q.den * q.vden)
+        walk, p = [], q
+        while (
+            p is not None and p not in known and len(walk) < budget and folding.is_integral(p)
+        ):
+            if len(known) + len(walk) >= cap:
+                raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
+            walk.append(p)
+            p = next(filter(None, (folding.root_e(p, i) for i in y.nodes)), None)
+        known.update(dict.fromkeys(walk, known.get(p, False)))
+        return q if known.get(q) else None
+
+    return lookup

@@ -13,8 +13,10 @@ for verify_seminormal and for export_json of the generated graph, the
 median wall time of REPEATS calls in ms after one untimed warm-up call, and
 counts that one more call makes:
 
-- generate and verify_seminormal: the root_f and root_e calls; generate
-  also the path scans, the calls of whichever of crystal._integral_weight,
+- generate and verify_seminormal: the root_f and root_e calls, and the
+  PLPath records built, counted by wrapping PLPath.__init__ (so the count
+  does not depend on which checks the record makes itself); generate also
+  the path scans, the calls of whichever of crystal._integral_weight,
   crystal.is_integral and crystal.weight_int the module binds (one per
   vertex when each new path is weighed in the scan that checks it);
 - export_json: the _BREAKPOINT blocks rendered, counted through a str
@@ -77,9 +79,29 @@ def _counted_calls(crystal, call, names) -> dict:
     return counts
 
 
+def _constructions(record, call) -> int:
+    """The records of class record that call() builds."""
+    real, built = record.__init__, 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real(self, *args, **kwargs)
+
+    try:
+        record.__init__ = counted
+        call()
+    finally:
+        record.__init__ = real
+    return built
+
+
 def _operator_calls(crystal, call, scans: bool = False) -> dict:
-    counts = _counted_calls(crystal, call, ("root_f", "root_e") + (SCANS if scans else ()))
-    out = {"root_f": counts.pop("root_f"), "root_e": counts.pop("root_e")}
+    from pathcrystals.paths import PLPath
+
+    names, counts = ("root_f", "root_e") + (SCANS if scans else ()), {}
+    built = _constructions(PLPath, lambda: counts.update(_counted_calls(crystal, call, names)))
+    out = {"root_f": counts.pop("root_f"), "root_e": counts.pop("root_e"), "paths_built": built}
     if scans:
         out["path_scans"] = sum(counts.values())
     return out
@@ -106,8 +128,8 @@ def _export_counts(crystal, graph) -> dict:
 def measure(models=MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
     "export_json": {...}}}, the first two inner dicts holding median_ms,
-    root_f and root_e (and generate path_scans), the last median_ms,
-    blocks_rendered and breakpoints."""
+    root_f, root_e and paths_built (and generate path_scans), the last
+    median_ms, blocks_rendered and breakpoints."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
 

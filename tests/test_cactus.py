@@ -9,8 +9,8 @@ import pytest
 from closure_oracle import edge_map, graph_from_edges, levi_by_undirected_search, vertex_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tensor_oracle import pairing
-from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES, _crystal
+from tensor_oracle import pairing, reversal_xi
+from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES, TENSOR_CASES, _crystal, _splits
 from xi_oracle import (
     _f_words,
     levi_by_vertex_scan,
@@ -21,7 +21,7 @@ from xi_oracle import (
     xi_perm_by_words,
 )
 
-from pathcrystals import cactus, cartan
+from pathcrystals import cactus, cartan, crystal
 from pathcrystals.cactus import (
     act,
     compose,
@@ -499,6 +499,77 @@ def test_xi_perm_is_an_involution_matching_bfs_oracle(case):
         perm = xi_perm(g, sub)
         assert compose(perm, perm) == ident
         assert perm == xi_perm_by_bfs(g, sub)
+
+
+def _halved_splits(lam) -> list:
+    """The splits lam = lam1 + lam2 into nonzero dominant weights, one of
+    each pair (lam1, lam2), (lam2, lam1)."""
+    return [(a, b) for a, b in _splits(lam) if a >= b]
+
+
+# every B, C, F4 and G2 model that tier-1 generates, as a case or as a factor
+# of a tensor case, whose weight splits into two nonzero dominant weights: 37
+# models; the others are B(0) and the fundamental crystals
+PARTIAL_REVERSAL_CASES = sorted(
+    {
+        (t, lam)
+        for t, weight in SMALL_CRYSTALS + REVERSAL_CASES + TENSOR_CASES
+        for lam in [weight, *(part for split in _splits(weight) for part in split)]
+        if t.family in "BCFG" and _splits(lam)
+    },
+    key=lambda case: (str(case[0]), case[1]),
+)
+
+
+@pytest.mark.parametrize("t,lam", PARTIAL_REVERSAL_CASES, ids=lambda x: str(x).replace(" ", ""))
+def test_xi_of_every_connected_set_matches_the_tensor_reversal(t, lam):
+    # xi_J for proper J too: the reversal lands on a J-component of
+    # B(lam2) (x) B(lam1) that is in general not v's, and the J-crystal
+    # isomorphism carries it back; xi_J is read on the two factors only
+    g = _crystal(t, lam)
+    for first, second in _halved_splits(lam):
+        for nodes in connected_subdiagrams(t):
+            got = reversal_xi(g, _crystal(t, first), _crystal(t, second), nodes, xi_perm)
+            assert got == list(xi_perm(g, nodes)), (first, second, sorted(nodes))
+
+
+def test_partial_reversal_cases_cover_the_source_families():
+    assert len(PARTIAL_REVERSAL_CASES) == 37
+    assert {str(t) for t, _ in PARTIAL_REVERSAL_CASES} == {"B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2"}
+
+
+def test_partial_tensor_reversal_rejects_an_identity_involution_on_the_factors():
+    # the identity in place of xi_J on the factors: a mismatch for every J
+    def identity(graph, nodes):
+        return range(len(graph))
+
+    g = _crystal(C3, (1, 1, 1))
+    first, second = _crystal(C3, (1, 0, 0)), _crystal(C3, (0, 1, 1))
+    mismatches = {}
+    for nodes in connected_subdiagrams(C3):
+        got = reversal_xi(g, first, second, nodes, identity)
+        mismatches["".join(map(str, sorted(nodes)))] = sum(
+            a != b for a, b in zip(got, xi_perm(g, nodes))
+        )
+    assert mismatches == {"1": 476, "2": 486, "12": 501, "3": 424, "23": 502, "123": 512}
+
+
+def test_partial_tensor_reversal_rejects_an_identity_twist_on_a_type_a_interval(monkeypatch):
+    # theta of the A3 interval {1, 2, 3} of C4 patched to the identity.  The
+    # sweep refuses the twist on C4(0,2,0,0) itself, but not on its factor
+    # C4(0,1,0,0), whose wrong xi_J the reversal carries into a mismatch
+    c4, nodes = DynkinType("C", 4), frozenset({1, 2, 3})
+    g, factor = _crystal(c4, (0, 2, 0, 0)), generate(c4, (0, 1, 0, 0))
+    expected = list(xi_perm(g, nodes))
+    assert reversal_xi(g, factor, factor, nodes, xi_perm) == expected
+    real = crystal.theta
+    monkeypatch.setattr(
+        crystal, "theta", lambda t, colors: dict(zip(colors, colors)) if colors == nodes else real(t, colors)
+    )
+    got = reversal_xi(g, factor, factor, nodes, xi_perm)
+    assert (sum(a != b for a, b in zip(got, expected)), got.count(None), len(g)) == (226, 20, 308)
+    with pytest.raises(ModelIntegrityError, match="^involution image of vertex 29 is inconsistent"):
+        xi_perm(g, nodes)
 
 
 @pytest.mark.parametrize("t", [A1, A2, A3, C2, B3, C3, D4, G2, DynkinType("F", 4)])

@@ -1,6 +1,8 @@
 import argparse
+import errno
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -106,6 +108,39 @@ def test_crystal_unwritable_out_exits_two(cli_env, tmp_path, out):
     assert res.returncode == 2
     lines = res.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+
+
+STDOUT_WRITERS = [["crystal", "A2", "1,0"], ["verify", "cactus", "A2", "1,1"]]
+
+
+def _stdout_error(argv, stdout, env):
+    res = subprocess.run(
+        [sys.executable, "-m", "pathcrystals", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+    return res.returncode, res.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", STDOUT_WRITERS, ids=" ".join)
+def test_a_stdout_whose_reader_is_gone_exits_two(cli_env, argv):
+    # a pipe whose read end is closed: the first write fails with EPIPE.
+    # This printed a BrokenPipeError traceback and exited 1
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _stdout_error(argv, write, cli_env)
+    finally:
+        os.close(write)
+    assert result == (2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_WRITERS, ids=" ".join)
+def test_a_full_stdout_exits_two(cli_env, argv):
+    # every write to /dev/full fails with ENOSPC.  This printed an OSError
+    # traceback and exited 1; --out /dev/full already exited 2
+    with open("/dev/full", "wb") as full:
+        result = _stdout_error(argv, full, cli_env)
+    assert result == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_xi_permutation(cli_env):

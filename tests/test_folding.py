@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from collections import Counter
 
 import export_oracle
+import fold_oracle
 import paths_oracle
 import pytest
 from closure_oracle import vertex_ids
@@ -871,6 +872,66 @@ def test_membership_cap_counts_touched_paths_exactly():
     assert verify_virtualization(fold, (1, 1), max_size=565) == []
     with pytest.raises(DomainError, match=r"^565 target paths touched, past the cap 564$"):
         verify_virtualization(fold, (1, 1), max_size=564)
+
+
+def _walks(monkeypatch, membership, fold, lam, images, max_size=None):
+    """(verdict, paths touched) of each image in turn, through one lookup of
+    membership(fold, lam, max_size); the paths a walk touches are those it
+    raises, each handed to root_e.  On a refusal, the index of the image
+    and the message take the place of the pair."""
+    raised, real = [], folding.root_e
+    monkeypatch.setattr(folding, "root_e", lambda p, i: raised.append(p) or real(p, i))
+    lookup, record = membership(fold, lam, max_size), []
+    try:
+        for b, q in enumerate(images):
+            raised.clear()
+            try:
+                record.append((lookup(q), len(set(raised))))
+            except DomainError as exc:
+                return record + [(b, str(exc))]
+    finally:
+        monkeypatch.setattr(folding, "root_e", real)
+    return record
+
+
+def _halved(fold, path):
+    # bent paths halved: their minima or endpoints leave the lattice
+    q = virtualize_path(fold, path)
+    return q if len(q.dirs) == 1 else PLPath(q.rtype, q.den, q.times, 2 * q.vden, q.dirs)
+
+
+@pytest.mark.parametrize(
+    "virtualize", [virtualize_path, _off_lattice, _halved], ids=["plain", "off", "halved"]
+)
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_membership_walk_matches_the_endpoint_budget_oracle(monkeypatch, virtualize, name, lam):
+    # the step budget comes from the integrality scan, and no walk from a
+    # non-integral path; the oracle floors the rho^vee pairing of the
+    # endpoint over den * vden.  Same verdicts, same paths touched per image,
+    # and the same refusal one path short of the total
+    fold = folding_pair(name)
+    images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
+    walks = _walks(monkeypatch, folding._membership, fold, lam, images)
+    assert walks == _walks(monkeypatch, fold_oracle.membership_by_endpoint, fold, lam, images)
+    assert all(verdict is None or verdict is q for (verdict, _), q in zip(walks, images))
+    assert any(touched for _, touched in walks)
+    if virtualize is _halved and any(len(q.dirs) > 1 for q in images):
+        assert any(not paths.is_integral(q) for q in images)
+    cap = sum(touched for _, touched in walks)  # the straight path makes one more
+    refused = _walks(monkeypatch, folding._membership, fold, lam, images, cap)
+    assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
+    assert refused == _walks(monkeypatch, fold_oracle.membership_by_endpoint, fold, lam, images, cap)
+
+
+@pytest.mark.parametrize("cap", [564, 100])
+def test_membership_walk_refuses_where_the_endpoint_budget_oracle_does(monkeypatch, cap):
+    # the API's refusal and the command line's, on the G2(1,1) walks
+    fold = folding_pair("G2")
+    images = [virtualize_path(fold, p) for p in generate(fold.x_type, (1, 1)).vertices]
+    refused = _walks(monkeypatch, folding._membership, fold, (1, 1), images, cap)
+    assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
+    oracle = fold_oracle.membership_by_endpoint
+    assert refused == _walks(monkeypatch, oracle, fold, (1, 1), images, cap)
 
 
 @pytest.mark.parametrize("name,lam", [("G2", (1, 1)), ("C3", (1, 1, 1)), ("G2", (2, 2))])

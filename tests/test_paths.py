@@ -643,12 +643,11 @@ def test_paths_of_two_types_with_the_same_data_are_two_keys():
 
 
 def test_paths_equal_refuses_a_negative_direction_denominator():
-    # pointwise equal paths: with vden -1 accepted, paths_equal said False
-    negative = PLPath(A1, 1, (0, 1), -1, ((-2,),))
-    positive = PLPath(A1, 1, (0, 1), 1, ((2,),))
-    assert negative.breakpoints == positive.breakpoints
+    # the path of direction -2 over vden -1 is pointwise equal to that of 2
+    # over 1; with vden -1 accepted, paths_equal said False.  The record now
+    # refuses it when it is built, so paths_equal never sees it
     with pytest.raises(DomainError, match="^direction denominator -1 is not a positive int$"):
-        paths_equal(negative, positive)
+        PLPath(A1, 1, (0, 1), -1, ((-2,),))
 
 
 @pytest.mark.parametrize("vden", [0, -1, True, 1.0])
@@ -664,11 +663,39 @@ def test_canonicalize_refuses_a_direction_denominator_that_is_not_a_positive_int
 def test_operators_refuse_a_direction_denominator_that_is_not_a_positive_int(op, vden):
     # the straight A1 path of weight 2 over vden -1 gave root_f times (0, -1, 2)
     # and phi -2; vden 0 raised ZeroDivisionError; vden 1.5 made root_f raise
-    # TypeError and epsilon return 0.0
-    p = PLPath(A1, 1, (0, 1), vden, ((2,),))
+    # TypeError and epsilon return 0.0.  The record now refuses such a vden
+    # when it is built, before any operator runs
     message = rf"^direction denominator {vden!r} is not a positive int$"
     with pytest.raises(DomainError, match=message):
-        op(p, 1)
+        op(PLPath(A1, 1, (0, 1), vden, ((2,),)), 1)
+
+
+MALFORMED_RECORDS = {
+    # den 0 made weight_int and is_integral raise ZeroDivisionError, and
+    # canonicalize kept den 1.0, on which root_f raised TypeError
+    **{
+        f"den {den!r}": ((den, (0, den), 1, ((2,),)), rf"time denominator {den!r}")
+        for den in (0, -1, 1.0, True)
+    },
+    # vden 0 made weight_int and is_integral raise ZeroDivisionError, and
+    # path_to_json wrote the vden -1 path over negative denominators
+    **{
+        f"vden {vden!r}": ((1, (0, 1), vden, ((2,),)), rf"direction denominator {vden!r}")
+        for vden in (0, -1, 1.5, 1.0, True)
+    },
+    # canonicalize returned the record with a direction too many as it was,
+    # and root_f and path_to_json raised IndexError on it; the one a
+    # direction short was lowered to a path with a segment and no direction
+    "one direction too many": ((1, (0, 1), 1, ((1,), (2,))), "2 directions for 2 break times"),
+    "one direction too few": ((2, (0, 1, 2), 1, ((2,),)), "1 directions for 3 break times"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(MALFORMED_RECORDS))
+def test_a_malformed_record_is_refused_when_it_is_built(record):
+    data, message = MALFORMED_RECORDS[record]
+    with pytest.raises(DomainError, match=f"^{message}"):
+        PLPath(A1, *data)
 
 
 def _random_path(rng):
@@ -706,12 +733,20 @@ def test_integral_weight_matches_the_oracles_on_random_paths():
 
 
 def test_kernel_bench_counts_the_operator_calls():
-    report = kernel_bench.measure([("A2", (1, 1))], repeats=1)
-    assert list(report) == ["A2(1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
-    for label, f_calls, e_calls in (("generate", 16, 0), ("verify_seminormal", 0, 16)):
-        measured = report["A2(1, 1)"][label]
-        assert (measured["root_f"], measured["root_e"]) == (f_calls, e_calls), label
+    report = kernel_bench.measure([("A2", (1, 1)), ("D4", (1, 1, 1, 1))], repeats=1)
+    assert list(report) == ["A2(1, 1)", "D4(1, 1, 1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
+    # one record per defined operator call, and generate's straight path
+    for model, label, f_calls, e_calls, built in (
+        ("A2(1, 1)", "generate", 16, 0, 9),
+        ("A2(1, 1)", "verify_seminormal", 0, 16, 8),
+        ("D4(1, 1, 1, 1)", "generate", 16384, 0, 9665),
+        ("D4(1, 1, 1, 1)", "verify_seminormal", 0, 16384, 9664),
+    ):
+        measured = report[model][label]
+        counts = (measured["root_f"], measured["root_e"], measured["paths_built"])
+        assert counts == (f_calls, e_calls, built), (model, label)
         assert measured["median_ms"] >= 0
+    assert report["D4(1, 1, 1, 1)"]["generate"]["path_scans"] == 4096
     # one scan per vertex, where weighing after the closure made 2n - 1; 11
     # distinct breakpoints of the 18 that the 8 paths export
     assert report["A2(1, 1)"]["generate"]["path_scans"] == 8
