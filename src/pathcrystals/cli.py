@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 import time
@@ -107,6 +108,8 @@ def _emit(text: str, out=None) -> None:
         with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
             print(text, end=end, file=handle, flush=True)
     except OSError as exc:
+        if not out:  # its unwritten bytes stay buffered: the flush at exit drops them
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigurationError(f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
@@ -162,10 +165,7 @@ def cmd_crystal(args) -> int:
         }
         _emit(json.dumps(data, indent=2), args.out)
         return 0
-    if args.export == "dot":
-        _emit(export_dot(graph), args.out)
-    else:
-        _emit(export_json(graph), args.out)
+    _emit((export_dot if args.export == "dot" else export_json)(graph), args.out)
     return 0
 
 

@@ -283,10 +283,10 @@ def _membership(fold: FoldingPair, lam, max_size):
     cap = inf if max_size is None else max_size
 
     def lookup(q):
-        weight = _integral_weight(q)
+        weight = _integral_weight(q)  # q's scan; the walk scans each path root_e gives
         budget = 0 if weight is None else sum(map(mul, rho2, map(sub, top, weight))) // 2
         walk, p = [], q
-        while p is not None and p not in known and len(walk) < budget and is_integral(p):
+        while p and p not in known and len(walk) < budget and (not walk or is_integral(p)):
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
             walk.append(p)

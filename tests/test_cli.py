@@ -113,33 +113,40 @@ def test_crystal_unwritable_out_exits_two(cli_env, tmp_path, out):
 STDOUT_WRITERS = [["crystal", "A2", "1,0"], ["verify", "cactus", "A2", "1,1"]]
 
 
-def _stdout_error(argv, stdout, env):
+def _stdout_error(argv, stdout, env, unbuffered):
+    # buffered, the bytes of a failed write stay in sys.stdout, and the flush
+    # at interpreter exit tries them again
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     res = subprocess.run(
         [sys.executable, "-m", "pathcrystals", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
     return res.returncode, res.stderr.decode()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", STDOUT_WRITERS, ids=" ".join)
-def test_a_stdout_whose_reader_is_gone_exits_two(cli_env, argv):
+def test_a_stdout_whose_reader_is_gone_exits_two(cli_env, argv, unbuffered):
     # a pipe whose read end is closed: the first write fails with EPIPE.
     # This printed a BrokenPipeError traceback and exited 1
     read, write = os.pipe()
     os.close(read)
     try:
-        result = _stdout_error(argv, write, cli_env)
+        result = _stdout_error(argv, write, cli_env, unbuffered)
     finally:
         os.close(write)
     assert result == (2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", STDOUT_WRITERS, ids=" ".join)
-def test_a_full_stdout_exits_two(cli_env, argv):
+def test_a_full_stdout_exits_two(cli_env, argv, unbuffered):
     # every write to /dev/full fails with ENOSPC.  This printed an OSError
     # traceback and exited 1; --out /dev/full already exited 2
     with open("/dev/full", "wb") as full:
-        result = _stdout_error(argv, full, cli_env)
+        result = _stdout_error(argv, full, cli_env, unbuffered)
     assert result == (2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
