@@ -96,14 +96,13 @@ def _first_difference(p, q):
     for v, (a, b) in enumerate(zip(p, q)):
         if a != b:
             return v
-    return None
 
 
 @cache
 def _relation_plan(t) -> tuple:
-    """The disconnected pairs (a, b), a before b in bitmask order, and the
-    nested triples (outer, inner, twisted inner) that the relations compare.
-    A triple with inner == outer would compare xi_a xi_a with itself."""
+    """Disconnected pairs (a, b), a before b by bitmask, and nested triples
+    (outer, inner, twisted inner), compared by the relations and by folding's
+    component identity.  No triple has inner == outer: both sides would agree."""
     subs = connected_subdiagrams(t)
     pairs = [(a, b) for a in subs for b in subs]
     disjoint = tuple(

@@ -17,10 +17,11 @@ Path virtualization applies psi direction-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
 sigma(i).  Verifiers check exhaustively that virtualization intertwines the
 operators on the source model, with target membership decided by raising
-each image to a known path; and, on the generated target model, that the
-induced generators satisfy the cactus relations and that the partial
-involutions commute with virtualization, as a permutation identity of the
-target ids that the embedding reads off a {path: id} table it builds itself.
+each image to a known path; that the diagram facts behind the cactus
+relations hold on every pair of the source's relation plan; and, on the
+generated target model, that the induced generators satisfy the relations
+and that the partial involutions commute with virtualization, as an identity
+of target ids read off a {path: id} table that the embedding builds itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 from math import inf, lcm
 from operator import mul, sub
 
-from .cactus import _relation_violations, act, compose, identity_perm, xi_perm
+from .cactus import _relation_plan, _relation_violations, act, compose, identity_perm, xi_perm
 from .cartan import (
     DynkinType,
     _check_node,
@@ -216,32 +217,31 @@ def s_tilde(fold: FoldingPair, nodes) -> tuple:
 
 
 def verify_component_identity(fold: FoldingPair) -> list:
-    """For nested connected pairs whose outer orbit image is disconnected,
-    check that the orbit image of the twisted inner set equals the image of
-    the inner orbit image under theta of the (disconnected) outer image."""
-    x, y = fold.x_type, fold.y_type
-    subs = connected_subdiagrams(x)
+    """Check over the source's relation plan the diagram facts that make s_J -> s~_J
+    respect the cactus relations: sigma(theta_J(K)) = theta_{sigma(J)}(sigma(K)) for
+    each nested triple (J, K, theta_J(K)), and sigma(J | K) has the components of
+    sigma(J) and sigma(K) for each disjoint pair.  A word's letters commute, so this
+    and verify_cactus_relations on B(psi(lam)) imply verify_virtual_relations."""
+    y, sigma_set = fold.y_type, fold.sigma_set
+    disjoint, nested = _relation_plan(fold.x_type)
     violations = []
-    for outer in subs:
-        image = fold.sigma_set(outer)
-        if len(components(y, image)) < 2:
-            continue
-        twist_outer, twist_image = theta(x, outer), theta(y, image)
-        for inner in subs:
-            if not inner <= outer:
-                continue
-            lhs = fold.sigma_set(frozenset(twist_outer[j] for j in inner))
-            rhs = frozenset(twist_image[v] for v in fold.sigma_set(inner))
-            if lhs != rhs:
-                violations.append(
-                    {
-                        "check": "component-identity",
-                        "I": sorted(outer),
-                        "J": sorted(inner),
-                        "lhs": sorted(lhs),
-                        "rhs": sorted(rhs),
-                    }
-                )
+    for outer, inner, twisted in nested:
+        lhs = sigma_set(twisted)
+        rhs = frozenset(map(theta(y, sigma_set(outer)).get, sigma_set(inner)))
+        if lhs != rhs:
+            violations.append(
+                {
+                    "check": "component-identity",
+                    "I": sorted(outer),
+                    "J": sorted(inner),
+                    "lhs": sorted(lhs),
+                    "rhs": sorted(rhs),
+                }
+            )
+    count = {s: len(components(y, sigma_set(s))) for s in set().union(*disjoint)}
+    for a, b in disjoint:
+        if len(components(y, sigma_set(a | b))) != count[a] + count[b]:
+            violations.append({"check": "component-count", "I": sorted(a), "J": sorted(b)})
     return violations
 
 

@@ -26,6 +26,12 @@ as it was before its step budget came from the integrality scan: it sums
 rho^vee-weighted coordinates of the endpoint over den * vden and floors the
 quotient, and it calls root_e and is_integral through the folding module.
 
+component_identity_by_loops is verify_component_identity as it was before it
+read the cactus relation plan: its own double loop over the connected
+subdiagrams, with theta of the outer source set, and only outers whose orbit
+image is disconnected.  It calls connected_subdiagrams, components and theta
+through the folding module.
+
 The virtual-relations check is verify_virtual_relations as it was before it
 computed each induced word once: it calls s_tilde once for the permutations
 and again for the letter pairs, which it walks by index, and checks the
@@ -230,6 +236,33 @@ def verify_virtualization_on_target(fold, lam, max_size=DEFAULT_MAX_SIZE):
                     violations.append(
                         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
                     )
+    return violations
+
+
+def component_identity_by_loops(fold):
+    x, y = fold.x_type, fold.y_type
+    subs = folding.connected_subdiagrams(x)
+    violations = []
+    for outer in subs:
+        image = fold.sigma_set(outer)
+        if len(folding.components(y, image)) < 2:
+            continue
+        twist_outer, twist_image = folding.theta(x, outer), folding.theta(y, image)
+        for inner in subs:
+            if not inner <= outer:
+                continue
+            lhs = fold.sigma_set(frozenset(twist_outer[j] for j in inner))
+            rhs = frozenset(twist_image[v] for v in fold.sigma_set(inner))
+            if lhs != rhs:
+                violations.append(
+                    {
+                        "check": "component-identity",
+                        "I": sorted(outer),
+                        "J": sorted(inner),
+                        "lhs": sorted(lhs),
+                        "rhs": sorted(rhs),
+                    }
+                )
     return violations
 
 

@@ -1,0 +1,202 @@
+"""A catalogue of mutants of src/ and the tests that must catch each one.
+
+Each entry names a module of src/pathcrystals, an exact snippet that occurs
+once in it, the snippet's replacement, and the pytest ids that must fail
+once the snippet is replaced.  A test id names a test function, and every
+case of a parametrized one; it fails when any of its cases fails.
+tests/test_mutants.py checks in the tier-1 suite that each snippet occurs
+exactly once and that each named test is defined, so a change that rewrites
+a guarded line updates its mutant in the same change.
+
+    python tests/mutants.py
+
+For each mutant, one at a time, the run copies src/, tests/, README.md and
+pyproject.toml into a temporary directory, applies the replacement there and
+runs the named tests in one pytest subprocess, with PYTHONPATH set to the
+copy's src/.  A mutant is caught when every named test fails.  The run prints
+one line per mutant and exits 0 when every mutant is caught.  This file is
+not collected by pytest.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pathcrystals"
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT_S = 600
+
+Mutant = namedtuple("Mutant", "name file snippet replacement tests")
+
+MUTANTS = (
+    Mutant(
+        "component-identity-skips-connected-images",
+        "folding.py",
+        "    for outer, inner, twisted in nested:\n",
+        "    for outer, inner, twisted in nested:\n"
+        "        if len(components(y, sigma_set(outer))) < 2:\n"
+        "            continue\n",
+        ("tests/test_folding.py::test_component_identity_reports_an_untwisted_connected_image",),
+    ),
+    Mutant(
+        "component-identity-inner-image-as-lhs",
+        "folding.py",
+        "        lhs = sigma_set(twisted)\n",
+        "        lhs = sigma_set(inner)\n",
+        (
+            "tests/test_folding.py::test_component_identity_passes",
+            "tests/test_folding.py::test_component_identity_reports_untwisted_components",
+            "tests/test_folding.py::test_component_identity_reports_two_swapped_orbits",
+        ),
+    ),
+    Mutant(
+        "component-count-loop-dropped",
+        "folding.py",
+        "    for a, b in disjoint:\n",
+        "    for a, b in ():\n",
+        ("tests/test_folding.py::test_component_identity_reports_two_swapped_orbits",),
+    ),
+    Mutant(
+        "relation-plan-keeps-equal-sets",
+        "cactus.py",
+        "for a, b in pairs if b < a)",
+        "for a, b in pairs if b <= a)",
+        ("tests/test_cactus.py::test_relation_plan_has_no_triple_with_equal_sets",),
+    ),
+    Mutant(
+        "cli-rank-cap-removed",
+        "cli.py",
+        "    if t.rank > DEFAULT_MAX_RANK:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_fold_info_rank_above_the_cap",),
+    ),
+    Mutant(
+        "cli-vertex-checked-after-generation",
+        "cli.py",
+        "    if vertex is not None:  # the vertex count is the Weyl dimension\n"
+        "        _check_vertex(weyl_dim(t, lam), vertex)\n",
+        "",
+        ("tests/test_cli.py::test_vertex_and_levi_are_refused_before_generation",),
+    ),
+    Mutant(
+        "cli-weight-not-taken-guard-removed",
+        "cli.py",
+        "    if not needs_weight and weight_text is not None:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_one_line_guards_exit_two",),
+    ),
+    Mutant(
+        "is-connected-cache-keyed-before-the-check",
+        "cartan.py",
+        "    return _is_connected(t, _node_set(t, nodes))\n",
+        "    return _is_connected(t, frozenset(nodes))\n",
+        ("tests/test_cartan.py::test_node_sets_reject_nodes_that_are_not_ints",),
+    ),
+    Mutant(
+        "cli-levi-accepts-dot-export",
+        "cli.py",
+        '    if colors is not None and args.export == "dot":\n',
+        "    if False:\n",
+        ("tests/test_cli.py::test_vertex_and_levi_are_refused_before_generation",),
+    ),
+    Mutant(
+        "sweep-identity-twist",
+        "crystal.py",
+        "    twist = theta(graph.rtype, colors)\n",
+        "    twist = {i: i for i in colors}\n",
+        (
+            "tests/test_tableaux.py::test_xi_perm_matches_evacuation",
+            "tests/test_cactus.py::test_xi_of_every_connected_set_matches_the_tensor_reversal",
+        ),
+    ),
+    Mutant(
+        "reduced-keeps-the-time-gcd",
+        "paths.py",
+        "    if den > 1 and (g := gcd(den, *times)) > 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_paths.py::test_unreduced_paths_match_the_breakpoint_kernels",
+            "tests/test_paths.py::test_json_roundtrip",
+        ),
+    ),
+    Mutant(
+        "integrality-scan-keeps-the-falling-flag",
+        "paths.py",
+        "                falling = False\n",
+        "",
+        ("tests/test_paths.py::test_integral_weight_matches_the_oracles_on_random_paths",),
+    ),
+    Mutant(
+        "reduced-keeps-equal-directions",
+        "paths.py",
+        "        if dirs[k] == dirs[k - 1]:\n",
+        "        if False:\n",
+        (
+            "tests/test_paths.py::test_canonicalize_merges_collinear",
+            "tests/test_properties.py::test_canonicalize_is_idempotent",
+        ),
+    ),
+)
+
+
+def _failed_ids(output: str) -> set:
+    """The node ids of the FAILED lines of pytest's short summary."""
+    return set(re.findall(r"^FAILED (\S+)", output, re.MULTILINE))
+
+
+def _caught(test_id: str, failed: set) -> bool:
+    return any(f == test_id or f.startswith(test_id + "[") for f in failed)
+
+
+def run_mutant(mutant: Mutant) -> tuple:
+    """(caught, the named tests that did not fail or the reason) for one mutant,
+    run in a temporary copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for name in COPIED:
+            source, copy = ROOT / name, Path(tmp) / name
+            if source.is_dir():
+                shutil.copytree(source, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, copy)
+        module = Path(tmp) / "src" / "pathcrystals" / mutant.file
+        text = module.read_text()
+        if text.count(mutant.snippet) != 1:
+            return False, "snippet does not occur exactly once"
+        module.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
+        try:
+            done = subprocess.run(
+                argv + list(mutant.tests),
+                cwd=tmp,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"no verdict within {TIMEOUT_S} s"
+    failed = _failed_ids(done.stdout)
+    missed = [t for t in mutant.tests if not _caught(t, failed)]
+    return not missed, ", ".join(missed) or f"{len(failed)} failed"
+
+
+def main() -> int:
+    missed = 0
+    for mutant in MUTANTS:
+        caught, detail = run_mutant(mutant)
+        missed += not caught
+        verdict = "caught" if caught else "MISSED"
+        print(f"{verdict:6}  {mutant.file}: {mutant.name} ({detail})", flush=True)
+    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

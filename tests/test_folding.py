@@ -24,13 +24,14 @@ from pathcrystals.cartan import (
     all_nodes,
     cartan_matrix,
     connected_subdiagrams,
+    is_connected,
     reflect,
     symmetrizer,
     theta,
     weyl_dim,
 )
 from pathcrystals import crystal, folding, paths
-from pathcrystals.cactus import act, compose
+from pathcrystals.cactus import act, compose, verify_cactus_relations
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, export_json, generate
 from pathcrystals.errors import (
     ConfigurationError,
@@ -409,6 +410,88 @@ def test_component_identity_reports_untwisted_components(monkeypatch):
     ]
 
 
+COMPONENT_IDENTITY_FOLDS = [f"{family}{n}" for family in "CB" for n in range(2, 9)] + [
+    "G2",
+    "F4",
+    "C12",
+    "B12",
+    "C20",
+    "B20",
+]
+
+
+def _untwist_target(monkeypatch, fold, moved):
+    """Patch folding.theta to the identity on the target node sets that moved
+    accepts; source sets and other target sets keep their real theta."""
+    real = folding.theta
+
+    def untwisted(t, nodes):
+        return {j: j for j in nodes} if t == fold.y_type and moved(nodes) else real(t, nodes)
+
+    monkeypatch.setattr(folding, "theta", untwisted)
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["real", "untwisted"])
+@pytest.mark.parametrize("name", COMPONENT_IDENTITY_FOLDS)
+def test_component_identity_matches_the_loop_oracle_on_disconnected_images(
+    monkeypatch, name, patched
+):
+    # the records for outers whose image is disconnected are the loop's, in
+    # its order; unpatched, every fold up to rank 20 passes
+    fold = folding_pair(name)
+    if patched:
+        _untwist_target(monkeypatch, fold, lambda nodes: True)
+    report = verify_component_identity(fold)
+    disconnected = [
+        r
+        for r in report
+        if r["check"] == "component-identity"
+        and not is_connected(fold.y_type, fold.sigma_set(r["I"]))
+    ]
+    assert disconnected == fold_oracle.component_identity_by_loops(fold)
+    assert patched or report == []
+
+
+def test_component_identity_reports_an_untwisted_connected_image(monkeypatch):
+    # the F4 pair I = {1, 2} has the connected image {2, 4} in E6; the loop
+    # skips connected images, the plan checks every nested triple
+    fold = folding_pair("F4")
+    _untwist_target(monkeypatch, fold, lambda nodes: is_connected(fold.y_type, nodes))
+    assert fold_oracle.component_identity_by_loops(fold) == []
+    assert verify_component_identity(fold) == [
+        {"check": "component-identity", "I": [1, 2], "J": [1], "lhs": [4], "rhs": [2]},
+        {"check": "component-identity", "I": [1, 2], "J": [2], "lhs": [2], "rhs": [4]},
+    ]
+
+
+def test_component_identity_reports_in_plan_order(monkeypatch):
+    # records follow the plan's bitmask order: with every target twist
+    # untwisted, the connected-image outer {1, 2} comes before {3, 4}, the
+    # first F4 outer whose image is disconnected
+    fold = folding_pair("F4")
+    _untwist_target(monkeypatch, fold, lambda nodes: True)
+    assert verify_component_identity(fold) == [
+        {"check": "component-identity", "I": [1, 2], "J": [1], "lhs": [4], "rhs": [2]},
+        {"check": "component-identity", "I": [1, 2], "J": [2], "lhs": [2], "rhs": [4]},
+        {"check": "component-identity", "I": [3, 4], "J": [3], "lhs": [1, 6], "rhs": [3, 5]},
+        {"check": "component-identity", "I": [3, 4], "J": [4], "lhs": [3, 5], "rhs": [1, 6]},
+    ]
+
+
+def test_component_identity_reports_two_swapped_orbits():
+    # C3 with sigma(2) and sigma(3) swapped: theta of I = {1, 2} moves 1 to 2
+    # but sigma({1, 2}) = {1, 3, 5} is three fixed points, and sigma(1) and
+    # sigma(3) are linked in A5 though 1 and 3 are not in C3
+    x, y = DynkinType("C", 3), DynkinType("A", 5)
+    sigma = {1: {1, 5}, 2: {3}, 3: {2, 4}}
+    fold = folding.FoldingPair(x, y, sigma, {j: 6 - j for j in y.nodes}, {1: 1, 2: 1, 3: 2}, 3)
+    assert verify_component_identity(fold) == [
+        {"check": "component-identity", "I": [1, 2], "J": [1], "lhs": [3], "rhs": [1, 5]},
+        {"check": "component-identity", "I": [1, 2], "J": [2], "lhs": [1, 5], "rhs": [3]},
+        {"check": "component-count", "I": [1], "J": [3]},
+    ]
+
+
 VIRTUALIZATION_CASES = [
     ("C2", (1, 0)),
     ("C2", (0, 1)),
@@ -781,6 +864,18 @@ def test_virtual_relations_match_index_loop_oracle_on_broken_words(
     patch(monkeypatch, fold)
     report = verify_virtual_relations(fold, lam)
     assert report and report == verify_virtual_relations_by_index_loops(fold, lam)
+
+
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_virtual_relations_follow_from_the_target_relations_and_the_component_identity(
+    name, lam
+):
+    # the cactus relations of B(psi(lam)) and the diagram facts on the source
+    # plan imply the virtual relations; all three hold on every full target
+    fold = folding_pair(name)
+    assert verify_cactus_relations(generate(fold.y_type, psi_weight(fold, lam))) == []
+    assert verify_component_identity(fold) == []
+    assert verify_virtual_relations(fold, lam) == []
 
 
 def test_virtual_relations_compute_each_induced_word_once(monkeypatch):
