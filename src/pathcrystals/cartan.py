@@ -13,11 +13,11 @@ at node n, and G_2 its long root at node 2 (a[1][2] = -3).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
@@ -35,19 +35,25 @@ _ADMISSIBLE_RANK = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
-    """A finite Dynkin type, e.g. DynkinType("C", 2)."""
-
+class _DynkinFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        check = _ADMISSIBLE_RANK.get(self.family)
-        if check is None or not check(self.rank):
-            raise ConfigurationError(
-                f"inadmissible Dynkin type {self.family}{self.rank}"
-            )
+
+class DynkinType(_DynkinFields):
+    """A finite Dynkin type, e.g. DynkinType("C", 2): an immutable tuple
+    record, hashed, compared and ordered as (family, rank).  Building one
+    refuses a family and rank outside the finite types, and a rank that is
+    not an int, bools included."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: guarded
+
+    def __new__(cls, family: str, rank: int):
+        check = _ADMISSIBLE_RANK.get(family)
+        if check is None or type(rank) is not int or not check(rank):
+            raise ConfigurationError(f"inadmissible Dynkin type {family}{rank!r}")
+        return tuple.__new__(cls, (family, rank))
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":

@@ -100,18 +100,16 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             lowered = root_f(pv, i)
             if lowered is None:
                 continue
-            w = index.get(lowered)
-            if w is None:
+            w = index.setdefault(lowered, len(vertices))  # one hash per path
+            if w == len(vertices):
                 if (weight := _integral_weight(lowered)) is None:
                     raise ModelIntegrityError("generated path with non-integral minima")
-                w = len(vertices)
                 if w == dim:
                     raise ModelIntegrityError(
                         f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
                     )
                 vertices.append(lowered)
                 weights.append(weight)
-                index[lowered] = w
             f_to[i][v] = w
             if (prev := e_to[i][w]) is not None:  # (v, i) comes once: prev is not v
                 raise ModelIntegrityError(f"conflicting edge at {(w, i)}: {prev} vs {v}")

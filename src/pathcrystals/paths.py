@@ -6,13 +6,14 @@ coordinate function of a path is the pairing of the moving point against
 alpha_i^vee.  A path stores integer break times over a denominator den and
 one integer direction (velocity) per segment over a second denominator vden
 (Littelmann, Invent. Math. 1994); its points are sums of directions times
-segment lengths, so it starts at the origin by construction.  The record
-guards its own O(1) invariants when it is built (den and vden are positive
-ints, and there is one direction per segment), so no reader checks them
-again; weights are read off it here only, by the integrality scan or
-weight_int.  The package only produces reduced paths (adjacent directions
-differ, and den and vden each have gcd 1 with their entries), so dataclass
-equality is pointwise equality; the hash leaves out the type.  All
+segment lengths, so it starts at the origin by construction.  The record is
+a tuple of its fields, hashed and compared in C; it guards its own O(1)
+invariants when it is built (den and vden are positive ints, and there is
+one direction per segment), so no reader checks them again; weights are
+read off it here only, by the integrality scan or weight_int.  The package
+only produces reduced paths (adjacent directions differ, and den and vden
+each have gcd 1 with their entries), so equality of the records, the type
+included, is pointwise equality.  All
 arithmetic is exact and on integers.  The lowering and raising operators use
 the non-recursive three-piece formulas: each finds its window of the
 coordinate function, splits the segment where the window ends inside it, and
@@ -27,38 +28,45 @@ scan, which returns the path's weight as it goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul, sub
+from typing import NamedTuple
 
 from .cartan import DynkinType, _check_node, _columns
 from .errors import DomainError, ModelIntegrityError
 
 
-@dataclass(frozen=True, slots=True)
-class PLPath:
-    """Piecewise-linear path in LS form: segment k runs from time
-    times[k] / den to times[k + 1] / den with velocity dirs[k] / vden, for
-    integer times and integer direction tuples.  Building one refuses a den
-    or vden that is not a positive int, bools included, and a direction
-    count other than one per segment: the record's O(1) invariants."""
-
-    rtype: DynkinType = field(hash=False)  # equality still compares it
+class _PLPathFields(NamedTuple):
+    rtype: DynkinType
     den: int
     times: tuple
     vden: int
     dirs: tuple
 
-    def __post_init__(self):
-        if type(den := self.den) is not int or den < 1:
+
+class PLPath(_PLPathFields):
+    """Piecewise-linear path in LS form: segment k runs from time
+    times[k] / den to times[k + 1] / den with velocity dirs[k] / vden, for
+    integer times and integer direction tuples.  An immutable tuple record:
+    it is hashed and compared as the tuple of its fields, the type included.
+    Building one refuses a den or vden that is not a positive int, bools
+    included, and a direction count other than one per segment: the
+    record's O(1) invariants."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: guarded
+
+    def __new__(cls, rtype: DynkinType, den: int, times: tuple, vden: int, dirs: tuple):
+        if type(den) is not int or den < 1:
             raise DomainError(f"time denominator {den!r} is not a positive int")
-        if type(vden := self.vden) is not int or vden < 1:
+        if type(vden) is not int or vden < 1:
             raise DomainError(f"direction denominator {vden!r} is not a positive int")
-        if len(self.dirs) != len(self.times) - 1:
-            raise DomainError(f"{len(self.dirs)} directions for {len(self.times)} break times")
+        if len(dirs) != len(times) - 1:
+            raise DomainError(f"{len(dirs)} directions for {len(times)} break times")
+        return tuple.__new__(cls, (rtype, den, times, vden, dirs))
 
     @classmethod
     def from_breakpoints(cls, rtype: DynkinType, breakpoints) -> PLPath:

@@ -14,14 +14,19 @@ median wall time of REPEATS calls in ms after one untimed warm-up call, and
 counts that one more call makes:
 
 - generate and verify_seminormal: the root_f and root_e calls, and the
-  PLPath records built, counted by wrapping PLPath.__init__ (so the count
-  does not depend on which checks the record makes itself); generate also
+  PLPath records built, counted by wrapping PLPath.__new__, or
+  PLPath.__init__ on a checkout whose record defines no __new__ (so the
+  count does not depend on which checks the record makes itself); generate also
   the path scans, the calls of whichever of crystal._integral_weight,
   crystal.is_integral and crystal.weight_int the module binds (one per
   vertex when each new path is weighed in the scan that checks it);
 - export_json: the _BREAKPOINT blocks rendered, counted through a str
   subclass put in place of crystal._BREAKPOINT, and the breakpoints
   exported, one per path time.
+
+It also prints record_ns: the ns that one PLPath record costs to build
+from its fields, to hash and to compare with an equal record, each the
+median over the generated vertices of a mean over REPEATS runs.
 
 All counts are taken by patching names of the crystal module, which the
 functions look up at call time; the timed calls run unpatched, and the
@@ -33,6 +38,7 @@ import json
 import statistics
 import sys
 import time
+import timeit
 
 MODELS = [
     ("D4", (1, 1, 1, 1)),
@@ -80,19 +86,23 @@ def _counted_calls(crystal, call, names) -> dict:
 
 
 def _constructions(record, call) -> int:
-    """The records of class record that call() builds."""
-    real, built = record.__init__, 0
+    """The records of class record that call() builds, counted through the
+    class's own __new__ (a tuple record never calls __init__), or through
+    its __init__ where it defines no __new__ (the dataclass of older
+    checkouts)."""
+    name = "__new__" if "__new__" in vars(record) else "__init__"
+    saved, real, built = vars(record)[name], getattr(record, name), 0
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         nonlocal built
         built += 1
-        real(self, *args, **kwargs)
+        return real(*args, **kwargs)
 
     try:
-        record.__init__ = counted
+        setattr(record, name, staticmethod(counted) if name == "__new__" else counted)
         call()
     finally:
-        record.__init__ = real
+        setattr(record, name, saved)
     return built
 
 
@@ -125,13 +135,34 @@ def _export_counts(crystal, graph) -> dict:
     return {"blocks_rendered": rendered, "breakpoints": sum(len(p.times) for p in graph.vertices)}
 
 
+def _record_ns(record, paths, number: int) -> dict:
+    """Median over the paths of the ns that one record costs to build from
+    its fields, to hash, and to compare with an equal record whose times and
+    directions are fresh tuples; each a mean over number runs per path."""
+    names = {"P": record}
+    timers = {
+        label: timeit.Timer(stmt, globals=names)
+        for label, stmt in (("build", "P(r, d, t, v, s)"), ("hash", "hash(p)"), ("eq", "p == q"))
+    }
+    samples = {label: [] for label in timers}
+    for p in paths:
+        dirs = tuple(tuple(list(x)) for x in p.dirs)
+        fresh = record(p.rtype, p.den, tuple(list(p.times)), p.vden, dirs)
+        names.update(p=p, q=fresh, r=p.rtype, d=p.den, t=p.times, v=p.vden, s=p.dirs)
+        for label, timer in timers.items():
+            samples[label].append(timer.timeit(number) / number)
+    return {label: round(1e9 * statistics.median(x), 1) for label, x in samples.items()}
+
+
 def measure(models=MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
-    "export_json": {...}}}, the first two inner dicts holding median_ms,
-    root_f, root_e and paths_built (and generate path_scans), the last
-    median_ms, blocks_rendered and breakpoints."""
+    "export_json": {...}, "record_ns": {...}}}, the first two inner dicts
+    holding median_ms, root_f, root_e and paths_built (and generate
+    path_scans), the third median_ms, blocks_rendered and breakpoints, the
+    last the build, hash and eq ns of one record."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
+    from pathcrystals.paths import PLPath
 
     out = {}
     for name, lam in models:
@@ -150,6 +181,7 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
             "median_ms": _median_ms(lambda: crystal.export_json(graph), repeats),
             **_export_counts(crystal, graph),
         }
+        report["record_ns"] = _record_ns(PLPath, graph.vertices, repeats)
         out[f"{name}{lam}"] = report
     return out
 

@@ -133,6 +133,34 @@ MUTANTS = (
         ("tests/test_paths.py::test_integral_weight_matches_the_oracles_on_random_paths",),
     ),
     Mutant(
+        "path-record-accepts-a-denominator-below-one",
+        "paths.py",
+        "        if type(den) is not int or den < 1:\n",
+        "        if type(den) is not int:\n",
+        ("tests/test_paths.py::test_a_malformed_record_is_refused_when_it_is_built",),
+    ),
+    Mutant(
+        "path-record-accepts-any-direction-count",
+        "paths.py",
+        "        if len(dirs) != len(times) - 1:\n",
+        "        if False:\n",
+        ("tests/test_paths.py::test_a_malformed_record_is_refused_when_it_is_built",),
+    ),
+    Mutant(
+        "path-record-replace-skips-the-guards",
+        "paths.py",
+        "    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: guarded\n",
+        "",
+        ("tests/test_paths.py::test_records_keep_their_repr_immutability_pickling_and_order",),
+    ),
+    Mutant(
+        "dynkin-type-accepts-a-rank-that-is-not-an-int",
+        "cartan.py",
+        "or type(rank) is not int or",
+        "or",
+        ("tests/test_cartan.py::test_a_rank_that_is_not_an_int_is_refused",),
+    ),
+    Mutant(
         "reduced-keeps-equal-directions",
         "paths.py",
         "        if dirs[k] == dirs[k - 1]:\n",

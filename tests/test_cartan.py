@@ -59,6 +59,15 @@ def test_parse_rejects_inadmissible(bad):
         DynkinType.parse(bad)
 
 
+@pytest.mark.parametrize("rank", [True, 1.0, 2.0, "2"], ids=repr)
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    # DynkinType("A", True) printed as ATrue, ("A", 1.0) made generate raise
+    # TypeError, and ("A", "2") raised TypeError from the rank comparison
+    message = f"^inadmissible Dynkin type A{re.escape(repr(rank))}$"
+    with pytest.raises(ConfigurationError, match=message):
+        DynkinType("A", rank)
+
+
 def test_cartan_matrix_a1():
     assert cartan_matrix(A1) == ((2,),)
 

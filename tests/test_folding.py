@@ -5,6 +5,7 @@ from collections import Counter
 
 import export_oracle
 import fold_oracle
+import ls_oracle
 import paths_oracle
 import pytest
 from closure_oracle import vertex_ids
@@ -1016,6 +1017,56 @@ def test_membership_walk_matches_the_endpoint_budget_oracle(monkeypatch, virtual
     refused = _walks(monkeypatch, folding._membership, fold, lam, images, cap)
     assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
     assert refused == _walks(monkeypatch, fold_oracle.membership_by_endpoint, fold, lam, images, cap)
+
+
+@pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
+def test_generated_models_are_the_ls_paths_of_their_shape(t, lam):
+    # the closure under the root operators against Littelmann's definition,
+    # read off Bruhat covers and a-chains alone
+    keys = {ls_oracle.path_key(p) for p in generate(t, lam).vertices}
+    assert keys == ls_oracle.ls_paths(t, lam)
+
+
+@pytest.mark.parametrize(
+    "virtualize", [virtualize_path, _off_lattice, _halved], ids=["plain", "off", "halved"]
+)
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_membership_walk_matches_the_ls_criterion(virtualize, name, lam):
+    # the walk raises each image to a verdict; the criterion reads its
+    # directions and break times
+    fold = folding_pair(name)
+    y, top, lookup = fold.y_type, psi_weight(fold, lam), folding._membership(fold, lam, None)
+    images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
+    walks = [lookup(q) is not None for q in images]
+    assert walks == [ls_oracle.is_ls_path(y, top, q) for q in images]
+    # every image is a member, and no moved bent one is
+    bent = [len(q.dirs) > 1 for q in images]
+    assert walks == [virtualize is virtualize_path or not b for b in bent]
+
+
+def test_membership_walk_matches_the_ls_criterion_on_two_segment_paths():
+    # every direction pair of W.psi(lam) on C2(1,1), broken at every time of
+    # denominator 2 to 6
+    fold = folding_pair("C2")
+    y, top, lookup = fold.y_type, psi_weight(fold, (1, 1)), folding._membership(fold, (1, 1), None)
+    orbit = _weyl_orbit(y, top)
+    candidates = [
+        PLPath(y, q, (0, n, q), 1, (d, e))
+        for q in range(2, 7)
+        for n in range(1, q)
+        if F(n, q).denominator == q
+        for d, e in itertools.permutations(sorted(orbit), 2)
+    ]
+    walks = [lookup(q) is not None for q in candidates]
+    assert len(candidates) == 6072 and sum(walks) == 69
+    assert walks == [ls_oracle.is_ls_path(y, top, q) for q in candidates]
+
+
+def test_ls_paths_need_the_a_chain_divisibility():
+    # without it, every Bruhat chain counts at every break time
+    c2 = DynkinType("C", 2)
+    assert len(ls_oracle.ls_paths(c2, (1, 1))) == weyl_dim(c2, (1, 1)) == 16
+    assert len(ls_oracle.ls_paths(c2, (1, 1), divisible=False)) == 225
 
 
 @pytest.mark.parametrize("cap", [564, 100])

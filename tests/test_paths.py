@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -634,12 +636,43 @@ def test_reflection_memo_is_kept_per_type_and_color():
 
 
 def test_paths_of_two_types_with_the_same_data_are_two_keys():
-    # the hash leaves out the type; equality does not
+    # equality compares the type, and so does the hash of the tuple record
     a, g = PLPath(A2, 1, (0, 1), 1, ((1, 1),)), PLPath(G2, 1, (0, 1), 1, ((1, 1),))
-    assert a != g and hash(a) == hash(g)
+    assert a != g
     index = {a: "A2", g: "G2"}
     assert len(index) == 2 and (index[a], index[g]) == ("A2", "G2")
     assert hash(canonicalize(a)) == hash(a)
+
+
+def test_records_keep_their_repr_immutability_pickling_and_order():
+    # the tuple records print, refuse assignment and round-trip through
+    # pickle as the dataclasses they replaced did.  The classes as imported
+    # now: the benchmark self-tests import the package afresh, and pickle
+    # finds a class by its module's name
+    record = importlib.import_module("pathcrystals.paths").PLPath
+    kind = importlib.import_module("pathcrystals.cartan").DynkinType
+    a2, g2 = kind("A", 2), kind("G", 2)
+    a = record(a2, 2, (0, 1, 2), 1, ((1, 0), (-1, 1)))
+    assert repr(a2) == "DynkinType(family='A', rank=2)"
+    assert repr(a) == (
+        "PLPath(rtype=DynkinType(family='A', rank=2), den=2, times=(0, 1, 2), "
+        "vden=1, dirs=((1, 0), (-1, 1)))"
+    )
+    for obj, field in ((a, "den"), (a, "rtype"), (a2, "rank"), (a2, "family")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 3)
+    # _replace builds through _make, and both through the guards
+    with pytest.raises(Exception, match="^time denominator 0 is not a positive int$"):
+        a._replace(den=0)
+    with pytest.raises(Exception, match="^inadmissible Dynkin type A0$"):
+        a2._replace(rank=0)
+    assert a._replace(den=4, times=(0, 2, 4)) == record(a2, 4, (0, 2, 4), 1, a.dirs)
+    for obj in (a, a2, record(g2, 1, (0, 1), 1, ((1, 1),))):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and type(copy) is type(obj) and hash(copy) == hash(obj)
+    types = [kind.parse(x) for x in ("G2", "A10", "E6", "A2", "B3", "A1", "D4")]
+    assert [str(t) for t in sorted(types)] == ["A1", "A2", "A10", "B3", "D4", "E6", "G2"]
+    assert record(a2, 1, (0, 1), 1, ((1, 1),)) != record(g2, 1, (0, 1), 1, ((1, 1),))
 
 
 def test_paths_equal_refuses_a_negative_direction_denominator():
@@ -753,6 +786,11 @@ def test_kernel_bench_counts_the_operator_calls():
     exported = report["A2(1, 1)"]["export_json"]
     assert (exported["blocks_rendered"], exported["breakpoints"]) == (11, 18)
     assert exported["median_ms"] >= 0
+    assert set(report["D4(1, 1, 1, 1)"]["record_ns"]) == {"build", "hash", "eq"}
     assert (crystal.root_f, crystal.root_e) == (root_f, root_e)
     assert crystal._integral_weight is paths._integral_weight
+    record = importlib.import_module("pathcrystals.paths").PLPath  # the class measured
+    assert "__init__" not in vars(record)
+    with pytest.raises(Exception, match="^time denominator 0 "):  # its guard is back
+        record(A1, 0, (0, 0), 1, ((2,),))
     assert type(crystal._BREAKPOINT) is str
