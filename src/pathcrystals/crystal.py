@@ -4,9 +4,12 @@ restriction, highest/lowest elements, axiom checking, and exports.
 A highest-weight path crystal is the closure of its straight dominant path
 under the lowering operators alone, so generation is a breadth-first search
 along f-edges, deduplicating by canonical path; each e-edge is recorded as the
-inverse of an f-edge.  Vertex ids are BFS discovery order (colors ascending),
-so the vertex list is the search queue, regenerating a crystal reproduces it
-bit for bit, and the graph keeps no map from paths to ids.  Every f-edge adds
+inverse of an f-edge.  The scan that weighs each new path also gives its
+string lengths phi, and the search lowers a vertex only in the colors where
+phi is at least one, so every root_f call makes an edge.  Vertex ids are BFS
+discovery order (colors ascending), so the vertex list is the search queue,
+regenerating a crystal reproduces it bit for bit, and the graph keeps no map
+from paths to ids.  Every f-edge adds
 one to the depth (the height of lambda - wt), so the BFS layer of a vertex is
 its depth and ids come in depth order; a raising step only reaches the
 previous layer, so closing under the raising operators too would find nothing
@@ -38,7 +41,7 @@ from .cartan import (
     weyl_dim,
 )
 from .errors import DomainError, ModelIntegrityError
-from .paths import _integral_weight, _ratio, root_e, root_f, straight_path
+from .paths import _ratio, _scan, root_e, root_f, straight_path
 
 DEFAULT_MAX_SIZE = 20000
 
@@ -80,8 +83,9 @@ def _edges(lists, n):
 
 def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     """Generate the path model of highest weight lam by closure under the
-    lowering operators, checking that each f_i is injective and weighing each
-    new path in the scan that checks its minima are integral."""
+    lowering operators, checking that each f_i is injective.  The scan that
+    checks each new path's minima are integral weighs it and gives the
+    colors i with phi_i >= 1, the only ones f_i is called in."""
     lam = tuple(lam)
     dim = weyl_dim(t, lam)
     if max_size is not None and dim > max_size:
@@ -91,25 +95,29 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
             size = f"at least 2**{dim.bit_length() - 1}"
         raise DomainError(f"crystal of size {size} exceeds the cap {max_size}")
     start = straight_path(t, lam)
-    vertices, weights = [start], [_integral_weight(start)]
+    weight, _, phi = _scan(start)
+    vertices, weights, lowerable = [start], [weight], [phi]
     index = {start: 0}
     f_to = {i: [None] * dim for i in t.nodes}
     e_to = {i: [None] * dim for i in t.nodes}
     for v, pv in enumerate(vertices):  # ids are discovery order: the list is the queue
-        for i in t.nodes:
+        for i, n in zip(t.nodes, lowerable[v]):
+            if not n:  # phi_i is 0: f_i is undefined
+                continue
             lowered = root_f(pv, i)
             if lowered is None:
                 continue
             w = index.setdefault(lowered, len(vertices))  # one hash per path
             if w == len(vertices):
-                if (weight := _integral_weight(lowered)) is None:
+                if (scan := _scan(lowered)) is None:
                     raise ModelIntegrityError("generated path with non-integral minima")
                 if w == dim:
                     raise ModelIntegrityError(
                         f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
                     )
                 vertices.append(lowered)
-                weights.append(weight)
+                weights.append(scan[0])
+                lowerable.append(scan[2])
             f_to[i][v] = w
             if (prev := e_to[i][w]) is not None:  # (v, i) comes once: prev is not v
                 raise ModelIntegrityError(f"conflicting edge at {(w, i)}: {prev} vs {v}")

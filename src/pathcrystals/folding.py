@@ -47,14 +47,12 @@ from .crystal import DEFAULT_MAX_SIZE, generate
 from .errors import ConfigurationError, DomainError, ModelIntegrityError, NotInImageError
 from .paths import (
     PLPath,
-    _integral_weight,
+    _scan,
     canonicalize,
-    epsilon,
-    is_integral,
-    phi,
     root_e,
     root_f,
     straight_path,
+    string_lengths,
 )
 
 
@@ -273,8 +271,9 @@ def _embedding(fold: FoldingPair, lam, max_size):
 
 def _membership(fold: FoldingPair, lam, max_size):
     """Lookup: q if the target path q is in B(psi(lam)), else None.  A walk
-    raises q by the first defined root_e, colors ascending, to a path with a
-    verdict and passes it on to every path it visits.  It fails at a
+    raises q by the first color with epsilon at least one, colors ascending,
+    to a path with a verdict and passes it on to every path it visits; the
+    scan of each path it raises to gives those colors.  It fails at a
     non-integral or another dominant path, or past <psi(lam) - wt(q),
     rho^vee> steps.  DomainError at the (max_size + 1)-th path."""
     y, top = fold.y_type, psi_weight(fold, lam)
@@ -283,14 +282,17 @@ def _membership(fold: FoldingPair, lam, max_size):
     cap = inf if max_size is None else max_size
 
     def lookup(q):
-        weight = _integral_weight(q)  # q's scan; the walk scans each path root_e gives
-        budget = 0 if weight is None else sum(map(mul, rho2, map(sub, top, weight))) // 2
+        scan = _scan(q)  # q's scan; the walk scans each path root_e gives
+        budget = 0 if scan is None else sum(map(mul, rho2, map(sub, top, scan[0]))) // 2
         walk, p = [], q
-        while p and p not in known and len(walk) < budget and (not walk or is_integral(p)):
+        while p is not None and p not in known and len(walk) < budget:
+            if walk and (scan := _scan(p)) is None:
+                break
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
             walk.append(p)
-            p = next(filter(None, (root_e(p, i) for i in y.nodes)), None)
+            i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)
+            p = None if i is None else root_e(p, i)
         known.update(dict.fromkeys(walk, known.get(p, False)))
         return q if known.get(q) else None
 
@@ -301,13 +303,15 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
     """Exhaustively check that virtualization embeds the source model, the one
     model generated, into B(psi(lam)): images are members (by _membership),
     the map is injective, the source edges intertwine with the virtual
-    operators including definedness, and the string statistics scale by gamma."""
+    operators including definedness, and the string statistics scale by gamma,
+    read off one string_lengths scan of each source path and of its image."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
     images, violations = _image_table(virtual, _membership(fold, lam, max_size))
     operators = (("f", gx.f_to, virtual_f), ("e", gx.e_to, virtual_e))
     for b in images:
         pb, qb = gx.vertices[b], virtual[b]
+        (eps_b, phi_b), (eps_q, phi_q) = string_lengths(pb), string_lengths(qb)
         for i in fold.x_type.nodes:
             for name, edges, virtual_op in operators:
                 moved = edges[i][b]
@@ -316,9 +320,9 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
                     violations.append({"check": f"{name}-definedness", "vertex": b, "color": i})
                 elif moved is not None and virtual[moved] != virtual_moved:
                     violations.append({"check": f"{name}-intertwine", "vertex": b, "color": i})
-            eps, ph = fold.gamma(i) * epsilon(pb, i), fold.gamma(i) * phi(pb, i)
+            eps, ph = fold.gamma(i) * eps_b[i - 1], fold.gamma(i) * phi_b[i - 1]
             for j in fold.sigma(i):
-                if epsilon(qb, j) != eps or phi(qb, j) != ph:
+                if eps_q[j - 1] != eps or phi_q[j - 1] != ph:
                     violations.append(
                         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
                     )

@@ -10,7 +10,7 @@ segment lengths, so it starts at the origin by construction.  The record is
 a tuple of its fields, hashed and compared in C; it guards its own O(1)
 invariants when it is built (den and vden are positive ints, and there is
 one direction per segment), so no reader checks them again; weights are
-read off it here only, by the integrality scan or weight_int.  The package
+read off it here only, by the one path scan or weight_int.  The package
 only produces reduced paths (adjacent directions differ, and den and vden
 each have gcd 1 with their entries), so equality of the records, the type
 included, is pointwise equality.  All
@@ -22,8 +22,9 @@ color that holds at most the distinct directions reflected (W.lam per model
 lam), so the tail moves by alpha_i without being touched; the result is
 reduced once.  They agree with the classical path operators on models whose
 coordinate functions have integral local minima; generation asserts that
-property for every path it accepts in _integral_weight, the one integrality
-scan, which returns the path's weight as it goes.
+property for every path it accepts in _scan, the one path scan, which
+returns the path's weight and every color's string lengths as it goes, so
+that its callers call an operator only where it is defined.
 """
 
 from __future__ import annotations
@@ -186,33 +187,54 @@ def phi(path: PLPath, i: int) -> int:
     return _guard_integer(h[-1] - m, scale, f"endpoint of H_{i} minus its minimum")
 
 
-def _integral_weight(path: PLPath) -> tuple | None:
-    """The endpoint as an int tuple if it and every local minimum of every
-    coordinate function are integral, else None: the package's one
-    integrality scan, which generate makes once per new path."""
-    scale, times, weight = path.den * path.vden, path.times, []
+def _scan(path: PLPath) -> tuple | None:
+    """(weight, eps, phi), three int tuples in color order, if the endpoint
+    and every local minimum of every coordinate function are integral, else
+    None: the package's one path scan.  eps[i - 1] = -min H_i and
+    phi[i - 1] = H_i(1) - min H_i are the string lengths, so root_e and
+    root_f of color i are defined exactly where they are at least one (the
+    minimum is a local minimum, the endpoint or H(0) = 0).  generate makes
+    it once per new path, and the membership walk once per path it raises."""
+    scale, times, weight, eps, phi = path.den * path.vden, path.times, [], [], []
     for x in range(path.rtype.rank):
-        h, falling = 0, False  # H at the start of segment k; whether H last fell
+        h = low = 0  # H at the start of segment k; its least local minimum so far
+        falling = False  # whether H last fell
         for k, d in enumerate(path.dirs):
             v = d[x]
             if v > 0:
-                if falling and h % scale:
-                    return None
-                falling = False
+                if falling:
+                    if h % scale:
+                        return None
+                    if h < low:
+                        low = h
+                    falling = False
             elif v < 0:
                 falling = True
             h += v * (times[k + 1] - times[k])
         if h % scale:
             return None
+        if h < low:
+            low = h
         weight.append(h // scale)
-    return tuple(weight)
+        eps.append(-low // scale)
+        phi.append((h - low) // scale)
+    return tuple(weight), tuple(eps), tuple(phi)
 
 
 def is_integral(path: PLPath) -> bool:
     """Whether every local minimum of every coordinate function is an integer
     and the endpoint is an integral weight.  Generated models must satisfy
     this; the operators are only the classical ones on such paths."""
-    return _integral_weight(path) is not None
+    return _scan(path) is not None
+
+
+def string_lengths(path: PLPath) -> tuple:
+    """(eps, phi): epsilon and phi of every color, as two tuples in color
+    order, off the one scan.  Raises ModelIntegrityError on a path with a
+    non-integral endpoint or local minimum."""
+    if (scan := _scan(path)) is None:
+        raise ModelIntegrityError("path with a non-integral endpoint or minimum")
+    return scan[1:]
 
 
 def _heights(path: PLPath, i: int):

@@ -17,7 +17,8 @@ counts that one more call makes:
   PLPath records built, counted by wrapping PLPath.__new__, or
   PLPath.__init__ on a checkout whose record defines no __new__ (so the
   count does not depend on which checks the record makes itself); generate also
-  the path scans, the calls of whichever of crystal._integral_weight,
+  the root_f calls that return None (root_f_undefined), and the path scans,
+  the calls of whichever of crystal._scan, crystal._integral_weight,
   crystal.is_integral and crystal.weight_int the module binds (one per
   vertex when each new path is weighed in the scan that checks it);
 - export_json: the _BREAKPOINT blocks rendered, counted through a str
@@ -60,18 +61,22 @@ def _median_ms(call, repeats: int) -> float:
     return round(1000 * statistics.median(times), 2)
 
 
-SCANS = ("_integral_weight", "is_integral", "weight_int")
+SCANS = ("_scan", "_integral_weight", "is_integral", "weight_int")
 
 
 def _counted_calls(crystal, call, names) -> dict:
-    """{name: calls} of each of the names crystal binds while call() runs."""
+    """{name: calls} of each of the names crystal binds while call() runs,
+    and {"<name> None": calls} of those that returned None."""
     counts = {name: 0 for name in names if hasattr(crystal, name)}
     real = {name: getattr(crystal, name) for name in counts}
+    counts.update({f"{name} None": 0 for name in real})
 
     def counted(name):
         def op(*args):
             counts[name] += 1
-            return real[name](*args)
+            out = real[name](*args)
+            counts[f"{name} None"] += out is None
+            return out
 
         return op
 
@@ -111,9 +116,10 @@ def _operator_calls(crystal, call, scans: bool = False) -> dict:
 
     names, counts = ("root_f", "root_e") + (SCANS if scans else ()), {}
     built = _constructions(PLPath, lambda: counts.update(_counted_calls(crystal, call, names)))
-    out = {"root_f": counts.pop("root_f"), "root_e": counts.pop("root_e"), "paths_built": built}
+    out = {"root_f": counts["root_f"], "root_e": counts["root_e"], "paths_built": built}
     if scans:
-        out["path_scans"] = sum(counts.values())
+        out["root_f_undefined"] = counts["root_f None"]
+        out["path_scans"] = sum(counts[name] for name in SCANS if name in counts)
     return out
 
 
@@ -158,8 +164,8 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
     "export_json": {...}, "record_ns": {...}}}, the first two inner dicts
     holding median_ms, root_f, root_e and paths_built (and generate
-    path_scans), the third median_ms, blocks_rendered and breakpoints, the
-    last the build, hash and eq ns of one record."""
+    root_f_undefined and path_scans), the third median_ms, blocks_rendered
+    and breakpoints, the last the build, hash and eq ns of one record."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
     from pathcrystals.paths import PLPath

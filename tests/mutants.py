@@ -128,9 +128,30 @@ MUTANTS = (
     Mutant(
         "integrality-scan-keeps-the-falling-flag",
         "paths.py",
-        "                falling = False\n",
+        "                    falling = False\n",
         "",
         ("tests/test_paths.py::test_integral_weight_matches_the_oracles_on_random_paths",),
+    ),
+    Mutant(
+        "scan-phi-one-step-short-in-color-one",
+        "paths.py",
+        "        phi.append((h - low) // scale)\n",
+        "        phi.append((h - low) // scale - (x == 0 and h > low))\n",
+        ("tests/test_acceptance.py::test_criterion_01_size_oracle_agreement",),
+    ),
+    Mutant(
+        "membership-walk-raises-by-the-last-color",
+        "folding.py",
+        "            i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)\n",
+        "            i = next((i for i, eps in reversed([*zip(y.nodes, scan[1])]) if eps), None)\n",
+        ("tests/test_folding.py::test_membership_walk_matches_the_endpoint_budget_oracle",),
+    ),
+    Mutant(
+        "string-scaling-swaps-epsilon-and-phi",
+        "folding.py",
+        "        (eps_b, phi_b), (eps_q, phi_q) = string_lengths(pb), string_lengths(qb)\n",
+        "        (eps_b, phi_b), (phi_q, eps_q) = string_lengths(pb), string_lengths(qb)\n",
+        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
     ),
     Mutant(
         "path-record-accepts-a-denominator-below-one",
@@ -174,8 +195,10 @@ MUTANTS = (
 
 
 def _failed_ids(output: str) -> set:
-    """The node ids of the FAILED lines of pytest's short summary."""
-    return set(re.findall(r"^FAILED (\S+)", output, re.MULTILINE))
+    """The node ids of the FAILED lines of pytest's short summary: each up to
+    the " - " before the message, or to the end of the line, as a
+    parametrized id may hold spaces."""
+    return set(re.findall(r"^FAILED (.+?)(?: - .*)?$", output, re.MULTILINE))
 
 
 def _caught(test_id: str, failed: set) -> bool:

@@ -46,6 +46,12 @@ points_weight_int reads the endpoint off the last of the path's points,
 and integral_weight, the oracle of the package's one integrality scan,
 returns it where one_pass_is_integral holds on the path's points form and
 None elsewhere.
+
+weight_scan is the package's integrality scan as it was before it read the
+string lengths too: per color, a flag for whether the coordinate function
+last fell, and the endpoint as it goes.  scan is the oracle of the package's
+one path scan: None where weight_scan is, else the package's weight_int,
+and its epsilon and phi of every color, each a pass of its own.
 """
 
 from collections import deque
@@ -55,6 +61,7 @@ from itertools import chain
 from math import gcd
 from operator import sub
 
+from pathcrystals import paths as ls
 from pathcrystals.cartan import DynkinType, _columns, cartan_matrix, simple_root
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.paths import PLPath
@@ -635,3 +642,33 @@ def integral_weight(path: PLPath) -> tuple | None:
     if not one_pass_is_integral(points_form(path)):
         return None
     return points_weight_int(path)
+
+
+def weight_scan(path: PLPath) -> tuple | None:
+    scale, times, weight = path.den * path.vden, path.times, []
+    for x in range(path.rtype.rank):
+        h, falling = 0, False  # H at the start of segment k; whether H last fell
+        for k, d in enumerate(path.dirs):
+            v = d[x]
+            if v > 0:
+                if falling and h % scale:
+                    return None
+                falling = False
+            elif v < 0:
+                falling = True
+            h += v * (times[k + 1] - times[k])
+        if h % scale:
+            return None
+        weight.append(h // scale)
+    return tuple(weight)
+
+
+def scan(path: PLPath) -> tuple | None:
+    if weight_scan(path) is None:
+        return None
+    nodes = path.rtype.nodes
+    return (
+        ls.weight_int(path),
+        tuple(ls.epsilon(path, i) for i in nodes),
+        tuple(ls.phi(path, i) for i in nodes),
+    )

@@ -279,13 +279,15 @@ def test_generate_stops_short_of_the_weyl_dimension(monkeypatch):
 
 
 def test_generate_refuses_a_second_edge_into_a_vertex(monkeypatch):
-    # every lowering step lands on f_1 of the highest path, so the color-1
-    # step from that path to itself is a second 1-edge into vertex 1
+    # every lowering step lands on f_1 of the highest path, vertex 1.  Both
+    # steps from vertex 0 make edges into vertex 1, and vertex 1 is lowered
+    # in color 2 alone (its phi is (0, 2)): that step to itself is a second
+    # 2-edge into vertex 1
     second = crystal.root_f(straight_path(A2, (1, 1)), 1)
     monkeypatch.setattr(crystal, "root_f", lambda path, i: second)
     with pytest.raises(ModelIntegrityError) as info:
         generate(A2, (1, 1))
-    assert str(info.value) == "conflicting edge at (1, 1): 0 vs 1"
+    assert str(info.value) == "conflicting edge at (1, 2): 0 vs 1"
 
 
 def test_generate_refuses_a_path_with_non_integral_minima(monkeypatch):
@@ -307,8 +309,9 @@ def test_generate_never_raises(monkeypatch):
 
 
 def test_operator_call_counts_on_d4(monkeypatch):
-    # generate calls root_f once per vertex and color, and the defined calls
-    # are the f-edges; verify_seminormal calls root_e once per vertex and color
+    # generate calls root_f once per f-edge: only where the scan of the
+    # vertex gives phi at least one, so every call is defined;
+    # verify_seminormal calls root_e once per vertex and color
     calls = Counter()
 
     def counted(name, op):
@@ -324,14 +327,34 @@ def test_operator_call_counts_on_d4(monkeypatch):
     monkeypatch.setattr(crystal, "root_e", counted("root_e", crystal.root_e))
     g = generate(DynkinType("D", 4), (1, 1, 1, 1))
     assert len(g) == 4096 and len(g.f_edges) == 9664
-    assert calls == {"root_f": 16384, "root_f defined": 9664}
+    assert calls == {"root_f": 9664, "root_f defined": 9664}
     assert verify_seminormal(g) == []
     assert calls == {
-        "root_f": 16384,
+        "root_f": 9664,
         "root_f defined": 9664,
         "root_e": 16384,
         "root_e defined": 9664,
     }
+
+
+@pytest.mark.parametrize(
+    "t,lam", CLOSURE_CASES + [(DynkinType("E", 6), (1, 0, 0, 0, 0, 1)), (A3, (0, 1, 0))]
+)
+def test_generate_calls_root_f_once_per_f_edge(monkeypatch, t, lam):
+    # the scan of each vertex says which colors lower it: every call is
+    # defined and makes an edge (on E6(1,0,0,0,0,1), 1,380 calls where trying
+    # every vertex and color made 3,900)
+    calls, real = Counter(), crystal.root_f
+
+    def counted(path, i):
+        out = real(path, i)
+        calls["all"] += 1
+        calls["defined"] += out is not None
+        return out
+
+    monkeypatch.setattr(crystal, "root_f", counted)
+    g = generate(t, lam)
+    assert calls == {"all": len(g.f_edges), "defined": len(g.f_edges)}
 
 
 def test_seminormal_checks_raising_operator(monkeypatch):

@@ -559,10 +559,8 @@ def test_virtualization_reports_unscaled_string_statistics(monkeypatch, stat):
     # one more step on every target string breaks the scaling at every
     # vertex, source color and node of its orbit
     fold = folding_pair("C2")
-    real = getattr(folding, stat)
-    monkeypatch.setattr(
-        folding, stat, lambda path, i: real(path, i) + (path.rtype == fold.y_type)
-    )
+    lengths = _one_more_step(stat)(folding.string_lengths, fold, (1, 0))
+    monkeypatch.setattr(folding, "string_lengths", lengths)
     expected = [
         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
         for b in range(weyl_dim(fold.x_type, (1, 0)))
@@ -818,14 +816,17 @@ def test_ls_form_check_flags_a_direction_off_the_orbit():
 @pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
 def test_path_kernel_matches_the_direct_reflection_oracle(t, lam):
     # the operators read each reflected direction from a memo per type and
-    # color, and weight_int and the integrality scan that weighs each new
-    # vertex sum the directions; the oracle reflects every direction afresh
-    # and reads the last of the points
+    # color, and weight_int and the one path scan that weighs each new vertex
+    # sum the directions; the oracle reflects every direction afresh and
+    # reads the last of the points.  The scan's string lengths are those of
+    # epsilon and phi, color by color
     g = generate(t, lam)
     assert g.weights == tuple(weight_int(p) for p in g.vertices)
     for p in g.vertices:
         assert weight_int(p) == paths_oracle.points_weight_int(p), p
-        assert paths._integral_weight(p) == paths_oracle.integral_weight(p) is not None, p
+        scan = paths._scan(p)
+        assert scan == paths_oracle.scan(p) and scan is not None, p
+        assert scan[0] == paths_oracle.integral_weight(p), p
         for i in t.nodes:
             assert root_f(p, i) == paths_oracle.direct_root_f(p, i), (p, i)
             assert root_e(p, i) == paths_oracle.direct_root_e(p, i), (p, i)
@@ -894,8 +895,20 @@ def test_virtual_relations_compute_each_induced_word_once(monkeypatch):
     assert calls == Counter(connected_subdiagrams(fold.x_type))
 
 
-def _one_more_step(real, fold, lam):
-    return lambda path, i: real(path, i) + (path.rtype == fold.y_type)
+def _one_more_step(stat):
+    # string_lengths with one more step on every target string of stat
+    k = ("epsilon", "phi").index(stat)
+
+    def broken(real, fold, lam):
+        def lengths(path):
+            out = list(real(path))
+            if path.rtype == fold.y_type:
+                out[k] = tuple(n + 1 for n in out[k])
+            return tuple(out)
+
+        return lengths
+
+    return broken
 
 
 def _merging(real, fold, lam):
@@ -930,8 +943,8 @@ VIRTUALIZATION_PATCHES = {
         for name in ("f", "e")
         for check in sorted(BROKEN_VIRTUAL_OPS)
     },
-    "string-scaling-epsilon": ("epsilon", _one_more_step),
-    "string-scaling-phi": ("phi", _one_more_step),
+    "string-scaling-epsilon": ("string_lengths", _one_more_step("epsilon")),
+    "string-scaling-phi": ("string_lengths", _one_more_step("phi")),
     "image-membership": ("virtualize_path", lambda real, fold, lam: _off_lattice),
     "image-membership-at-zero": ("virtualize_path", _bent_images(_to_zero)),
     "injectivity": ("virtualize_path", _merging),
@@ -971,23 +984,34 @@ def test_membership_cap_counts_touched_paths_exactly():
 
 
 def _walks(monkeypatch, membership, fold, lam, images, max_size=None):
-    """(verdict, paths touched) of each image in turn, through one lookup of
-    membership(fold, lam, max_size); the paths a walk touches are those it
-    raises, each handed to root_e.  On a refusal, the index of the image
-    and the message take the place of the pair."""
-    raised, real = [], folding.root_e
-    monkeypatch.setattr(folding, "root_e", lambda p, i: raised.append(p) or real(p, i))
+    """(record, handed) of the images in turn, through one lookup of
+    membership(fold, lam, max_size).  The record holds each image's verdict
+    and the steps of its walk: the path and color of each root_e call that
+    raised a path.  On a refusal, the index of the image and the message
+    take the place of the pair, and the record ends there.  handed lists
+    the path of every root_e call, defined or not."""
+    handed, steps, real = [], [], folding.root_e
+
+    def raising(p, i):
+        handed.append(p)
+        raised = real(p, i)
+        if raised is not None:
+            steps.append((p, i))
+        return raised
+
+    monkeypatch.setattr(folding, "root_e", raising)
     lookup, record = membership(fold, lam, max_size), []
     try:
         for b, q in enumerate(images):
-            raised.clear()
+            steps.clear()
             try:
-                record.append((lookup(q), len(set(raised))))
+                record.append((lookup(q), tuple(steps)))
             except DomainError as exc:
-                return record + [(b, str(exc))]
+                record.append((b, str(exc)))
+                break
     finally:
         monkeypatch.setattr(folding, "root_e", real)
-    return record
+    return record, handed
 
 
 def _halved(fold, path):
@@ -1001,22 +1025,41 @@ def _halved(fold, path):
 )
 @pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
 def test_membership_walk_matches_the_endpoint_budget_oracle(monkeypatch, virtualize, name, lam):
-    # the step budget comes from the integrality scan, and no walk from a
-    # non-integral path; the oracle floors the rho^vee pairing of the
-    # endpoint over den * vden.  Same verdicts, same paths touched per image,
-    # and the same refusal one path short of the total
+    # the step budget and the colors come from the one path scan, and no walk
+    # from a non-integral path; the oracle floors the rho^vee pairing of the
+    # endpoint over den * vden, and tries root_e color by color.  Same
+    # verdicts, same paths raised by the same colors, no undefined root_e
+    # call in the walk, and the same refusal one path short of the total
     fold = folding_pair(name)
     images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
-    walks = _walks(monkeypatch, folding._membership, fold, lam, images)
-    assert walks == _walks(monkeypatch, fold_oracle.membership_by_endpoint, fold, lam, images)
+    walks, handed = _walks(monkeypatch, folding._membership, fold, lam, images)
+    oracle = fold_oracle.membership_by_endpoint
+    walks_by_endpoint, tried = _walks(monkeypatch, oracle, fold, lam, images)
+    assert walks == walks_by_endpoint
+    assert handed == [p for _, steps in walks for p, _ in steps]
     assert all(verdict is None or verdict is q for (verdict, _), q in zip(walks, images))
-    assert any(touched for _, touched in walks)
+    assert any(steps for _, steps in walks)
     if virtualize is _halved and any(len(q.dirs) > 1 for q in images):
         assert any(not paths.is_integral(q) for q in images)
-    cap = sum(touched for _, touched in walks)  # the straight path makes one more
-    refused = _walks(monkeypatch, folding._membership, fold, lam, images, cap)
+    cap = len(set(tried))  # the oracle hands root_e each path it touches; the top is one more
+    refused, _ = _walks(monkeypatch, folding._membership, fold, lam, images, cap)
     assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
-    assert refused == _walks(monkeypatch, fold_oracle.membership_by_endpoint, fold, lam, images, cap)
+    assert refused == _walks(monkeypatch, oracle, fold, lam, images, cap)[0]
+
+
+@pytest.mark.parametrize(
+    "virtualize", [virtualize_path, _off_lattice, _halved], ids=["plain", "off", "halved"]
+)
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_path_scan_matches_the_scan_it_replaced_on_images(virtualize, name, lam):
+    # None where the weight-only scan gave None; elsewhere weight_int, and
+    # epsilon and phi of every target color
+    fold = folding_pair(name)
+    images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
+    scans = [paths._scan(q) for q in images]
+    assert scans == [paths_oracle.scan(q) for q in images]
+    assert [s is None for s in scans] == [paths_oracle.weight_scan(q) is None for q in images]
+    assert any(s is not None for s in scans)
 
 
 @pytest.mark.parametrize("t,lam", _ls_form_models(), ids=lambda x: str(x).replace(" ", ""))
@@ -1074,10 +1117,10 @@ def test_membership_walk_refuses_where_the_endpoint_budget_oracle_does(monkeypat
     # the API's refusal and the command line's, on the G2(1,1) walks
     fold = folding_pair("G2")
     images = [virtualize_path(fold, p) for p in generate(fold.x_type, (1, 1)).vertices]
-    refused = _walks(monkeypatch, folding._membership, fold, (1, 1), images, cap)
+    refused, _ = _walks(monkeypatch, folding._membership, fold, (1, 1), images, cap)
     assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
     oracle = fold_oracle.membership_by_endpoint
-    assert refused == _walks(monkeypatch, oracle, fold, (1, 1), images, cap)
+    assert refused == _walks(monkeypatch, oracle, fold, (1, 1), images, cap)[0]
 
 
 @pytest.mark.parametrize("name,lam", [("G2", (1, 1)), ("C3", (1, 1, 1)), ("G2", (2, 2))])
@@ -1174,14 +1217,17 @@ def test_virtualization_results_are_canonical(name, lam):
 
 # root_f and root_e calls of each verifier, all and defined, on C2(1,1) and
 # F4(0,0,0,1): generate reaches root_f through crystal, the membership walk
-# and the virtual operators reach both through folding
+# and the virtual operators reach both through folding.  generate and the
+# walk call an operator only where the scan says it is defined; the
+# undefined calls are the virtual operators', one at each source vertex and
+# color without an edge (14 of each on C2(1,1), 72 on F4)
 VERIFIER_OPERATOR_CALLS = [
-    ("C2", (1, 1), verify_virtualization, (82, 54, 151, 92)),
-    ("C2", (1, 1), verify_virtual_relations, (525, 324, 0, 0)),
-    ("C2", (1, 1), verify_commutative_diagram, (557, 342, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_virtualization, (240, 96, 603, 210)),
-    ("F4", (0, 0, 0, 1), verify_virtual_relations, (3900, 1380, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_commutative_diagram, (4004, 1412, 0, 0)),
+    ("C2", (1, 1), verify_virtualization, (68, 54, 106, 92)),
+    ("C2", (1, 1), verify_virtual_relations, (324, 324, 0, 0)),
+    ("C2", (1, 1), verify_commutative_diagram, (342, 342, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_virtualization, (168, 96, 282, 210)),
+    ("F4", (0, 0, 0, 1), verify_virtual_relations, (1380, 1380, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_commutative_diagram, (1412, 1412, 0, 0)),
 ]
 
 

@@ -18,3 +18,21 @@ def test_every_mutant_snippet_occurs_once_and_names_defined_tests():
             path, function = test_id.split("::")
             source = (mutants.ROOT / path).read_text()
             assert re.search(rf"^def {function}\(", source, re.MULTILINE), test_id
+
+
+def test_failed_ids_keep_the_spaces_of_a_parametrized_id():
+    summary = (
+        "FAILED tests/test_paths.py::test_a_malformed_record_is_refused_when_it_is_built"
+        "[den 0] - Failed: DID NOT RAISE <class 'DomainError'>\n"
+        "FAILED tests/test_paths.py::test_a_malformed_record_is_refused_when_it_is_built"
+        "[den -1] - Failed: DID NOT RAISE\n"
+        "FAILED tests/test_cli.py::test_one_line_guards_exit_two\n"
+        "1 failed, 2 passed in 0.50s\n"
+    )
+    test_id = "tests/test_paths.py::test_a_malformed_record_is_refused_when_it_is_built"
+    assert mutants._failed_ids(summary) == {
+        f"{test_id}[den 0]",
+        f"{test_id}[den -1]",
+        "tests/test_cli.py::test_one_line_guards_exit_two",
+    }
+    assert mutants._caught(test_id, mutants._failed_ids(summary))

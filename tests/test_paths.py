@@ -30,6 +30,7 @@ from pathcrystals.paths import (
     root_e,
     root_f,
     straight_path,
+    string_lengths,
     weight_int,
 )
 
@@ -352,11 +353,27 @@ def test_non_integral_minimum_raises():
         epsilon(p, 1)
     with pytest.raises(ModelIntegrityError):
         root_f(p, 1)
+    with pytest.raises(ModelIntegrityError, match="^path with a non-integral endpoint or minimum$"):
+        string_lengths(p)
 
 
 def test_is_integral_rejects_non_integral_endpoint():
     # H rises straight to 1/2: no interior minimum, only the endpoint is off
-    assert not is_integral(PLPath.from_breakpoints(A1, ((0, (0,)), (1, (F(1, 2),)))))
+    p = PLPath.from_breakpoints(A1, ((0, (0,)), (1, (F(1, 2),))))
+    assert not is_integral(p)
+    with pytest.raises(ModelIntegrityError, match="^path with a non-integral endpoint or minimum$"):
+        string_lengths(p)
+
+
+def test_string_lengths_read_the_minimum_off_an_endpoint_or_a_plateau():
+    # H falls to -1 and stays there to the end: the minimum is the endpoint.
+    # H falls to -2, stays, then rises to 1: the minimum is where the rise
+    # starts, a segment after the fall ends
+    end = PLPath(A1, 2, (0, 1, 2), 1, ((-2,), (0,)))
+    plateau = PLPath(A1, 3, (0, 1, 2, 3), 1, ((-6,), (0,), (9,)))
+    assert paths._scan(end) == ((-1,), (1,), (0,)) == paths_oracle.scan(end)
+    assert paths._scan(plateau) == ((1,), (2,), (3,)) == paths_oracle.scan(plateau)
+    assert string_lengths(plateau) == ((2,), (3,))
 
 
 def test_json_roundtrip():
@@ -482,7 +499,9 @@ def _match_two_pass(p):
     assert _points(_exact_outcome(canonicalize, p)) == expected
     expected = paths_oracle.one_pass_is_integral(q)
     assert is_integral(p) == expected == paths_oracle.compressed_is_integral(q)
-    assert paths._integral_weight(p) == paths_oracle.integral_weight(p)
+    scan = paths._scan(p)
+    assert scan == paths_oracle.scan(p)
+    assert (None if scan is None else scan[0]) == paths_oracle.integral_weight(p)
 
 
 @pytest.mark.parametrize("t,lam", TWO_PASS_CASES)
@@ -747,14 +766,18 @@ def _random_path(rng):
 
 def test_integral_weight_matches_the_oracles_on_random_paths():
     # the one scan against the breakpoint kernel's integrality test and the
-    # endpoint read off the points, on seeded paths of all three outcomes
+    # endpoint read off the points, and against the scan it replaced and the
+    # single-color string lengths, on seeded paths of all three outcomes
     rng, outcomes = random.Random(28), {}
     for _ in range(600):
         p = _random_path(rng)
-        weight = paths._integral_weight(p)
-        assert weight == paths_oracle.integral_weight(p), p
+        scan = paths._scan(p)
+        assert scan == paths_oracle.scan(p), p
+        weight = None if scan is None else scan[0]
+        assert weight == paths_oracle.integral_weight(p) == paths_oracle.weight_scan(p), p
         assert is_integral(p) == (weight is not None)
         if weight is not None:
+            assert string_lengths(p) == scan[1:]
             outcome = "integral"
         elif any(c % (p.den * p.vden) for c in p.points[-1]):
             outcome = "endpoint"
@@ -768,11 +791,12 @@ def test_integral_weight_matches_the_oracles_on_random_paths():
 def test_kernel_bench_counts_the_operator_calls():
     report = kernel_bench.measure([("A2", (1, 1)), ("D4", (1, 1, 1, 1))], repeats=1)
     assert list(report) == ["A2(1, 1)", "D4(1, 1, 1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
-    # one record per defined operator call, and generate's straight path
+    # one record per defined operator call, and generate's straight path;
+    # generate calls root_f only where phi is at least one, once per f-edge
     for model, label, f_calls, e_calls, built in (
-        ("A2(1, 1)", "generate", 16, 0, 9),
+        ("A2(1, 1)", "generate", 8, 0, 9),
         ("A2(1, 1)", "verify_seminormal", 0, 16, 8),
-        ("D4(1, 1, 1, 1)", "generate", 16384, 0, 9665),
+        ("D4(1, 1, 1, 1)", "generate", 9664, 0, 9665),
         ("D4(1, 1, 1, 1)", "verify_seminormal", 0, 16384, 9664),
     ):
         measured = report[model][label]
@@ -780,6 +804,8 @@ def test_kernel_bench_counts_the_operator_calls():
         assert counts == (f_calls, e_calls, built), (model, label)
         assert measured["median_ms"] >= 0
     assert report["D4(1, 1, 1, 1)"]["generate"]["path_scans"] == 4096
+    assert report["D4(1, 1, 1, 1)"]["generate"]["root_f_undefined"] == 0
+    assert report["A2(1, 1)"]["generate"]["root_f_undefined"] == 0
     # one scan per vertex, where weighing after the closure made 2n - 1; 11
     # distinct breakpoints of the 18 that the 8 paths export
     assert report["A2(1, 1)"]["generate"]["path_scans"] == 8
@@ -788,7 +814,7 @@ def test_kernel_bench_counts_the_operator_calls():
     assert exported["median_ms"] >= 0
     assert set(report["D4(1, 1, 1, 1)"]["record_ns"]) == {"build", "hash", "eq"}
     assert (crystal.root_f, crystal.root_e) == (root_f, root_e)
-    assert crystal._integral_weight is paths._integral_weight
+    assert crystal._scan is paths._scan
     record = importlib.import_module("pathcrystals.paths").PLPath  # the class measured
     assert "__init__" not in vars(record)
     with pytest.raises(Exception, match="^time denominator 0 "):  # its guard is back
