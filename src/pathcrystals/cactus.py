@@ -8,12 +8,12 @@ It is computed by propagating that rule along every J-colored lowering edge
 in one sweep over the ids by depth <lambda - wt, 2 rho^vee>, which each
 lowering edge raises by 2, so any two lowering words to a vertex must give
 the same image; a graph the sweep cannot vouch for is rejected.  The sweep
-lives in crystal, where the Levi views read their components off it.  The
-guard that the color set is nonempty and connected is one node-set check and
-one lookup in the per-type cache of cartan.is_connected.
+lives in crystal and takes the twist as the pairs cached by _theta_pairs;
+xi_perm first checks (cached) that its color set is nonempty and connected.
 The verifier checks, by exhaustive permutation arithmetic, that these
-involutions satisfy the defining relations of the cactus group of the
-diagram, over pairs of subdiagrams planned once per type.
+involutions satisfy the cactus relations, over pairs of subdiagrams planned
+once per type; it sweeps each connected subdiagram with no such check, as
+connected_subdiagrams are connected by construction.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cache
 from operator import itemgetter
 
 from .cartan import (
+    _theta_pairs,
     components,
     connected_subdiagrams,
     is_connected,
@@ -44,7 +45,7 @@ def xi_perm(graph: CrystalGraph, colors) -> tuple:
     colors = frozenset(colors)
     if not is_connected(graph.rtype, colors):  # False on the empty set
         raise DomainError("xi_perm needs a nonempty connected color set")
-    images, _ = _levi_sweep(graph, colors)
+    images, _ = _levi_sweep(graph, _theta_pairs(graph.rtype, colors))
     return tuple(images)
 
 
@@ -149,5 +150,6 @@ def verify_cactus_relations(graph: CrystalGraph) -> list:
     """Check the three cactus-group relations as permutation identities over
     all pairs of connected subdiagrams.  Returns violation records; empty
     means the generators define a group action on this crystal."""
-    perms = {s: xi_perm(graph, s) for s in connected_subdiagrams(graph.rtype)}
-    return _relation_violations(graph.rtype, perms, identity_perm(graph))
+    t = graph.rtype
+    perms = {s: _levi_sweep(graph, _theta_pairs(t, s))[0] for s in connected_subdiagrams(t)}
+    return _relation_violations(t, perms, identity_perm(graph))

@@ -19,11 +19,11 @@ raising operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
 mismatch aborts, at the first extra vertex if there are too many.  The ids
 sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi decomposition,
-a sweep that propagates the partial involution of a color set (twisted by
-cartan.theta of the set, connected or not, which the sweep reads itself) down
-its lowering edges and finds the highest and lowest vertex of each component
-on the way.  The Levi views read it for any color set; cactus.xi_perm reads it
-after a cached guard that the set is connected.
+a sweep that propagates the partial involution of a color set down its
+lowering edges and finds the highest and lowest vertex of each component on
+the way.  It takes the set and its twist as the (i, theta(i)) pairs in color
+order that cartan._theta_pairs caches for any node set, so it builds no theta
+dict and sorts nothing; the Levi views and cactus hand it the cached pairs.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from operator import add, mul, sub
 from .cartan import (
     DynkinType,
     _node_set,
+    _theta_pairs,
     _two_rho_vee,
     simple_root,
-    theta,
     weyl_dim,
 )
 from .errors import DomainError, ModelIntegrityError
@@ -129,15 +129,28 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     return CrystalGraph(t, lam, vertices, f_to, e_to, weights)
 
 
-def _string_length(targets, v, limit):
-    count = 0
-    cur = targets[v]
-    while cur is not None:
-        count += 1
-        if count > limit:
-            return None  # cycle; flagged by the caller
-        cur = targets[cur]
-    return count
+def _string_lengths(targets) -> list:
+    """For each vertex, the number of steps along targets before the walk
+    from it ends, or None where it runs into a cycle.  A walk stops at the
+    first vertex an earlier walk reached, then retraces its steps to count
+    them, so each vertex is walked at most twice."""
+    lengths = [None] * len(targets)
+    reached = [False] * len(targets)
+    for v in range(len(targets)):
+        steps, cur = 0, v
+        while cur is not None and not reached[cur]:
+            reached[cur] = True
+            steps += 1
+            cur = targets[cur]
+        # the length at cur: -1 past an end, None where this walk closed a
+        # cycle (it has not counted cur yet) or an earlier walk met one
+        base = -1 if cur is None else lengths[cur]
+        cur = v
+        while steps and base is not None:
+            lengths[cur] = base + steps
+            steps -= 1
+            cur = targets[cur]
+    return lengths
 
 
 def verify_seminormal(graph: CrystalGraph) -> list:
@@ -147,14 +160,18 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     semi-normal crystal.  Checked: the lowering and raising edge maps are
     mutually inverse, edges shift the weight by the corresponding simple
     root, the string law phi - epsilon = <wt, alpha_i^vee> holds with phi
-    and epsilon counted by walking edges, and the raising operator agrees
-    with the e-edges: root_e of the vertex's path is the path of its e-edge
-    target, and None exactly where there is no e-edge ("raising-operator").
+    and epsilon counted along the edges, each string once per color (a
+    string that runs into a cycle is "unbounded-string"), and the raising
+    operator agrees with the e-edges: root_e of the vertex's path is the path
+    of its e-edge target, and None exactly where there is no e-edge
+    ("raising-operator").
     """
     t = graph.rtype
     weights, paths = graph.weights, graph.vertices
-    limit = len(graph) + 1
-    columns = [(i, simple_root(t, i), graph.f_to[i], graph.e_to[i]) for i in t.nodes]
+    columns = []
+    for i in t.nodes:
+        f_i, e_i = graph.f_to[i], graph.e_to[i]
+        columns.append((i, simple_root(t, i), f_i, e_i, _string_lengths(e_i), _string_lengths(f_i)))
     violations = []
 
     def flag(axiom, v, i):
@@ -162,7 +179,7 @@ def verify_seminormal(graph: CrystalGraph) -> list:
 
     for v in range(len(graph)):
         wt = weights[v]
-        for i, alpha, f_i, e_i in columns:
+        for i, alpha, f_i, e_i, eps_i, phi_i in columns:
             w = f_i[v]
             if w is not None:
                 if e_i[w] != v:
@@ -175,8 +192,7 @@ def verify_seminormal(graph: CrystalGraph) -> list:
                     flag("mutual-inverse", v, i)
                 if weights[u] != tuple(map(add, wt, alpha)):
                     flag("weight-ladder-e", v, i)
-            eps = _string_length(e_i, v, limit)
-            ph = _string_length(f_i, v, limit)
+            eps, ph = eps_i[v], phi_i[v]
             if eps is None or ph is None:
                 flag("unbounded-string", v, i)
             elif ph - eps != wt[i - 1]:
@@ -186,11 +202,10 @@ def verify_seminormal(graph: CrystalGraph) -> list:
     return violations
 
 
-def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
-    """(images, top_of): the involution of the color set that sends each
-    highest vertex to the lowest of its component and intertwines f_i with
-    e_theta(i) (theta = cartan.theta of the set), as a list, and the highest
-    vertex above each vertex.
+def _levi_sweep(graph: CrystalGraph, pairs) -> tuple:
+    """(images, top_of) for the color set of the cached (i, theta(i)) pairs:
+    the involution that sends each highest vertex to the lowest of its
+    component and intertwines f_i with e_theta(i), and the highest above each.
 
     In depth order every lowering edge v -f_i-> w, i in the color set, comes
     before w, and yields the image of w as e_theta(i) of the image of v.  A
@@ -198,11 +213,10 @@ def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
     component, sent to the lowest.  A raising edge at such a vertex, a cycle
     on the way down, a missing or disagreeing image, a vertex below two
     highest or a second lowest vertex, or images that do not permute raise."""
-    twist = theta(graph.rtype, colors)
-    order = sorted(colors)
-    raising = [graph.e_to[i] for i in order]
-    lowering = [graph.f_to[i] for i in order]
-    columns = [(graph.f_to[i], graph.e_to[twist[i]]) for i in order]  # (f_i, e_theta(i))
+    f_to, e_to = graph.f_to, graph.e_to
+    raising = [e_to[i] for i, _ in pairs]
+    lowering = [f_to[i] for i, _ in pairs]
+    columns = [(f_to[i], e_to[j]) for i, j in pairs]  # (f_i, e_theta(i))
     n = len(graph)
     steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
     out = [None] * n
@@ -235,7 +249,7 @@ def _levi_sweep(graph: CrystalGraph, colors) -> tuple:
                 lowest = False
                 mirrored, seen = mirror[image], out[w]
                 if mirrored is None or seen is not None and seen != mirrored:
-                    i = next(i for i in order if graph.f_to[i] is f_i)
+                    i = next(i for i, _ in pairs if f_to[i] is f_i)
                     raise ModelIntegrityError(
                         f"involution image of vertex {w} is inconsistent along color {i}"
                     )
@@ -272,7 +286,7 @@ class LeviView:
         colors = _node_set(graph.rtype, colors, "colors")
         self.graph = graph
         self.colors = colors
-        images, top_of = _levi_sweep(graph, colors)
+        images, top_of = _levi_sweep(graph, _theta_pairs(graph.rtype, colors))
         members = {}
         for v, top in enumerate(top_of):
             members.setdefault(top, []).append(v)

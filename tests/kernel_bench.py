@@ -1,14 +1,17 @@
 """In-process timing of the path kernel through generate and verify_seminormal,
-and of the JSON export of the generated graph.
+of the JSON export of the generated graph, and of the cactus verifier.
 
 Run as
 
-    python3 tests/kernel_bench.py [SRC [REPEATS]]
+    python3 tests/kernel_bench.py [SRC [REPEATS [MEASURE]]]
 
 SRC is the src/ directory of the checkout to time (put first on sys.path;
-by default the package is imported as installed or from PYTHONPATH), and
-REPEATS the number of timed calls per measure (9 by default).  For each of
-the six models below it prints, as JSON, the vertex count and, for generate,
+by default the package is imported as installed or from PYTHONPATH), REPEATS
+the number of timed calls per measure (9 by default), and MEASURE "kernel"
+(the default) or "cactus".
+
+With "kernel", for each of the six models in MODELS it prints, as JSON, the
+vertex count and, for generate,
 for verify_seminormal and for export_json of the generated graph, the
 median wall time of REPEATS calls in ms after one untimed warm-up call, and
 counts that one more call makes:
@@ -29,10 +32,17 @@ It also prints record_ns: the ns that one PLPath record costs to build
 from its fields, to hash and to compare with an equal record, each the
 median over the generated vertices of a mean over REPEATS runs.
 
-All counts are taken by patching names of the crystal module, which the
-functions look up at call time; the timed calls run unpatched, and the
-script runs on checkouts that bind only some of the names.  Times depend
-on the host; the counts do not.
+With "cactus", for each of the five models in CACTUS_MODELS it prints the
+vertex count, the number of connected subdiagrams, the median wall time in
+ms of verify_cactus_relations over REPEATS calls after one untimed warm-up
+call, and counts that one more call makes: the sweeps (cactus._levi_sweep),
+the node-set checks (cartan._node_set) and the permutations composed
+(cactus.compose).
+
+All counts are taken by patching module names, which the functions look up
+at call time; the timed calls run unpatched, and the script runs on
+checkouts that bind only some of the names.  Times depend on the host; the
+counts do not.
 """
 
 import json
@@ -51,24 +61,33 @@ MODELS = [
 ]
 
 
-def _median_ms(call, repeats: int) -> float:
+CACTUS_MODELS = [
+    ("A4", (1, 0, 0, 1)),
+    ("B3", (1, 1, 0)),
+    ("D4", (0, 1, 0, 1)),
+    ("C3", (1, 1, 1)),
+    ("G2", (2, 2)),
+]
+
+
+def _median_ms(call, repeats: int, digits: int = 2) -> float:
     call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return round(1000 * statistics.median(times), 2)
+    return round(1000 * statistics.median(times), digits)
 
 
 SCANS = ("_scan", "_integral_weight", "is_integral", "weight_int")
 
 
-def _counted_calls(crystal, call, names) -> dict:
-    """{name: calls} of each of the names crystal binds while call() runs,
+def _counted_calls(module, call, names) -> dict:
+    """{name: calls} of each of the names module binds while call() runs,
     and {"<name> None": calls} of those that returned None."""
-    counts = {name: 0 for name in names if hasattr(crystal, name)}
-    real = {name: getattr(crystal, name) for name in counts}
+    counts = {name: 0 for name in names if hasattr(module, name)}
+    real = {name: getattr(module, name) for name in counts}
     counts.update({f"{name} None": 0 for name in real})
 
     def counted(name):
@@ -82,11 +101,11 @@ def _counted_calls(crystal, call, names) -> dict:
 
     try:
         for name in counts:
-            setattr(crystal, name, counted(name))
+            setattr(module, name, counted(name))
         call()
     finally:
         for name, op in real.items():
-            setattr(crystal, name, op)
+            setattr(module, name, op)
     return counts
 
 
@@ -192,7 +211,38 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
     return out
 
 
+def measure_cactus(models=CACTUS_MODELS, repeats: int = 9) -> dict:
+    """{model: {"vertices", "subdiagrams", "median_ms", "sweeps",
+    "node_set_checks", "composed"}} for verify_cactus_relations."""
+    from pathcrystals import cactus, cartan, crystal
+
+    out = {}
+    for name, lam in models:
+        t = cartan.DynkinType.parse(name)
+        graph, counts = crystal.generate(t, lam), {}
+
+        def call():
+            cactus.verify_cactus_relations(graph)
+
+        def checked():
+            counts.update(_counted_calls(cartan, call, ("_node_set",)))
+
+        median = _median_ms(call, repeats, digits=3)
+        counts.update(_counted_calls(cactus, checked, ("_levi_sweep", "compose")))
+        out[f"{name}{lam}"] = {
+            "vertices": len(graph),
+            "subdiagrams": len(cartan.connected_subdiagrams(t)),
+            "median_ms": median,
+            "sweeps": counts["_levi_sweep"],
+            "node_set_checks": counts["_node_set"],
+            "composed": counts["compose"],
+        }
+    return out
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         sys.path.insert(0, sys.argv[1])
-    print(json.dumps(measure(repeats=int(sys.argv[2]) if len(sys.argv) > 2 else 9), indent=1))
+    repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 9
+    run = measure_cactus if sys.argv[3:4] == ["cactus"] else measure
+    print(json.dumps(run(repeats=repeats), indent=1))

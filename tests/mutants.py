@@ -108,8 +108,8 @@ MUTANTS = (
     Mutant(
         "sweep-identity-twist",
         "crystal.py",
-        "    twist = theta(graph.rtype, colors)\n",
-        "    twist = {i: i for i in colors}\n",
+        "    columns = [(f_to[i], e_to[j]) for i, j in pairs]  # (f_i, e_theta(i))\n",
+        "    columns = [(f_to[i], e_to[i]) for i, j in pairs]  # (f_i, e_theta(i))\n",
         (
             "tests/test_tableaux.py::test_xi_perm_matches_evacuation",
             "tests/test_cactus.py::test_xi_of_every_connected_set_matches_the_tensor_reversal",
@@ -180,6 +180,47 @@ MUTANTS = (
         "or type(rank) is not int or",
         "or",
         ("tests/test_cartan.py::test_a_rank_that_is_not_an_int_is_refused",),
+    ),
+    Mutant(
+        "verifier-sweeps-with-the-pairs-of-the-whole-diagram",
+        "cactus.py",
+        "_levi_sweep(graph, _theta_pairs(t, s))[0]",
+        "_levi_sweep(graph, _theta_pairs(t, frozenset(t.nodes)))[0]",
+        (
+            "tests/test_cactus.py::test_the_verifier_sweeps_each_subdiagram_from_its_cached_pairs",
+            "tests/test_cactus.py::test_relations_match_the_loop_oracle_over_the_bfs_involutions",
+        ),
+    ),
+    Mutant(
+        "sweep-consistency-check-dropped",
+        "crystal.py",
+        "                if mirrored is None or seen is not None and seen != mirrored:\n",
+        "                if mirrored is None:\n",
+        ("tests/test_cactus.py::test_xi_errors_match_bfs_oracle_on_inconsistent_raising_edges",),
+    ),
+    Mutant(
+        "sweep-walks-the-highest-vertices-in-reverse",
+        "crystal.py",
+        "    for v in graph._depth_order:\n",
+        "    for v in reversed(graph._depth_order):\n",
+        ("tests/test_cactus.py::test_xi_perm_matches_bfs_oracle",),
+    ),
+    Mutant(
+        "relation-plan-reverses-the-nested-triples",
+        "cactus.py",
+        "tuple((a, b, theta_image(t, a, b)) for a, b in pairs if b < a)",
+        "tuple(reversed([(a, b, theta_image(t, a, b)) for a, b in pairs if b < a]))",
+        ("tests/test_cactus.py::test_relation_violations_match_loop_oracle",),
+    ),
+    Mutant(
+        "string-lengths-count-a-cycle-as-an-end",
+        "crystal.py",
+        "        base = -1 if cur is None else lengths[cur]\n",
+        "        base = -1 if cur is None else lengths[cur] or 0\n",
+        (
+            "tests/test_crystal.py::test_seminormal_flags_strings_that_run_into_a_cycle",
+            "tests/test_crystal.py::test_string_lengths_match_the_walk_from_each_vertex",
+        ),
     ),
     Mutant(
         "reduced-keeps-equal-directions",

@@ -21,7 +21,7 @@ from xi_oracle import (
     xi_perm_by_words,
 )
 
-from pathcrystals import cactus, cartan, crystal
+from pathcrystals import cactus, cartan
 from pathcrystals.cactus import (
     act,
     compose,
@@ -282,16 +282,17 @@ def test_report_records_are_json_serializable():
 
 
 def _shift_generator_one(monkeypatch):
-    """Make xi_perm shift the values of the {1} generator cyclically."""
-    real_xi_perm = cactus.xi_perm
+    """Make the sweep that xi_perm and the verifier read shift the values of
+    the {1} generator cyclically."""
+    real_sweep = cactus._levi_sweep
 
-    def corrupted(graph, colors):
-        perm = real_xi_perm(graph, colors)
-        if frozenset(colors) == {1}:
-            perm = tuple(perm[(v + 1) % len(perm)] for v in range(len(perm)))
-        return perm
+    def corrupted(graph, pairs):
+        images, top_of = real_sweep(graph, pairs)
+        if {i for i, _ in pairs} == {1}:
+            images = [images[(v + 1) % len(images)] for v in range(len(images))]
+        return images, top_of
 
-    monkeypatch.setattr(cactus, "xi_perm", corrupted)
+    monkeypatch.setattr(cactus, "_levi_sweep", corrupted)
 
 
 def test_relation_violations_carry_witness(monkeypatch):
@@ -314,6 +315,11 @@ def test_xi_perm_matches_bfs_oracle(t, lam):
     g = generate(t, lam)
     for sub in connected_subdiagrams(t):
         assert xi_perm(g, sub) == xi_perm_by_bfs(g, sub)
+
+
+def _sweep(graph, colors):
+    """The sweep of a node set, given the set's cached twist pairs."""
+    return _levi_sweep(graph, cartan._theta_pairs(graph.rtype, frozenset(colors)))
 
 
 def _outcome(fn, *args):
@@ -386,7 +392,7 @@ def test_sweep_of_a_disconnected_set_is_the_product_of_its_parts(t, lam):
     assert pairs or t.rank < 3
     for a, b in pairs:
         assert diagram_theta(t, a | b) == {**diagram_theta(t, a), **diagram_theta(t, b)}
-        images, _ = _levi_sweep(g, a | b)
+        images, _ = _sweep(g, a | b)
         assert tuple(images) == compose(xi_perm(g, a), xi_perm(g, b))
 
 
@@ -541,10 +547,12 @@ def test_partial_tensor_reversal_rejects_an_identity_twist_on_a_type_a_interval(
     g, factor = _crystal(c4, (0, 2, 0, 0)), generate(c4, (0, 1, 0, 0))
     expected = list(xi_perm(g, nodes))
     assert reversal_xi(g, factor, factor, nodes, xi_perm) == expected
-    real = crystal.theta
-    monkeypatch.setattr(
-        crystal, "theta", lambda t, colors: dict(zip(colors, colors)) if colors == nodes else real(t, colors)
-    )
+    real = cactus._theta_pairs
+
+    def untwisted(t, colors):
+        return tuple((i, i) for i in sorted(colors)) if colors == nodes else real(t, colors)
+
+    monkeypatch.setattr(cactus, "_theta_pairs", untwisted)
     got = reversal_xi(g, factor, factor, nodes, xi_perm)
     assert (sum(a != b for a, b in zip(got, expected)), got.count(None), len(g)) == (226, 20, 308)
     with pytest.raises(ModelIntegrityError, match="^involution image of vertex 29 is inconsistent"):
@@ -790,7 +798,7 @@ def test_levi_sweep_matches_the_replaced_sweep_on_every_node_set(t, lam):
     g = generate(t, lam)
     for graph in (g, _relabel(g, range(len(g) - 1, -1, -1))[0]):
         for sub in _subsets(t):
-            assert _outcome(_levi_sweep, graph, sub) == _outcome(levi_sweep_by_triples, graph, sub)
+            assert _outcome(_sweep, graph, sub) == _outcome(levi_sweep_by_triples, graph, sub)
 
 
 def _assert_sweeps_agree_on_every_node_set(graph) -> set:
@@ -798,7 +806,7 @@ def _assert_sweeps_agree_on_every_node_set(graph) -> set:
     the replaced sweep's error."""
     errors = set()
     for sub in _subsets(graph.rtype):
-        got = _outcome(_levi_sweep, graph, sub)
+        got = _outcome(_sweep, graph, sub)
         assert got == _outcome(levi_sweep_by_triples, graph, sub), sorted(sub)
         if _raised(got):
             errors.add(got)
@@ -861,7 +869,7 @@ def test_levi_sweep_raises_as_the_replaced_sweep_on_every_two_edits():
     g = generate(A2, (1, 1))
     pinned = (ModelIntegrityError, "involution image of vertex 1 is inconsistent along color 1")
     edited = _edit_edges(_edit_edges(g, "f", 1, 0, 2), "e", 1, 1, 1)
-    assert _outcome(_levi_sweep, edited, {1, 2}) == pinned
+    assert _outcome(_sweep, edited, {1, 2}) == pinned
     for once in _swaps_and_drops(g):
         for twice in _swaps_and_drops(once):
             _assert_sweeps_agree_on_every_node_set(twice)
@@ -878,13 +886,60 @@ def _count_calls(monkeypatch, calls, module, name):
 
 
 def test_relations_read_one_involution_per_subdiagram_and_a_cached_guard(monkeypatch):
-    # xi_perm once per connected subdiagram; on a second graph of the type
-    # neither its guard nor the relation plan searches for components
+    # one sweep per connected subdiagram; on a second graph of the type
+    # neither the twist pairs nor the relation plan searches for components
     calls = Counter()
-    _count_calls(monkeypatch, calls, cactus, "xi_perm")
+    _count_calls(monkeypatch, calls, cactus, "_levi_sweep")
     assert verify_cactus_relations(generate(C3, (1, 1, 0))) == []
-    assert calls == {"xi_perm": len(connected_subdiagrams(C3))}
+    assert calls == {"_levi_sweep": len(connected_subdiagrams(C3))}
     _count_calls(monkeypatch, calls, cartan, "components")
     _count_calls(monkeypatch, calls, cactus, "components")
     assert verify_cactus_relations(generate(C3, (0, 1, 0))) == []
-    assert calls == {"xi_perm": 2 * len(connected_subdiagrams(C3))}
+    assert calls == {"_levi_sweep": 2 * len(connected_subdiagrams(C3))}
+
+
+@pytest.mark.parametrize("t,lam", [(C3, (1, 1, 0)), (D4, (1, 0, 1, 0)), (G2, (1, 1))])
+def test_the_verifier_sweeps_each_subdiagram_from_its_cached_pairs(monkeypatch, t, lam):
+    # after a warm-up of the type's caches: one sweep per connected
+    # subdiagram, in their order, each given the set's cached twist pairs,
+    # and no node-set check, connectivity lookup, theta dict or xi_perm call
+    first, graph = generate(t, tuple(reversed(lam))), generate(t, lam)
+    verify_cactus_relations(first)
+    swept, calls = [], Counter()
+    real_sweep = cactus._levi_sweep
+    monkeypatch.setattr(
+        cactus, "_levi_sweep", lambda g, pairs: swept.append(pairs) or real_sweep(g, pairs)
+    )
+    for module, name in (
+        (cartan, "_node_set"),
+        (cartan, "is_connected"),
+        (cactus, "is_connected"),
+        (cartan, "theta"),
+        (cactus, "theta"),
+        (cactus, "xi_perm"),
+    ):
+        _count_calls(monkeypatch, calls, module, name)
+    assert verify_cactus_relations(graph) == []
+    assert swept == [cartan._theta_pairs(t, s) for s in connected_subdiagrams(t)]
+    assert not calls
+
+
+def _shifted(perm):
+    return tuple(perm[(v + 1) % len(perm)] for v in range(len(perm)))
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
+@pytest.mark.parametrize("t,lam", XI_CASES)
+def test_relations_match_the_loop_oracle_over_the_bfs_involutions(monkeypatch, t, lam, shift):
+    # the verifier, which sweeps each subdiagram with no guard, against the
+    # loop checker over the involutions of the breadth-first oracle, as they
+    # are and with the {1} generator shifted cyclically on both sides
+    g = generate(t, lam)
+    perms = {s: xi_perm_by_bfs(g, s) for s in connected_subdiagrams(t)}
+    if shift:
+        _shift_generator_one(monkeypatch)
+        perms[frozenset({1})] = _shifted(perms[frozenset({1})])
+    expected = relation_violations_by_loops(t, perms, identity_perm(g))
+    if t.rank > 1:  # on A1 the shift can keep the square, the one relation
+        assert bool(expected) == shift
+    assert verify_cactus_relations(g) == expected

@@ -2,12 +2,14 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import export_oracle
 import paths_oracle
 import pytest
+import seminormal_oracle
 from closure_oracle import edge_map, generate_by_both_operators, graph_from_edges
 from freudenthal_oracle import weight_multiset
 from seminormal_oracle import seminormal_by_lookups
@@ -583,3 +585,45 @@ def test_seminormal_matches_lookup_oracle():
     # the weight ladders are compared on flagged records too, not only on
     # passing graphs
     assert {"weight-ladder-f", "weight-ladder-e"} <= flagged
+
+
+def _cycle_graphs():
+    """A1 graphs with a cycle in an edge map: the f-edges 0 -> 1 -> 2 -> 0,
+    the same cycle as e-edges, and f-edges 0 -> 1 -> 2 -> 3 -> 2, a string
+    that runs into a cycle of two."""
+    three, four = generate(A1, (2,)), generate(A1, (3,))
+    ring = {(0, 1): 1, (1, 1): 2, (2, 1): 0}
+    into = {**four.f_edges, (3, 1): 2}
+    edits = [(three, ring, edge_map(three.e_to)), (three, three.f_edges, ring)]
+    edits.append((four, into, edge_map(four.e_to)))
+    return [graph_from_edges(g.rtype, g.highest_weight, g.vertices, f, e) for g, f, e in edits]
+
+
+def test_seminormal_flags_strings_that_run_into_a_cycle():
+    unbounded = []
+    for g in _cycle_graphs():
+        expected = seminormal_by_lookups(g)
+        assert verify_seminormal(g) == expected
+        unbounded.append([r["vertex"] for r in expected if r["axiom"] == "unbounded-string"])
+    # every vertex on a cycle or above one
+    assert unbounded == [[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]]
+
+
+def test_string_lengths_match_the_walk_from_each_vertex():
+    # the one pass per color against the oracle's walk from every vertex, on
+    # random partial maps: injective ones, as in a crystal, and any others
+    rng = random.Random(0)
+    for trial in range(5000):
+        n = rng.randint(0, 12)
+        if trial % 2:
+            targets = [rng.choice([None, *range(n)]) for _ in range(n)]
+        else:
+            image = rng.sample(range(n), rng.randint(0, n))
+            targets = [None] * n
+            for v, w in zip(rng.sample(range(n), len(image)), image):
+                targets[v] = w
+        walk = [
+            seminormal_oracle._string_length(targets, v, 1, lambda w, _: targets[w])
+            for v in range(n)
+        ]
+        assert crystal._string_lengths(targets) == walk, targets

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
-from pathcrystals import crystal, paths
+from pathcrystals import cactus, cartan, crystal, paths
 from pathcrystals.cartan import DynkinType, reflect, simple_root
 from pathcrystals.crystal import generate
 from pathcrystals.errors import DomainError, ModelIntegrityError
@@ -820,3 +820,23 @@ def test_kernel_bench_counts_the_operator_calls():
     with pytest.raises(Exception, match="^time denominator 0 "):  # its guard is back
         record(A1, 0, (0, 0), 1, ((2,),))
     assert type(crystal._BREAKPOINT) is str
+    # the cactus verifier: one sweep per connected subdiagram, no node-set
+    # check once the type's caches are warm, and the composed permutations
+    # of the three relations
+    swept = kernel_bench.measure_cactus(repeats=1)
+    assert list(swept) == [f"{name}{lam}" for name, lam in kernel_bench.CACTUS_MODELS]
+    for model, vertices, subdiagrams, composed in (
+        ("A4(1, 0, 0, 1)", 24, 10, 70),
+        ("B3(1, 1, 0)", 105, 6, 26),
+        ("D4(0, 1, 0, 1)", 160, 11, 79),
+        ("C3(1, 1, 1)", 512, 6, 26),
+        ("G2(2, 2)", 729, 3, 7),
+    ):
+        measured = swept[model]
+        assert measured["median_ms"] >= 0
+        assert (measured["vertices"], measured["subdiagrams"]) == (vertices, subdiagrams)
+        counts = (measured["sweeps"], measured["node_set_checks"], measured["composed"])
+        assert counts == (subdiagrams, 0, composed), model
+    # the patched names are back
+    assert cactus._levi_sweep is crystal._levi_sweep and cartan._node_set is crystal._node_set
+    assert cactus.compose.__name__ == "compose"

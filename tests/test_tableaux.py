@@ -19,7 +19,7 @@ from tableau_oracle import (
 from test_acceptance import SIZE_CASES
 from test_cactus import WORD_CASES
 
-from pathcrystals import crystal
+from pathcrystals import cactus
 from pathcrystals.cactus import xi_perm
 from pathcrystals.cartan import DynkinType, connected_subdiagrams
 from pathcrystals.crystal import generate
@@ -133,7 +133,11 @@ def test_identity_twist_is_flagged(monkeypatch, t, lam):
     # a wrong involution, which the oracle flags; one color needs no twist
     g = generate(t, lam)
     tabs = tableaux(g)
-    monkeypatch.setattr(crystal, "theta", lambda rtype, colors: {i: i for i in colors})
+
+    def untwisted(rtype, colors):
+        return tuple((i, i) for i in sorted(colors))
+
+    monkeypatch.setattr(cactus, "_theta_pairs", untwisted)
     flagged, raised = {}, 0
     for a, b in intervals(t.rank):
         try:
