@@ -16,8 +16,10 @@ the orientation conventions cannot drift.
 Path virtualization applies psi direction-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
 sigma(i).  Verifiers check exhaustively that virtualization intertwines the
-operators on the source model, with target membership decided by raising
-each image to a known path; that the diagram facts behind the cactus
+operators on the source model, reading the target side off one explorer of
+B(psi(lam)), which decides membership by raising each image to a known path
+and scans each target path, and raises and lowers it in each color, at most
+once per call; that the diagram facts behind the cactus
 relations hold on every pair of the source's relation plan; and, on the
 generated target model, that the induced generators satisfy the relations
 and that the partial involutions commute with virtualization, as an identity
@@ -27,6 +29,7 @@ of target ids read off a {path: id} table that the embedding builds itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import inf, lcm
 from operator import mul, sub
@@ -45,15 +48,7 @@ from .cartan import (
 )
 from .crystal import DEFAULT_MAX_SIZE, generate
 from .errors import ConfigurationError, DomainError, ModelIntegrityError, NotInImageError
-from .paths import (
-    PLPath,
-    _scan,
-    canonicalize,
-    root_e,
-    root_f,
-    straight_path,
-    string_lengths,
-)
+from .paths import PLPath, _scan, canonicalize, root_e, root_f, straight_path
 
 
 class FoldingPair:
@@ -269,53 +264,66 @@ def _embedding(fold: FoldingPair, lam, max_size):
     return gx, gy, virtual, images, problems
 
 
-def _membership(fold: FoldingPair, lam, max_size):
-    """Lookup: q if the target path q is in B(psi(lam)), else None.  A walk
-    raises q by the first color with epsilon at least one, colors ascending,
-    to a path with a verdict and passes it on to every path it visits; the
-    scan of each path it raises to gives those colors.  It fails at a
-    non-integral or another dominant path, or past <psi(lam) - wt(q),
-    rho^vee> steps.  DomainError at the (max_size + 1)-th path."""
-    y, top = fold.y_type, psi_weight(fold, lam)
-    rho2 = _two_rho_vee(y)
-    known = {straight_path(y, top): True}
-    cap = inf if max_size is None else max_size
+class _Explorer:
+    """B(psi(lam)) explored one target path at a time, for one verifier call:
+    the one holder of the facts learned of target paths, each found once.
+    scan, e and f are _scan, root_e and root_f as the module binds them when
+    the explorer is built, each cached.  member(q) is q if q is in
+    B(psi(lam)), else None: a walk raises q by the first color with epsilon
+    at least one in its scan, colors ascending, to a path with a verdict and
+    passes it on to every path it visits.  It fails at a non-integral or
+    another dominant path, or past <psi(lam) - wt(q), rho^vee> steps.
+    DomainError at the (max_size + 1)-th path touched."""
 
-    def lookup(q):
-        scan = _scan(q)  # q's scan; the walk scans each path root_e gives
-        budget = 0 if scan is None else sum(map(mul, rho2, map(sub, top, scan[0]))) // 2
+    def __init__(self, fold: FoldingPair, lam, max_size):
+        y, self.fold, self.top = fold.y_type, fold, psi_weight(fold, lam)
+        self.rho2, self.known = _two_rho_vee(y), {straight_path(y, self.top): True}
+        self.cap = inf if max_size is None else max_size
+        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)
+
+    def member(self, q):
+        y, known, cap, scan = self.fold.y_type, self.known, self.cap, self.scan(q)
+        budget = 0 if scan is None else sum(map(mul, self.rho2, map(sub, self.top, scan[0]))) // 2
         walk, p = [], q
         while p is not None and p not in known and len(walk) < budget:
-            if walk and (scan := _scan(p)) is None:
+            if walk and (scan := self.scan(p)) is None:
                 break
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
             walk.append(p)
             i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)
-            p = None if i is None else root_e(p, i)
+            p = None if i is None else self.e(p, i)
         known.update(dict.fromkeys(walk, known.get(p, False)))
         return q if known.get(q) else None
 
-    return lookup
+    def virtual(self, name, q, i):
+        """virtual_f (name "f") or virtual_e ("e") of q, over the cached operators."""
+        return _virtual_op(self.f if name == "f" else self.e, self.fold, q, i)
+
+    def strings(self, q):
+        """(eps, phi) of a path that member has read, off its cached scan."""
+        return self.scan(q)[1:]
 
 
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:
     """Exhaustively check that virtualization embeds the source model, the one
-    model generated, into B(psi(lam)): images are members (by _membership),
-    the map is injective, the source edges intertwine with the virtual
+    model generated, into B(psi(lam)): images are members (the explorer's
+    walk), the map is injective, the source edges intertwine with the virtual
     operators including definedness, and the string statistics scale by gamma,
-    read off one string_lengths scan of each source path and of its image."""
+    read off one scan of each source path and the explorer's scan of its
+    image.  Every target path is scanned, and raised or lowered in a color,
+    at most once."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
-    images, violations = _image_table(virtual, _membership(fold, lam, max_size))
-    operators = (("f", gx.f_to, virtual_f), ("e", gx.e_to, virtual_e))
+    explorer = _Explorer(fold, lam, max_size)
+    images, violations = _image_table(virtual, explorer.member)
     for b in images:
-        pb, qb = gx.vertices[b], virtual[b]
-        (eps_b, phi_b), (eps_q, phi_q) = string_lengths(pb), string_lengths(qb)
+        qb = virtual[b]
+        (eps_b, phi_b), (eps_q, phi_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)
         for i in fold.x_type.nodes:
-            for name, edges, virtual_op in operators:
+            for name, edges in (("f", gx.f_to), ("e", gx.e_to)):
                 moved = edges[i][b]
-                virtual_moved = virtual_op(fold, qb, i)
+                virtual_moved = explorer.virtual(name, qb, i)
                 if (moved is None) != (virtual_moved is None):
                     violations.append({"check": f"{name}-definedness", "vertex": b, "color": i})
                 elif moved is not None and virtual[moved] != virtual_moved:

@@ -194,7 +194,7 @@ def _scan(path: PLPath) -> tuple | None:
     phi[i - 1] = H_i(1) - min H_i are the string lengths, so root_e and
     root_f of color i are defined exactly where they are at least one (the
     minimum is a local minimum, the endpoint or H(0) = 0).  generate makes
-    it once per new path, and the membership walk once per path it raises."""
+    it once per new path, and the folding explorer once per target path."""
     scale, times, weight, eps, phi = path.den * path.vden, path.times, [], [], []
     for x in range(path.rtype.rank):
         h = low = 0  # H at the start of segment k; its least local minimum so far
@@ -219,22 +219,6 @@ def _scan(path: PLPath) -> tuple | None:
         eps.append(-low // scale)
         phi.append((h - low) // scale)
     return tuple(weight), tuple(eps), tuple(phi)
-
-
-def is_integral(path: PLPath) -> bool:
-    """Whether every local minimum of every coordinate function is an integer
-    and the endpoint is an integral weight.  Generated models must satisfy
-    this; the operators are only the classical ones on such paths."""
-    return _scan(path) is not None
-
-
-def string_lengths(path: PLPath) -> tuple:
-    """(eps, phi): epsilon and phi of every color, as two tuples in color
-    order, off the one scan.  Raises ModelIntegrityError on a path with a
-    non-integral endpoint or local minimum."""
-    if (scan := _scan(path)) is None:
-        raise ModelIntegrityError("path with a non-integral endpoint or minimum")
-    return scan[1:]
 
 
 def _heights(path: PLPath, i: int):

@@ -15,7 +15,7 @@ from collections import deque
 from pathcrystals import paths
 from pathcrystals.crystal import CrystalGraph
 from pathcrystals.errors import ModelIntegrityError
-from pathcrystals.paths import is_integral, root_e, root_f, straight_path
+from pathcrystals.paths import _scan, root_e, root_f, straight_path
 
 
 def graph_from_edges(t, lam, vertices, f_edges, e_edges) -> CrystalGraph:
@@ -63,7 +63,7 @@ def generate_by_both_operators(t, lam) -> CrystalGraph:
     def visit(path):
         vid = index.get(path)
         if vid is None:
-            assert is_integral(path), "generated path with non-integral minima"
+            assert _scan(path) is not None, "generated path with non-integral minima"
             vid = len(vertices)
             vertices.append(path)
             index[path] = vid

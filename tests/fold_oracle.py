@@ -19,15 +19,15 @@ module, so a test that patches them there patches both verifiers.
 
 The virtualization check generates the target model and looks each image up
 among its vertices, and calls the source operators on the source paths; like
-the diagram check, it calls through the folding module, and reads epsilon
-and phi of every path through folding.string_lengths, a call per color and
-node of its orbit.
+the diagram check, it calls through the folding module.  It reads epsilon
+and phi color by color through paths.epsilon and paths.phi, looked up at
+call time, where the verifier reads them off the path scan.
 
 membership_by_endpoint is the image-membership walk of verify_virtualization
 as it was before its step budget came from the integrality scan and its
 colors from the string lengths: it sums rho^vee-weighted coordinates of the
 endpoint over den * vden and floors the quotient, it checks each path it
-raises to with is_integral, and it raises by the first color whose root_e,
+raises to with the path scan, and it raises by the first color whose root_e,
 called through the folding module, is defined.
 
 component_identity_by_loops is verify_component_identity as it was before it
@@ -50,7 +50,7 @@ from operator import mul, sub
 from closure_oracle import vertex_ids
 from xi_oracle import relation_violations_by_loops
 
-from pathcrystals import folding
+from pathcrystals import folding, paths
 from pathcrystals.cactus import compose, identity_perm
 from pathcrystals.cartan import (
     DynkinType,
@@ -61,7 +61,7 @@ from pathcrystals.cartan import (
 )
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import DomainError, ModelIntegrityError, NotInImageError
-from pathcrystals.paths import is_integral, paths_equal, straight_path
+from pathcrystals.paths import _scan, paths_equal, straight_path
 
 
 def fold_table(x):
@@ -235,10 +235,8 @@ def verify_virtualization_on_target(fold, lam, max_size=DEFAULT_MAX_SIZE):
                     violations.append({"check": f"{name}-intertwine", "vertex": b, "color": i})
             for j in fold.sigma(i):
                 if any(
-                    target[j - 1] != fold.gamma(i) * source[i - 1]
-                    for source, target in zip(
-                        folding.string_lengths(pb), folding.string_lengths(qb)
-                    )
+                    stat(qb, j) != fold.gamma(i) * stat(pb, i)
+                    for stat in (paths.epsilon, paths.phi)
                 ):
                     violations.append(
                         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
@@ -314,7 +312,7 @@ def membership_by_endpoint(fold, lam, max_size):
         budget = twice // (2 * q.den * q.vden)
         walk, p = [], q
         while (
-            p is not None and p not in known and len(walk) < budget and is_integral(p)
+            p is not None and p not in known and len(walk) < budget and _scan(p) is not None
         ):
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")

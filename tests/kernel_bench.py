@@ -8,13 +8,15 @@ Run as
 SRC is the src/ directory of the checkout to time (put first on sys.path;
 by default the package is imported as installed or from PYTHONPATH), REPEATS
 the number of timed calls per measure (9 by default), and MEASURE "kernel"
-(the default) or "cactus".
+(the default), "cactus" or "virtualization".  Each timed measure prints the
+median wall time of REPEATS calls in ms after one untimed warm-up call
+(median_ms), and its first and third quartiles beside it (quartiles_ms), so
+that a reader can tell the spread of the host from a change.
 
 With "kernel", for each of the six models in MODELS it prints, as JSON, the
 vertex count and, for generate,
 for verify_seminormal and for export_json of the generated graph, the
-median wall time of REPEATS calls in ms after one untimed warm-up call, and
-counts that one more call makes:
+times, and counts that one more call makes:
 
 - generate and verify_seminormal: the root_f and root_e calls, and the
   PLPath records built, counted by wrapping PLPath.__new__, or
@@ -33,11 +35,19 @@ from its fields, to hash and to compare with an equal record, each the
 median over the generated vertices of a mean over REPEATS runs.
 
 With "cactus", for each of the five models in CACTUS_MODELS it prints the
-vertex count, the number of connected subdiagrams, the median wall time in
-ms of verify_cactus_relations over REPEATS calls after one untimed warm-up
-call, and counts that one more call makes: the sweeps (cactus._levi_sweep),
-the node-set checks (cartan._node_set) and the permutations composed
-(cactus.compose).
+vertex count, the number of connected subdiagrams, the times of
+verify_cactus_relations, and counts that one more call makes: the sweeps
+(cactus._levi_sweep), the node-set checks (cartan._node_set) and the
+permutations composed (cactus.compose).
+
+With "virtualization", for each of the five folding cases in
+VIRTUALIZATION_MODELS it prints the source vertex count, the times of
+verify_virtualization, and counts that one more call makes on the target
+side: the root_e and root_f calls (and those that return None) and the
+path scans on target paths, through whichever of folding and paths binds
+each name (the membership walk, the virtual operators and the string
+statistics of older checkouts included), and the touched paths: the
+distinct target paths handed to any of them.
 
 All counts are taken by patching module names, which the functions look up
 at call time; the timed calls run unpatched, and the script runs on
@@ -50,6 +60,7 @@ import statistics
 import sys
 import time
 import timeit
+from collections import Counter
 
 MODELS = [
     ("D4", (1, 1, 1, 1)),
@@ -70,14 +81,29 @@ CACTUS_MODELS = [
 ]
 
 
-def _median_ms(call, repeats: int, digits: int = 2) -> float:
+VIRTUALIZATION_MODELS = [
+    ("C2", (1, 1)),
+    ("F4", (0, 0, 0, 1)),
+    ("G2", (1, 1)),
+    ("B3", (1, 1, 1)),
+    ("C3", (1, 1, 1)),
+]
+
+
+def _times_ms(call, repeats: int, digits: int = 2) -> dict:
+    """median_ms and quartiles_ms ([q1, q3]) of repeats timed calls, after
+    one untimed warm-up call."""
     call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return round(1000 * statistics.median(times), digits)
+    q1, _, q3 = statistics.quantiles(times, n=4) if repeats > 1 else times * 3
+    return {
+        "median_ms": round(1000 * statistics.median(times), digits),
+        "quartiles_ms": [round(1000 * q1, digits), round(1000 * q3, digits)],
+    }
 
 
 SCANS = ("_scan", "_integral_weight", "is_integral", "weight_int")
@@ -182,8 +208,8 @@ def _record_ns(record, paths, number: int) -> dict:
 def measure(models=MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
     "export_json": {...}, "record_ns": {...}}}, the first two inner dicts
-    holding median_ms, root_f, root_e and paths_built (and generate
-    root_f_undefined and path_scans), the third median_ms, blocks_rendered
+    holding the times, root_f, root_e and paths_built (and generate
+    root_f_undefined and path_scans), the third the times, blocks_rendered
     and breakpoints, the last the build, hash and eq ns of one record."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
@@ -199,11 +225,11 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
             ("verify_seminormal", lambda: crystal.verify_seminormal(graph)),
         ):
             report[label] = {
-                "median_ms": _median_ms(call, repeats),
+                **_times_ms(call, repeats),
                 **_operator_calls(crystal, call, scans=label == "generate"),
             }
         report["export_json"] = {
-            "median_ms": _median_ms(lambda: crystal.export_json(graph), repeats),
+            **_times_ms(lambda: crystal.export_json(graph), repeats),
             **_export_counts(crystal, graph),
         }
         report["record_ns"] = _record_ns(PLPath, graph.vertices, repeats)
@@ -212,8 +238,8 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
 
 
 def measure_cactus(models=CACTUS_MODELS, repeats: int = 9) -> dict:
-    """{model: {"vertices", "subdiagrams", "median_ms", "sweeps",
-    "node_set_checks", "composed"}} for verify_cactus_relations."""
+    """{model: {"vertices", "subdiagrams", "median_ms", "quartiles_ms",
+    "sweeps", "node_set_checks", "composed"}} for verify_cactus_relations."""
     from pathcrystals import cactus, cartan, crystal
 
     out = {}
@@ -227,12 +253,12 @@ def measure_cactus(models=CACTUS_MODELS, repeats: int = 9) -> dict:
         def checked():
             counts.update(_counted_calls(cartan, call, ("_node_set",)))
 
-        median = _median_ms(call, repeats, digits=3)
+        times = _times_ms(call, repeats, digits=3)
         counts.update(_counted_calls(cactus, checked, ("_levi_sweep", "compose")))
         out[f"{name}{lam}"] = {
             "vertices": len(graph),
             "subdiagrams": len(cartan.connected_subdiagrams(t)),
-            "median_ms": median,
+            **times,
             "sweeps": counts["_levi_sweep"],
             "node_set_checks": counts["_node_set"],
             "composed": counts["compose"],
@@ -240,9 +266,72 @@ def measure_cactus(models=CACTUS_MODELS, repeats: int = 9) -> dict:
     return out
 
 
+def _target_side(fold, call) -> dict:
+    """The target-side counts of call(): root_e and root_f calls and those
+    that return None, path scans, and touched paths, over the names that
+    folding and paths bind; every original is back on return."""
+    from pathcrystals import folding, paths
+
+    names, calls, touched = ("root_e", "root_f", "_scan"), Counter(), set()
+
+    def counted(name, real):
+        def op(path, *color):
+            out = real(path, *color)
+            if path.rtype == fold.y_type:
+                calls[name] += 1
+                calls[f"{name} None"] += out is None
+                touched.add(path)
+            return out
+
+        return op
+
+    saved = [(m, n, getattr(m, n)) for m in (folding, paths) for n in names if hasattr(m, n)]
+    try:
+        for module, name, real in saved:
+            setattr(module, name, counted(name, real))
+        call()
+    finally:
+        for module, name, real in saved:
+            setattr(module, name, real)
+    return {
+        "root_e": calls["root_e"],
+        "root_e_undefined": calls["root_e None"],
+        "root_f": calls["root_f"],
+        "root_f_undefined": calls["root_f None"],
+        "target_scans": calls["_scan"],
+        "touched_paths": len(touched),
+    }
+
+
+def measure_virtualization(models=VIRTUALIZATION_MODELS, repeats: int = 9) -> dict:
+    """{model: {"vertices", "median_ms", "quartiles_ms", "root_e",
+    "root_e_undefined", "root_f", "root_f_undefined", "target_scans",
+    "touched_paths"}} for verify_virtualization, vertices counting the
+    source model."""
+    from pathcrystals import folding
+    from pathcrystals.cartan import weyl_dim
+
+    out = {}
+    for name, lam in models:
+        fold = folding.folding_pair(name)
+
+        def call():
+            assert folding.verify_virtualization(fold, lam) == []
+
+        out[f"{name}{lam}"] = {
+            "vertices": weyl_dim(fold.x_type, lam),
+            **_times_ms(call, repeats),
+            **_target_side(fold, call),
+        }
+    return out
+
+
+MEASURES = {"kernel": measure, "cactus": measure_cactus, "virtualization": measure_virtualization}
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         sys.path.insert(0, sys.argv[1])
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 9
-    run = measure_cactus if sys.argv[3:4] == ["cactus"] else measure
+    run = MEASURES[sys.argv[3] if len(sys.argv) > 3 else "kernel"]
     print(json.dumps(run(repeats=repeats), indent=1))

@@ -149,9 +149,43 @@ MUTANTS = (
     Mutant(
         "string-scaling-swaps-epsilon-and-phi",
         "folding.py",
-        "        (eps_b, phi_b), (eps_q, phi_q) = string_lengths(pb), string_lengths(qb)\n",
-        "        (eps_b, phi_b), (phi_q, eps_q) = string_lengths(pb), string_lengths(qb)\n",
+        "        (eps_b, phi_b), (eps_q, phi_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)\n",
+        "        (eps_b, phi_b), (phi_q, eps_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)\n",
         ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+    ),
+    Mutant(
+        "explorer-walk-defaults-to-member",
+        "folding.py",
+        "        known.update(dict.fromkeys(walk, known.get(p, False)))\n",
+        "        known.update(dict.fromkeys(walk, known.get(p, True)))\n",
+        (
+            "tests/test_folding.py::test_membership_walk_is_bounded",
+            "tests/test_folding.py::test_membership_walk_matches_the_ls_criterion",
+        ),
+    ),
+    Mutant(
+        "explorer-caches-e-over-root-f",
+        "folding.py",
+        "        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)\n",
+        "        self.scan, self.e, self.f = cache(_scan), cache(root_f), cache(root_f)\n",
+        (
+            "tests/test_folding.py::test_virtualization_verifier_passes",
+            "tests/test_folding.py::test_membership_walk_matches_the_endpoint_budget_oracle",
+        ),
+    ),
+    Mutant(
+        "explorer-virtual-raising-reads-f",
+        "folding.py",
+        '        return _virtual_op(self.f if name == "f" else self.e, self.fold, q, i)\n',
+        "        return _virtual_op(self.f, self.fold, q, i)\n",
+        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+    ),
+    Mutant(
+        "explorer-scan-uncached",
+        "folding.py",
+        "        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)\n",
+        "        self.scan, self.e, self.f = _scan, cache(root_e), cache(root_f)\n",
+        ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
     ),
     Mutant(
         "path-record-accepts-a-denominator-below-one",

@@ -536,14 +536,32 @@ def _standing_still(real):
 BROKEN_VIRTUAL_OPS = {"definedness": _never_defined, "intertwine": _standing_still}
 
 
+def _on_explorer(name, broken):
+    # the break of virtual_<name> put on the explorer's virtual operator,
+    # which the verifier reads; the other operator stays as it is
+    def patch(real, fold, lam):
+        def virtual(explorer, which, q, i):
+            if which != name:
+                return real(explorer, which, q, i)
+            return broken(lambda fold, q, i: real(explorer, which, q, i))(fold, q, i)
+
+        return virtual
+
+    return folding._Explorer, "virtual", patch
+
+
+def _patch(monkeypatch, fold, lam, points):
+    for owner, attr, broken in points:
+        monkeypatch.setattr(owner, attr, broken(getattr(owner, attr), fold, lam))
+
+
 @pytest.mark.parametrize("check", sorted(BROKEN_VIRTUAL_OPS))
 @pytest.mark.parametrize("name,op", [("f", root_f), ("e", root_e)])
 def test_virtualization_reports_broken_virtual_operators(monkeypatch, check, name, op):
     # each break is reported at every vertex and color where the source
     # operator is defined, and nowhere else
     fold = folding_pair("C2")
-    attr = f"virtual_{name}"
-    monkeypatch.setattr(folding, attr, BROKEN_VIRTUAL_OPS[check](getattr(folding, attr)))
+    _patch(monkeypatch, fold, (1, 0), [_on_explorer(name, BROKEN_VIRTUAL_OPS[check])])
     gx = generate(fold.x_type, (1, 0))
     expected = [
         {"check": f"{name}-{check}", "vertex": b, "color": i}
@@ -559,8 +577,7 @@ def test_virtualization_reports_unscaled_string_statistics(monkeypatch, stat):
     # one more step on every target string breaks the scaling at every
     # vertex, source color and node of its orbit
     fold = folding_pair("C2")
-    lengths = _one_more_step(stat)(folding.string_lengths, fold, (1, 0))
-    monkeypatch.setattr(folding, "string_lengths", lengths)
+    _patch(monkeypatch, fold, (1, 0), _one_more_step(stat)[:1])
     expected = [
         {"check": "string-scaling", "vertex": b, "color": i, "target_color": j}
         for b in range(weyl_dim(fold.x_type, (1, 0)))
@@ -896,19 +913,23 @@ def test_virtual_relations_compute_each_induced_word_once(monkeypatch):
 
 
 def _one_more_step(stat):
-    # string_lengths with one more step on every target string of stat
+    # one more step on every target string of stat: on the explorer's
+    # (eps, phi) of an image, which the verifier reads, and on paths.epsilon
+    # or paths.phi of a target path, which the oracle reads
     k = ("epsilon", "phi").index(stat)
 
-    def broken(real, fold, lam):
-        def lengths(path):
-            out = list(real(path))
-            if path.rtype == fold.y_type:
-                out[k] = tuple(n + 1 for n in out[k])
+    def on_explorer(real, fold, lam):
+        def strings(explorer, q):
+            out = list(real(explorer, q))
+            out[k] = tuple(n + 1 for n in out[k])
             return tuple(out)
 
-        return lengths
+        return strings
 
-    return broken
+    def on_paths(real, fold, lam):
+        return lambda path, i: real(path, i) + (path.rtype == fold.y_type)
+
+    return [(folding._Explorer, "strings", on_explorer), (paths, stat, on_paths)]
 
 
 def _merging(real, fold, lam):
@@ -934,20 +955,26 @@ def _to_zero(q):
     return straight_path(q.rtype, (0,) * q.rtype.rank)
 
 
+# each patch lists its points as (owner, attribute, broken(real, fold, lam)):
+# a break of the verifier's read and the same break of the oracle's
 VIRTUALIZATION_PATCHES = {
     **{
-        f"{name}-{check}": (
-            f"virtual_{name}",
-            lambda real, fold, lam, check=check: BROKEN_VIRTUAL_OPS[check](real),
-        )
+        f"{name}-{check}": [
+            _on_explorer(name, BROKEN_VIRTUAL_OPS[check]),
+            (
+                folding,
+                f"virtual_{name}",
+                lambda real, fold, lam, check=check: BROKEN_VIRTUAL_OPS[check](real),
+            ),
+        ]
         for name in ("f", "e")
         for check in sorted(BROKEN_VIRTUAL_OPS)
     },
-    "string-scaling-epsilon": ("string_lengths", _one_more_step("epsilon")),
-    "string-scaling-phi": ("string_lengths", _one_more_step("phi")),
-    "image-membership": ("virtualize_path", lambda real, fold, lam: _off_lattice),
-    "image-membership-at-zero": ("virtualize_path", _bent_images(_to_zero)),
-    "injectivity": ("virtualize_path", _merging),
+    "string-scaling-epsilon": _one_more_step("epsilon"),
+    "string-scaling-phi": _one_more_step("phi"),
+    "image-membership": [(folding, "virtualize_path", lambda real, fold, lam: _off_lattice)],
+    "image-membership-at-zero": [(folding, "virtualize_path", _bent_images(_to_zero))],
+    "injectivity": [(folding, "virtualize_path", _merging)],
 }
 
 
@@ -958,8 +985,7 @@ def test_virtualization_matches_full_target_oracle_on_broken_models(
 ):
     # the patch name starts with a check the break must show
     fold = folding_pair(name)
-    attr, broken = VIRTUALIZATION_PATCHES[patch]
-    monkeypatch.setattr(folding, attr, broken(getattr(folding, attr), fold, lam))
+    _patch(monkeypatch, fold, lam, VIRTUALIZATION_PATCHES[patch])
     report = verify_virtualization(fold, lam)
     assert any(patch.startswith(r["check"]) for r in report)
     assert report == verify_virtualization_on_target(fold, lam)
@@ -981,6 +1007,10 @@ def test_membership_cap_counts_touched_paths_exactly():
     assert verify_virtualization(fold, (1, 1), max_size=565) == []
     with pytest.raises(DomainError, match=r"^565 target paths touched, past the cap 564$"):
         verify_virtualization(fold, (1, 1), max_size=564)
+
+
+def _member(fold, lam, max_size):
+    return folding._Explorer(fold, lam, max_size).member
 
 
 def _walks(monkeypatch, membership, fold, lam, images, max_size=None):
@@ -1032,7 +1062,7 @@ def test_membership_walk_matches_the_endpoint_budget_oracle(monkeypatch, virtual
     # call in the walk, and the same refusal one path short of the total
     fold = folding_pair(name)
     images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
-    walks, handed = _walks(monkeypatch, folding._membership, fold, lam, images)
+    walks, handed = _walks(monkeypatch, _member, fold, lam, images)
     oracle = fold_oracle.membership_by_endpoint
     walks_by_endpoint, tried = _walks(monkeypatch, oracle, fold, lam, images)
     assert walks == walks_by_endpoint
@@ -1040,9 +1070,9 @@ def test_membership_walk_matches_the_endpoint_budget_oracle(monkeypatch, virtual
     assert all(verdict is None or verdict is q for (verdict, _), q in zip(walks, images))
     assert any(steps for _, steps in walks)
     if virtualize is _halved and any(len(q.dirs) > 1 for q in images):
-        assert any(not paths.is_integral(q) for q in images)
+        assert any(paths._scan(q) is None for q in images)
     cap = len(set(tried))  # the oracle hands root_e each path it touches; the top is one more
-    refused, _ = _walks(monkeypatch, folding._membership, fold, lam, images, cap)
+    refused, _ = _walks(monkeypatch, _member, fold, lam, images, cap)
     assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
     assert refused == _walks(monkeypatch, oracle, fold, lam, images, cap)[0]
 
@@ -1078,7 +1108,7 @@ def test_membership_walk_matches_the_ls_criterion(virtualize, name, lam):
     # the walk raises each image to a verdict; the criterion reads its
     # directions and break times
     fold = folding_pair(name)
-    y, top, lookup = fold.y_type, psi_weight(fold, lam), folding._membership(fold, lam, None)
+    y, top, lookup = fold.y_type, psi_weight(fold, lam), _member(fold, lam, None)
     images = [virtualize(fold, p) for p in generate(fold.x_type, lam).vertices]
     walks = [lookup(q) is not None for q in images]
     assert walks == [ls_oracle.is_ls_path(y, top, q) for q in images]
@@ -1091,7 +1121,7 @@ def test_membership_walk_matches_the_ls_criterion_on_two_segment_paths():
     # every direction pair of W.psi(lam) on C2(1,1), broken at every time of
     # denominator 2 to 6
     fold = folding_pair("C2")
-    y, top, lookup = fold.y_type, psi_weight(fold, (1, 1)), folding._membership(fold, (1, 1), None)
+    y, top, lookup = fold.y_type, psi_weight(fold, (1, 1)), _member(fold, (1, 1), None)
     orbit = _weyl_orbit(y, top)
     candidates = [
         PLPath(y, q, (0, n, q), 1, (d, e))
@@ -1117,7 +1147,7 @@ def test_membership_walk_refuses_where_the_endpoint_budget_oracle_does(monkeypat
     # the API's refusal and the command line's, on the G2(1,1) walks
     fold = folding_pair("G2")
     images = [virtualize_path(fold, p) for p in generate(fold.x_type, (1, 1)).vertices]
-    refused, _ = _walks(monkeypatch, folding._membership, fold, (1, 1), images, cap)
+    refused, _ = _walks(monkeypatch, _member, fold, (1, 1), images, cap)
     assert refused[-1][1] == f"{cap + 1} target paths touched, past the cap {cap}"
     oracle = fold_oracle.membership_by_endpoint
     assert refused == _walks(monkeypatch, oracle, fold, (1, 1), images, cap)[0]
@@ -1216,16 +1246,17 @@ def test_virtualization_results_are_canonical(name, lam):
 
 
 # root_f and root_e calls of each verifier, all and defined, on C2(1,1) and
-# F4(0,0,0,1): generate reaches root_f through crystal, the membership walk
-# and the virtual operators reach both through folding.  generate and the
-# walk call an operator only where the scan says it is defined; the
-# undefined calls are the virtual operators', one at each source vertex and
-# color without an edge (14 of each on C2(1,1), 72 on F4)
+# F4(0,0,0,1): generate reaches root_f through crystal, the explorer of the
+# virtualization verifier reaches both through folding, once per path and
+# color.  generate and the membership walk call an operator only where the
+# scan says it is defined; the undefined calls are the virtual operators',
+# one at each source vertex and color without an edge (14 of each on
+# C2(1,1), 72 on F4)
 VERIFIER_OPERATOR_CALLS = [
-    ("C2", (1, 1), verify_virtualization, (68, 54, 106, 92)),
+    ("C2", (1, 1), verify_virtualization, (68, 54, 86, 72)),
     ("C2", (1, 1), verify_virtual_relations, (324, 324, 0, 0)),
     ("C2", (1, 1), verify_commutative_diagram, (342, 342, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_virtualization, (168, 96, 282, 210)),
+    ("F4", (0, 0, 0, 1), verify_virtualization, (168, 96, 251, 179)),
     ("F4", (0, 0, 0, 1), verify_virtual_relations, (1380, 1380, 0, 0)),
     ("F4", (0, 0, 0, 1), verify_commutative_diagram, (1412, 1412, 0, 0)),
 ]
@@ -1250,3 +1281,28 @@ def test_verifier_operator_call_counts(monkeypatch, name, lam, verifier, expecte
             monkeypatch.setattr(module, op.__name__, counted(op.__name__, op))
     assert verifier(folding_pair(name), lam) == []
     assert tuple(calls.values()) == expected
+
+
+@pytest.mark.parametrize("name,lam", [("C2", (1, 1)), ("F4", (0, 0, 0, 1)), ("G2", (1, 1))])
+def test_virtualization_asks_each_target_fact_once(monkeypatch, name, lam):
+    # within one call, no target path is scanned twice and no (path, color)
+    # reaches root_f or root_e twice, whichever module the verifier reads
+    # them through; the walk and the virtual operators share the answers
+    fold = folding_pair(name)
+    asked = Counter()
+
+    def recorded(label, op):
+        def wrapper(path, *color):
+            if path.rtype == fold.y_type:
+                asked[(label, path, *color)] += 1
+            return op(path, *color)
+
+        return wrapper
+
+    ops = (root_f, root_e, paths._scan)
+    for module in (folding, paths):
+        for op in ops:
+            monkeypatch.setattr(module, op.__name__, recorded(op.__name__, op))
+    assert verify_virtualization(fold, lam) == []
+    assert {label for label, *_ in asked} == {"root_f", "root_e", "_scan"}
+    assert [key for key, n in asked.items() if n > 1] == []

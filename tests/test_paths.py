@@ -22,7 +22,6 @@ from pathcrystals.paths import (
     PLPath,
     canonicalize,
     epsilon,
-    is_integral,
     path_from_json,
     path_to_json,
     paths_equal,
@@ -30,7 +29,6 @@ from pathcrystals.paths import (
     root_e,
     root_f,
     straight_path,
-    string_lengths,
     weight_int,
 )
 
@@ -348,24 +346,23 @@ def test_non_integral_minimum_raises():
             (F(1), (F(1),)),
         ),
     )
-    assert not is_integral(p)
+    assert paths._scan(p) is None
     with pytest.raises(ModelIntegrityError):
         epsilon(p, 1)
     with pytest.raises(ModelIntegrityError):
         root_f(p, 1)
-    with pytest.raises(ModelIntegrityError, match="^path with a non-integral endpoint or minimum$"):
-        string_lengths(p)
 
 
-def test_is_integral_rejects_non_integral_endpoint():
+def test_scan_rejects_a_non_integral_endpoint():
     # H rises straight to 1/2: no interior minimum, only the endpoint is off
     p = PLPath.from_breakpoints(A1, ((0, (0,)), (1, (F(1, 2),))))
-    assert not is_integral(p)
-    with pytest.raises(ModelIntegrityError, match="^path with a non-integral endpoint or minimum$"):
-        string_lengths(p)
+    assert paths._scan(p) is None
+    assert epsilon(p, 1) == 0
+    with pytest.raises(ModelIntegrityError, match="^endpoint of H_1 minus its minimum is not"):
+        phi(p, 1)
 
 
-def test_string_lengths_read_the_minimum_off_an_endpoint_or_a_plateau():
+def test_scan_reads_the_minimum_off_an_endpoint_or_a_plateau():
     # H falls to -1 and stays there to the end: the minimum is the endpoint.
     # H falls to -2, stays, then rises to 1: the minimum is where the rise
     # starts, a segment after the fall ends
@@ -373,7 +370,7 @@ def test_string_lengths_read_the_minimum_off_an_endpoint_or_a_plateau():
     plateau = PLPath(A1, 3, (0, 1, 2, 3), 1, ((-6,), (0,), (9,)))
     assert paths._scan(end) == ((-1,), (1,), (0,)) == paths_oracle.scan(end)
     assert paths._scan(plateau) == ((1,), (2,), (3,)) == paths_oracle.scan(plateau)
-    assert string_lengths(plateau) == ((2,), (3,))
+    assert (epsilon(plateau, 1), phi(plateau, 1)) == (2, 3)
 
 
 def test_json_roundtrip():
@@ -482,7 +479,7 @@ def _points(outcome):
 
 
 def _match_two_pass(p):
-    """Each operator, canonicalize and is_integral against the one-pass
+    """Each operator, canonicalize and the path scan against the one-pass
     breakpoint kernel, through the points in lowest terms, and that kernel
     against the two-pass one it replaced, on p and every color of its type."""
     q = paths_oracle.points_form(p)
@@ -498,8 +495,8 @@ def _match_two_pass(p):
     assert _exact_outcome(paths_oracle.two_pass_canonicalize, q) == expected
     assert _points(_exact_outcome(canonicalize, p)) == expected
     expected = paths_oracle.one_pass_is_integral(q)
-    assert is_integral(p) == expected == paths_oracle.compressed_is_integral(q)
     scan = paths._scan(p)
+    assert (scan is not None) == expected == paths_oracle.compressed_is_integral(q)
     assert scan == paths_oracle.scan(p)
     assert (None if scan is None else scan[0]) == paths_oracle.integral_weight(p)
 
@@ -775,9 +772,7 @@ def test_integral_weight_matches_the_oracles_on_random_paths():
         assert scan == paths_oracle.scan(p), p
         weight = None if scan is None else scan[0]
         assert weight == paths_oracle.integral_weight(p) == paths_oracle.weight_scan(p), p
-        assert is_integral(p) == (weight is not None)
         if weight is not None:
-            assert string_lengths(p) == scan[1:]
             outcome = "integral"
         elif any(c % (p.den * p.vden) for c in p.points[-1]):
             outcome = "endpoint"
@@ -840,3 +835,26 @@ def test_kernel_bench_counts_the_operator_calls():
     # the patched names are back
     assert cactus._levi_sweep is crystal._levi_sweep and cartan._node_set is crystal._node_set
     assert cactus.compose.__name__ == "compose"
+
+
+def test_kernel_bench_counts_the_target_side_of_virtualization():
+    # the explorer's counts: one scan per target path the walks touch, and
+    # the undefined operator calls of the virtual operators alone; each
+    # timed measure prints its quartiles beside its median
+    from pathcrystals import folding
+
+    report = kernel_bench.measure_virtualization([("C2", (1, 1)), ("F4", (0, 0, 0, 1))], 1)
+    for model, vertices, e_calls, f_calls, undefined, scans, touched in (
+        ("C2(1, 1)", 16, 86, 50, 14, 57, 69),
+        ("F4(0, 0, 0, 1)", 26, 251, 136, 72, 147, 172),
+    ):
+        measured = report[model]
+        assert measured["vertices"] == vertices
+        counts = (measured["root_e"], measured["root_f"], measured["target_scans"])
+        assert counts == (e_calls, f_calls, scans), model
+        assert measured["root_e_undefined"] == measured["root_f_undefined"] == undefined
+        assert measured["touched_paths"] == touched
+        q1, q3 = measured["quartiles_ms"]
+        assert 0 <= q1 <= measured["median_ms"] <= q3
+    assert (folding.root_e, folding.root_f, folding._scan) == (root_e, root_f, paths._scan)
+    assert paths._scan.__module__ == "pathcrystals.paths"
