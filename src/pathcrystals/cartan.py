@@ -204,11 +204,12 @@ def positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]
 def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...]:
     a, adj = cartan_matrix(t), neighbors(t)
     near = {j: [(k - 1, a[j - 1][k - 1]) for k in adj[j]] for j in nodes}
-    stack = [tuple(int(k == j) for k in t.nodes) for j in nodes]
-    seen = set(stack)
+    reach = {j: nodes & adj[j] | {j} for j in nodes}
+    stack = [(tuple(int(k == j) for k in t.nodes), reach[j]) for j in nodes]
+    seen = {c for c, _ in stack}
     while stack:
-        c = stack.pop()
-        for j in nodes:
+        c, around = stack.pop()  # the nodes of the set in or next to c's support:
+        for j in around:  # at any other node the pairing is 0
             # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j for beta = sum_k c_k
             # alpha_k, where <beta, alpha_j^vee> = 2 c_j + sum_k a[j][k] c_k over
             # the neighbours k of j.  Only raising reflections are taken: a positive
@@ -220,7 +221,7 @@ def _positive_roots(t: DynkinType, nodes: NodeSet) -> tuple[tuple[int, ...], ...
             image = c[: j - 1] + (c[j - 1] - pairing,) + c[j:]
             if image not in seen:
                 seen.add(image)
-                stack.append(image)
+                stack.append((image, around | reach[j]))
     return tuple(sorted(seen))
 
 

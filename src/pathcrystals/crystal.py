@@ -6,10 +6,11 @@ under the lowering operators alone, so generation is a breadth-first search
 along f-edges, deduplicating by canonical path; each e-edge is recorded as the
 inverse of an f-edge.  The scan that weighs each new path also gives its
 string lengths phi, and the search lowers a vertex only in the colors where
-phi is at least one, so every root_f call makes an edge.  Vertex ids are BFS
-discovery order (colors ascending), so the vertex list is the search queue,
-regenerating a crystal reproduces it bit for bit, and the graph keeps no map
-from paths to ids.  Every f-edge adds
+phi is at least one, and calls root_f only where no commuting square with a
+non-adjacent color gives the edge, so every call makes an edge.  Vertex ids
+are BFS discovery order (colors ascending), so the vertex list is the search
+queue, regenerating a crystal reproduces it bit for bit, and the graph keeps
+no map from paths to ids.  Every f-edge adds
 one to the depth (the height of lambda - wt), so the BFS layer of a vertex is
 its depth and ids come in depth order; a raising step only reaches the
 previous layer, so closing under the raising operators too would find nothing
@@ -37,6 +38,7 @@ from .cartan import (
     _node_set,
     _theta_pairs,
     _two_rho_vee,
+    neighbors,
     simple_root,
     weyl_dim,
 )
@@ -85,7 +87,10 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     """Generate the path model of highest weight lam by closure under the
     lowering operators, checking that each f_i is injective.  The scan that
     checks each new path's minima are integral weighs it and gives the
-    colors i with phi_i >= 1, the only ones f_i is called in."""
+    colors i with phi_i >= 1, the only ones f_i is called in.  Where v = f_k p
+    for a color k with a_ik = 0, and u = f_i p has been lowered in color k,
+    f_i v is f_k u, read off the edge lists: alpha_k is 0 at i, so f_k leaves
+    the height function of i as it is and f_i f_k = f_k f_i on paths."""
     lam = tuple(lam)
     dim = weyl_dim(t, lam)
     if max_size is not None and dim > max_size:
@@ -100,25 +105,33 @@ def generate(t: DynkinType, lam, max_size=None) -> CrystalGraph:
     index = {start: 0}
     f_to = {i: [None] * dim for i in t.nodes}
     e_to = {i: [None] * dim for i in t.nodes}
+    adj = neighbors(t)  # far[i]: the edge lists of the colors k != i with a_ik = 0
+    far = {i: [(e_to[k], f_to[k]) for k in t.nodes if k != i and k not in adj[i]] for i in t.nodes}
     for v, pv in enumerate(vertices):  # ids are discovery order: the list is the queue
         for i, n in zip(t.nodes, lowerable[v]):
             if not n:  # phi_i is 0: f_i is undefined
                 continue
-            lowered = root_f(pv, i)
-            if lowered is None:
-                continue
-            w = index.setdefault(lowered, len(vertices))  # one hash per path
-            if w == len(vertices):
-                if (scan := _scan(lowered)) is None:
-                    raise ModelIntegrityError("generated path with non-integral minima")
-                if w == dim:
-                    raise ModelIntegrityError(
-                        f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
-                    )
-                vertices.append(lowered)
-                weights.append(scan[0])
-                lowerable.append(scan[2])
-            f_to[i][v] = w
+            f_i = f_to[i]
+            for e_k, f_k in far[i]:  # v = f_k p: f_i v = f_k f_i p if that is known
+                if (p := e_k[v]) is not None and (u := f_i[p]) is not None:
+                    if (w := f_k[u]) is not None:
+                        break
+            else:
+                lowered = root_f(pv, i)
+                if lowered is None:
+                    continue
+                w = index.setdefault(lowered, len(vertices))  # one hash per path
+                if w == len(vertices):
+                    if (scan := _scan(lowered)) is None:
+                        raise ModelIntegrityError("generated path with non-integral minima")
+                    if w == dim:
+                        raise ModelIntegrityError(
+                            f"generated {dim + 1} vertices but the Weyl dimension is {dim}"
+                        )
+                    vertices.append(lowered)
+                    weights.append(scan[0])
+                    lowerable.append(scan[2])
+            f_i[v] = w
             if (prev := e_to[i][w]) is not None:  # (v, i) comes once: prev is not v
                 raise ModelIntegrityError(f"conflicting edge at {(w, i)}: {prev} vs {v}")
             e_to[i][w] = v

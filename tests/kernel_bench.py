@@ -22,7 +22,9 @@ times, and counts that one more call makes:
   PLPath records built, counted by wrapping PLPath.__new__, or
   PLPath.__init__ on a checkout whose record defines no __new__ (so the
   count does not depend on which checks the record makes itself); generate also
-  the root_f calls that return None (root_f_undefined), and the path scans,
+  the root_f calls that return None (root_f_undefined), the f-edges that
+  no root_f call made, read off a commuting square (edges_from_squares),
+  and the path scans,
   the calls of whichever of crystal._scan, crystal._integral_weight,
   crystal.is_integral and crystal.weight_int the module binds (one per
   vertex when each new path is weighed in the scan that checks it);
@@ -209,7 +211,7 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices": n, "generate": {...}, "verify_seminormal": {...},
     "export_json": {...}, "record_ns": {...}}}, the first two inner dicts
     holding the times, root_f, root_e and paths_built (and generate
-    root_f_undefined and path_scans), the third the times, blocks_rendered
+    root_f_undefined, path_scans and edges_from_squares), the third the times, blocks_rendered
     and breakpoints, the last the build, hash and eq ns of one record."""
     from pathcrystals import crystal
     from pathcrystals.cartan import DynkinType
@@ -228,6 +230,8 @@ def measure(models=MODELS, repeats: int = 9) -> dict:
                 **_times_ms(call, repeats),
                 **_operator_calls(crystal, call, scans=label == "generate"),
             }
+        made = report["generate"]["root_f"] - report["generate"]["root_f_undefined"]
+        report["generate"]["edges_from_squares"] = len(graph.f_edges) - made
         report["export_json"] = {
             **_times_ms(lambda: crystal.export_json(graph), repeats),
             **_export_counts(crystal, graph),

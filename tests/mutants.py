@@ -247,6 +247,28 @@ MUTANTS = (
         ("tests/test_cactus.py::test_relation_violations_match_loop_oracle",),
     ),
     Mutant(
+        "square-taken-across-adjacent-colors",
+        "crystal.py",
+        " for k in t.nodes if k != i and k not in adj[i]]",
+        " for k in t.nodes if k != i]",
+        (
+            "tests/test_crystal.py::test_lowering_closure_matches_both_operator_closure",
+            "tests/test_crystal.py::test_generate_matches_fraction_kernel_closure",
+            "tests/test_crystal.py::test_generate_calls_root_f_once_per_f_edge",
+        ),
+    ),
+    Mutant(
+        "square-lowers-its-corner-in-color-i",
+        "crystal.py",
+        "                    if (w := f_k[u]) is not None:\n",
+        "                    if (w := f_i[u]) is not None:\n",
+        (
+            "tests/test_crystal.py::test_lowering_closure_matches_both_operator_closure",
+            "tests/test_crystal.py::test_generate_matches_fraction_kernel_closure",
+            "tests/test_crystal.py::test_generate_calls_root_f_once_per_f_edge",
+        ),
+    ),
+    Mutant(
         "string-lengths-count-a-cycle-as-an-end",
         "crystal.py",
         "        base = -1 if cur is None else lengths[cur]\n",

@@ -537,6 +537,23 @@ def test_positive_roots_match_the_reflection_closure(t):
         assert positive_roots(t, nodes) == cartan_oracle.positive_roots(t, nodes), sorted(nodes)
 
 
+@pytest.mark.parametrize(
+    "t",
+    ADMISSIBLE_UP_TO_RANK_8 + [DynkinType(family, 30) for family in "ABCD"],
+    ids=str,
+)
+def test_positive_roots_pair_each_root_only_near_its_support(t):
+    # a node outside the support of a root and its neighbours pairs to 0
+    # with it, so the closure skips it; the oracle pairs every root with
+    # every node of the set.  All nodes, a set cut into pieces, and a half
+    for nodes in (
+        all_nodes(t),
+        frozenset(j for j in t.nodes if j % 3),
+        frozenset(range(1, t.rank // 2 + 1)),
+    ):
+        assert positive_roots(t, nodes) == cartan_oracle.positive_roots(t, nodes), sorted(nodes)
+
+
 def test_positive_roots_match_the_reflection_closure_on_a40():
     t = DynkinType("A", 40)
     roots = positive_roots(t, all_nodes(t))

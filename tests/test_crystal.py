@@ -18,7 +18,7 @@ from tensor_oracle import mismatch as tensor_mismatch
 from test_acceptance import SIZE_CASES, VIRT_CASES
 
 from pathcrystals import crystal, paths
-from pathcrystals.cartan import DynkinType, reflect, weyl_dim
+from pathcrystals.cartan import DynkinType, neighbors, reflect, weyl_dim
 from pathcrystals.crystal import (
     export_dot,
     export_json,
@@ -230,7 +230,17 @@ CLOSURE_CASES = [(t, lam) for t, lam, _ in SIZE_CASES] + [
 ]
 
 
-@pytest.mark.parametrize("t,lam", CLOSURE_CASES)
+# models where 32-45% of the f-edges close a square with a non-adjacent
+# color in generate; both oracles compute every edge with an operator
+SQUARE_CASES = [
+    (DynkinType("A", 5), (0, 1, 0, 1, 0)),
+    (DynkinType("D", 5), (1, 0, 0, 1, 0)),
+    (DynkinType("E", 6), (1, 0, 0, 0, 0, 1)),
+    (DynkinType("C", 4), (1, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("t,lam", CLOSURE_CASES + SQUARE_CASES)
 def test_lowering_closure_matches_both_operator_closure(t, lam):
     g = generate(t, lam)
     oracle = generate_by_both_operators(t, lam)
@@ -243,7 +253,7 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("t,lam", CLOSURE_CASES)
+@pytest.mark.parametrize("t,lam", CLOSURE_CASES + SQUARE_CASES)
 def test_generate_matches_fraction_kernel_closure(monkeypatch, t, lam):
     # the same search driven by the Fraction operators of tests/paths_oracle.py
     # gives the same vertices in the same order, the same edge maps, and the
@@ -310,10 +320,24 @@ def test_generate_never_raises(monkeypatch):
     assert len(generate(C2, (1, 1))) == 16
 
 
+def _square_edges(g) -> set:
+    """The f-edges (v, i) that generate reads off a commuting square: some
+    color k not adjacent to i has e_k(v) = p with f_i(p) = u found before
+    v, so f_k(u) is known when v is lowered."""
+    adj = neighbors(g.rtype)
+    return {
+        (v, i)
+        for v, i in g.f_edges
+        for k in g.rtype.nodes
+        if k != i and k not in adj[i] and (p := g.e_to[k][v]) is not None
+        and (u := g.f_to[i][p]) is not None and u < v and g.f_to[k][u] is not None
+    }
+
+
 def test_operator_call_counts_on_d4(monkeypatch):
-    # generate calls root_f once per f-edge: only where the scan of the
-    # vertex gives phi at least one, so every call is defined;
-    # verify_seminormal calls root_e once per vertex and color
+    # generate calls root_f once per f-edge that no commuting square gives:
+    # only where the scan of the vertex gives phi at least one, so every
+    # call is defined; verify_seminormal calls root_e once per vertex and color
     calls = Counter()
 
     def counted(name, op):
@@ -328,35 +352,42 @@ def test_operator_call_counts_on_d4(monkeypatch):
     monkeypatch.setattr(crystal, "root_f", counted("root_f", crystal.root_f))
     monkeypatch.setattr(crystal, "root_e", counted("root_e", crystal.root_e))
     g = generate(DynkinType("D", 4), (1, 1, 1, 1))
-    assert len(g) == 4096 and len(g.f_edges) == 9664
-    assert calls == {"root_f": 9664, "root_f defined": 9664}
+    assert len(g) == 4096 and len(g.f_edges) == 9664 and len(_square_edges(g)) == 3422
+    assert calls == {"root_f": 6242, "root_f defined": 6242}
     assert verify_seminormal(g) == []
     assert calls == {
-        "root_f": 9664,
-        "root_f defined": 9664,
+        "root_f": 6242,
+        "root_f defined": 6242,
         "root_e": 16384,
         "root_e defined": 9664,
     }
 
 
-@pytest.mark.parametrize(
-    "t,lam", CLOSURE_CASES + [(DynkinType("E", 6), (1, 0, 0, 0, 0, 1)), (A3, (0, 1, 0))]
-)
+ROOT_F_CASES = CLOSURE_CASES + [(DynkinType("E", 6), (1, 0, 0, 0, 0, 1)), (A3, (0, 1, 0))]
+ROOT_F_CALLS = dict(zip(ROOT_F_CASES, [2, 2, 3, 4, 3, 6, 16, 1098, 754, 136, 26, 765, 5]))
+
+
+@pytest.mark.parametrize("t,lam", ROOT_F_CASES)
 def test_generate_calls_root_f_once_per_f_edge(monkeypatch, t, lam):
-    # the scan of each vertex says which colors lower it: every call is
-    # defined and makes an edge (on E6(1,0,0,0,0,1), 1,380 calls where trying
-    # every vertex and color made 3,900)
-    calls, real = Counter(), crystal.root_f
+    # the scan of each vertex says which colors lower it, and an f-edge that
+    # closes a square with a non-adjacent color is read off the edge lists:
+    # root_f runs once at each other f-edge and every call is defined (on
+    # E6(1,0,0,0,0,1), 765 calls, where one per f-edge made 1,380 and trying
+    # every vertex and color 3,900; G2 has no non-adjacent colors)
+    calls, real = [], crystal.root_f
 
     def counted(path, i):
         out = real(path, i)
-        calls["all"] += 1
-        calls["defined"] += out is not None
+        calls.append((path, i, out is not None))
         return out
 
     monkeypatch.setattr(crystal, "root_f", counted)
     g = generate(t, lam)
-    assert calls == {"all": len(g.f_edges), "defined": len(g.f_edges)}
+    ids = {p: v for v, p in enumerate(g.vertices)}
+    squares = _square_edges(g)
+    assert len(calls) == ROOT_F_CALLS[t, lam] and all(defined for _, _, defined in calls)
+    assert len(calls) + len(squares) == len(g.f_edges)
+    assert {(ids[p], i) for p, i, _ in calls} == set(g.f_edges) - squares
 
 
 def test_seminormal_checks_raising_operator(monkeypatch):

@@ -1249,16 +1249,18 @@ def test_virtualization_results_are_canonical(name, lam):
 # F4(0,0,0,1): generate reaches root_f through crystal, the explorer of the
 # virtualization verifier reaches both through folding, once per path and
 # color.  generate and the membership walk call an operator only where the
-# scan says it is defined; the undefined calls are the virtual operators',
-# one at each source vertex and color without an edge (14 of each on
-# C2(1,1), 72 on F4)
+# scan says it is defined, and generate not at an f-edge that closes a
+# square with a non-adjacent color (68 of the 324 f-edges of the A3 target
+# of C2(1,1), 615 of the 1,380 of the E6 target of F4, 6 of the 32 of the F4
+# source); the undefined calls are the virtual operators', one at each
+# source vertex and color without an edge (14 of each on C2(1,1), 72 on F4)
 VERIFIER_OPERATOR_CALLS = [
     ("C2", (1, 1), verify_virtualization, (68, 54, 86, 72)),
-    ("C2", (1, 1), verify_virtual_relations, (324, 324, 0, 0)),
-    ("C2", (1, 1), verify_commutative_diagram, (342, 342, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_virtualization, (168, 96, 251, 179)),
-    ("F4", (0, 0, 0, 1), verify_virtual_relations, (1380, 1380, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_commutative_diagram, (1412, 1412, 0, 0)),
+    ("C2", (1, 1), verify_virtual_relations, (256, 256, 0, 0)),
+    ("C2", (1, 1), verify_commutative_diagram, (274, 274, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_virtualization, (162, 90, 251, 179)),
+    ("F4", (0, 0, 0, 1), verify_virtual_relations, (765, 765, 0, 0)),
+    ("F4", (0, 0, 0, 1), verify_commutative_diagram, (791, 791, 0, 0)),
 ]
 
 

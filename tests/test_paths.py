@@ -788,10 +788,11 @@ def test_kernel_bench_counts_the_operator_calls():
     assert list(report) == ["A2(1, 1)", "D4(1, 1, 1, 1)"] and report["A2(1, 1)"]["vertices"] == 8
     # one record per defined operator call, and generate's straight path;
     # generate calls root_f only where phi is at least one, once per f-edge
+    # that no commuting square gives (A2 has no non-adjacent colors)
     for model, label, f_calls, e_calls, built in (
         ("A2(1, 1)", "generate", 8, 0, 9),
         ("A2(1, 1)", "verify_seminormal", 0, 16, 8),
-        ("D4(1, 1, 1, 1)", "generate", 9664, 0, 9665),
+        ("D4(1, 1, 1, 1)", "generate", 6242, 0, 6243),
         ("D4(1, 1, 1, 1)", "verify_seminormal", 0, 16384, 9664),
     ):
         measured = report[model][label]
@@ -801,6 +802,8 @@ def test_kernel_bench_counts_the_operator_calls():
     assert report["D4(1, 1, 1, 1)"]["generate"]["path_scans"] == 4096
     assert report["D4(1, 1, 1, 1)"]["generate"]["root_f_undefined"] == 0
     assert report["A2(1, 1)"]["generate"]["root_f_undefined"] == 0
+    assert report["D4(1, 1, 1, 1)"]["generate"]["edges_from_squares"] == 9664 - 6242
+    assert report["A2(1, 1)"]["generate"]["edges_from_squares"] == 0
     # one scan per vertex, where weighing after the closure made 2n - 1; 11
     # distinct breakpoints of the 18 that the 8 paths export
     assert report["A2(1, 1)"]["generate"]["path_scans"] == 8
@@ -858,3 +861,46 @@ def test_kernel_bench_counts_the_target_side_of_virtualization():
         assert 0 <= q1 <= measured["median_ms"] <= q3
     assert (folding.root_e, folding.root_f, folding._scan) == (root_e, root_f, paths._scan)
     assert paths._scan.__module__ == "pathcrystals.paths"
+
+
+def _commutation_failures(t, lam, i, k) -> tuple:
+    """Over the paths of B(lam), the pairs (path, op) where both colors are
+    defined, and those where the square fails: op_i op_k != op_k op_i, or the
+    string length of i changes along k (phi for root_f, epsilon for root_e)."""
+    checked = failures = 0
+    for p in generate(t, lam).vertices:
+        for op, length in ((root_f, phi), (root_e, epsilon)):
+            pk, pi = op(p, k), op(p, i)
+            if pk is None or pi is None:
+                continue
+            checked += 1
+            failures += op(pk, i) != op(pi, k) or length(pk, i) != length(p, i)
+    return checked, failures
+
+
+@pytest.mark.parametrize(
+    "name,lam",
+    [
+        ("A5", (0, 1, 0, 1, 0)),
+        ("D4", (1, 0, 1, 1)),
+        ("E6", (1, 0, 0, 0, 0, 1)),
+        ("C3", (1, 1, 1)),
+        ("F4", (1, 0, 0, 1)),
+    ],
+)
+def test_operators_of_non_adjacent_colors_commute(name, lam):
+    # a_ik = 0: alpha_k has coordinate 0 at i, so f_k and e_k leave the
+    # height function of i as it is, which generate's commuting square needs
+    t = DynkinType.parse(name)
+    adj = cartan.neighbors(t)
+    pairs = [(i, k) for i in t.nodes for k in t.nodes if i != k and k not in adj[i]]
+    assert pairs
+    for i, k in pairs:
+        checked, failures = _commutation_failures(t, lam, i, k)
+        assert checked > 0 and failures == 0, (i, k)
+
+
+def test_operators_of_adjacent_colors_do_not_commute():
+    # the control: on A2 the square fails at some path of B(1, 1)
+    assert 2 in cartan.neighbors(A2)[1]
+    assert _commutation_failures(A2, (1, 1), 1, 2)[1] > 0
