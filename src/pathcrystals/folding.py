@@ -16,20 +16,18 @@ the orientation conventions cannot drift.
 Path virtualization applies psi direction-wise.  Virtual root operators for
 a source color i apply the target operators gamma_i times over each node of
 sigma(i).  Verifiers check exhaustively that virtualization intertwines the
-operators on the source model, reading the target side off one explorer of
-B(psi(lam)), which decides membership by raising each image to a known path
-and scans each target path, and raises and lowers it in each color, at most
-once per call; that the diagram facts behind the cactus
-relations hold on every pair of the source's relation plan; and, on the
-generated target model, that the induced generators satisfy the relations
-and that the partial involutions commute with virtualization, as an identity
-of target ids read off a {path: id} table that the embedding builds itself.
+operators on the source model, off one explorer of B(psi(lam)) that raises
+each image to a known path and holds walk paths alone, all counted by the
+cap; that the diagram facts behind the cactus relations hold on every pair
+of the source's relation plan; and, on the generated target model, that the
+induced generators satisfy the relations and that the partial involutions
+commute with virtualization, as an identity of target ids read off a
+{path: id} table that the embedding builds itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import inf, lcm
 from operator import mul, sub
@@ -265,44 +263,46 @@ def _embedding(fold: FoldingPair, lam, max_size):
 
 
 class _Explorer:
-    """B(psi(lam)) explored one target path at a time, for one verifier call:
-    the one holder of the facts learned of target paths, each found once.
-    scan, e and f are _scan, root_e and root_f as the module binds them when
-    the explorer is built, each cached.  member(q) is q if q is in
-    B(psi(lam)), else None: a walk raises q by the first color with epsilon
-    at least one in its scan, colors ascending, to a path with a verdict and
-    passes it on to every path it visits.  It fails at a non-integral or
-    another dominant path, or past <psi(lam) - wt(q), rho^vee> steps.
-    DomainError at the (max_size + 1)-th path touched."""
+    """B(psi(lam)) explored one target path at a time, for one verifier call.
+    member(q) is q if q is in B(psi(lam)), else None: a walk raises q by the
+    first color with epsilon at least one in its scan, colors ascending, to
+    a path with a verdict and passes it on to every path it visits.  It
+    fails at a non-integral or another dominant path, or past
+    <psi(lam) - wt(q), rho^vee> steps.  It holds walk paths alone, each
+    counted by the cap (DomainError at the (max_size + 1)-th): their verdicts
+    (known), the raises between them (raised), accepted images' (eps, phi)."""
 
     def __init__(self, fold: FoldingPair, lam, max_size):
         y, self.fold, self.top = fold.y_type, fold, psi_weight(fold, lam)
         self.rho2, self.known = _two_rho_vee(y), {straight_path(y, self.top): True}
-        self.cap = inf if max_size is None else max_size
-        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)
+        self.cap, self.raised, self.stats = inf if max_size is None else max_size, {}, {}
 
     def member(self, q):
-        y, known, cap, scan = self.fold.y_type, self.known, self.cap, self.scan(q)
+        y, known, cap, scan = self.fold.y_type, self.known, self.cap, _scan(q)
         budget = 0 if scan is None else sum(map(mul, self.rho2, map(sub, self.top, scan[0]))) // 2
-        walk, p = [], q
+        walk, colors, p, first = [], [], q, scan
         while p is not None and p not in known and len(walk) < budget:
-            if walk and (scan := self.scan(p)) is None:
+            if walk and (scan := _scan(p)) is None:
                 break
             if len(known) + len(walk) >= cap:
                 raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
             walk.append(p)
-            i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)
-            p = None if i is None else self.e(p, i)
+            colors.append(i := next((i for i, eps in zip(y.nodes, scan[1]) if eps), None))
+            p = None if i is None else root_e(p, i)
         known.update(dict.fromkeys(walk, known.get(p, False)))
-        return q if known.get(q) else None
+        self.raised.update((k, r) for k, r in zip(zip(walk, colors), [*walk[1:], p]) if r in known)
+        if accepted := known.get(q):
+            self.stats[q] = first[1:]
+        return q if accepted else None
 
     def virtual(self, name, q, i):
-        """virtual_f (name "f") or virtual_e ("e") of q, over the cached operators."""
-        return _virtual_op(self.f if name == "f" else self.e, self.fold, q, i)
+        """virtual_f (name "f") or virtual_e ("e") of q; e reads the walks' raises first."""
+        op = root_f if name == "f" else lambda p, j: self.raised.get((p, j)) or root_e(p, j)
+        return _virtual_op(op, self.fold, q, i)
 
     def strings(self, q):
-        """(eps, phi) of a path that member has read, off its cached scan."""
-        return self.scan(q)[1:]
+        """(eps, phi) of an image that member accepted, off its scan."""
+        return self.stats[q]
 
 
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:

@@ -49,7 +49,10 @@ side: the root_e and root_f calls (and those that return None) and the
 path scans on target paths, through whichever of folding and paths binds
 each name (the membership walk, the virtual operators and the string
 statistics of older checkouts included), and the touched paths: the
-distinct target paths handed to any of them.
+distinct target paths handed to any of them.  It also prints held_paths:
+the distinct target paths that the explorer (folding._Explorer) still
+refers to once the call returns, its memos included, or null on a checkout
+without one.
 
 All counts are taken by patching module names, which the functions look up
 at call time; the timed calls run unpatched, and the script runs on
@@ -57,11 +60,13 @@ checkouts that bind only some of the names.  Times depend on the host; the
 counts do not.
 """
 
+import gc
 import json
 import statistics
 import sys
 import time
 import timeit
+import types
 from collections import Counter
 
 MODELS = [
@@ -307,11 +312,55 @@ def _target_side(fold, call) -> dict:
     }
 
 
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def held_paths(root) -> int:
+    """The number of distinct paths reachable from root through gc
+    referents (attributes, containers, a functools memo's table), looking
+    inside no path, function, class or module."""
+    from pathcrystals.paths import PLPath
+
+    held, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, PLPath):
+            held.add(obj)
+        elif id(obj) not in seen and not isinstance(obj, OPAQUE):
+            seen.add(id(obj))
+            stack.extend(gc.get_referents(obj))
+    return len(held)
+
+
+def _held_after(call):
+    """held_paths of the one explorer that call() builds, or None on a
+    checkout without folding._Explorer; the explorer's __init__ is back on
+    return."""
+    from pathcrystals import folding
+
+    owner = getattr(folding, "_Explorer", None)
+    if owner is None:
+        return None
+    built, init = [], owner.__init__
+
+    def recording(explorer, *args):
+        init(explorer, *args)
+        built.append(explorer)
+
+    owner.__init__ = recording
+    try:
+        call()
+    finally:
+        owner.__init__ = init
+    (explorer,) = built
+    return held_paths(explorer)
+
+
 def measure_virtualization(models=VIRTUALIZATION_MODELS, repeats: int = 9) -> dict:
     """{model: {"vertices", "median_ms", "quartiles_ms", "root_e",
     "root_e_undefined", "root_f", "root_f_undefined", "target_scans",
-    "touched_paths"}} for verify_virtualization, vertices counting the
-    source model."""
+    "touched_paths", "held_paths"}} for verify_virtualization, vertices
+    counting the source model."""
     from pathcrystals import folding
     from pathcrystals.cartan import weyl_dim
 
@@ -326,6 +375,7 @@ def measure_virtualization(models=VIRTUALIZATION_MODELS, repeats: int = 9) -> di
             "vertices": weyl_dim(fold.x_type, lam),
             **_times_ms(call, repeats),
             **_target_side(fold, call),
+            "held_paths": _held_after(call),
         }
     return out
 

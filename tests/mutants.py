@@ -142,8 +142,8 @@ MUTANTS = (
     Mutant(
         "membership-walk-raises-by-the-last-color",
         "folding.py",
-        "            i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)\n",
-        "            i = next((i for i, eps in reversed([*zip(y.nodes, scan[1])]) if eps), None)\n",
+        "next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)",
+        "next((i for i, eps in reversed([*zip(y.nodes, scan[1])]) if eps), None)",
         ("tests/test_folding.py::test_membership_walk_matches_the_endpoint_budget_oracle",),
     ),
     Mutant(
@@ -164,10 +164,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "explorer-caches-e-over-root-f",
+        "explorer-walk-raises-by-root-f",
         "folding.py",
-        "        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)\n",
-        "        self.scan, self.e, self.f = cache(_scan), cache(root_f), cache(root_f)\n",
+        "            p = None if i is None else root_e(p, i)\n",
+        "            p = None if i is None else root_f(p, i)\n",
         (
             "tests/test_folding.py::test_virtualization_verifier_passes",
             "tests/test_folding.py::test_membership_walk_matches_the_endpoint_budget_oracle",
@@ -176,15 +176,50 @@ MUTANTS = (
     Mutant(
         "explorer-virtual-raising-reads-f",
         "folding.py",
-        '        return _virtual_op(self.f if name == "f" else self.e, self.fold, q, i)\n',
-        "        return _virtual_op(self.f, self.fold, q, i)\n",
+        '        op = root_f if name == "f" else lambda p, j: self.raised.get((p, j)) or root_e(p, j)\n',
+        "        op = root_f\n",
         ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
     ),
     Mutant(
-        "explorer-scan-uncached",
+        "explorer-virtual-raising-ignores-the-walks",
         "folding.py",
-        "        self.scan, self.e, self.f = cache(_scan), cache(root_e), cache(root_f)\n",
-        "        self.scan, self.e, self.f = _scan, cache(root_e), cache(root_f)\n",
+        "self.raised.get((p, j)) or root_e(p, j)",
+        "root_e(p, j)",
+        ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
+    ),
+    Mutant(
+        "explorer-reads-the-raise-of-the-source-color",
+        "folding.py",
+        "self.raised.get((p, j))",
+        "self.raised.get((p, i))",
+        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+    ),
+    Mutant(
+        "explorer-keeps-the-last-raise-of-a-failing-walk",
+        "folding.py",
+        "[*walk[1:], p]) if r in known)",
+        "[*walk[1:], p]))",
+        ("tests/test_folding.py::test_the_explorer_holds_only_the_paths_the_cap_counts",),
+    ),
+    Mutant(
+        "explorer-keeps-its-raising-operator",
+        "folding.py",
+        '        op = root_f if name == "f" else',
+        '        op = self.op = root_f if name == "f" else',
+        ("tests/test_folding.py::test_the_explorer_is_freed_without_the_cyclic_collector",),
+    ),
+    Mutant(
+        "explorer-strings-of-the-last-scan",
+        "folding.py",
+        "            self.stats[q] = first[1:]\n",
+        "            self.stats[q] = scan[1:]\n",
+        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+    ),
+    Mutant(
+        "explorer-strings-rescan",
+        "folding.py",
+        "        return self.stats[q]\n",
+        "        return _scan(q)[1:]\n",
         ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
     ),
     Mutant(

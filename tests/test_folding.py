@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 from collections import Counter
 
 import export_oracle
 import fold_oracle
+import kernel_bench
 import ls_oracle
 import paths_oracle
 import pytest
@@ -1007,6 +1010,51 @@ def test_membership_cap_counts_touched_paths_exactly():
     assert verify_virtualization(fold, (1, 1), max_size=565) == []
     with pytest.raises(DomainError, match=r"^565 target paths touched, past the cap 564$"):
         verify_virtualization(fold, (1, 1), max_size=564)
+
+
+def _explorers(monkeypatch, refer=lambda explorer: explorer):
+    """The list that refer(explorer) of each explorer built from here on is
+    appended to; refer keeps the explorer itself by default."""
+    built, init = [], folding._Explorer.__init__
+
+    def recording(explorer, *args):
+        init(explorer, *args)
+        built.append(refer(explorer))
+
+    monkeypatch.setattr(folding._Explorer, "__init__", recording)
+    return built
+
+
+@pytest.mark.parametrize("patch", [None, *sorted(VIRTUALIZATION_PATCHES)])
+@pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES + [("G2", (1, 1))])
+def test_the_explorer_holds_only_the_paths_the_cap_counts(monkeypatch, patch, name, lam):
+    # once the verifier returns, the paths the explorer refers to are its
+    # walk paths, the ones the cap counted: no raise off a failing walk, no
+    # string lengths of a rejected image, no virtual operator's path
+    fold = folding_pair(name)
+    if patch is not None:
+        _patch(monkeypatch, fold, lam, VIRTUALIZATION_PATCHES[patch])
+    built = _explorers(monkeypatch)
+    verify_virtualization(fold, lam)
+    (explorer,) = built
+    assert kernel_bench.held_paths(explorer) == len(explorer.known)
+    if (name, lam, patch) == ("G2", (1, 1), None):
+        assert len(explorer.known) == 565
+
+
+def test_the_explorer_is_freed_without_the_cyclic_collector(monkeypatch):
+    # the explorer is in no reference cycle: with the cyclic collector off,
+    # it is freed, and every path it held with it, when the verifier returns
+    built = _explorers(monkeypatch, weakref.ref)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert verify_virtualization(folding_pair("C2"), (1, 1)) == []
+        (ref,) = built
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _member(fold, lam, max_size):

@@ -842,14 +842,15 @@ def test_kernel_bench_counts_the_operator_calls():
 
 def test_kernel_bench_counts_the_target_side_of_virtualization():
     # the explorer's counts: one scan per target path the walks touch, and
-    # the undefined operator calls of the virtual operators alone; each
-    # timed measure prints its quartiles beside its median
+    # the undefined operator calls of the virtual operators alone; it holds
+    # the walk paths only, one per scan; each timed measure prints its
+    # quartiles beside its median
     from pathcrystals import folding
 
     report = kernel_bench.measure_virtualization([("C2", (1, 1)), ("F4", (0, 0, 0, 1))], 1)
-    for model, vertices, e_calls, f_calls, undefined, scans, touched in (
-        ("C2(1, 1)", 16, 86, 50, 14, 57, 69),
-        ("F4(0, 0, 0, 1)", 26, 251, 136, 72, 147, 172),
+    for model, vertices, e_calls, f_calls, undefined, scans, touched, held in (
+        ("C2(1, 1)", 16, 86, 50, 14, 57, 69, 57),
+        ("F4(0, 0, 0, 1)", 26, 251, 136, 72, 147, 172, 147),
     ):
         measured = report[model]
         assert measured["vertices"] == vertices
@@ -857,9 +858,11 @@ def test_kernel_bench_counts_the_target_side_of_virtualization():
         assert counts == (e_calls, f_calls, scans), model
         assert measured["root_e_undefined"] == measured["root_f_undefined"] == undefined
         assert measured["touched_paths"] == touched
+        assert measured["held_paths"] == held
         q1, q3 = measured["quartiles_ms"]
         assert 0 <= q1 <= measured["median_ms"] <= q3
     assert (folding.root_e, folding.root_f, folding._scan) == (root_e, root_f, paths._scan)
+    assert folding._Explorer.__init__.__qualname__ == "_Explorer.__init__"
     assert paths._scan.__module__ == "pathcrystals.paths"
 
 
