@@ -13,21 +13,23 @@ source Cartan matrix.  The identity psi(alpha_i) = gamma_i * sum of the
 target simple roots over sigma(i) is the one construction check, in full, so
 the orientation conventions cannot drift.
 
-Path virtualization applies psi direction-wise.  Virtual root operators for
-a source color i apply the target operators gamma_i times over each node of
-sigma(i).  Verifiers check exhaustively that virtualization intertwines the
-operators on the source model, off one explorer of B(psi(lam)) that raises
-each image to a known path and holds walk paths alone, all counted by the
-cap; that the diagram facts behind the cactus relations hold on every pair
-of the source's relation plan; and, on the generated target model, that the
-induced generators satisfy the relations and that the partial involutions
-commute with virtualization, as an identity of target ids read off a
-{path: id} table that the embedding builds itself.
+Path virtualization applies psi direction-wise, and its left inverse reads
+one target coordinate per source node, off tables built with the fold, as
+are the induced words s~_J.  Virtual root operators for a source color i
+apply the target operators gamma_i times over each node of sigma(i).
+Verifiers check exhaustively that virtualization intertwines the operators
+on the source model, admitting each image that a passing lowering reaches
+from an accepted one, so that a passing model holds one path per image; that
+the diagram facts behind the cactus relations hold on every pair of the
+source's relation plan; and, on the generated target model, that the induced
+generators satisfy the relations and that the partial involutions commute
+with virtualization, as an identity of target ids of a {path: id} table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import inf, lcm
 from operator import mul, sub
@@ -59,12 +61,19 @@ class FoldingPair:
         self.aut = dict(aut)
         self._gamma = dict(gamma)
         self.branch = branch
+        # the orbits partition the target nodes: psi reads per target node one
+        # source coordinate times its gamma, and its left inverse per source node
+        # a representative target coordinate times lcm(gamma) / gamma_i, which
+        # the rest of the orbit must equal
+        owner = {l: i for i, s in self._sigma.items() for l in s}
+        self._gather = tuple((owner[l] - 1, self._gamma[owner[l]]) for l in y_type.nodes)
         self.psi_matrix = tuple(
-            tuple(
-                self._gamma[i] if l in self._sigma[i] else 0
-                for i in x_type.nodes
-            )
-            for l in y_type.nodes
+            tuple(g if c == k else 0 for c in range(x_type.rank)) for k, g in self._gather
+        )
+        self._lcm = lcm(*self._gamma.values())
+        self._spread = tuple(
+            (min(s) - 1, self._lcm // self._gamma[i], tuple(j - 1 for j in sorted(s)[1:]))
+            for i, s in self._sigma.items()
         )
 
     def sigma(self, i: int) -> frozenset:
@@ -76,6 +85,12 @@ class FoldingPair:
     def sigma_set(self, nodes) -> frozenset:
         """Union of the orbits of a set of source nodes."""
         return frozenset().union(*(self._sigma[i] for i in nodes))
+
+    @cached_property
+    def words(self) -> dict:
+        """{J: s~_J} over the connected source subdiagrams J, once per fold."""
+        subs = connected_subdiagrams(self.x_type)
+        return {s: tuple(components(self.y_type, self.sigma_set(s))) for s in subs}
 
 
 def _fold_table(x: DynkinType):
@@ -139,14 +154,14 @@ def psi_weight(fold: FoldingPair, mu):
     """Apply the weight-lattice embedding to a source weight."""
     if len(mu) != fold.x_type.rank:
         raise ConfigurationError(f"weight must have length {fold.x_type.rank}")
-    return tuple(sum(r * m for r, m in zip(row, mu)) for row in fold.psi_matrix)
+    return tuple([mu[k] * g for k, g in fold._gather])
 
 
 def virtualize_path(fold: FoldingPair, path: PLPath) -> PLPath:
     """Push a source path to the target lattice, direction by direction."""
     if path.rtype != fold.x_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.x_type}")
-    dirs = tuple(psi_weight(fold, d) for d in path.dirs)
+    dirs = tuple(tuple([d[k] * g for k, g in fold._gather]) for d in path.dirs)
     return canonicalize(PLPath(fold.y_type, path.den, path.times, path.vden, dirs))
 
 
@@ -157,21 +172,17 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
     divided by the scaling exponent; the others must agree, and the error
     names the end of the first direction where they do not: the first
     breakpoint outside the image, as paths start at the origin.  vden is
-    multiplied by the lcm of the scaling exponents, so the division is exact.
-    """
+    multiplied by the lcm of the scaling exponents, so the division is exact."""
     if path.rtype != fold.y_type:
         raise ConfigurationError(f"path lives in {path.rtype}, not {fold.y_type}")
-    nodes = fold.x_type.nodes
-    scale = lcm(*(fold.gamma(i) for i in nodes))
-    out = []
+    spread, out = fold._spread, []
     for t, d in zip(path.times[1:], path.dirs):
-        if any(len({d[j - 1] for j in fold.sigma(i)}) > 1 for i in nodes):
+        if any(d[j] != d[r] for r, _, rest in spread for j in rest):
             time = Fraction(t, path.den)
             raise NotInImageError(f"breakpoint at t={time} is outside the embedded lattice")
-        out.append(
-            tuple(d[min(fold.sigma(i)) - 1] * (scale // fold.gamma(i)) for i in nodes)
-        )
-    return canonicalize(PLPath(fold.x_type, path.den, path.times, path.vden * scale, tuple(out)))
+        out.append(tuple([d[r] * f for r, f, _ in spread]))
+    vden = path.vden * fold._lcm
+    return canonicalize(PLPath(fold.x_type, path.den, path.times, vden, tuple(out)))
 
 
 def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):
@@ -204,7 +215,7 @@ def s_tilde(fold: FoldingPair, nodes) -> tuple:
     nodes = frozenset(nodes)
     if not is_connected(fold.x_type, nodes):  # False on the empty set
         raise ConfigurationError("generator index must be connected and nonempty")
-    return tuple(components(fold.y_type, fold.sigma_set(nodes)))
+    return fold.words[nodes]
 
 
 def verify_component_identity(fold: FoldingPair) -> list:
@@ -236,69 +247,63 @@ def verify_component_identity(fold: FoldingPair) -> list:
     return violations
 
 
-def _image_table(virtual, lookup):
-    """{source id: lookup(image)} over the images that lookup finds, and the
-    image-membership and injectivity records of that table."""
-    images, problems = {}, []
-    for b, q in enumerate(virtual):
-        target = lookup(q)
-        if target is None:
-            problems.append({"check": "image-membership", "vertex": b})
-        else:
-            images[b] = target
-    if len(set(images.values())) != len(images):
-        problems.append({"check": "injectivity"})
-    return images, problems
-
-
 def _embedding(fold: FoldingPair, lam, max_size):
-    """Source and target models of lam and psi(lam), the virtualized source
-    paths, their target ids from a {path: id} table of the target built here,
-    and the image-membership and injectivity records of that lookup."""
+    """Source and target models of lam and psi(lam), the virtualized source paths,
+    their ids in the target model, and the image-membership and injectivity records."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     gy = generate(fold.y_type, psi_weight(fold, lam), max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
-    images, problems = _image_table(virtual, {p: k for k, p in enumerate(gy.vertices)}.get)
+    ids = {p: k for k, p in enumerate(gy.vertices)}
+    images = {b: ids[q] for b, q in enumerate(virtual) if q in ids}
+    missing = [b for b in range(len(virtual)) if b not in images]
+    problems = [{"check": "image-membership", "vertex": b} for b in missing]
+    if len(set(images.values())) != len(images):
+        problems.append({"check": "injectivity"})
     return gx, gy, virtual, images, problems
 
 
 class _Explorer:
-    """B(psi(lam)) explored one target path at a time, for one verifier call.
-    member(q) is q if q is in B(psi(lam)), else None: a walk raises q by the
-    first color with epsilon at least one in its scan, colors ascending, to
-    a path with a verdict and passes it on to every path it visits.  It
-    fails at a non-integral or another dominant path, or past
-    <psi(lam) - wt(q), rho^vee> steps.  It holds walk paths alone, each
-    counted by the cap (DomainError at the (max_size + 1)-th): their verdicts
-    (known), the raises between them (raised), accepted images' (eps, phi)."""
+    """B(psi(lam)) explored one target path at a time, for one verifier call,
+    holding the paths with a verdict (known) and accepted images' (eps, phi).
+    admit(q) holds q as a member.  member(q) is q if q is in B(psi(lam)), else
+    None: a path with no verdict is raised by the first color with epsilon at
+    least one in its scan to a path with one, which each path of the walk
+    takes; a walk fails at a non-integral or another dominant path, or past
+    <psi(lam) - wt(q), rho^vee> steps.  The cap counts every path held."""
 
     def __init__(self, fold: FoldingPair, lam, max_size):
         y, self.fold, self.top = fold.y_type, fold, psi_weight(fold, lam)
         self.rho2, self.known = _two_rho_vee(y), {straight_path(y, self.top): True}
-        self.cap, self.raised, self.stats = inf if max_size is None else max_size, {}, {}
+        self.cap, self.stats = inf if max_size is None else max_size, {}
+
+    def _hold(self, more):
+        if len(self.known) + more >= self.cap:
+            raise DomainError(f"{self.cap + 1} target paths touched, past the cap {self.cap}")
+
+    def admit(self, q):
+        if q not in self.known:
+            self._hold(0)
+            self.known[q] = True
 
     def member(self, q):
-        y, known, cap, scan = self.fold.y_type, self.known, self.cap, _scan(q)
+        y, known, scan = self.fold.y_type, self.known, _scan(q)
         budget = 0 if scan is None else sum(map(mul, self.rho2, map(sub, self.top, scan[0]))) // 2
-        walk, colors, p, first = [], [], q, scan
+        walk, p, first = [], q, scan
         while p is not None and p not in known and len(walk) < budget:
             if walk and (scan := _scan(p)) is None:
                 break
-            if len(known) + len(walk) >= cap:
-                raise DomainError(f"{cap + 1} target paths touched, past the cap {cap}")
+            self._hold(len(walk))
             walk.append(p)
-            colors.append(i := next((i for i, eps in zip(y.nodes, scan[1]) if eps), None))
+            i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)
             p = None if i is None else root_e(p, i)
         known.update(dict.fromkeys(walk, known.get(p, False)))
-        self.raised.update((k, r) for k, r in zip(zip(walk, colors), [*walk[1:], p]) if r in known)
         if accepted := known.get(q):
             self.stats[q] = first[1:]
         return q if accepted else None
 
     def virtual(self, name, q, i):
-        """virtual_f (name "f") or virtual_e ("e") of q; e reads the walks' raises first."""
-        op = root_f if name == "f" else lambda p, j: self.raised.get((p, j)) or root_e(p, j)
-        return _virtual_op(op, self.fold, q, i)
+        """virtual_f (name "f") or virtual_e ("e") of q."""
+        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)
 
     def strings(self, q):
         """(eps, phi) of an image that member accepted, off its scan."""
@@ -307,23 +312,34 @@ class _Explorer:
 
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:
     """Exhaustively check that virtualization embeds the source model, the one
-    model generated, into B(psi(lam)): images are members (the explorer's
-    walk), the map is injective, the source edges intertwine with the virtual
-    operators including definedness, and the string statistics scale by gamma,
-    read off one scan of each source path and the explorer's scan of its
-    image.  Every target path is scanned, and raised or lowered in a color,
-    at most once."""
+    model generated, into B(psi(lam)): images are members, the map is
+    injective, the source edges intertwine with the virtual operators
+    including definedness, and the string statistics scale by gamma.  Images
+    come in id order, after an f-parent; the explorer admits each lowering of
+    an accepted image that passes the f-intertwine and walks only images that
+    none reached.  So a passing model holds one path per image, and no target
+    path is scanned, or raised or lowered in a color, twice."""
     gx = generate(fold.x_type, lam, max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
-    explorer = _Explorer(fold, lam, max_size)
-    images, violations = _image_table(virtual, explorer.member)
-    for b in images:
+    explorer, nodes = _Explorer(fold, lam, max_size), fold.x_type.nodes
+    lowered, violations = {}, []
+    for b, qb in enumerate(virtual):
+        if explorer.member(qb) is None:
+            violations.append({"check": "image-membership", "vertex": b})
+            continue
+        lowered[b] = [explorer.virtual("f", qb, i) for i in nodes]
+        for i, low in zip(nodes, lowered[b]):
+            if (moved := gx.f_to[i][b]) is not None and virtual[moved] == low:
+                explorer.admit(virtual[moved])
+    if len({virtual[b] for b in lowered}) != len(lowered):
+        violations.append({"check": "injectivity"})
+    for b, lows in lowered.items():
         qb = virtual[b]
         (eps_b, phi_b), (eps_q, phi_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)
-        for i in fold.x_type.nodes:
-            for name, edges in (("f", gx.f_to), ("e", gx.e_to)):
+        for i, low in zip(nodes, lows):
+            up = explorer.virtual("e", qb, i)
+            for name, edges, virtual_moved in (("f", gx.f_to, low), ("e", gx.e_to, up)):
                 moved = edges[i][b]
-                virtual_moved = explorer.virtual(name, qb, i)
                 if (moved is None) != (virtual_moved is None):
                     violations.append({"check": f"{name}-definedness", "vertex": b, "color": i})
                 elif moved is not None and virtual[moved] != virtual_moved:
@@ -349,13 +365,7 @@ def verify_virtual_relations(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) 
     for s, word in words.items():
         for a, b in combinations(word, 2):  # act cached each letter's permutation
             if compose(cache[a], cache[b]) != compose(cache[b], cache[a]):
-                violations.append(
-                    {
-                        "relation": "letter-commute",
-                        "I": sorted(s),
-                        "J": sorted(b),
-                    }
-                )
+                violations.append({"relation": "letter-commute", "I": sorted(s), "J": sorted(b)})
     return violations + _relation_violations(fold.x_type, perms, identity_perm(gy))
 
 
@@ -385,9 +395,7 @@ def verify_commutative_diagram(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE
         target_perm = act(gy, s_tilde(fold, sub), cache)
         for b, target in images.items():
             if images.get(source_perm[b]) != target_perm[target]:
-                violations.append(
-                    {"check": "diagram", "I": sorted(sub), "vertex": b}
-                )
+                violations.append({"check": "diagram", "I": sorted(sub), "vertex": b})
         if {target_perm[v] for v in image_set} != image_set:
             violations.append({"check": "image-stability", "I": sorted(sub)})
     return violations

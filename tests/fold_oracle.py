@@ -36,6 +36,12 @@ subdiagrams, with theta of the outer source set, and only outers whose orbit
 image is disconnected.  It calls connected_subdiagrams, components and theta
 through the folding module.
 
+psi_weight_by_matrix, virtualize_by_matrix and devirtualize_by_sets are the
+embedding and its left inverse as they were before the fold kept per-node
+tables: a product with the psi matrix, built here from sigma and gamma, per
+weight and per direction, and the left inverse solving each direction with
+one set of orbit coordinates per source node.
+
 The virtual-relations check is verify_virtual_relations as it was before it
 computed each induced word once: it calls s_tilde once for the permutations
 and again for the letter pairs, which it walks by index, and checks the
@@ -61,7 +67,7 @@ from pathcrystals.cartan import (
 )
 from pathcrystals.crystal import DEFAULT_MAX_SIZE, generate
 from pathcrystals.errors import DomainError, ModelIntegrityError, NotInImageError
-from pathcrystals.paths import _scan, paths_equal, straight_path
+from pathcrystals.paths import PLPath, _scan, canonicalize, paths_equal, straight_path
 
 
 def fold_table(x):
@@ -165,6 +171,33 @@ def solve_gamma(x, y, sigma) -> dict:
     ints = {i: v // common for i, v in ints.items()}
     assert all(v > 0 for v in ints.values()), f"non-positive exponents for {x}"
     return ints
+
+
+def psi_matrix(fold):
+    """The matrix of psi: gamma_i where target node l is in sigma(i), else 0."""
+    x, y = fold.x_type, fold.y_type
+    return [[fold.gamma(i) if l in fold.sigma(i) else 0 for i in x.nodes] for l in y.nodes]
+
+
+def psi_weight_by_matrix(fold, mu):
+    return tuple(sum(r * m for r, m in zip(row, mu)) for row in psi_matrix(fold))
+
+
+def virtualize_by_matrix(fold, path):
+    dirs = tuple(psi_weight_by_matrix(fold, d) for d in path.dirs)
+    return canonicalize(PLPath(fold.y_type, path.den, path.times, path.vden, dirs))
+
+
+def devirtualize_by_sets(fold, path):
+    nodes = fold.x_type.nodes
+    scale = lcm(*(fold.gamma(i) for i in nodes))
+    out = []
+    for t, d in zip(path.times[1:], path.dirs):
+        if any(len({d[j - 1] for j in fold.sigma(i)}) > 1 for i in nodes):
+            time = Fraction(t, path.den)
+            raise NotInImageError(f"breakpoint at t={time} is outside the embedded lattice")
+        out.append(tuple(d[min(fold.sigma(i)) - 1] * (scale // fold.gamma(i)) for i in nodes))
+    return canonicalize(PLPath(fold.x_type, path.den, path.times, path.vden * scale, tuple(out)))
 
 
 def _image_table(fold, gx, gy):

@@ -169,43 +169,76 @@ MUTANTS = (
         "            p = None if i is None else root_e(p, i)\n",
         "            p = None if i is None else root_f(p, i)\n",
         (
-            "tests/test_folding.py::test_virtualization_verifier_passes",
+            "tests/test_folding.py::test_membership_walk_matches_the_ls_criterion",
             "tests/test_folding.py::test_membership_walk_matches_the_endpoint_budget_oracle",
         ),
     ),
     Mutant(
         "explorer-virtual-raising-reads-f",
         "folding.py",
-        '        op = root_f if name == "f" else lambda p, j: self.raised.get((p, j)) or root_e(p, j)\n',
-        "        op = root_f\n",
+        'root_f if name == "f" else root_e, self.fold',
+        "root_f, self.fold",
         ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
     ),
     Mutant(
-        "explorer-virtual-raising-ignores-the-walks",
+        "explorer-admits-past-the-cap",
         "folding.py",
-        "self.raised.get((p, j)) or root_e(p, j)",
-        "root_e(p, j)",
+        "            self._hold(0)\n",
+        "",
+        ("tests/test_folding.py::test_an_admitted_image_counts_against_the_cap",),
+    ),
+    Mutant(
+        "verifier-admits-off-the-raising-edges",
+        "folding.py",
+        "(moved := gx.f_to[i][b])",
+        "(moved := gx.e_to[i][b])",
+        ("tests/test_folding.py::test_a_passing_model_is_admitted_without_a_walk",),
+    ),
+    Mutant(
+        "verifier-lowers-again-for-the-f-check",
+        "folding.py",
+        '("f", gx.f_to, low)',
+        '("f", gx.f_to, explorer.virtual("f", qb, i))',
         ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
     ),
     Mutant(
-        "explorer-reads-the-raise-of-the-source-color",
+        "verifier-admits-every-lowering-of-a-member",
         "folding.py",
-        "self.raised.get((p, j))",
-        "self.raised.get((p, i))",
-        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
-    ),
-    Mutant(
-        "explorer-keeps-the-last-raise-of-a-failing-walk",
-        "folding.py",
-        "[*walk[1:], p]) if r in known)",
-        "[*walk[1:], p]))",
+        "            if (moved := gx.f_to[i][b]) is not None and virtual[moved] == low:\n"
+        "                explorer.admit(virtual[moved])\n",
+        "            if low is not None:\n                explorer.admit(low)\n",
         ("tests/test_folding.py::test_the_explorer_holds_only_the_paths_the_cap_counts",),
     ),
     Mutant(
-        "explorer-keeps-its-raising-operator",
+        "verifier-visits-the-images-in-reverse",
         "folding.py",
-        '        op = root_f if name == "f" else',
-        '        op = self.op = root_f if name == "f" else',
+        "    for b, qb in enumerate(virtual):\n",
+        "    for b, qb in reversed([*enumerate(virtual)]):\n",
+        (
+            "tests/test_folding.py::test_a_passing_model_is_admitted_without_a_walk",
+            "tests/test_folding.py::test_virtualization_matches_full_target_oracle_on_broken_models",
+        ),
+    ),
+    Mutant(
+        "psi-gathers-the-gamma-of-the-wrong-node",
+        "folding.py",
+        "tuple([d[k] * g for k, g in fold._gather]) for d in path.dirs",
+        "tuple([d[k] * fold.gamma(len(d) - k) for k, g in fold._gather]) for d in path.dirs",
+        ("tests/test_folding.py::test_psi_and_its_left_inverse_match_the_matrix_and_set_oracles",),
+    ),
+    Mutant(
+        "left-inverse-skips-an-orbit-coordinate",
+        "folding.py",
+        "tuple(j - 1 for j in sorted(s)[1:])",
+        "tuple(j - 1 for j in sorted(s)[2:])",
+        ("tests/test_folding.py::test_psi_and_its_left_inverse_match_the_matrix_and_set_oracles",),
+    ),
+    Mutant(
+        "explorer-keeps-a-bound-method",
+        "folding.py",
+        '        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)\n',
+        "        self.last = self.virtual\n"
+        '        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)\n',
         ("tests/test_folding.py::test_the_explorer_is_freed_without_the_cyclic_collector",),
     ),
     Mutant(
@@ -213,7 +246,7 @@ MUTANTS = (
         "folding.py",
         "            self.stats[q] = first[1:]\n",
         "            self.stats[q] = scan[1:]\n",
-        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle_on_broken_models",),
     ),
     Mutant(
         "explorer-strings-rescan",

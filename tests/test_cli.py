@@ -404,21 +404,37 @@ def test_vertex_and_levi_are_refused_before_generation(monkeypatch, capsys, argv
 
 
 def test_verify_virtualization_past_the_target_cap(capsys):
-    # the 114,688-vertex D4 target is never built: only 565 paths are touched
+    # the 114,688-vertex D4 target is never built: the explorer holds the 64 images
     assert main(["verify", "virtualization", "G2", "1,1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def _no_lowering_admitted(monkeypatch):
+    # every defined lowering of the explorer stands still: no image is
+    # admitted off an f-edge, and each is walked to a verdict
+    real = folding._Explorer.virtual
+
+    def virtual(explorer, name, q, i):
+        moved = real(explorer, name, q, i)
+        return q if name == "f" and moved is not None else moved
+
+    monkeypatch.setattr(folding._Explorer, "virtual", virtual)
+
+
 @pytest.mark.parametrize(
-    "cap,message",
+    "cap,patch,message",
     [
-        ("100", "error: 101 target paths touched, past the cap 100\n"),
-        ("10", r"error: crystal of size 64 exceeds the cap 10\n"),
+        ("100", _no_lowering_admitted, "error: 101 target paths touched, past the cap 100\n"),
+        ("10", None, r"error: crystal of size 64 exceeds the cap 10\n"),
     ],
     ids=["touched", "source"],
 )
-def test_verify_virtualization_max_size_exits_two(capsys, cap, message):
-    # 64 source vertices; the cap counts the target paths the walks touch
+def test_verify_virtualization_max_size_exits_two(monkeypatch, capsys, cap, patch, message):
+    # 64 source vertices; the cap counts the target paths the explorer holds:
+    # the 64 images of a passing model, and the walk paths where no lowering
+    # is admitted, 565 in all
+    if patch is not None:
+        patch(monkeypatch)
     assert main(["verify", "virtualization", "G2", "1,1", "--max-size", cap]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and re.fullmatch(message, captured.err)

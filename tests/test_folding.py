@@ -22,11 +22,13 @@ from fold_oracle import (
     verify_virtualization_on_target,
 )
 from test_acceptance import SIZE_CASES, VIRT_CASES
+from test_cli import _no_lowering_admitted
 
 from pathcrystals.cartan import (
     DynkinType,
     all_nodes,
     cartan_matrix,
+    components,
     connected_subdiagrams,
     is_connected,
     reflect,
@@ -324,6 +326,20 @@ def test_devirtualize_rejects_off_image_path():
     path = PLPath.from_breakpoints(fold.y_type, [*bps, (1, (F(2, 3), 0, F(2, 3)))])
     with pytest.raises(NotInImageError, match=message.format("2/3")):
         devirtualize(fold, path)
+
+
+@pytest.mark.parametrize(
+    "name", [*(f"C{n}" for n in range(2, 9)), *(f"B{n}" for n in range(2, 9)), "G2", "F4"]
+)
+def test_the_words_of_a_fold_are_the_components_of_each_orbit_image(name):
+    # computed once per fold; s_tilde reads them after its connectivity check
+    fold = folding_pair(name)
+    subs = connected_subdiagrams(fold.x_type)
+    assert fold.words == {s: tuple(components(fold.y_type, fold.sigma_set(s))) for s in subs}
+    assert all(s_tilde(fold, s) is fold.words[s] for s in subs)
+    for nodes in [set(), {1, 3}] if fold.x_type.rank > 2 else [set()]:
+        with pytest.raises(ConfigurationError, match="^generator index must be connected"):
+            s_tilde(fold, nodes)
 
 
 def test_virtual_operators_intertwine_c2():
@@ -780,6 +796,45 @@ def test_commutative_diagram_reports_a_left_inverse_off_the_image(monkeypatch):
 FULL_TARGET_CASES = sorted(set(DIAGRAM_ORACLE_CASES + FOLDING_WORKLOAD_CASES))
 
 
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except NotInImageError as exc:
+        return str(exc)
+
+
+def _off_orbit(fold, q):
+    """q with one coordinate outside the representative of its orbit moved by
+    one, for each such coordinate and each direction in turn."""
+    rest = [j - 1 for i in fold.x_type.nodes for j in sorted(fold.sigma(i))[1:]]
+    for k, j in itertools.product(range(len(q.dirs)), rest):
+        dirs = [list(d) for d in q.dirs]
+        dirs[k][j] += 1
+        yield PLPath(q.rtype, q.den, q.times, q.vden, tuple(map(tuple, dirs)))
+
+
+@pytest.mark.parametrize("name,lam", FULL_TARGET_CASES)
+def test_psi_and_its_left_inverse_match_the_matrix_and_set_oracles(name, lam):
+    # the per-node tables against the psi matrix and the orbit sets: on
+    # random weights, on every image, and on every image with one orbit
+    # coordinate moved off its representative, same paths or same error
+    fold = folding_pair(name)
+    rng = random.Random(f"{name}{lam}")
+    for _ in range(50):
+        mu = tuple(rng.randrange(-9, 10) for _ in fold.x_type.nodes)
+        assert psi_weight(fold, mu) == fold_oracle.psi_weight_by_matrix(fold, mu)
+    refused = 0
+    for p in generate(fold.x_type, lam).vertices:
+        q = virtualize_path(fold, p)
+        assert q == fold_oracle.virtualize_by_matrix(fold, p)
+        assert devirtualize(fold, q) == fold_oracle.devirtualize_by_sets(fold, q) == p
+        for off in _off_orbit(fold, q):
+            outcome = _outcome(devirtualize, fold, off)
+            assert outcome == _outcome(fold_oracle.devirtualize_by_sets, fold, off)
+            refused += isinstance(outcome, str)
+    assert refused
+
+
 def _weyl_orbit(t, lam) -> set:
     """W.lam, the closure of lam under the simple reflections."""
     orbit, todo = {lam}, [lam]
@@ -996,20 +1051,39 @@ def test_virtualization_matches_full_target_oracle_on_broken_models(
 
 def test_membership_walk_is_bounded(monkeypatch):
     # a raising operator that stands still never reaches a known path: each
-    # walk stops at its step budget and records the vertex as no member
+    # walk from a C2(1,0) image below the top stops at its step budget, with
+    # no verdict of membership
+    fold = folding_pair("C2")
+    images = [virtualize_path(fold, p) for p in generate(fold.x_type, (1, 0)).vertices]
     monkeypatch.setattr(folding, "root_e", lambda path, i: path)
-    report = verify_virtualization(folding_pair("C2"), (1, 0), max_size=None)
-    assert [r for r in report if r["check"] == "image-membership"] == [
-        {"check": "image-membership", "vertex": b} for b in (1, 2, 3)
-    ]
+    member = _member(fold, (1, 0), None)
+    assert [member(q) is q for q in images] == [True, False, False, False]
 
 
-def test_membership_cap_counts_touched_paths_exactly():
-    # the G2(1,1) walks touch 565 target paths, the straight path included
+def test_membership_cap_counts_touched_paths_exactly(monkeypatch):
+    # the passing G2(1,1) model holds its 64 images, so the cap on the 64
+    # source vertices refuses first; where no lowering is admitted, the walks
+    # touch 565 target paths, the straight path included
     fold = folding_pair("G2")
-    assert verify_virtualization(fold, (1, 1), max_size=565) == []
+    assert verify_virtualization(fold, (1, 1), max_size=64) == []
+    with pytest.raises(DomainError, match=r"^crystal of size 64 exceeds the cap 63$"):
+        verify_virtualization(fold, (1, 1), max_size=63)
+    _no_lowering_admitted(monkeypatch)
+    report = verify_virtualization(fold, (1, 1), max_size=565)
+    assert report and {r["check"] for r in report} == {"f-intertwine"}
     with pytest.raises(DomainError, match=r"^565 target paths touched, past the cap 564$"):
         verify_virtualization(fold, (1, 1), max_size=564)
+
+
+def test_an_admitted_image_counts_against_the_cap():
+    fold = folding_pair("C2")
+    images = [virtualize_path(fold, p) for p in generate(fold.x_type, (1, 1)).vertices]
+    explorer = folding._Explorer(fold, (1, 1), 2)
+    for q in images[:2]:  # the top is held from the start
+        explorer.admit(q)
+    with pytest.raises(DomainError, match=r"^3 target paths touched, past the cap 2$"):
+        explorer.admit(images[2])
+    assert list(explorer.known) == images[:2]
 
 
 def _explorers(monkeypatch, refer=lambda explorer: explorer):
@@ -1025,21 +1099,57 @@ def _explorers(monkeypatch, refer=lambda explorer: explorer):
     return built
 
 
+def _walked(monkeypatch):
+    """The set that each path a walk of the explorer's member holds is added
+    to, from here on."""
+    walked, member = set(), folding._Explorer.member
+
+    def recording(explorer, q):
+        before = set(explorer.known)
+        try:
+            return member(explorer, q)
+        finally:
+            walked.update(explorer.known.keys() - before)
+
+    monkeypatch.setattr(folding._Explorer, "member", recording)
+    return walked
+
+
 @pytest.mark.parametrize("patch", [None, *sorted(VIRTUALIZATION_PATCHES)])
 @pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES + [("G2", (1, 1))])
 def test_the_explorer_holds_only_the_paths_the_cap_counts(monkeypatch, patch, name, lam):
-    # once the verifier returns, the paths the explorer refers to are its
-    # walk paths, the ones the cap counted: no raise off a failing walk, no
-    # string lengths of a rejected image, no virtual operator's path
+    # once the verifier returns, the paths the explorer refers to are the
+    # ones the cap counted, each the top, an image or a walk path: no
+    # lowering that failed its intertwine, no string lengths of a rejected
+    # image, no virtual operator's path
     fold = folding_pair(name)
     if patch is not None:
         _patch(monkeypatch, fold, lam, VIRTUALIZATION_PATCHES[patch])
-    built = _explorers(monkeypatch)
+    built, walked = _explorers(monkeypatch), _walked(monkeypatch)
     verify_virtualization(fold, lam)
     (explorer,) = built
     assert kernel_bench.held_paths(explorer) == len(explorer.known)
+    top = straight_path(fold.y_type, psi_weight(fold, lam))
+    images = {folding.virtualize_path(fold, p) for p in generate(fold.x_type, lam).vertices}
+    assert explorer.known.keys() <= images | walked | {top}
     if (name, lam, patch) == ("G2", (1, 1), None):
-        assert len(explorer.known) == 565
+        assert len(explorer.known) == 64
+
+
+@pytest.mark.parametrize("name,lam", VIRTUALIZATION_CASES + [("G2", (1, 1))])
+def test_a_passing_model_is_admitted_without_a_walk(monkeypatch, name, lam):
+    # the images come in id order, each after an f-parent, so every image
+    # below the top is admitted off a passing lowering before member sees it:
+    # no walk takes a step (a step holds its path), and the explorer holds
+    # exactly the images
+    fold = folding_pair(name)
+    images = [virtualize_path(fold, p) for p in generate(fold.x_type, lam).vertices]
+    built, walked = _explorers(monkeypatch), _walked(monkeypatch)
+    assert verify_virtualization(fold, lam) == []
+    (explorer,) = built
+    assert walked == set()
+    assert explorer.known == dict.fromkeys(images, True)
+    assert kernel_bench.held_paths(explorer) == len(images)
 
 
 def test_the_explorer_is_freed_without_the_cyclic_collector(monkeypatch):
@@ -1296,17 +1406,18 @@ def test_virtualization_results_are_canonical(name, lam):
 # root_f and root_e calls of each verifier, all and defined, on C2(1,1) and
 # F4(0,0,0,1): generate reaches root_f through crystal, the explorer of the
 # virtualization verifier reaches both through folding, once per path and
-# color.  generate and the membership walk call an operator only where the
-# scan says it is defined, and generate not at an f-edge that closes a
-# square with a non-adjacent color (68 of the 324 f-edges of the A3 target
-# of C2(1,1), 615 of the 1,380 of the E6 target of F4, 6 of the 32 of the F4
-# source); the undefined calls are the virtual operators', one at each
-# source vertex and color without an edge (14 of each on C2(1,1), 72 on F4)
+# color.  generate calls an operator only where the scan says it is
+# defined, and not at an f-edge that closes a square with a non-adjacent
+# color (68 of the 324 f-edges of the A3 target of C2(1,1), 615 of the 1,380
+# of the E6 target of F4, 6 of the 32 of the F4 source).  On a passing model
+# no walk takes a step: the explorer's calls are the virtual operators', as
+# many root_e as root_f, and the undefined ones fall one at each source
+# vertex and color without an edge (14 of each on C2(1,1), 72 on F4)
 VERIFIER_OPERATOR_CALLS = [
-    ("C2", (1, 1), verify_virtualization, (68, 54, 86, 72)),
+    ("C2", (1, 1), verify_virtualization, (68, 54, 50, 36)),
     ("C2", (1, 1), verify_virtual_relations, (256, 256, 0, 0)),
     ("C2", (1, 1), verify_commutative_diagram, (274, 274, 0, 0)),
-    ("F4", (0, 0, 0, 1), verify_virtualization, (162, 90, 251, 179)),
+    ("F4", (0, 0, 0, 1), verify_virtualization, (162, 90, 136, 64)),
     ("F4", (0, 0, 0, 1), verify_virtual_relations, (765, 765, 0, 0)),
     ("F4", (0, 0, 0, 1), verify_commutative_diagram, (791, 791, 0, 0)),
 ]

@@ -841,16 +841,16 @@ def test_kernel_bench_counts_the_operator_calls():
 
 
 def test_kernel_bench_counts_the_target_side_of_virtualization():
-    # the explorer's counts: one scan per target path the walks touch, and
-    # the undefined operator calls of the virtual operators alone; it holds
-    # the walk paths only, one per scan; each timed measure prints its
-    # quartiles beside its median
+    # the explorer's counts on a passing model, where no walk takes a step:
+    # one scan per image, and the operator calls of the virtual operators
+    # alone, as many root_e as root_f; it holds the images only, one per
+    # source vertex; each timed measure prints its quartiles beside its median
     from pathcrystals import folding
 
     report = kernel_bench.measure_virtualization([("C2", (1, 1)), ("F4", (0, 0, 0, 1))], 1)
     for model, vertices, e_calls, f_calls, undefined, scans, touched, held in (
-        ("C2(1, 1)", 16, 86, 50, 14, 57, 69, 57),
-        ("F4(0, 0, 0, 1)", 26, 251, 136, 72, 147, 172, 147),
+        ("C2(1, 1)", 16, 50, 50, 14, 16, 44, 16),
+        ("F4(0, 0, 0, 1)", 26, 136, 136, 72, 26, 78, 26),
     ):
         measured = report[model]
         assert measured["vertices"] == vertices
