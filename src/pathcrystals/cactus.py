@@ -5,9 +5,9 @@ involution xi_J is the unique map that sends the highest vertex of each
 J-component to its lowest vertex and intertwines f_i with e_theta(i) for
 every i in J (Henriques-Kamnitzer, "Crystals and coboundary categories").
 It is computed by propagating that rule along every J-colored lowering edge
-in one sweep over the ids by depth <lambda - wt, 2 rho^vee>, which each
-lowering edge raises by 2, so any two lowering words to a vertex must give
-the same image; a graph the sweep cannot vouch for is rejected.  The sweep
+in one sweep over the ids in order, which every lowering edge ascends (as
+generate numbers them), so any two lowering words to a vertex must give the
+same image; a graph the sweep cannot vouch for is rejected.  The sweep
 lives in crystal and takes the twist as the pairs cached by _theta_pairs;
 xi_perm first checks (cached) that its color set is nonempty and connected.
 The verifier checks, by exhaustive permutation arithmetic, that these
@@ -41,7 +41,7 @@ def xi(graph: CrystalGraph, colors, b: int) -> int:
 
 def xi_perm(graph: CrystalGraph, colors) -> tuple:
     """The partial involution as a permutation of all vertex ids, computed
-    and checked by the depth-order sweep crystal._levi_sweep."""
+    and checked by the id-order sweep crystal._levi_sweep."""
     colors = frozenset(colors)
     if not is_connected(graph.rtype, colors):  # False on the empty set
         raise DomainError("xi_perm needs a nonempty connected color set")

@@ -18,9 +18,9 @@ new.  Edges are stored once, in one list per color and direction indexed by
 vertex id and sized by the Weyl dimension.  verify_seminormal checks the
 raising operators against the e-edges.  The vertex count must match the Weyl
 dimension formula exactly, the strongest single guard on the operators; a
-mismatch aborts, at the first extra vertex if there are too many.  The ids
-sorted by the depth <lambda - wt, 2 rho^vee> order the one Levi decomposition,
-a sweep that propagates the partial involution of a color set down its
+mismatch aborts, at the first extra vertex if there are too many.  As ids
+ascend along every lowering edge, the one Levi decomposition is a sweep in id
+order that propagates the partial involution of a color set down its
 lowering edges and finds the highest and lowest vertex of each component on
 the way.  It takes the set and its twist as the (i, theta(i)) pairs in color
 order that cartan._theta_pairs caches for any node set, so it builds no theta
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import add, mul, sub
+from operator import add, sub
 
 from .cartan import (
     DynkinType,
     _node_set,
     _theta_pairs,
-    _two_rho_vee,
     neighbors,
     simple_root,
     weyl_dim,
@@ -52,7 +51,9 @@ class CrystalGraph:
     """Finite crystal with indexed path vertices and per-color edge lists:
     f_to[i][v] and e_to[i][v] are the targets of the color-i lowering and
     raising edges at vertex v, or None where there is no edge; weights[v]
-    is the weight of vertex v, as its builder computed it."""
+    is the weight of vertex v, as its builder computed it.  Ids ascend along
+    every lowering edge, as generate numbers them: the Levi sweep visits
+    them in id order."""
 
     def __init__(self, rtype, highest_weight, vertices, f_to, e_to, weights):
         self.rtype = rtype
@@ -64,12 +65,6 @@ class CrystalGraph:
 
     def __len__(self):
         return len(self.vertices)
-
-    @functools.cached_property
-    def _depth_order(self) -> tuple:
-        """The ids sorted stably by the depth <lambda - wt, 2 rho^vee>."""
-        n, weights = _two_rho_vee(self.rtype), self.weights
-        return tuple(sorted(range(len(self)), key=lambda v: -sum(map(mul, n, weights[v]))))
 
     @property
     def f_edges(self) -> dict:
@@ -220,21 +215,24 @@ def _levi_sweep(graph: CrystalGraph, pairs) -> tuple:
     the involution that sends each highest vertex to the lowest of its
     component and intertwines f_i with e_theta(i), and the highest above each.
 
-    In depth order every lowering edge v -f_i-> w, i in the color set, comes
+    In id order every lowering edge v -f_i-> w, i in the color set, comes
     before w, and yields the image of w as e_theta(i) of the image of v.  A
     vertex with no image when the sweep reaches it is the highest of its
     component, sent to the lowest.  A raising edge at such a vertex, a cycle
     on the way down, a missing or disagreeing image, a vertex below two
-    highest or a second lowest vertex, or images that do not permute raise."""
+    highest or a second lowest vertex, or images that do not permute raise.
+    So where the raising edges invert the lowering ones, ids that break the
+    rule give no wrong permutation: a vertex visited before any of its
+    parents is taken as highest, and its raising edge refuses it."""
     f_to, e_to = graph.f_to, graph.e_to
     raising = [e_to[i] for i, _ in pairs]
     lowering = [f_to[i] for i, _ in pairs]
     columns = [(f_to[i], e_to[j]) for i, j in pairs]  # (f_i, e_theta(i))
     n = len(graph)
-    steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
+    steps = range(n)  # the sweep order, made once: a range per descent costs 5-9%
     out = [None] * n
     top_of = [None] * n
-    for v in graph._depth_order:
+    for v in steps:
         image = out[v]
         if image is None:  # no edge reached v: a highest vertex has no raising edge
             for e_i in raising:

@@ -303,9 +303,13 @@ MUTANTS = (
     Mutant(
         "sweep-walks-the-highest-vertices-in-reverse",
         "crystal.py",
-        "    for v in graph._depth_order:\n",
-        "    for v in reversed(graph._depth_order):\n",
-        ("tests/test_cactus.py::test_xi_perm_matches_bfs_oracle",),
+        "    for v in steps:\n",
+        "    for v in reversed(steps):\n",
+        (
+            "tests/test_cactus.py::test_xi_perm_matches_bfs_oracle",
+            "tests/test_cactus.py::test_generated_crystals_never_reach_the_walk",
+            "tests/test_cactus.py::test_levi_sweep_matches_the_replaced_sweep_on_every_node_set",
+        ),
     ),
     Mutant(
         "relation-plan-reverses-the-nested-triples",

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 import re
 from collections import Counter
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tensor_oracle import reversal_xi
 from test_crystal import BROKEN_COMPONENTS, SHAPE_CASES, TENSOR_CASES, _crystal, _splits
+from test_folding import FULL_TARGET_CASES
 from xi_oracle import (
     _f_words,
     levi_by_vertex_scan,
@@ -43,6 +45,7 @@ from pathcrystals.cartan import (
 from pathcrystals.cartan import theta as diagram_theta
 from pathcrystals.crystal import _levi_sweep, generate, levi, verify_seminormal
 from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.folding import folding_pair, psi_weight
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -708,36 +711,71 @@ def _relabel(g, order):
     return graph_from_edges(g.rtype, g.highest_weight, vertices, f_edges, e_edges), new
 
 
+def _relabelled(perm, new) -> tuple:
+    """perm with each vertex v renamed new[v]."""
+    out = [None] * len(perm)
+    for v, w in enumerate(perm):
+        out[new[v]] = new[w]
+    return tuple(out)
+
+
+# on reversed ids vertex 0 is the lowest vertex, taken as highest and
+# refused at its raising edge
+REVERSED_C2_ERROR = "normality violation: vertex 0 has a raising edge but no edge from above"
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.data())
 def test_xi_perm_on_ids_out_of_depth_order(data):
+    # ids that need not ascend along the lowering edges: xi_perm and the
+    # relation checker give the relabelled answer or refuse the graph
     g = _small_crystal(*data.draw(st.sampled_from(SMALL_CRYSTALS)))
-    order = data.draw(st.permutations(range(len(g))))
-    shuffled, new = _relabel(g, order)
+    reversal = st.just(range(len(g) - 1, -1, -1))
+    shuffled, new = _relabel(g, data.draw(reversal | st.permutations(range(len(g)))))
     for sub in connected_subdiagrams(g.rtype):
-        perm = xi_perm(shuffled, sub)
-        assert perm == xi_perm_by_bfs(shuffled, sub)
-        assert all(perm[new[v]] == new[w] for v, w in enumerate(xi_perm(g, sub)))
+        got = _outcome(xi_perm, shuffled, sub)
+        if _raised(got):
+            assert got[0] is ModelIntegrityError
+        else:
+            assert got == _relabelled(xi_perm(g, sub), new)
+    got = _outcome(verify_cactus_relations, shuffled)
+    assert got == [] or _raised(got) and got[0] is ModelIntegrityError
 
 
 def test_reversed_ids_match_the_walk_oracle():
-    # in reverse depth order vertex 0 is the lowest vertex: the sweep must
-    # take its order from the weights, not from the ids
+    # in reverse depth order vertex 0 is the lowest vertex: the walk oracle,
+    # which finds the highest vertices by scan, still returns a permutation,
+    # while the sweep and the relation checker refuse the graph
     g = generate(C2, (1, 1))
-    reversed_graph, _ = _relabel(g, range(len(g) - 1, -1, -1))
-    assert reversed_graph._depth_order != identity_perm(g)
-    assert verify_cactus_relations(reversed_graph) == []
+    reversed_graph, new = _relabel(g, range(len(g) - 1, -1, -1))
+    refused = (ModelIntegrityError, REVERSED_C2_ERROR)
+    assert _outcome(verify_cactus_relations, reversed_graph) == refused
     for sub in connected_subdiagrams(C2):
-        assert xi_perm(reversed_graph, sub) == xi_perm_by_bfs(reversed_graph, sub)
+        assert xi_perm_by_bfs(reversed_graph, sub) == _relabelled(xi_perm(g, sub), new)
+        assert _outcome(xi_perm, reversed_graph, sub) == refused
+
+
+# the source and target models of the folds whose whole target the folding
+# tests generate
+FOLD_MODELS = sorted(
+    {
+        case
+        for name, lam in FULL_TARGET_CASES
+        for fold in [folding_pair(name)]
+        for case in [(fold.x_type, lam), (fold.y_type, psi_weight(fold, lam))]
+        if case not in XI_CASES
+    },
+    key=lambda case: (str(case[0]), case[1]),
+)
 
 
 # named for the Levi walk that xi_perm once fell back to on ids out of depth
-# order; generate numbers the ids in depth order, so the sweep visits them
-# in id order
-@pytest.mark.parametrize("t,lam", XI_CASES)
+# order; the sweep visits the ids in order, and it is generate that numbers
+# them so that they ascend along every lowering edge
+@pytest.mark.parametrize("t,lam", XI_CASES + FOLD_MODELS)
 def test_generated_crystals_never_reach_the_walk(t, lam):
     g = generate(t, lam)
-    assert g._depth_order == identity_perm(g)
+    assert all(w > v for i in t.nodes for v, w in enumerate(g.f_to[i]) if w is not None)
     assert verify_cactus_relations(g) == []
 
 
@@ -791,12 +829,20 @@ def test_act_composes_once_per_letter_after_the_first(monkeypatch):
     assert act(g, word) == expected and len(calls) == 2
 
 
+def _layer_shuffled(g):
+    """g with its ids shuffled within each depth layer, so that they still
+    ascend along every lowering edge."""
+    n, rng = _two_rho_vee(g.rtype), random.Random(len(g))
+    depth = [-sum(map(mul, n, wt)) for wt in g.weights]
+    return _relabel(g, sorted(range(len(g)), key=lambda v: (depth[v], rng.random())))[0]
+
+
 # the sweep as it stood before it read (lowering, mirror) pairs and built one
 # set; it is compared on every node set, as LeviView takes any set
 @pytest.mark.parametrize("t,lam", XI_CASES)
 def test_levi_sweep_matches_the_replaced_sweep_on_every_node_set(t, lam):
     g = generate(t, lam)
-    for graph in (g, _relabel(g, range(len(g) - 1, -1, -1))[0]):
+    for graph in (g, _layer_shuffled(g)):
         for sub in _subsets(t):
             assert _outcome(_sweep, graph, sub) == _outcome(levi_sweep_by_triples, graph, sub)
 
@@ -838,8 +884,8 @@ def _swaps_and_drops(g):
                 yield _edit_edges(g, direction, color, first, second)
 
 
-# the checks that some swap or drop fails, in ids by depth or reversed; the
-# SWEEP_FALLBACKS graphs fail the other two
+# the checks that some swap or drop fails, in generated or layer-shuffled
+# ids; the SWEEP_FALLBACKS graphs fail the other two
 SWAP_AND_DROP_CHECKS = {
     "normality violation: vertex N has a raising edge but no edge from above",
     "involution image of vertex N is inconsistent along color N",
@@ -853,9 +899,8 @@ SWAP_AND_DROP_CHECKS = {
 )
 def test_levi_sweep_raises_as_the_replaced_sweep_on_every_swap_and_drop(t, lam, more):
     g = generate(t, lam)
-    reversed_graph, _ = _relabel(g, range(len(g) - 1, -1, -1))
     checks = set()
-    for base in (g, reversed_graph):
+    for base in (g, _layer_shuffled(g)):
         for edited in _swaps_and_drops(base):
             errors = _assert_sweeps_agree_on_every_node_set(edited)
             checks |= {re.sub(r"[0-9]+", "N", message) for _, message in errors}

@@ -5,7 +5,7 @@ xi_perm_by_words writes a vertex b as a lowering word applied to the highest
 vertex of its Levi component, found by a breadth-first search down from that
 vertex with the colors ascending or descending; its image is the twisted
 raising word applied to the lowest vertex of that component.  The components
-and their extremes come from levi_by_vertex_scan, not from the depth-order
+and their extremes come from levi_by_vertex_scan, not from the id-order
 sweep that the package's LeviView and xi_perm share.  This is quadratic in
 the component size.
 
@@ -14,19 +14,25 @@ read the sweep: a scan of every vertex for raising edges and one walk down
 from each highest vertex.  xi_perm_by_bfs is the edge propagation of xi_perm
 as it stood before the graph kept per-color edge lists: it takes the
 components from levi_by_vertex_scan and walks each a second time,
-breadth-first over the lowering and raising edges.  On a crystal it returns
-what the depth-order sweep of xi_perm returns, however the ids are
-numbered.  On a broken graph both raise ModelIntegrityError, often with
-different messages, as each meets the fault at its own check; the sweep may
-also raise where this walk returns, but only on a graph that
+breadth-first over the lowering and raising edges, so it does not depend on
+how the ids are numbered.  On a crystal whose ids ascend along every
+lowering edge it returns what the id-order sweep of xi_perm returns; on
+other numberings of a crystal xi_perm returns the same or raises
+ModelIntegrityError.  On a broken graph both raise ModelIntegrityError,
+often with different messages, as each meets the fault at its own check;
+the sweep may also raise where this walk returns, but only on a graph that
 verify_seminormal flags.
-levi_sweep_by_triples is the depth-order sweep of crystal._levi_sweep as it
-stood when each color was a (lowering, raising, mirror) triple, every edge
-built a (None, image) tuple to test against, and the permutation test
-compared two sets.  The sweep now keeps raising and lowering lists apart,
-reads (lowering, mirror) pairs and builds one set; it must return the same
-(images, top_of) or raise the same error, as its checks run in the same
-order.
+levi_sweep_by_triples is the sweep of crystal._levi_sweep as it stood when
+each color was a (lowering, raising, mirror) triple, every edge built a
+(None, image) tuple to test against, the permutation test compared two sets,
+and the graph sorted its ids stably by the depth <lambda - wt, 2 rho^vee>,
+which every lowering edge of a crystal raises by 2.  It keeps that sort, so
+it does not assume the order the sweep now takes from the ids; on ids
+numbered layer by layer in depth, as generate numbers them, the sort
+changes nothing.  The sweep now keeps raising and lowering lists apart,
+reads (lowering, mirror) pairs and builds one set; on such ids it must
+return the same (images, top_of) or raise the same error, as its checks run
+in the same order.
 relation_violations_by_loops is the relation checker that looped over all
 pairs of subdiagrams on every call.
 
@@ -37,8 +43,16 @@ theta of the whole diagram, which permutes fundamental-weight coordinates.
 """
 
 from collections import deque
+from operator import mul
 
-from pathcrystals.cartan import all_nodes, components, is_connected, node_mask, theta
+from pathcrystals.cartan import (
+    _two_rho_vee,
+    all_nodes,
+    components,
+    is_connected,
+    node_mask,
+    theta,
+)
 from pathcrystals.errors import DomainError, ModelIntegrityError
 from pathcrystals.paths import PLPath, canonicalize
 
@@ -157,7 +171,8 @@ def levi_sweep_by_triples(graph, colors) -> tuple:
     steps = range(n)  # made once: a range per descent costs 5-9% on small crystals
     out = [None] * n
     top_of = [None] * n
-    for v in graph._depth_order:
+    rho2, weights = _two_rho_vee(graph.rtype), graph.weights
+    for v in sorted(steps, key=lambda v: -sum(map(mul, rho2, weights[v]))):
         image = out[v]
         if image is None:  # no edge reached v: a highest vertex has no raising edge
             for _, raising, _ in columns:
