@@ -16,11 +16,13 @@ the orientation conventions cannot drift.
 Path virtualization applies psi direction-wise, and its left inverse reads
 one target coordinate per source node, off tables built with the fold, as
 are the induced words s~_J.  Virtual root operators for a source color i
-apply the target operators gamma_i times over each node of sigma(i).
-Verifiers check exhaustively that virtualization intertwines the operators
-on the source model, admitting each image that a passing lowering reaches
-from an accepted one, so that a passing model holds one path per image; that
-the diagram facts behind the cactus relations hold on every pair of the
+apply the target operators gamma_i times over each node of sigma(i); like
+the left inverse, they refuse a path of another type.  Verifiers check
+exhaustively that virtualization intertwines the operators on the source
+model, through virtual_f, virtual_e and the (eps, phi) of each image's
+membership scan, admitting each image that a passing lowering reaches from
+an accepted one, so that a passing model holds one path per image; that the
+diagram facts behind the cactus relations hold on every pair of the
 source's relation plan; and, on the generated target model, that the induced
 generators satisfy the relations and that the partial involutions commute
 with virtualization, as an identity of target ids of a {path: id} table.
@@ -186,6 +188,8 @@ def devirtualize(fold: FoldingPair, path: PLPath) -> PLPath:
 
 
 def _virtual_op(op, fold: FoldingPair, path: PLPath, i: int):
+    if path.rtype != fold.y_type:
+        raise ConfigurationError(f"path lives in {path.rtype}, not {fold.y_type}")
     _check_node(fold.x_type, i)
     cur = path
     for j in sorted(fold.sigma(i)):
@@ -264,17 +268,18 @@ def _embedding(fold: FoldingPair, lam, max_size):
 
 class _Explorer:
     """B(psi(lam)) explored one target path at a time, for one verifier call,
-    holding the paths with a verdict (known) and accepted images' (eps, phi).
-    admit(q) holds q as a member.  member(q) is q if q is in B(psi(lam)), else
-    None: a path with no verdict is raised by the first color with epsilon at
-    least one in its scan to a path with one, which each path of the walk
-    takes; a walk fails at a non-integral or another dominant path, or past
-    <psi(lam) - wt(q), rho^vee> steps.  The cap counts every path held."""
+    holding only the paths with a verdict (known) and the cap.  admit(q)
+    holds q as a member.  member(q) is the (eps, phi) of q's scan if q is in
+    B(psi(lam)), else None: a path with no verdict is raised by the first
+    color with epsilon at least one in its scan to a path with one, which
+    each path of the walk takes; a walk fails at a non-integral or another
+    dominant path, or past <psi(lam) - wt(q), rho^vee> steps.  The cap
+    counts every path held."""
 
     def __init__(self, fold: FoldingPair, lam, max_size):
         y, self.fold, self.top = fold.y_type, fold, psi_weight(fold, lam)
         self.rho2, self.known = _two_rho_vee(y), {straight_path(y, self.top): True}
-        self.cap, self.stats = inf if max_size is None else max_size, {}
+        self.cap = inf if max_size is None else max_size
 
     def _hold(self, more):
         if len(self.known) + more >= self.cap:
@@ -297,17 +302,7 @@ class _Explorer:
             i = next((i for i, eps in zip(y.nodes, scan[1]) if eps), None)
             p = None if i is None else root_e(p, i)
         known.update(dict.fromkeys(walk, known.get(p, False)))
-        if accepted := known.get(q):
-            self.stats[q] = first[1:]
-        return q if accepted else None
-
-    def virtual(self, name, q, i):
-        """virtual_f (name "f") or virtual_e ("e") of q."""
-        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)
-
-    def strings(self, q):
-        """(eps, phi) of an image that member accepted, off its scan."""
-        return self.stats[q]
+        return first[1:] if known.get(q) else None
 
 
 def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> list:
@@ -322,22 +317,22 @@ def verify_virtualization(fold: FoldingPair, lam, max_size=DEFAULT_MAX_SIZE) -> 
     gx = generate(fold.x_type, lam, max_size=max_size)
     virtual = [virtualize_path(fold, p) for p in gx.vertices]
     explorer, nodes = _Explorer(fold, lam, max_size), fold.x_type.nodes
-    lowered, violations = {}, []
+    accepted, violations = {}, []
     for b, qb in enumerate(virtual):
-        if explorer.member(qb) is None:
+        if (strings := explorer.member(qb)) is None:
             violations.append({"check": "image-membership", "vertex": b})
             continue
-        lowered[b] = [explorer.virtual("f", qb, i) for i in nodes]
-        for i, low in zip(nodes, lowered[b]):
+        lows = [virtual_f(fold, qb, i) for i in nodes]
+        accepted[b] = strings, lows
+        for i, low in zip(nodes, lows):
             if (moved := gx.f_to[i][b]) is not None and virtual[moved] == low:
                 explorer.admit(virtual[moved])
-    if len({virtual[b] for b in lowered}) != len(lowered):
+    if len({virtual[b] for b in accepted}) != len(accepted):
         violations.append({"check": "injectivity"})
-    for b, lows in lowered.items():
-        qb = virtual[b]
-        (eps_b, phi_b), (eps_q, phi_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)
+    for b, ((eps_q, phi_q), lows) in accepted.items():
+        qb, (eps_b, phi_b) = virtual[b], _scan(gx.vertices[b])[1:]
         for i, low in zip(nodes, lows):
-            up = explorer.virtual("e", qb, i)
+            up = virtual_e(fold, qb, i)
             for name, edges, virtual_moved in (("f", gx.f_to, low), ("e", gx.e_to, up)):
                 moved = edges[i][b]
                 if (moved is None) != (virtual_moved is None):

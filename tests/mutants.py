@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "string-scaling-swaps-epsilon-and-phi",
         "folding.py",
-        "        (eps_b, phi_b), (eps_q, phi_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)\n",
-        "        (eps_b, phi_b), (phi_q, eps_q) = _scan(gx.vertices[b])[1:], explorer.strings(qb)\n",
+        "    for b, ((eps_q, phi_q), lows) in accepted.items():\n",
+        "    for b, ((phi_q, eps_q), lows) in accepted.items():\n",
         ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
     ),
     Mutant(
@@ -174,11 +174,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "explorer-virtual-raising-reads-f",
+        "virtual-raising-reads-f",
         "folding.py",
-        'root_f if name == "f" else root_e, self.fold',
-        "root_f, self.fold",
-        ("tests/test_folding.py::test_virtualization_matches_full_target_oracle",),
+        "    return _virtual_op(root_e, fold, path, i)\n",
+        "    return _virtual_op(root_f, fold, path, i)\n",
+        (
+            "tests/test_folding.py::test_virtualization_verifier_passes",
+            "tests/test_folding.py::test_virtual_operator_order_independent_on_image",
+        ),
+    ),
+    Mutant(
+        "virtual-operators-take-a-path-of-another-type",
+        "folding.py",
+        "    if path.rtype != fold.y_type:\n"
+        "        raise ConfigurationError(f\"path lives in {path.rtype}, not {fold.y_type}\")\n"
+        "    _check_node(fold.x_type, i)\n",
+        "    _check_node(fold.x_type, i)\n",
+        ("tests/test_paths.py::test_virtual_operators_refuse_a_path_of_another_type",),
     ),
     Mutant(
         "explorer-admits-past-the-cap",
@@ -198,8 +210,11 @@ MUTANTS = (
         "verifier-lowers-again-for-the-f-check",
         "folding.py",
         '("f", gx.f_to, low)',
-        '("f", gx.f_to, explorer.virtual("f", qb, i))',
-        ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
+        '("f", gx.f_to, virtual_f(fold, qb, i))',
+        (
+            "tests/test_folding.py::test_virtualization_asks_each_target_fact_once",
+            "tests/test_folding.py::test_the_verifier_moves_images_through_the_virtual_operators_alone",
+        ),
     ),
     Mutant(
         "verifier-admits-every-lowering-of-a-member",
@@ -236,23 +251,22 @@ MUTANTS = (
     Mutant(
         "explorer-keeps-a-bound-method",
         "folding.py",
-        '        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)\n',
-        "        self.last = self.virtual\n"
-        '        return _virtual_op(root_f if name == "f" else root_e, self.fold, q, i)\n',
+        "        return first[1:] if known.get(q) else None\n",
+        "        self.last = self.member\n        return first[1:] if known.get(q) else None\n",
         ("tests/test_folding.py::test_the_explorer_is_freed_without_the_cyclic_collector",),
     ),
     Mutant(
         "explorer-strings-of-the-last-scan",
         "folding.py",
-        "            self.stats[q] = first[1:]\n",
-        "            self.stats[q] = scan[1:]\n",
+        "        return first[1:] if known.get(q) else None\n",
+        "        return scan[1:] if known.get(q) else None\n",
         ("tests/test_folding.py::test_virtualization_matches_full_target_oracle_on_broken_models",),
     ),
     Mutant(
         "explorer-strings-rescan",
         "folding.py",
-        "        return self.stats[q]\n",
-        "        return _scan(q)[1:]\n",
+        "        return first[1:] if known.get(q) else None\n",
+        "        return _scan(q)[1:] if known.get(q) else None\n",
         ("tests/test_folding.py::test_virtualization_asks_each_target_fact_once",),
     ),
     Mutant(

@@ -410,15 +410,14 @@ def test_verify_virtualization_past_the_target_cap(capsys):
 
 
 def _no_lowering_admitted(monkeypatch):
-    # every defined lowering of the explorer stands still: no image is
-    # admitted off an f-edge, and each is walked to a verdict
-    real = folding._Explorer.virtual
+    # every defined virtual lowering stands still: no image is admitted off
+    # an f-edge, and each is walked to a verdict
+    real = folding.virtual_f
 
-    def virtual(explorer, name, q, i):
-        moved = real(explorer, name, q, i)
-        return q if name == "f" and moved is not None else moved
+    def virtual_f(fold, q, i):
+        return None if real(fold, q, i) is None else q
 
-    monkeypatch.setattr(folding._Explorer, "virtual", virtual)
+    monkeypatch.setattr(folding, "virtual_f", virtual_f)
 
 
 @pytest.mark.parametrize(

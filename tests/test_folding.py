@@ -555,20 +555,6 @@ def _standing_still(real):
 BROKEN_VIRTUAL_OPS = {"definedness": _never_defined, "intertwine": _standing_still}
 
 
-def _on_explorer(name, broken):
-    # the break of virtual_<name> put on the explorer's virtual operator,
-    # which the verifier reads; the other operator stays as it is
-    def patch(real, fold, lam):
-        def virtual(explorer, which, q, i):
-            if which != name:
-                return real(explorer, which, q, i)
-            return broken(lambda fold, q, i: real(explorer, which, q, i))(fold, q, i)
-
-        return virtual
-
-    return folding._Explorer, "virtual", patch
-
-
 def _patch(monkeypatch, fold, lam, points):
     for owner, attr, broken in points:
         monkeypatch.setattr(owner, attr, broken(getattr(owner, attr), fold, lam))
@@ -580,7 +566,7 @@ def test_virtualization_reports_broken_virtual_operators(monkeypatch, check, nam
     # each break is reported at every vertex and color where the source
     # operator is defined, and nowhere else
     fold = folding_pair("C2")
-    _patch(monkeypatch, fold, (1, 0), [_on_explorer(name, BROKEN_VIRTUAL_OPS[check])])
+    _patch(monkeypatch, fold, (1, 0), VIRTUALIZATION_PATCHES[f"{name}-{check}"])
     gx = generate(fold.x_type, (1, 0))
     expected = [
         {"check": f"{name}-{check}", "vertex": b, "color": i}
@@ -971,23 +957,26 @@ def test_virtual_relations_compute_each_induced_word_once(monkeypatch):
 
 
 def _one_more_step(stat):
-    # one more step on every target string of stat: on the explorer's
-    # (eps, phi) of an image, which the verifier reads, and on paths.epsilon
-    # or paths.phi of a target path, which the oracle reads
+    # one more step on every target string of stat: on the (eps, phi) that
+    # the explorer's member returns for an image, which the verifier reads,
+    # and on paths.epsilon or paths.phi of a target path, which the oracle reads
     k = ("epsilon", "phi").index(stat)
 
     def on_explorer(real, fold, lam):
-        def strings(explorer, q):
-            out = list(real(explorer, q))
+        def member(explorer, q):
+            strings = real(explorer, q)
+            if strings is None:
+                return None
+            out = list(strings)
             out[k] = tuple(n + 1 for n in out[k])
             return tuple(out)
 
-        return strings
+        return member
 
     def on_paths(real, fold, lam):
         return lambda path, i: real(path, i) + (path.rtype == fold.y_type)
 
-    return [(folding._Explorer, "strings", on_explorer), (paths, stat, on_paths)]
+    return [(folding._Explorer, "member", on_explorer), (paths, stat, on_paths)]
 
 
 def _merging(real, fold, lam):
@@ -1014,11 +1003,11 @@ def _to_zero(q):
 
 
 # each patch lists its points as (owner, attribute, broken(real, fold, lam)):
-# a break of the verifier's read and the same break of the oracle's
+# a break that the verifier and the oracle both read, or a break of the
+# verifier's read and the same break of the oracle's
 VIRTUALIZATION_PATCHES = {
     **{
         f"{name}-{check}": [
-            _on_explorer(name, BROKEN_VIRTUAL_OPS[check]),
             (
                 folding,
                 f"virtual_{name}",
@@ -1168,7 +1157,10 @@ def test_the_explorer_is_freed_without_the_cyclic_collector(monkeypatch):
 
 
 def _member(fold, lam, max_size):
-    return folding._Explorer(fold, lam, max_size).member
+    # q or None, as the oracle's lookup answers: member returns the (eps, phi)
+    # of an accepted q
+    member = folding._Explorer(fold, lam, max_size).member
+    return lambda q: None if member(q) is None else q
 
 
 def _walks(monkeypatch, membership, fold, lam, images, max_size=None):
@@ -1404,13 +1396,13 @@ def test_virtualization_results_are_canonical(name, lam):
 
 
 # root_f and root_e calls of each verifier, all and defined, on C2(1,1) and
-# F4(0,0,0,1): generate reaches root_f through crystal, the explorer of the
-# virtualization verifier reaches both through folding, once per path and
-# color.  generate calls an operator only where the scan says it is
+# F4(0,0,0,1): generate reaches root_f through crystal, the virtualization
+# verifier's walk and virtual operators reach both through folding, once per
+# path and color.  generate calls an operator only where the scan says it is
 # defined, and not at an f-edge that closes a square with a non-adjacent
 # color (68 of the 324 f-edges of the A3 target of C2(1,1), 615 of the 1,380
 # of the E6 target of F4, 6 of the 32 of the F4 source).  On a passing model
-# no walk takes a step: the explorer's calls are the virtual operators', as
+# no walk takes a step: the target calls are the virtual operators', as
 # many root_e as root_f, and the undefined ones fall one at each source
 # vertex and color without an edge (14 of each on C2(1,1), 72 on F4)
 VERIFIER_OPERATOR_CALLS = [
@@ -1442,6 +1434,48 @@ def test_verifier_operator_call_counts(monkeypatch, name, lam, verifier, expecte
             monkeypatch.setattr(module, op.__name__, counted(op.__name__, op))
     assert verifier(folding_pair(name), lam) == []
     assert tuple(calls.values()) == expected
+
+
+@pytest.mark.parametrize("patch", [None, "image-membership-at-zero"])
+@pytest.mark.parametrize("name,lam", [("C2", (1, 1)), ("F4", (0, 0, 0, 1)), ("G2", (1, 1))])
+def test_the_verifier_moves_images_through_the_virtual_operators_alone(
+    monkeypatch, patch, name, lam
+):
+    # one folding.virtual_f and one folding.virtual_e call per accepted image
+    # and source color, and no other call of the operators they share: a
+    # patch or a tracer of the two module names sees every move
+    fold = folding_pair(name)
+    if patch is not None:
+        _patch(monkeypatch, fold, lam, VIRTUALIZATION_PATCHES[patch])
+    calls, shared = Counter(), folding._virtual_op
+
+    def counted(label, real):
+        def wrapper(fold, q, i):
+            calls[(label, q, i)] += 1
+            return real(fold, q, i)
+
+        return wrapper
+
+    def counted_shared(op, fold, q, i):
+        calls["_virtual_op"] += 1
+        return shared(op, fold, q, i)
+
+    monkeypatch.setattr(folding, "_virtual_op", counted_shared)
+    for label in ("virtual_f", "virtual_e"):
+        monkeypatch.setattr(folding, label, counted(label, getattr(folding, label)))
+    images = [folding.virtualize_path(fold, p) for p in generate(fold.x_type, lam).vertices]
+    report = verify_virtualization(fold, lam)
+    rejected = {r["vertex"] for r in report if r["check"] == "image-membership"}
+    assert bool(rejected) == (patch is not None)
+    expected = Counter(
+        (label, q, i)
+        for label in ("virtual_f", "virtual_e")
+        for b, q in enumerate(images)
+        if b not in rejected
+        for i in fold.x_type.nodes
+    )
+    assert calls.pop("_virtual_op") == expected.total()
+    assert calls == expected
 
 
 @pytest.mark.parametrize("name,lam", [("C2", (1, 1)), ("F4", (0, 0, 0, 1)), ("G2", (1, 1))])

@@ -16,7 +16,7 @@ from test_acceptance import SIZE_CASES, VIRT_CASES
 from pathcrystals import cactus, cartan, crystal, paths
 from pathcrystals.cartan import DynkinType, reflect, simple_root
 from pathcrystals.crystal import generate
-from pathcrystals.errors import DomainError, ModelIntegrityError
+from pathcrystals.errors import ConfigurationError, DomainError, ModelIntegrityError
 from pathcrystals.folding import folding_pair, psi_weight, virtual_e, virtual_f, virtualize_path
 from pathcrystals.paths import (
     PLPath,
@@ -622,6 +622,16 @@ def test_virtual_operators_reject_colors_outside_the_source_type():
         for i in (0, 3, 1.0, True, "1"):
             with pytest.raises(DomainError, match=rf"^node {re.escape(repr(i))} not in C2$"):
                 op(fold, q, i)
+
+
+def test_virtual_operators_refuse_a_path_of_another_type():
+    # a source path went through the target operators of sigma(i): f_2 of the
+    # C2(0,2) top came back as a C2 path of direction (4, -2), with no error
+    fold = folding_pair("C2")
+    p = straight_path(C2, (0, 2))
+    for op in (virtual_f, virtual_e):
+        with pytest.raises(ConfigurationError, match=r"^path lives in C2, not A3$"):
+            op(fold, p, 2)
 
 
 def test_reflection_memo_is_kept_per_type_and_color():
